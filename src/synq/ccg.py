@@ -537,25 +537,51 @@ class ConversionResult:
         return self.diagram is not None
 
 
+def read_auto(path: str | Path) -> dict[str, str]:
+    """Derivation lines of one AUTO file, keyed by derivation ID.
+
+    The ID is the first field of the ``ID=`` header line before a
+    derivation (``ID=wsj_0001.1 PARSER=GOLD`` gives ``"wsj_0001.1"``). A
+    derivation without a header is keyed by its 0-based position among the
+    file's derivations, so ``write_auto``'s ``ID=i`` headers and a headerless
+    file both key item i as ``str(i)``. Raises ParseError on an empty or
+    repeated ID.
+    """
+    out: dict[str, str] = {}
+    current: Optional[str] = None
+    text = Path(path).read_text(encoding="utf-8")
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("ID="):
+            current = line.split()[0][3:]
+            if not current:
+                raise ParseError("empty derivation ID", lineno, 1)
+            continue
+        key = current if current is not None else str(len(out))
+        if key in out:
+            raise ParseError(f"repeated derivation ID {key!r}", lineno, 1)
+        out[key] = line
+        current = None
+    return out
+
+
 def section_to_diagrams(path: str | Path) -> list[ConversionResult]:
     """Convert every derivation under ``path``; failures become records."""
     path = Path(path)
     files = sorted(path.glob("*.auto")) if path.is_dir() else [path]
     results = []
     for file in files:
-        text = file.read_text(encoding="utf-8")
-        current_id: Optional[str] = None
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("ID="):
-                current_id = line.split()[0][3:]
-                continue
-            deriv_id = current_id or f"{file.name}:{lineno}"
-            current_id = None
+        try:
+            derivations = read_auto(file)
+        except ParseError as exc:
+            logger.warning("skipping %s: %s", file.name, exc)
+            results.append(ConversionResult(file.name, error=str(exc)))
+            continue
+        for deriv_id, line in derivations.items():
             try:
-                tree = _AutoParser(line, lineno).parse()
+                tree = _AutoParser(line, 1).parse()
                 diagram = tree_to_diagram(tree)
                 results.append(ConversionResult(deriv_id, diagram=diagram))
             except (ParseError, UnknownCategory, DerivationError) as exc:

@@ -175,15 +175,39 @@ def _np(noun: str, adjective: str | None) -> str:
     return f"(<T NP 0 1> {inner})"
 
 
+class OutOfGrammar(ValueError):
+    """A sentence that the dataset grammar does not derive."""
+
+    def __init__(self, text: str, reason: str):
+        super().__init__(f"{text!r} is outside the dataset grammar: {reason}")
+        self.text = text
+        self.reason = reason
+
+
+def _vocabulary(role: str) -> set[str]:
+    return {w for v in (FOOD, IT) for w in v[role]}
+
+
 def sentence_to_auto(text: str) -> str:
-    """Derivation line for one sentence of the dataset grammar."""
+    """Derivation line for one sentence of the dataset grammar.
+
+    Raises OutOfGrammar for text that is not [ADJ] SUBJ VERB [ADJ] OBJ over
+    the grammar's vocabulary.
+    """
     words = text.split()
-    vocab = {w for v in (FOOD, IT) for w in v["adjectives"]}
-    subj_adj = words[0] if words[0] in vocab else None
+    adjectives = _vocabulary("adjectives")
+    subj_adj = words[0] if words and words[0] in adjectives else None
     rest = words[1:] if subj_adj else words
-    subj, verb = rest[0], rest[1]
-    obj_adj = rest[2] if rest[2] in vocab else None
-    obj = rest[3] if obj_adj else rest[2]
+    obj_adj = rest[2] if len(rest) > 2 and rest[2] in adjectives else None
+    tail = rest[3:] if obj_adj else rest[2:]
+    if len(tail) != 1:
+        raise OutOfGrammar(
+            text, f"{len(words)} words do not fit the shape "
+                  "[adjective] subject verb [adjective] object")
+    subj, verb, obj = rest[0], rest[1], tail[0]
+    for word, role in ((subj, "subjects"), (verb, "verbs"), (obj, "objects")):
+        if word not in _vocabulary(role):
+            raise OutOfGrammar(text, f"{word!r} is not one of its {role}")
     subj_np = _np(subj, subj_adj)
     obj_np = _np(obj, obj_adj)
     verb_leaf = _leaf("(S[dcl]\\NP)/NP", "VBZ", verb)

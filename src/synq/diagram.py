@@ -5,6 +5,16 @@ to its left. Scanning layers top to bottom from the domain, every box must
 consume exactly the wire window at its offset; the final wire sequence is
 the codomain. All values are immutable and all operations are pure.
 
+The public constructor is the only place that scans: a diagram built from
+raw layers (``Diagram(dom, cod, layers)``, ``diagram_from_dict``) is checked
+once, layer by layer, and raises ``IllTyped`` if it does not scan. Every
+``Diagram`` therefore type-checks, and the operations that combine or reorder
+existing diagrams preserve that: ``then`` (after its boundary check),
+``tensor``, and the interchange and yank steps of ``normal_form`` build
+their results through ``Diagram._typed`` without scanning again. Building
+or normalising an L-layer diagram thus scans each layer once, not O(L)
+times.
+
 Box variants:
 
 * ``Word(token, dom, cod)`` -- a labelled process (usually a state, dom=()).
@@ -105,6 +115,13 @@ Box = Union[Word, Cup, Cap, Spider, Swap]
 
 @dataclass(frozen=True)
 class Diagram:
+    """A layer list that scans from ``dom`` to ``cod``.
+
+    Invariant: every instance type-checks. The constructor scans once;
+    composition, tensor, interchange and yank preserve typing, so their
+    results skip the scan.
+    """
+
     dom: TypeSeq = EMPTY
     cod: TypeSeq = EMPTY
     layers: tuple[tuple[Box, int], ...] = ()
@@ -130,6 +147,16 @@ class Diagram:
         if wires != self.cod:
             raise IllTyped(f"final wires {wires} do not match cod {self.cod}")
 
+    @classmethod
+    def _typed(cls, dom: TypeSeq, cod: TypeSeq,
+               layers: tuple[tuple[Box, int], ...]) -> Diagram:
+        """Build without scanning; the caller guarantees that layers scan."""
+        d = object.__new__(cls)
+        object.__setattr__(d, "dom", dom)
+        object.__setattr__(d, "cod", cod)
+        object.__setattr__(d, "layers", layers)
+        return d
+
     @staticmethod
     def identity(types: TypeSeq) -> Diagram:
         return Diagram(types, types, ())
@@ -144,14 +171,14 @@ class Diagram:
             raise TypeMismatch(
                 f"cannot compose: cod {self.cod} does not match dom {other.dom}"
             )
-        return Diagram(self.dom, other.cod, self.layers + other.layers)
+        return Diagram._typed(self.dom, other.cod, self.layers + other.layers)
 
     def tensor(self, other: Diagram) -> Diagram:
         """Parallel composition; other placed to the right of self."""
         shifted = tuple(
             (box, offset + len(self.cod)) for box, offset in other.layers
         )
-        return Diagram(
+        return Diagram._typed(
             self.dom @ other.dom,
             self.cod @ other.cod,
             self.layers + shifted,
@@ -243,7 +270,7 @@ def _interchange(d: Diagram, k: int) -> Diagram | None:
     else:
         return None
     layers = d.layers[:k] + swapped + d.layers[k + 2:]
-    return Diagram(d.dom, d.cod, layers)
+    return Diagram._typed(d.dom, d.cod, layers)
 
 
 def _follow_wire(d: Diagram, start_layer: int, position: int):
@@ -311,8 +338,9 @@ def _yank(d: Diagram, cap: int, cup: int, leg: int,
     (_, o_cap), (_, o_cup) = d.layers[cap], d.layers[cup]
     if abs(o_cup - o_cap) != 1:
         return None
+    # the adjacent cap and cup compose to the identity on the traced wire
     layers = d.layers[:cap] + d.layers[cap + 2:]
-    return Diagram(d.dom, d.cod, layers)
+    return Diagram._typed(d.dom, d.cod, layers)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -98,22 +97,18 @@ def sentence_to_diagram(cfg: PipelineConfig, text: str,
 
 
 def _load_derivations(cfg: PipelineConfig,
-                      n_items: int) -> list[Optional[str]]:
+                      ds: LabeledDataset) -> list[Optional[str]]:
+    """Item i's derivation is the ``ID=i`` entry of ``cfg.ccg_path``."""
     if cfg.reader != "ccg" or cfg.ccg_path is None:
-        return [None] * n_items
-    lines: dict[int, str] = {}
-    current: Optional[int] = None
-    for raw in Path(cfg.ccg_path).read_text(encoding="utf-8").splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("ID="):
-            current = int(line[3:].split()[0])
-            continue
-        key = current if current is not None else len(lines)
-        lines[key] = line
-        current = None
-    return [lines.get(i) for i in range(n_items)]
+        return [None] * len(ds.items)
+    by_id = ccg.read_auto(cfg.ccg_path)
+    missing = [f"{i}: {text!r}" for i, (text, _) in enumerate(ds.items)
+               if str(i) not in by_id]
+    if missing:
+        raise CompileError(
+            f"{len(missing)} sentences have no derivation in "
+            f"{cfg.ccg_path}:\n" + "\n".join(missing))
+    return [by_id[str(i)] for i in range(len(ds.items))]
 
 
 def compile_diagram(cfg: PipelineConfig, d: Diagram):
@@ -140,7 +135,7 @@ class CompiledModel:
 
 
 def compile_model(cfg: PipelineConfig, ds: LabeledDataset) -> CompiledModel:
-    derivations = _load_derivations(cfg, len(ds.items))
+    derivations = _load_derivations(cfg, ds)
     artifacts, failures = [], []
     for i, (text, _) in enumerate(ds.items):
         try:

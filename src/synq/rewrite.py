@@ -97,26 +97,24 @@ def _listed(token: str, words: frozenset[str]) -> bool:
     return token.lower() in words
 
 
-def auxiliary_rule(words: frozenset[str] | None = None) -> RewriteRule:
-    """Remove auxiliary verbs shaped T.r ++ T by replacing them with caps."""
-    words = words if words is not None else load_wordlist("auxiliaries")
+def _nested_caps_rule(name: str, wordlist: str
+                      ) -> Callable[[frozenset[str] | None], RewriteRule]:
+    """Factory of a rule removing listed words shaped T.r ++ T by caps."""
 
-    def matcher(w: Word) -> bool:
-        return (not w.dom and _listed(w.token, words)
-                and _nested_caps(w.cod) is not None)
+    def factory(words: frozenset[str] | None = None) -> RewriteRule:
+        words = words if words is not None else load_wordlist(wordlist)
 
-    return RewriteRule("auxiliary", matcher, lambda w: _nested_caps(w.cod))
+        def matcher(w: Word) -> bool:
+            return (not w.dom and _listed(w.token, words)
+                    and _nested_caps(w.cod) is not None)
+
+        return RewriteRule(name, matcher, lambda w: _nested_caps(w.cod))
+
+    return factory
 
 
-def connector_rule(words: frozenset[str] | None = None) -> RewriteRule:
-    """Remove sentence connectors shaped T.r ++ T by replacing them with caps."""
-    words = words if words is not None else load_wordlist("connectors")
-
-    def matcher(w: Word) -> bool:
-        return (not w.dom and _listed(w.token, words)
-                and _nested_caps(w.cod) is not None)
-
-    return RewriteRule("connector", matcher, lambda w: _nested_caps(w.cod))
+auxiliary_rule = _nested_caps_rule("auxiliary", "auxiliaries")
+connector_rule = _nested_caps_rule("connector", "connectors")
 
 
 def determiner_rule(words: frozenset[str] | None = None) -> RewriteRule:

@@ -166,6 +166,3 @@ def reduces_to(seq: TypeSeq, target: TypeSeq) -> bool:
         return True
     return _reachable(seq.items, target.items)
 
-
-def _has_deletable_pair(seq: TypeSeq) -> bool:
-    return any(_cancels(a, b) for a, b in zip(seq.items, seq.items[1:]))

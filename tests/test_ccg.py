@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from synq.ccg import (
     Atomic, Backward, DerivationError, Forward, Leaf, Node, ParseError,
-    UnknownCategory, cat_to_typeseq, parse_auto, parse_category,
+    UnknownCategory, cat_to_typeseq, parse_auto, parse_category, read_auto,
     section_to_diagrams, tree_to_diagram,
 )
 from synq.diagram import Cap, Cup, Swap, Word
@@ -201,6 +201,30 @@ class TestTreeToDiagram:
     def test_mismatched_rule_raises(self):
         with pytest.raises(DerivationError):
             parse_auto("(<T NP 0 2> (<L NP/N DT DT a NP/N>) (<L S X X x S>))")
+
+
+class TestReadAuto:
+    def test_fixture_ids_are_strings(self):
+        derivations = read_auto(FIXTURES)
+        lines = FIXTURES.read_text().splitlines()
+        assert list(derivations)[:2] == ["fix.1", "fix.2"]
+        assert derivations["fix.6"] == lines[lines.index(
+            "ID=fix.6 PARSER=GOLD NUMPARSE=1") + 1]
+
+    def test_integer_and_headerless_ids(self, tmp_path):
+        leaf = "(<L N NN NN flower N>)"
+        (tmp_path / "ids.auto").write_text(f"ID=0\n{leaf}\n\nID=1\n{leaf}\n")
+        (tmp_path / "bare.auto").write_text(f"{leaf}\n{leaf}\n")
+        assert read_auto(tmp_path / "ids.auto") == {"0": leaf, "1": leaf}
+        assert read_auto(tmp_path / "bare.auto") == {"0": leaf, "1": leaf}
+
+    @pytest.mark.parametrize("text", ["ID=\n(<L N NN NN a N>)\n",
+                                      "ID=a\n(<L N NN NN a N>)\n"
+                                      "ID=a\n(<L N NN NN b N>)\n"])
+    def test_empty_or_repeated_id(self, tmp_path, text):
+        (tmp_path / "bad.auto").write_text(text)
+        with pytest.raises(ParseError):
+            read_auto(tmp_path / "bad.auto")
 
 
 class TestSectionConversion:

@@ -1,7 +1,9 @@
+import pytest
+
 from synq.ccg import parse_auto, tree_to_diagram
 from synq.dataset import (
-    FOOD, IT, SEED_SENTENCES, generate_dataset, read_splits, read_tsv,
-    sentence_to_auto, write_auto, write_splits, write_tsv,
+    FOOD, IT, SEED_SENTENCES, OutOfGrammar, generate_dataset, read_splits,
+    read_tsv, sentence_to_auto, write_auto, write_splits, write_tsv,
 )
 from synq.types import ts
 
@@ -61,3 +63,16 @@ def test_write_auto(tmp_path):
     lines = (tmp_path / "d.auto").read_text().splitlines()
     assert len(lines) == 260
     assert lines[0] == "ID=0"
+
+
+@pytest.mark.parametrize("text, reason", [
+    ("john sleeps", "2 words"),
+    ("chef prepares meal quickly", "4 words"),
+    ("john prepares meal", "'john' is not one of its subjects"),
+    ("chef sleeps meal", "'sleeps' is not one of its verbs"),
+])
+def test_out_of_grammar_named(text, reason):
+    with pytest.raises(OutOfGrammar) as err:
+        sentence_to_auto(text)
+    assert isinstance(err.value, ValueError)
+    assert repr(text) in str(err.value) and reason in str(err.value)

@@ -1,3 +1,6 @@
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -197,6 +200,32 @@ class TestPipelines:
         s2, h2 = train(compile_model(cfg, ds))
         assert np.allclose(s1.to_vector(), s2.to_vector())
         assert h1.rows == h2.rows
+
+    def test_ccg_path_keys_items_by_integer_id(self, tmp_path):
+        from synq.dataset import write_auto
+        ds = tiny_dataset()
+        write_auto(ds, tmp_path / "d.auto")
+        cfg = PipelineConfig(reader="ccg", ansatz="spider", seed=1)
+        from_file = compile_model(
+            replace(cfg, ccg_path=str(tmp_path / "d.auto")), ds)
+        assert from_file.artifacts == compile_model(cfg, ds).artifacts
+
+    @pytest.mark.parametrize("ids", ["fix", "short"])
+    def test_ccg_path_missing_derivation_names_item(self, tmp_path, ids):
+        ds = tiny_dataset()
+        path = Path(__file__).parent / "data" / "fixtures.auto"
+        if ids == "short":  # derivations for all items but the last
+            from synq.dataset import sentence_to_auto
+            path = tmp_path / "short.auto"
+            path.write_text("".join(
+                f"ID={i}\n{sentence_to_auto(text)}\n"
+                for i, (text, _) in enumerate(ds.items[:-1])))
+        cfg = PipelineConfig(reader="ccg", ccg_path=str(path))
+        with pytest.raises(CompileError) as err:
+            compile_model(cfg, ds)
+        missing = range(len(ds.items)) if ids == "fix" else [len(ds.items) - 1]
+        assert str(err.value).splitlines()[1:] == [
+            f"{i}: {ds.items[i][0]!r}" for i in missing]
 
     def test_sentence_to_diagram_rewrites(self):
         cfg = PipelineConfig(reader="ccg", rewrites=("determiner",))
