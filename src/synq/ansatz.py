@@ -301,15 +301,7 @@ def _word_factors(box: Word, dims: list[int], bond_dim: int,
         return [(nid, i) for i in range(k)]
 
     if mode == "mps":
-        # data wire counts per factor: first m-1, interiors m-2, last <= m-1
-        splits: list[list[int]] = []
-        first = max_order - 1
-        splits.append(list(range(first)))
-        rest = list(range(first, k))
-        while len(rest) > max_order - 1:
-            splits.append(rest[:max_order - 2])
-            rest = rest[max_order - 2:]
-        splits.append(rest)
+        splits = _mps_groups(k, max_order)
         legs: list[Leg] = [None] * k  # type: ignore[list-item]
         prev_bond: Optional[Leg] = None
         for fi, chunk in enumerate(splits):
@@ -432,15 +424,25 @@ def spider_ansatz(d: Diagram, dm: DimMap, max_order: int = 2) -> TensorNetwork:
     return _build_network(d, dm, "spider", 0, max_order)
 
 
-def mps_factor_count(order: int, max_order: int) -> int:
+def _mps_groups(order: int, max_order: int) -> list[list[int]]:
+    """Data wires of each MPS factor of an order-``order`` word: one group
+    up to max_order, else the first takes max_order - 1 wires, interior
+    ones max_order - 2 and the last at most max_order - 1."""
     if order <= max_order:
-        return 1
-    rest = order - (max_order - 1)
-    n = 1
-    while rest > max_order - 1:
-        n += 1
-        rest -= max_order - 2
-    return n + 1
+        return [list(range(order))]
+    if max_order < 3:  # interior factors would take no wire
+        raise InvalidConfig("mps max_order must be at least 3")
+    groups = [list(range(max_order - 1))]
+    rest = list(range(max_order - 1, order))
+    while len(rest) > max_order - 1:
+        groups.append(rest[:max_order - 2])
+        rest = rest[max_order - 2:]
+    groups.append(rest)
+    return groups
+
+
+def mps_factor_count(order: int, max_order: int) -> int:
+    return len(_mps_groups(order, max_order))
 
 
 def spider_factor_count(order: int, max_order: int) -> int:
@@ -460,12 +462,7 @@ def svd_chain(tensor: np.ndarray, max_order: int,
     if k <= max_order:
         return [tensor]
     dims = list(tensor.shape)
-    groups: list[list[int]] = [list(range(max_order - 1))]
-    rest = list(range(max_order - 1, k))
-    while len(rest) > max_order - 1:
-        groups.append(rest[:max_order - 2])
-        rest = rest[max_order - 2:]
-    groups.append(rest)
+    groups = _mps_groups(k, max_order)
 
     factors = []
     remainder = tensor.reshape(int(np.prod([dims[i] for i in groups[0]])), -1)

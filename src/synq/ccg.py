@@ -333,7 +333,13 @@ class _AutoParser:
         self.fail(f"unknown node tag {fields[0]!r}")
 
     def parse(self) -> CCGTree:
-        tree = self.parse_node()
+        try:
+            tree = self.parse_node()
+        except RecursionError:
+            raise ParseError(
+                "derivation is too deep to parse (nesting exceeds the "
+                "interpreter's recursion limit)", self.lineno,
+                self.pos + 1) from None
         self.skip_ws()
         if self.pos != len(self.line):
             self.fail("trailing characters after derivation")
@@ -431,7 +437,12 @@ def _cap_shaped(a: PType, b: PType) -> bool:
 
 def tree_to_diagram(t: CCGTree) -> Diagram:
     """Convert a derivation to a diagram with dom [] and cod T(root)."""
-    d = _convert(t)
+    try:
+        d = _convert(t)
+    except RecursionError:
+        raise DerivationError(
+            "derivation is too deep to convert (nesting exceeds the "
+            "interpreter's recursion limit)") from None
     want = cat_to_typeseq(t.category)
     if d.cod != want:
         raise DerivationError(

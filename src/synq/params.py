@@ -74,10 +74,11 @@ class ParameterStore:
     def size(self) -> int:
         return sum(arr.size for arr in self._values.values())
 
-    def to_vector(self) -> np.ndarray:
-        if not self._values:
-            return np.zeros(0)
-        return np.concatenate([arr.ravel() for arr in self._values.values()])
+    def to_vector(self, names: Iterable[str] | None = None) -> np.ndarray:
+        """Values of the named symbols (default: all, in layout order)."""
+        names = self._values if names is None else names
+        arrays = [self[name].ravel() for name in names]
+        return np.concatenate(arrays) if arrays else np.zeros(0)
 
     def from_vector(self, vec: np.ndarray) -> "ParameterStore":
         vec = np.asarray(vec, dtype=float)

@@ -24,7 +24,9 @@ from .diagram import Diagram
 from .params import ParameterStore
 from .readers import cups_read, spiders_read, tokenize
 from .rewrite import Rewriter
-from .simulator import AllShotsDiscarded, ZeroNorm, evaluate, sample
+from .simulator import (
+    AllShotsDiscarded, CircuitPlan, ZeroNorm, evaluate, plan_circuits, sample,
+)
 from .types import ts
 
 logger = logging.getLogger(__name__)
@@ -128,6 +130,7 @@ class CompiledModel:
     dataset: LabeledDataset
     artifacts: list
     store: ParameterStore
+    plan: Optional[CircuitPlan] = None  # circuits grouped by structure
 
     @property
     def is_quantum(self) -> bool:
@@ -160,7 +163,8 @@ def compile_model(cfg: PipelineConfig, ds: LabeledDataset) -> CompiledModel:
     for art in artifacts:
         symbols.extend(art.symbols)
     store = ParameterStore.initialize(symbols, cfg.seed)
-    return CompiledModel(cfg, ds, artifacts, store)
+    plan = plan_circuits(artifacts, store) if cfg.ansatz == "iqp" else None
+    return CompiledModel(cfg, ds, artifacts, store, plan)
 
 
 def shot_seed(base_seed: int, iteration: int, slot: int, item: int) -> int:

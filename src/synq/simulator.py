@@ -5,12 +5,26 @@ basis index; H = (1/sqrt 2)[[1,1],[1,-1]]; Rx(t) = exp(-i t X / 2);
 Rz(t) = exp(-i t Z / 2); CRz(t) = diag(1, 1, e^{-it/2}, e^{it/2}) over the
 (control, target) pair; CX is the standard controlled flip.
 
+One gate kernel, ``_apply``, acts on a batch of statevectors of shape
+(b, 2**n) with one angle per row: CX is a fixed index permutation, Rz and
+CRz are diagonal phases chosen by precomputed bit patterns, and H and Rx a
+two-point butterfly over the gate qubit. ``statevector`` and ``evaluate``
+run it as a batch of one, ``sample`` with one row per noise pattern.
+``plan_circuits`` groups circuits by structure (gates and their qubits,
+postselected and open qubits); ``plan_p1`` then evaluates each group in one
+pass, reading each row's angles from the flat parameter vector.
+
 The noise model is a Monte Carlo Pauli twirl: per shot, after every
 two-qubit gate, each touched qubit independently suffers a uniformly random
 Pauli with probability p. Shots sharing an insertion pattern share one
-simulation, and with p = 0 the path is bit-identical to noiseless sampling.
+simulated row, and with p = 0 the path is bit-identical to noiseless
+sampling.
 """
 from __future__ import annotations
+
+from dataclasses import dataclass
+from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
@@ -18,6 +32,7 @@ from .ansatz import Circuit, Op, Symbol
 from .params import ParameterStore, UnboundSymbol
 
 ZERO_NORM_THRESHOLD = 1e-12
+_ROTATIONS = ("Rx", "Rz", "CRz")
 
 
 class ZeroNorm(Exception):
@@ -26,23 +41,6 @@ class ZeroNorm(Exception):
 
 class AllShotsDiscarded(Exception):
     """Every sampled shot violated the postselection condition."""
-
-
-_H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-_PAULIS = (_X, _Y, _Z)
-
-
-def _rx(theta: float) -> np.ndarray:
-    c, s = np.cos(theta / 2), np.sin(theta / 2)
-    return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
-
-
-def _rz(theta: float) -> np.ndarray:
-    return np.array([[np.exp(-1j * theta / 2), 0],
-                     [0, np.exp(1j * theta / 2)]], dtype=complex)
 
 
 def _angle(op: Op, ps: ParameterStore) -> float:
@@ -56,68 +54,108 @@ def _angle(op: Op, ps: ParameterStore) -> float:
     return float(op.param)
 
 
-def _apply_1q(state: np.ndarray, mat: np.ndarray, q: int, n: int) -> np.ndarray:
-    state = state.reshape([2] * n)
-    axis = n - 1 - q  # little-endian: qubit 0 is the last axis
-    state = np.tensordot(mat, state, axes=([1], [axis]))
-    state = np.moveaxis(state, 0, axis)
-    return state.reshape(-1)
+@lru_cache(maxsize=None)
+def _bits(n: int) -> np.ndarray:
+    """bits[q, i] is bit q of basis index i (read-only: it is shared)."""
+    bits = (np.arange(2 ** n) >> np.arange(n)[:, None]) & 1
+    bits.setflags(write=False)
+    return bits
 
 
-def _apply_2q(state: np.ndarray, mat4: np.ndarray, q0: int, q1: int,
-              n: int) -> np.ndarray:
-    state = state.reshape([2] * n)
-    a0, a1 = n - 1 - q0, n - 1 - q1
-    mat = mat4.reshape(2, 2, 2, 2)  # out0 out1 in0 in1
-    state = np.tensordot(mat, state, axes=([2, 3], [a0, a1]))
-    state = np.moveaxis(state, [0, 1], [a0, a1])
-    return state.reshape(-1)
+@lru_cache(maxsize=None)
+def _index(n: int, gate: str, qubits: tuple[int, ...]) -> np.ndarray:
+    """CX: the permuted basis order. Rz, CRz: per basis state 0, 1 or 2 for
+    the phase e^{-it/2}, 1 or e^{it/2}. Read-only: it is shared."""
+    bits = _bits(n)
+    if gate == "CX":
+        index = np.arange(2 ** n) ^ (bits[qubits[0]] << qubits[1])
+    else:
+        control = bits[qubits[0]] if gate == "CRz" else 1
+        index = 1 + control * (2 * bits[qubits[-1]] - 1)
+    index.setflags(write=False)
+    return index
 
 
-_CX = np.array([[1, 0, 0, 0],
-                [0, 1, 0, 0],
-                [0, 0, 0, 1],
-                [0, 0, 1, 0]], dtype=complex)
+def _apply(states: np.ndarray, op: Op, theta=None) -> np.ndarray:
+    """One gate on every row of ``states`` (b, 2**n); theta has one angle
+    per row (or one for all rows) for Rx, Rz and CRz."""
+    n = states.shape[1].bit_length() - 1
+    if op.gate in ("CX", "Rz", "CRz"):
+        index = _index(n, op.gate, op.qubits)
+        if op.gate == "CX":
+            return states[:, index]
+        half = np.exp(0.5j * np.asarray(theta))[:, None]
+        return states * np.hstack((half.conj(), np.ones_like(half), half))[
+            :, index]
+    if op.gate == "H":
+        m00 = m01 = m10 = np.sqrt(0.5)
+        m11 = -m00
+    elif op.gate == "Rx":
+        half = np.asarray(theta)[:, None, None] / 2
+        m00 = m11 = np.cos(half)
+        m01 = m10 = -1j * np.sin(half)
+    else:
+        raise ValueError(f"unknown gate {op.gate!r}")
+    v = states.reshape(len(states), -1, 2, 1 << op.qubits[0])
+    out = np.empty_like(v)
+    out[:, :, 0] = m00 * v[:, :, 0] + m01 * v[:, :, 1]
+    out[:, :, 1] = m10 * v[:, :, 0] + m11 * v[:, :, 1]
+    return out.reshape(len(states), -1)
 
 
-def _crz(theta: float) -> np.ndarray:
-    return np.diag([1, 1,
-                    np.exp(-1j * theta / 2),
-                    np.exp(1j * theta / 2)]).astype(complex)
+def _pauli(states: np.ndarray, q: int, code: np.ndarray) -> None:
+    """Insert, in place, Pauli ``code`` (0 none, 1 X, 2 Y, 3 Z) on qubit q
+    of each row; Y = iXZ."""
+    bit = _bits(states.shape[1].bit_length() - 1)[q]
+    z, x, y = code >= 2, (code == 1) | (code == 2), code == 2
+    states[z] *= 1 - 2 * bit
+    states[x] = states[x][:, np.arange(len(bit)) ^ (1 << q)]
+    states[y] *= 1j
 
 
-def _run(c: Circuit, ps: ParameterStore) -> np.ndarray:
-    n = c.n_qubits
-    state = np.zeros(2 ** n, dtype=complex)
-    state[0] = 1.0
-    for op in c.ops:
-        mat = _op_matrix(op, ps)
-        if len(op.qubits) == 1:
-            state = _apply_1q(state, mat, op.qubits[0], n)
-        else:
-            state = _apply_2q(state, mat, op.qubits[0], op.qubits[1], n)
-    return state
+def _evolve(c: Circuit, angles: np.ndarray, rows: int,
+            inserts: dict | None = None,
+            forks: np.ndarray | None = None) -> np.ndarray:
+    """``rows`` statevectors after c's gates on |0...0>.
+
+    angles holds, per row (or one row for all), the angle of each rotation
+    gate in gate order; inserts maps a gate index to the (qubit, Pauli
+    codes) inserted after that gate. With ``forks`` (ascending, from -1),
+    row r copies row 0 up to gate forks[r], so it is simulated only from
+    where it can differ from row 0."""
+    states = np.zeros((rows, 2 ** c.n_qubits), dtype=complex)
+    states[:, 0] = 1.0
+    live, k = (rows if forks is None else 1), 0
+    for i, op in enumerate(c.ops):
+        rotation = op.gate in _ROTATIONS
+        theta = angles[:live, k] if rotation else None
+        states[:live], k = _apply(states[:live], op, theta), k + rotation
+        if forks is not None:
+            forked = np.searchsorted(forks, i, side="right")
+            states[live:forked] = states[0]
+            live = forked
+        for q, code in (inserts or {}).get(i, ()):
+            _pauli(states[:live], q, code[:live])
+    return states
+
+
+def _angles(c: Circuit, ps: ParameterStore) -> np.ndarray:
+    return np.array([[_angle(op, ps) for op in c.ops
+                      if op.gate in _ROTATIONS]])
 
 
 def statevector(c: Circuit, ps: ParameterStore) -> np.ndarray:
     """State after all gates on |0...0>, before any postselection."""
-    return _run(c, ps)
+    return _evolve(c, _angles(c, ps), 1)[0]
 
 
-def _postselect_probs(c: Circuit, state: np.ndarray) -> np.ndarray:
-    """Joint |amplitude|^2 over open qubits after projecting postselects."""
-    n = c.n_qubits
-    amps = state.reshape([2] * n)
-    for q in sorted(c.postselect, reverse=True):
-        amps = np.take(amps, 0, axis=n - 1 - q)
-        n -= 1  # axis removed; remaining qubits keep relative order
-    remaining = [q for q in range(c.n_qubits) if q not in c.postselect]
-    probs = np.abs(amps) ** 2
-    # axes currently ordered most-significant first over ``remaining``
-    order = [len(remaining) - 1 - remaining.index(q) for q in c.open]
-    probs = np.transpose(probs, [order[i] for i in range(len(order))]) \
-        if probs.ndim else probs
-    return probs
+def _by_open(c: Circuit, weights: np.ndarray) -> dict:
+    """Weight of each basis state whose postselected qubits read 0, keyed
+    by its open-qubit bitstring (character i is the bit of c.open[i])."""
+    bits = _bits(c.n_qubits)
+    passed = np.flatnonzero(~bits[list(c.postselect)].any(axis=0))
+    return {"".join(str(bits[q, b]) for q in c.open): weights[b]
+            for b in passed}
 
 
 def evaluate(c: Circuit, ps: ParameterStore) -> dict[str, float]:
@@ -125,103 +163,76 @@ def evaluate(c: Circuit, ps: ParameterStore) -> dict[str, float]:
 
     Keys are bitstrings with character i giving the bit of c.open[i].
     """
-    state = statevector(c, ps)
-    probs = _postselect_probs(c, state)
-    total = float(probs.sum())
+    probs = _by_open(c, np.abs(statevector(c, ps)) ** 2)
+    total = float(sum(probs.values()))
     if total < ZERO_NORM_THRESHOLD:
         raise ZeroNorm(f"postselection probability {total:.3e}")
-    probs = probs / total
-    out = {}
-    k = len(c.open)
-    for idx in np.ndindex(*probs.shape):
-        out["".join(str(b) for b in idx)] = float(probs[idx])
-    if k == 0:
-        out = {"": 1.0}
-    return out
+    return {key: float(p / total) for key, p in probs.items()}
 
 
-def _two_qubit_indices(c: Circuit) -> list[int]:
-    return [i for i, op in enumerate(c.ops) if len(op.qubits) == 2]
+@dataclass(frozen=True)
+class CircuitPlan:
+    """One-open-qubit circuits grouped by structure.
+
+    Each group is (circuit, rows, offsets): a representative circuit, the
+    positions of its circuits in the planned sequence, and per row the
+    offset of each rotation angle in the flat parameter vector. Angles
+    given as numbers sit after the vector, in ``consts``."""
+    groups: tuple[tuple[Circuit, np.ndarray, np.ndarray], ...]
+    consts: np.ndarray
+    count: int
 
 
-def _apply_1q_batch(states: np.ndarray, mat: np.ndarray, q: int,
-                    n: int) -> np.ndarray:
-    b = states.shape[0]
-    states = states.reshape([b] + [2] * n)
-    axis = 1 + (n - 1 - q)
-    states = np.tensordot(mat, states, axes=([1], [axis]))
-    states = np.moveaxis(states, 0, axis)
-    return states.reshape(b, -1)
+def plan_circuits(circuits: Sequence[Circuit],
+                  store: ParameterStore) -> CircuitPlan:
+    """Group circuits by structure against the layout of ``store``."""
+    offsets = {name: offset for name, _, offset in store.layout}
+    groups: dict[tuple, tuple[Circuit, list, list]] = {}
+    consts: list[float] = []
+    for row, c in enumerate(circuits):
+        if len(c.open) != 1:
+            raise ValueError(f"circuit {row} has {len(c.open)} open qubits; "
+                             "a planned prediction needs one")
+        idx = []
+        for op in c.ops:
+            if op.gate in _ROTATIONS:
+                value = _angle(op, store)  # raises on unbound angles
+                if isinstance(op.param, Symbol):
+                    idx.append(offsets[op.param.name])
+                else:
+                    idx.append(store.size + len(consts))
+                    consts.append(value)
+        key = (c.n_qubits, tuple((op.gate, op.qubits) for op in c.ops),
+               c.postselect, c.open)
+        group = groups.setdefault(key, (c, [], []))
+        group[1].append(row)
+        group[2].append(idx)
+    return CircuitPlan(
+        tuple((c, np.array(rows), np.array(idx, dtype=np.intp))
+              for c, rows, idx in groups.values()),
+        np.array(consts), len(circuits))
 
 
-def _apply_2q_batch(states: np.ndarray, mat4: np.ndarray, q0: int, q1: int,
-                    n: int) -> np.ndarray:
-    b = states.shape[0]
-    states = states.reshape([b] + [2] * n)
-    a0, a1 = 1 + (n - 1 - q0), 1 + (n - 1 - q1)
-    mat = mat4.reshape(2, 2, 2, 2)
-    states = np.tensordot(mat, states, axes=([2, 3], [a0, a1]))
-    states = np.moveaxis(states, [0, 1], [a0, a1])
-    return states.reshape(b, -1)
-
-
-def _op_matrix(op: Op, ps: ParameterStore) -> np.ndarray:
-    if op.gate == "H":
-        return _H
-    if op.gate == "Rx":
-        return _rx(_angle(op, ps))
-    if op.gate == "Rz":
-        return _rz(_angle(op, ps))
-    if op.gate == "CRz":
-        return _crz(_angle(op, ps))
-    if op.gate == "CX":
-        return _CX
-    raise ValueError(f"unknown gate {op.gate!r}")
-
-
-def _pattern_probs(c: Circuit, ps: ParameterStore,
-                   patterns: list[tuple]) -> list[np.ndarray]:
-    """Full-basis distribution for each non-empty insertion pattern.
-
-    All patterns advance through the circuit together: a pattern's branch
-    state is forked from the clean state at its first insertion and follows
-    the remaining gates as one vectorized batch.
-    """
-    n = c.n_qubits
-    due: dict[int, list[tuple[int, int]]] = {}
-    first_at: dict[int, list[int]] = {}
-    for pi, pattern in enumerate(patterns):
-        first_at.setdefault(pattern[0][0], []).append(pi)
-        for op_index, qubit, pauli in pattern:
-            due.setdefault(op_index, []).append((pi, qubit, pauli))
-
-    clean = np.zeros(2 ** n, dtype=complex)
-    clean[0] = 1.0
-    rows: dict[int, int] = {}  # pattern index -> batch row
-    batch = np.empty((len(patterns), 2 ** n), dtype=complex)
-    active = 0
-    for i, op in enumerate(c.ops):
-        mat = _op_matrix(op, ps)
-        if len(op.qubits) == 1:
-            clean = _apply_1q(clean, mat, op.qubits[0], n)
-            if active:
-                batch[:active] = _apply_1q_batch(batch[:active], mat,
-                                                 op.qubits[0], n)
-        else:
-            clean = _apply_2q(clean, mat, op.qubits[0], op.qubits[1], n)
-            if active:
-                batch[:active] = _apply_2q_batch(batch[:active], mat,
-                                                 op.qubits[0], op.qubits[1], n)
-        for pi in first_at.get(i, ()):
-            rows[pi] = active
-            batch[active] = clean
-            active += 1
-        for pi, qubit, pauli in due.get(i, ()):
-            row = rows[pi]
-            batch[row] = _apply_1q(batch[row], _PAULIS[pauli], qubit, n)
-    probs = np.abs(batch) ** 2
-    probs /= probs.sum(axis=1, keepdims=True)
-    return [probs[rows[pi]] for pi in range(len(patterns))]
+def plan_p1(plan: CircuitPlan, vec: np.ndarray,
+            rows: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Probability of reading 1 on the open qubit after postselection, and
+    the postselection probability, of the planned circuits at ``rows``
+    under the flat parameter vector ``vec``; one pass per group. Rows with
+    a norm below ZERO_NORM_THRESHOLD get an arbitrary p1."""
+    values = np.concatenate((vec, plan.consts))
+    wanted = np.zeros(plan.count, dtype=bool)
+    wanted[list(rows)] = True
+    p1, norm = np.zeros(plan.count), np.zeros(plan.count)
+    for c, members, idx in plan.groups:
+        keep = wanted[members]
+        if keep.any():
+            members, idx = members[keep], idx[keep]
+            probs = np.abs(_evolve(c, values[idx], len(members))[
+                :, [0, 1 << c.open[0]]]) ** 2
+            norm[members] = probs.sum(axis=1)
+            p1[members] = probs[:, 1] / np.maximum(norm[members],
+                                                   np.finfo(float).tiny)
+    return p1[list(rows)], norm[list(rows)]
 
 
 def sample(c: Circuit, ps: ParameterStore, n_shots: int, seed: int,
@@ -232,56 +243,45 @@ def sample(c: Circuit, ps: ParameterStore, n_shots: int, seed: int,
     postselected qubits read nonzero is discarded. With noise_p > 0, each
     shot first samples Pauli insertions after every two-qubit gate (one
     chance per touched qubit); shots sharing an insertion pattern share one
-    simulation. noise_p = 0 takes exactly the noiseless path.
+    simulated row. The noise-free pattern draws its counts first, then the
+    others in the order of their first shot. noise_p = 0 takes exactly the
+    noiseless path.
     """
     if n_shots < 1:
         raise ValueError("n_shots must be at least 1")
     rng = np.random.default_rng(seed)
-    n = c.n_qubits
-    dim = 2 ** n
-
-    counts_vec = np.zeros(dim, dtype=np.int64)
-    if noise_p <= 0.0 or not _two_qubit_indices(c):
-        state = _run(c, ps)
-        p = np.abs(state) ** 2
-        counts_vec = rng.multinomial(n_shots, p / p.sum())
-    else:
-        twoq = _two_qubit_indices(c)
-        sites = [(i, q) for i in twoq for q in c.ops[i].qubits]
+    sites = [(i, q) for i, op in enumerate(c.ops) if len(op.qubits) == 2
+             for q in op.qubits]
+    shots, inserts, forks, draw = np.array([n_shots]), {}, None, [0]
+    if noise_p > 0.0 and sites:
         hits = rng.random((n_shots, len(sites))) < noise_p
         paulis = rng.integers(0, 3, size=(n_shots, len(sites)))
-        pattern_shots: dict[tuple, int] = {}
-        shot_ids, site_ids = np.nonzero(hits)
-        clean_shots = n_shots - len(np.unique(shot_ids))
-        start = 0
-        while start < len(shot_ids):
-            end = start
-            while end < len(shot_ids) and shot_ids[end] == shot_ids[start]:
-                end += 1
-            pattern = tuple(
-                (sites[j][0], sites[j][1], int(paulis[shot_ids[start], j]))
-                for j in site_ids[start:end])
-            pattern_shots[pattern] = pattern_shots.get(pattern, 0) + 1
-            start = end
-        if clean_shots:
-            state = _run(c, ps)
-            p = np.abs(state) ** 2
-            counts_vec += rng.multinomial(clean_shots, p / p.sum())
-        patterns = list(pattern_shots)
-        for pattern, probs in zip(patterns, _pattern_probs(c, ps, patterns)):
-            counts_vec += rng.multinomial(pattern_shots[pattern], probs)
+        # one row per distinct pattern, after an added clean pattern that
+        # makes the clean row exist even when no shot is clean
+        codes = np.vstack((np.zeros(len(sites), dtype=int),
+                           np.where(hits, paulis + 1, 0)))
+        by_code = np.lexsort(codes.T)  # stable: equal rows keep shot order
+        codes = codes[by_code]
+        start = np.flatnonzero(np.r_[True, (codes[1:] != codes[:-1]).any(1)])
+        shots, codes = np.diff(np.r_[start, n_shots + 1]), codes[start]
+        shots[0] -= 1  # the added clean pattern
+        # a row forks off the clean row 0 at its first insertion; counts
+        # are drawn for the clean row, then by each pattern's first shot
+        gates = np.array([i for i, _ in sites])
+        forks = np.where(codes.any(axis=1),
+                         gates[np.argmax(codes != 0, axis=1)], -1)
+        rows = np.argsort(forks, kind="stable")
+        codes, shots, forks = codes[rows], shots[rows], forks[rows]
+        draw = np.argsort(by_code[start][rows])
+        draw = draw[shots[draw] > 0]
+        for j, (i, q) in enumerate(sites):
+            inserts.setdefault(i, []).append((q, codes[:, j]))
+    states = _evolve(c, _angles(c, ps), len(shots), inserts, forks)[draw]
+    probs = np.abs(states) ** 2
+    counts_vec = rng.multinomial(
+        shots[draw], probs / probs.sum(axis=1, keepdims=True)).sum(axis=0)
 
-    post_mask = 0
-    for q in c.postselect:
-        post_mask |= 1 << q
-    counts: dict[str, int] = {}
-    kept = 0
-    for basis in np.flatnonzero(counts_vec):
-        if basis & post_mask:
-            continue
-        key = "".join(str((int(basis) >> q) & 1) for q in c.open)
-        counts[key] = counts.get(key, 0) + int(counts_vec[basis])
-        kept += int(counts_vec[basis])
-    if kept == 0:
+    counts = {key: int(n) for key, n in _by_open(c, counts_vec).items() if n}
+    if not counts:
         raise AllShotsDiscarded(f"all {n_shots} shots violated postselection")
     return counts

@@ -18,13 +18,15 @@ import numpy as np
 from .params import ParameterStore
 from .pipeline import CompiledModel, PipelineConfig, predict_p1, \
     prediction_gradient, shot_seed
+from .simulator import ZERO_NORM_THRESHOLD, plan_p1
 
 CLAMP = 1e-9
 
 
-def bce_loss(p1: float, y: int) -> float:
-    """Binary cross entropy with probability clamping."""
-    p = min(max(p1, CLAMP), 1.0 - CLAMP)
+def bce_loss(p1, y):
+    """Binary cross entropy with probability clamping; elementwise on
+    arrays."""
+    p = np.clip(p1, CLAMP, 1.0 - CLAMP)
     return -(y * np.log(p) + (1 - y) * np.log(1.0 - p))
 
 
@@ -122,9 +124,22 @@ def iterations_to_reach(history: TrainHistory, threshold: float,
     return None
 
 
-def _batch_p1(model: CompiledModel, store: ParameterStore, indices,
+def _batch_p1(model: CompiledModel, vec: np.ndarray, indices,
               iteration: int, slot: int) -> list[float]:
+    """p1 of the sentences at ``indices`` under the flat vector ``vec``.
+
+    Exact circuit models are evaluated from ``vec`` in one planned pass per
+    circuit structure; a sentence below the postselection threshold is
+    re-predicted by predict_p1, which reports it. Other models predict
+    sentence by sentence."""
     cfg = model.config
+    if cfg.backend == "exact" and model.plan is not None:
+        p1, norm = plan_p1(model.plan, vec, indices)
+        for k in np.flatnonzero(norm < ZERO_NORM_THRESHOLD):
+            p1[k] = predict_p1(model, model.store.from_vector(vec),
+                               indices[k])
+        return p1.tolist()
+    store = model.store.from_vector(vec)
     out = []
     for i in indices:
         seed = (shot_seed(cfg.seed, iteration, slot, i)
@@ -134,7 +149,7 @@ def _batch_p1(model: CompiledModel, store: ParameterStore, indices,
 
 
 def _mean_loss(p1s, labels) -> float:
-    return float(np.mean([bce_loss(p, y) for p, y in zip(p1s, labels)]))
+    return float(np.mean(bce_loss(np.asarray(p1s), np.asarray(labels))))
 
 
 def train(model: CompiledModel) -> tuple[ParameterStore, TrainHistory]:
@@ -168,16 +183,14 @@ def train(model: CompiledModel) -> tuple[ParameterStore, TrainHistory]:
                 cfg.beta2, cfg.epsilon)
         else:
             def loss_at(theta: np.ndarray, _it=it) -> float:
-                probe = store.from_vector(theta)
-                p1s = _batch_p1(model, probe, train_idx, _it, slot=0)
+                p1s = _batch_p1(model, theta, train_idx, _it, slot=0)
                 return _mean_loss(p1s, train_y)
 
             vec = spsa_step(vec, loss_at, it, cfg.spsa_a, cfg.spsa_c,
                             big_a, cfg.spsa_alpha, cfg.spsa_gamma, spsa_rng)
 
-        current = store.from_vector(vec)
-        train_p1 = _batch_p1(model, current, train_idx, it, slot=1)
-        dev_p1 = _batch_p1(model, current, dev_idx, it, slot=2)
+        train_p1 = _batch_p1(model, vec, train_idx, it, slot=1)
+        dev_p1 = _batch_p1(model, vec, dev_idx, it, slot=2)
         history.append(it, _mean_loss(train_p1, train_y),
                        accuracy(train_p1, train_y),
                        _mean_loss(dev_p1, dev_y),
@@ -192,7 +205,8 @@ def evaluate_split(model: CompiledModel, store: ParameterStore,
     """Loss and accuracy of a split under a trained store."""
     ds = model.dataset
     idx, labels = getattr(ds, split), ds.labels(split)
-    p1s = _batch_p1(model, store, idx, iteration, slot=3)
+    vec = store.to_vector(model.store.names())  # in the model's layout
+    p1s = _batch_p1(model, vec, idx, iteration, slot=3)
     return {
         f"{split}_loss": _mean_loss(p1s, labels),
         f"{split}_accuracy": accuracy(p1s, labels),

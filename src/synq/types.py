@@ -15,20 +15,6 @@ from typing import Iterator
 NOUN = "n"
 SENTENCE = "s"
 
-_registry: set[str] = {NOUN, SENTENCE}
-
-
-def register_atom(name: str) -> str:
-    """Register a new atomic type name. Idempotent; returns the name."""
-    if not name or not name.isidentifier():
-        raise ValueError(f"atomic type name must be an identifier, got {name!r}")
-    _registry.add(name)
-    return name
-
-
-def registered_atoms() -> frozenset[str]:
-    return frozenset(_registry)
-
 
 @dataclass(frozen=True)
 class PType:

@@ -170,6 +170,15 @@ class TestMps:
         with pytest.raises(InvalidConfig):
             mps_ansatz(word("w", ts("n")), DM, 4, 2)
 
+    def test_split_needs_max_order_three(self):
+        # interior factors take max_order - 2 wires: below 3 a split of an
+        # oversized word would never end
+        assert mps_factor_count(2, 2) == 1
+        with pytest.raises(InvalidConfig):
+            mps_factor_count(4, 2)
+        with pytest.raises(InvalidConfig):
+            svd_chain(np.zeros((2,) * 4), 2, 2)
+
 
 class TestSpiderAnsatz:
     def test_order_four_three_factors(self):

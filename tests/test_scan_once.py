@@ -12,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from synq import ccg
 from synq.ccg import parse_auto, read_auto, tree_to_diagram
 from synq.dataset import FOOD
 from synq.diagram import (
@@ -179,3 +180,16 @@ def test_scans_grow_linearly(monkeypatch):
     # a fixed number of scanned layers per added word, at every size
     assert max(slopes) == pytest.approx(min(slopes), rel=0.05), counts
     assert max(slopes) <= 10, counts
+
+
+def test_too_deep_derivation_is_named():
+    # long_derivation nests one tree level per adjective
+    _, line = long_derivation(1000)
+    with pytest.raises(ccg.ParseError, match="too deep"):
+        parse_auto(line)
+    noun, adj = ccg.parse_category("N"), ccg.parse_category("N/N")
+    tree = ccg.Leaf("meal", noun)
+    for _ in range(5000):
+        tree = ccg.Node(noun, "FA", (ccg.Leaf("red", adj), tree))
+    with pytest.raises(ccg.DerivationError, match="too deep"):
+        tree_to_diagram(tree)

@@ -1,54 +1,98 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from synq.ansatz import Circuit, Op, Symbol, iqp_ansatz
-from synq.diagram import cup_at, word
+from synq.dataset import generate_dataset
+from synq.diagram import Cap, Diagram, cup_at, word
 from synq.params import ParameterStore, UnboundSymbol
+from synq.pipeline import PipelineConfig, compile_model
 from synq.simulator import (
-    AllShotsDiscarded, ZeroNorm, evaluate, sample, statevector,
+    AllShotsDiscarded, ZeroNorm, evaluate, plan_circuits, plan_p1, sample,
+    statevector,
 )
 from synq.types import ts
 
 EMPTY_PS = ParameterStore({})
 
+# Gate matrices of the project conventions (see synq.simulator), written out
+# here so that the oracle shares no code with the simulator.
+H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+CX = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
+              dtype=complex)
+PAULIS = (np.array([[0, 1], [1, 0]], dtype=complex),  # X
+          np.array([[0, -1j], [1j, 0]], dtype=complex),  # Y
+          np.array([[1, 0], [0, -1]], dtype=complex))  # Z
 
-def dense_oracle(circuit: Circuit, ps: ParameterStore) -> np.ndarray:
-    """Independent statevector: full 2^n matrices by explicit kron products."""
-    import synq.simulator as sim
 
+def rx(t):
+    c, s = np.cos(t / 2), np.sin(t / 2)
+    return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
+
+
+def rz(t):
+    return np.diag([np.exp(-1j * t / 2), np.exp(1j * t / 2)])
+
+
+def crz(t):
+    return np.diag([1, 1, np.exp(-1j * t / 2), np.exp(1j * t / 2)])
+
+
+def angle(op: Op, ps: ParameterStore) -> float:
+    if isinstance(op.param, Symbol):
+        return float(ps[op.param.name])
+    return float(op.param)
+
+
+def lift1(n, mat, q):
+    # qubit n-1 is the most significant
+    return np.kron(np.kron(np.eye(2 ** (n - 1 - q)), mat), np.eye(2 ** q))
+
+
+def lift2(n, mat4, q0, q1):
+    full = np.zeros((2 ** n, 2 ** n), dtype=complex)
+    col = np.arange(2 ** n)
+    b0, b1 = (col >> q0) & 1, (col >> q1) & 1
+    for r0 in (0, 1):
+        for r1 in (0, 1):
+            row = (col & ~(1 << q0) & ~(1 << q1)) | (r0 << q0) | (r1 << q1)
+            full[row, col] += mat4[(r0 << 1) | r1, (b0 << 1) | b1]
+    return full
+
+
+def dense_oracle(circuit: Circuit, ps: ParameterStore,
+                 paulis: dict | None = None) -> np.ndarray:
+    """Independent statevector: full 2^n matrices by explicit kron products.
+
+    ``paulis`` maps a gate index to (qubit, Pauli index) pairs applied
+    right after that gate."""
     n = circuit.n_qubits
     state = np.zeros(2 ** n, dtype=complex)
     state[0] = 1.0
-
-    def lift1(mat, q):
-        out = np.ones((1, 1), dtype=complex)
-        for k in range(n - 1, -1, -1):  # qubit n-1 is the most significant
-            out = np.kron(out, mat if k == q else np.eye(2))
-        return out
-
-    def lift2(mat4, q0, q1):
-        full = np.zeros((2 ** n, 2 ** n), dtype=complex)
-        for col in range(2 ** n):
-            b0, b1 = (col >> q0) & 1, (col >> q1) & 1
-            for r0 in (0, 1):
-                for r1 in (0, 1):
-                    row = (col & ~(1 << q0) & ~(1 << q1)) \
-                        | (r0 << q0) | (r1 << q1)
-                    full[row, col] += mat4[(r0 << 1) | r1, (b0 << 1) | b1]
-        return full
-
-    for op in circuit.ops:
+    for i, op in enumerate(circuit.ops):
         if op.gate == "H":
-            state = lift1(sim._H, op.qubits[0]) @ state
+            state = lift1(n, H, op.qubits[0]) @ state
         elif op.gate == "Rx":
-            state = lift1(sim._rx(sim._angle(op, ps)), op.qubits[0]) @ state
+            state = lift1(n, rx(angle(op, ps)), op.qubits[0]) @ state
         elif op.gate == "Rz":
-            state = lift1(sim._rz(sim._angle(op, ps)), op.qubits[0]) @ state
+            state = lift1(n, rz(angle(op, ps)), op.qubits[0]) @ state
         elif op.gate == "CRz":
-            state = lift2(sim._crz(sim._angle(op, ps)), *op.qubits) @ state
+            state = lift2(n, crz(angle(op, ps)), *op.qubits) @ state
         elif op.gate == "CX":
-            state = lift2(sim._CX, *op.qubits) @ state
+            state = lift2(n, CX, *op.qubits) @ state
+        for q, pauli in (paulis or {}).get(i, ()):
+            state = lift1(n, PAULIS[pauli], q) @ state
     return state
+
+
+def oracle_p1(circuit: Circuit, ps: ParameterStore) -> tuple[float, float]:
+    """(p1, postselection probability) of a one-open-qubit circuit."""
+    state = dense_oracle(circuit, ps)
+    a0, a1 = np.abs(state[[0, 1 << circuit.open[0]]]) ** 2
+    return a1 / (a0 + a1), a0 + a1
 
 
 def random_circuit(rng, n_qubits=3, n_gates=8):
@@ -130,7 +174,7 @@ class TestEvaluate:
 
     def test_cup_gadget_amplitude(self):
         # postselected amplitude on (a|0>+b|1>)(c|0>+d|1>) is (ac+bd)/sqrt 2
-        import synq.simulator as sim
+        from synq.simulator import _apply
         rng = np.random.default_rng(3)
         for _ in range(5):
             a, b = rng.normal(size=2)
@@ -141,8 +185,8 @@ class TestEvaluate:
             for i in (0, 1):  # qubit 0 is the LSB
                 for j in (0, 1):
                     full[(j << 1) | i] = [a, b][i] * [c, d][j]
-            post = sim._apply_2q(full, sim._CX, 0, 1, 2)
-            post = sim._apply_1q(post, sim._H, 0, 2)
+            post = _apply(full[None], Op("CX", (0, 1)))
+            post = _apply(post, Op("H", (0,)))[0]
             assert abs(post[0] - (a * c + b * d) / np.sqrt(2)) < 1e-12
 
     def test_probabilities_sum_to_one(self):
@@ -227,3 +271,115 @@ class TestSample:
         lo = np.mean([corrupt_fraction(0.01, s) for s in range(3)])
         hi = np.mean([corrupt_fraction(0.10, s) for s in range(3)])
         assert hi > lo
+
+
+    @pytest.mark.parametrize("p", [0.2, 1.0])  # 1.0: no shot is clean
+    def test_noisy_counts_match_enumerated_twirl(self, p):
+        # the exact law of the twirl: every insertion pattern, weighted by
+        # its probability, simulated by the dense oracle
+        # H after each two-qubit gate makes an inserted Z observable
+        c = Circuit(3, (Op("H", (0,)), Op("H", (1,)), Op("CRz", (0, 1), 0.9),
+                        Op("H", (0,)), Op("H", (1,)), Op("CX", (0, 2)),
+                        Op("H", (0,)), Op("Rx", (2,), 1.3)), (), (0, 1, 2))
+        n_shots = 200_000
+        sites = [(2, 0), (2, 1), (5, 0), (5, 2)]
+        want = np.zeros(8)
+        for choice in itertools.product(range(4), repeat=len(sites)):
+            weight, paulis = 1.0, {}
+            for (i, q), k in zip(sites, choice):
+                weight *= 1 - p if k == 3 else p / 3
+                if k < 3:
+                    paulis.setdefault(i, []).append((q, k))
+            want += weight * np.abs(dense_oracle(c, EMPTY_PS, paulis)) ** 2
+        counts = sample(c, EMPTY_PS, n_shots, seed=4, noise_p=p)
+        got = np.zeros(8)
+        for key, n in counts.items():
+            got[sum(int(b) << q for q, b in zip(c.open, key))] = n / n_shots
+        assert 0.5 * np.abs(got - want).sum() < 0.01
+
+
+@st.composite
+def iqp_batches(draw):
+    """Circuits of random sentences: several shapes, each repeated an uneven
+    number of times with its own words, nouns of 1 or 2 qubits, and nouns
+    made by a cap and a cup."""
+    circuits = []
+    for _ in range(draw(st.integers(1, 5))):
+        n_qubits = draw(st.integers(1, 2))
+        most = 3 if n_qubits == 1 else 1  # at most 9 qubits per circuit
+        left = draw(st.integers(0, most))
+        right = draw(st.integers(0, most - left))
+        capped = draw(st.integers(-1, left + right - 1))  # -1: no cap
+        for _ in range(draw(st.integers(1, 3))):
+            tokens = draw(st.lists(st.sampled_from("abc"),
+                                   min_size=left + right + 1,
+                                   max_size=left + right + 1))
+            nouns = []
+            for k, token in enumerate(tokens[1:]):
+                noun = word(token, ts("n"))
+                if k == capped:  # cap (n, n.l), then n.l cups the word
+                    noun = cup_at(Diagram.from_box(Cap("n", -1)) @ noun, 1)
+                nouns.append(noun)
+            verb = word("v" + tokens[0],
+                        ts(*["n.r"] * left, "s", *["n.l"] * right))
+            d = verb
+            for noun in nouns[:left]:
+                d = noun @ d
+            for noun in nouns[left:]:
+                d = d @ noun
+            for k in range(left):
+                d = cup_at(d, left - 1 - k)
+            for k in range(right):
+                d = cup_at(d, right - k)
+            circuits.append(iqp_ansatz(d, {"n": n_qubits, "s": 1}))
+    return circuits
+
+
+class TestPlan:
+    def check(self, circuits, store):
+        plan = plan_circuits(circuits, store)
+        rows = list(range(len(circuits)))
+        p1, norm = plan_p1(plan, store.to_vector(), rows)
+        for k, c in enumerate(circuits):
+            want_p1, want_norm = oracle_p1(c, store)
+            assert abs(norm[k] - want_norm) < 1e-12
+            assert abs(p1[k] * norm[k] - want_p1 * want_norm) < 1e-12
+            if want_norm >= 1e-4:  # p1 = a1 / norm magnifies rounding
+                assert abs(p1[k] - want_p1) < 1e-12
+                assert abs(p1[k] - evaluate(c, store)["1"]) < 1e-12
+        return plan
+
+    def test_dataset_circuits_match_oracle_and_evaluate(self):
+        cfg = PipelineConfig(ansatz="iqp", optimizer="spsa")
+        model = compile_model(cfg, generate_dataset(0))
+        assert len(model.artifacts) == 130
+        plan = self.check(model.artifacts, model.store)
+        assert len(plan.groups) == 4
+        assert sorted(r for _, rows, _ in plan.groups for r in rows) \
+            == list(range(130))
+        assert model.plan is not None and len(model.plan.groups) == 4
+
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(iqp_batches(), st.integers(0, 2 ** 32 - 1))
+    def test_random_batches_match_oracle_and_evaluate(self, circuits, seed):
+        symbols = [sym for c in circuits for sym in c.symbols]
+        self.check(circuits, ParameterStore.initialize(symbols, seed))
+
+    def test_subset_rows_and_numeric_angles(self):
+        rng = np.random.default_rng(5)
+        circuits = [Circuit(2, random_circuit(rng, 2, 6).ops, (1,), (0,))
+                    for _ in range(4)]
+        plan = plan_circuits(circuits, EMPTY_PS)
+        p1, norm = plan_p1(plan, np.zeros(0), [3, 1])
+        for k, row in enumerate((3, 1)):
+            want_p1, want_norm = oracle_p1(circuits[row], EMPTY_PS)
+            assert abs(norm[k] - want_norm) < 1e-12
+            assert abs(p1[k] - want_p1) < 1e-12
+
+    def test_unbound_and_multi_open_rejected(self):
+        c = Circuit(1, (Op("Rx", (0,), Symbol("missing")),), (), (0,))
+        with pytest.raises(UnboundSymbol):
+            plan_circuits([c], EMPTY_PS)
+        with pytest.raises(ValueError, match="open qubits"):
+            plan_circuits([Circuit(2, (), (), (0, 1))], EMPTY_PS)

@@ -1,3 +1,4 @@
+import logging
 from dataclasses import replace
 from pathlib import Path
 
@@ -10,9 +11,10 @@ from synq.pipeline import (
     CompileError, CompiledModel, PipelineConfig, compile_model, predict_p1,
     sentence_to_diagram,
 )
+from synq.simulator import plan_circuits
 from synq.training import (
-    AdamState, TrainHistory, accuracy, adam_step, bce_loss, evaluate_split,
-    iterations_to_reach, spsa_step, train,
+    AdamState, TrainHistory, _batch_p1, accuracy, adam_step, bce_loss,
+    evaluate_split, iterations_to_reach, spsa_step, train,
 )
 
 
@@ -234,3 +236,44 @@ class TestPipelines:
             "(<T S[dcl] 1 2> (<L NP NNP NNP john NP>) "
             "(<L S[dcl]\\NP VBZ VBZ walks S[dcl]\\NP>))")
         assert d.cod.items[0].base == "s"
+
+
+class TestPlannedCircuits:
+    def model(self):
+        cfg = PipelineConfig(ansatz="iqp", optimizer="spsa", iterations=3,
+                             seed=2)
+        return compile_model(cfg, generate_dataset(0))
+
+    def test_spsa_deterministic_and_matches_per_sentence(self):
+        model = self.model()
+        s1, h1 = train(model)
+        s2, h2 = train(self.model())
+        assert h1.rows == h2.rows
+        assert np.array_equal(s1.to_vector(), s2.to_vector())
+        # without a plan, every p1 comes from predict_p1, one sentence at a
+        # time, through the same SPSA loop
+        s3, h3 = train(replace(model, plan=None))
+        assert np.abs(np.array(h1.rows) - np.array(h3.rows)).max() < 1e-10
+        assert np.abs(s1.to_vector() - s3.to_vector()).max() < 1e-10
+        assert evaluate_split(model, s1, "test") == pytest.approx(
+            evaluate_split(replace(model, plan=None), s1, "test"), abs=1e-10)
+
+    def test_zero_norm_row_falls_back_once(self, caplog):
+        from synq.ansatz import Circuit, Op, Symbol
+        model = self.model()
+        rows = list(range(10))
+        before = _batch_p1(model, model.store.to_vector(), rows, 0, 1)
+        # Rx(pi) leaves the postselected qubit in |1>: zero norm
+        dead = Circuit(2, (Op("Rx", (1,), Symbol("flip")),), (1,), (0,))
+        store = model.store.copy()
+        store["flip"] = np.pi
+        artifacts = list(model.artifacts)
+        artifacts[3] = dead
+        broken = replace(model, artifacts=artifacts, store=store,
+                         plan=plan_circuits(artifacts, store))
+        with caplog.at_level(logging.WARNING, logger="synq.pipeline"):
+            after = _batch_p1(broken, store.to_vector(), rows, 0, 1)
+        warnings = [r for r in caplog.records if r.name == "synq.pipeline"]
+        assert len(warnings) == 1 and "item 3" in warnings[0].getMessage()
+        assert after[3] == 0.5
+        assert after[:3] + after[4:] == before[:3] + before[4:]

@@ -1,13 +1,9 @@
 import itertools
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from synq.types import (
-    EMPTY, PType, TypeSeq, reduce, reduces_to, register_atom,
-    registered_atoms, ts,
-)
+from synq.types import EMPTY, PType, TypeSeq, reduce, reduces_to, ts
 
 
 def exhaustive_irreducibles(items):
@@ -112,17 +108,6 @@ class TestReduce:
     @given(typeseqs)
     def test_reduce_idempotent(self, seq):
         assert reduce(reduce(seq)) == reduce(seq)
-
-
-class TestRegistry:
-    def test_defaults_present(self):
-        assert {"n", "s"} <= registered_atoms()
-
-    def test_register(self):
-        register_atom("p")
-        assert "p" in registered_atoms()
-        with pytest.raises(ValueError):
-            register_atom("not a name")
 
 
 def test_ts_helper_round_trips():
