@@ -176,10 +176,8 @@ class CircuitPlan:
 
     Each group is (circuit, rows, offsets): a representative circuit, the
     positions of its circuits in the planned sequence, and per row the
-    offset of each rotation angle in the flat parameter vector. Angles
-    given as numbers sit after the vector, in ``consts``."""
+    offset of each rotation angle in the flat parameter vector."""
     groups: tuple[tuple[Circuit, np.ndarray, np.ndarray], ...]
-    consts: np.ndarray
     count: int
 
 
@@ -188,29 +186,21 @@ def plan_circuits(circuits: Sequence[Circuit],
     """Group circuits by structure against the layout of ``store``."""
     offsets = {name: offset for name, _, offset in store.layout}
     groups: dict[tuple, tuple[Circuit, list, list]] = {}
-    consts: list[float] = []
     for row, c in enumerate(circuits):
-        if len(c.open) != 1:
-            raise ValueError(f"circuit {row} has {len(c.open)} open qubits; "
-                             "a planned prediction needs one")
-        idx = []
-        for op in c.ops:
-            if op.gate in _ROTATIONS:
-                value = _angle(op, store)  # raises on unbound angles
-                if isinstance(op.param, Symbol):
-                    idx.append(offsets[op.param.name])
-                else:
-                    idx.append(store.size + len(consts))
-                    consts.append(value)
+        _angles(c, store)  # raises on unbound or non-scalar angles
+        params = [op.param for op in c.ops if op.gate in _ROTATIONS]
+        if len(c.open) != 1 or not all(isinstance(p, Symbol)
+                                       for p in params):
+            raise ValueError(f"circuit {row}: a planned circuit needs one "
+                             "open qubit and symbols for its angles")
         key = (c.n_qubits, tuple((op.gate, op.qubits) for op in c.ops),
                c.postselect, c.open)
         group = groups.setdefault(key, (c, [], []))
         group[1].append(row)
-        group[2].append(idx)
+        group[2].append([offsets[p.name] for p in params])
     return CircuitPlan(
         tuple((c, np.array(rows), np.array(idx, dtype=np.intp))
-              for c, rows, idx in groups.values()),
-        np.array(consts), len(circuits))
+              for c, rows, idx in groups.values()), len(circuits))
 
 
 def plan_p1(plan: CircuitPlan, vec: np.ndarray,
@@ -219,7 +209,6 @@ def plan_p1(plan: CircuitPlan, vec: np.ndarray,
     the postselection probability, of the planned circuits at ``rows``
     under the flat parameter vector ``vec``; one pass per group. Rows with
     a norm below ZERO_NORM_THRESHOLD get an arbitrary p1."""
-    values = np.concatenate((vec, plan.consts))
     wanted = np.zeros(plan.count, dtype=bool)
     wanted[list(rows)] = True
     p1, norm = np.zeros(plan.count), np.zeros(plan.count)
@@ -227,7 +216,7 @@ def plan_p1(plan: CircuitPlan, vec: np.ndarray,
         keep = wanted[members]
         if keep.any():
             members, idx = members[keep], idx[keep]
-            probs = np.abs(_evolve(c, values[idx], len(members))[
+            probs = np.abs(_evolve(c, vec[idx], len(members))[
                 :, [0, 1 << c.open[0]]]) ** 2
             norm[members] = probs.sum(axis=1)
             p1[members] = probs[:, 1] / np.maximum(norm[members],

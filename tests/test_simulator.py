@@ -366,20 +366,28 @@ class TestPlan:
         symbols = [sym for c in circuits for sym in c.symbols]
         self.check(circuits, ParameterStore.initialize(symbols, seed))
 
-    def test_subset_rows_and_numeric_angles(self):
+    def test_subset_of_rows(self):
         rng = np.random.default_rng(5)
-        circuits = [Circuit(2, random_circuit(rng, 2, 6).ops, (1,), (0,))
-                    for _ in range(4)]
-        plan = plan_circuits(circuits, EMPTY_PS)
-        p1, norm = plan_p1(plan, np.zeros(0), [3, 1])
+        circuits = []
+        for k in range(4):  # one structure, each row with its own symbols
+            ops = [Op(op.gate, op.qubits, Symbol(f"t{k}_{i}"))
+                   if op.param is not None else op
+                   for i, op in enumerate(random_circuit(rng, 2, 6).ops)]
+            circuits.append(Circuit(2, tuple(ops), (1,), (0,)))
+        store = ParameterStore.initialize(
+            [sym for c in circuits for sym in c.symbols], seed=5)
+        p1, norm = plan_p1(plan_circuits(circuits, store), store.to_vector(),
+                           [3, 1])
         for k, row in enumerate((3, 1)):
-            want_p1, want_norm = oracle_p1(circuits[row], EMPTY_PS)
+            want_p1, want_norm = oracle_p1(circuits[row], store)
             assert abs(norm[k] - want_norm) < 1e-12
-            assert abs(p1[k] - want_p1) < 1e-12
+            assert abs(p1[k] * norm[k] - want_p1 * want_norm) < 1e-12
 
-    def test_unbound_and_multi_open_rejected(self):
+    def test_unplannable_circuits_rejected(self):
         c = Circuit(1, (Op("Rx", (0,), Symbol("missing")),), (), (0,))
         with pytest.raises(UnboundSymbol):
             plan_circuits([c], EMPTY_PS)
-        with pytest.raises(ValueError, match="open qubits"):
-            plan_circuits([Circuit(2, (), (), (0, 1))], EMPTY_PS)
+        for bad in (Circuit(2, (), (), (0, 1)),
+                    Circuit(1, (Op("Rx", (0,), 0.3),), (), (0,))):
+            with pytest.raises(ValueError, match="planned circuit needs"):
+                plan_circuits([bad], EMPTY_PS)
