@@ -184,20 +184,24 @@ class CircuitPlan:
 def plan_circuits(circuits: Sequence[Circuit],
                   store: ParameterStore) -> CircuitPlan:
     """Group circuits by structure against the layout of ``store``."""
-    offsets = {name: offset for name, _, offset in store.layout}
+    offsets = {name: offset for name, shape, offset in store.layout
+               if shape == ()}
     groups: dict[tuple, tuple[Circuit, list, list]] = {}
     for row, c in enumerate(circuits):
-        _angles(c, store)  # raises on unbound or non-scalar angles
         params = [op.param for op in c.ops if op.gate in _ROTATIONS]
         if len(c.open) != 1 or not all(isinstance(p, Symbol)
                                        for p in params):
             raise ValueError(f"circuit {row}: a planned circuit needs one "
                              "open qubit and symbols for its angles")
+        try:
+            idx = [offsets[p.name] for p in params]
+        except KeyError as exc:
+            raise UnboundSymbol(f"no scalar angle bound for {exc}") from None
         key = (c.n_qubits, tuple((op.gate, op.qubits) for op in c.ops),
                c.postselect, c.open)
         group = groups.setdefault(key, (c, [], []))
         group[1].append(row)
-        group[2].append([offsets[p.name] for p in params])
+        group[2].append(idx)
     return CircuitPlan(
         tuple((c, np.array(rows), np.array(idx, dtype=np.intp))
               for c, rows, idx in groups.values()), len(circuits))
