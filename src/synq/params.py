@@ -1,6 +1,7 @@
 """Flat parameter storage shared by the tensor and circuit backends."""
 from __future__ import annotations
 
+import math
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -86,7 +87,7 @@ class ParameterStore:
             raise ValueError(f"expected vector of length {self.size}")
         out = ParameterStore()
         for name, shape, offset in self.layout:
-            n = int(np.prod(shape)) if shape else 1
+            n = math.prod(shape)
             out._values[name] = vec[offset:offset + n].reshape(shape)
         return out
 
