@@ -19,8 +19,6 @@ import json
 from dataclasses import dataclass
 from typing import Optional, Union
 
-import numpy as np
-
 from .diagram import Box, Cap, Cup, Diagram, Spider, Swap, Word
 from .types import TypeSeq
 
@@ -439,46 +437,3 @@ def _mps_groups(order: int, max_order: int) -> list[list[int]]:
         rest = rest[max_order - 2:]
     groups.append(rest)
     return groups
-
-
-def mps_factor_count(order: int, max_order: int) -> int:
-    return len(_mps_groups(order, max_order))
-
-
-def spider_factor_count(order: int, max_order: int) -> int:
-    if order <= max_order:
-        return 1
-    return -(-(order - 1) // (max_order - 1))
-
-
-def svd_chain(tensor: np.ndarray, max_order: int,
-              bond_dim: int) -> list[np.ndarray]:
-    """Factor a full tensor into an MPS chain matching mps_ansatz splitting.
-
-    With bond_dim at least the maximal needed rank the chain contracts back
-    to the input exactly; smaller bonds truncate.
-    """
-    k = tensor.ndim
-    if k <= max_order:
-        return [tensor]
-    dims = list(tensor.shape)
-    groups = _mps_groups(k, max_order)
-
-    factors = []
-    remainder = tensor.reshape(int(np.prod([dims[i] for i in groups[0]])), -1)
-    left_bond = 1
-    for gi, group in enumerate(groups[:-1]):
-        rows = left_bond * int(np.prod([dims[i] for i in group]))
-        remainder = remainder.reshape(rows, -1)
-        u, s, vt = np.linalg.svd(remainder, full_matrices=False)
-        rank = min(bond_dim, len(s))
-        u, s, vt = u[:, :rank], s[:rank], vt[:rank]
-        shape = [dims[i] for i in group] + [rank]
-        if gi > 0:
-            shape.insert(0, left_bond)
-        factors.append(u.reshape(shape))
-        remainder = (s[:, None] * vt)
-        left_bond = rank
-    shape = [left_bond] + [dims[i] for i in groups[-1]]
-    factors.append(remainder.reshape(shape))
-    return factors

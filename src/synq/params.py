@@ -23,8 +23,8 @@ class ParameterStore:
                 self._values[name] = np.asarray(arr, dtype=float)
 
     @classmethod
-    def initialize(cls, symbols: Iterable[Symbol], seed: int,
-                   tensor_scale: str = "entry_count") -> "ParameterStore":
+    def initialize(cls, symbols: Iterable[Symbol],
+                   seed: int) -> "ParameterStore":
         """Seeded init: angles uniform on [0, 2pi), tensors N(0, 1/sqrt(d)).
 
         d is the entry count of the tensor, which keeps the Frobenius norm

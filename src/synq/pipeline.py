@@ -35,6 +35,7 @@ READERS = ("ccg", "cups", "spiders")
 ANSATZE = ("iqp", "tensor", "mps", "spider")
 BACKENDS = ("exact", "shots")
 OPTIMIZERS = ("adam", "spsa")
+ZERO_VECTOR = 1e-300  # squared norm of a degenerate sentence vector
 
 
 class CompileError(Exception):
@@ -132,10 +133,6 @@ class CompiledModel:
     store: ParameterStore
     plan: Optional[CircuitPlan] = None  # circuits grouped by structure
 
-    @property
-    def is_quantum(self) -> bool:
-        return self.config.ansatz == "iqp"
-
 
 def compile_model(cfg: PipelineConfig, ds: LabeledDataset) -> CompiledModel:
     derivations = _load_derivations(cfg, ds)
@@ -174,18 +171,23 @@ def shot_seed(base_seed: int, iteration: int, slot: int, item: int) -> int:
     return int(seq.generate_state(1)[0])
 
 
+def _vector_p1(v: np.ndarray) -> Optional[float]:
+    """p1 of a sentence vector, or None if the vector is degenerate."""
+    denom = float(v[0] ** 2 + v[1] ** 2)
+    return float(v[1] ** 2) / denom if denom >= ZERO_VECTOR else None
+
+
 def predict_p1(model: CompiledModel, store: ParameterStore, item: int,
                sample_seed: Optional[int] = None) -> float:
     """Probability of label 1 for one sentence under the current store."""
     art = model.artifacts[item]
     cfg = model.config
     if isinstance(art, TensorNetwork):
-        v = contract(art, store)
-        denom = float(v[0] ** 2 + v[1] ** 2)
-        if denom < 1e-300:
+        p1 = _vector_p1(contract(art, store))
+        if p1 is None:
             logger.warning("degenerate sentence vector for item %d", item)
             return 0.5
-        return float(v[1] ** 2) / denom
+        return p1
     assert isinstance(art, Circuit)
     try:
         if cfg.backend == "exact" or sample_seed is None:
@@ -200,17 +202,21 @@ def predict_p1(model: CompiledModel, store: ParameterStore, item: int,
 
 
 def prediction_gradient(model: CompiledModel, store: ParameterStore,
-                        item: int, upstream_dp1: float) -> np.ndarray:
-    """Exact dL/dtheta for tensor backends given dL/dp1."""
+                        item: int) -> tuple[Optional[float], np.ndarray]:
+    """p1 of a tensor-backend sentence and dp1/dtheta, from one contraction.
+
+    A degenerate sentence vector gives p1 None and a zero gradient; the
+    caller reports it through predict_p1."""
     art = model.artifacts[item]
     if not isinstance(art, TensorNetwork):
         raise TypeError("exact gradients need a tensor backend")
-    v = contract(art, store)
-    s = float(v[0] ** 2 + v[1] ** 2)
-    if s < 1e-300:
-        return np.zeros(store.size)
-    dp_dv = np.array([
-        -2.0 * v[0] * v[1] ** 2 / s ** 2,
-        2.0 * v[1] * v[0] ** 2 / s ** 2,
-    ])
-    return contract_grad(art, store, upstream_dp1 * dp_dv)
+
+    def dp1_dv(v: np.ndarray) -> np.ndarray:
+        s = float(v[0] ** 2 + v[1] ** 2)
+        if s < ZERO_VECTOR:
+            return np.zeros(2)
+        return np.array([-2.0 * v[0] * v[1] ** 2 / s ** 2,
+                         2.0 * v[1] * v[0] ** 2 / s ** 2])
+
+    v, grad = contract_grad(art, store, dp1_dv)
+    return _vector_p1(v), grad

@@ -1,8 +1,9 @@
 """Losses, optimizers and the full-batch experiment loop.
 
-The classical pipeline trains tensor networks with Adam on exact
-environment gradients; quantum pipelines use SPSA, which probes the loss at
-two randomly perturbed points per step and never needs circuit gradients.
+The classical pipeline trains tensor networks with Adam on exact gradients,
+one reverse pass over each sentence's recorded contraction; quantum
+pipelines use SPSA, which probes the loss at two randomly perturbed points
+per step and never needs circuit gradients.
 All runs are deterministic given the config seed (with the exact backend,
 bit-for-bit).
 """
@@ -174,9 +175,10 @@ def train(model: CompiledModel) -> tuple[ParameterStore, TrainHistory]:
             current = store.from_vector(vec)
             grad = np.zeros_like(vec)
             for i, y in zip(train_idx, train_y):
-                p1 = predict_p1(model, current, i)
-                grad += prediction_gradient(model, current, i,
-                                            bce_grad(p1, y))
+                p1, dp1 = prediction_gradient(model, current, i)
+                if p1 is None:  # zero vector, zero gradient: report it
+                    p1 = predict_p1(model, current, i)
+                grad += bce_grad(p1, y) * dp1
             grad /= len(train_idx)
             vec, adam_state = adam_step(
                 vec, grad, adam_state, cfg.learning_rate, cfg.beta1,

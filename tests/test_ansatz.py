@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from synq.ansatz import (
-    Circuit, InvalidConfig, Op, Symbol, UnsupportedBox, iqp_ansatz,
-    mps_ansatz, mps_factor_count, spider_ansatz, spider_factor_count,
-    svd_chain, tensor_ansatz,
+    Circuit, InvalidConfig, Op, Symbol, UnsupportedBox, _mps_groups,
+    iqp_ansatz, mps_ansatz, spider_ansatz, tensor_ansatz,
 )
 from synq.diagram import Diagram, Spider, Word, cup_at, word
 from synq.types import ts
@@ -159,11 +158,16 @@ class TestMps:
         assert all(len(n.shape) <= 3 for n in params)
 
     def test_factor_count_oracle(self):
-        for order in range(1, 12):
-            for m in (3, 4, 5):
+        # factors of words of order 1..11: the first and last take up to
+        # max_order - 1 wires, interior ones max_order - 2
+        counts = {3: [1, 1, 1, 2, 3, 4, 5, 6, 7, 8, 9],
+                  4: [1, 1, 1, 1, 2, 2, 3, 3, 4, 4, 5],
+                  5: [1, 1, 1, 1, 1, 2, 2, 2, 3, 3, 3]}
+        for m, want in counts.items():
+            for order in range(1, 12):
                 tn = mps_ansatz(word("w", ts(*["n"] * order)), DM, 2, m)
                 params = [n for n in tn.nodes if n.kind == "param"]
-                assert len(params) == mps_factor_count(order, m)
+                assert len(params) == want[order - 1]
                 assert all(len(n.shape) <= m for n in params)
 
     def test_invalid_config(self):
@@ -173,11 +177,11 @@ class TestMps:
     def test_split_needs_max_order_three(self):
         # interior factors take max_order - 2 wires: below 3 a split of an
         # oversized word would never end
-        assert mps_factor_count(2, 2) == 1
+        assert _mps_groups(2, 2) == [[0, 1]]
         with pytest.raises(InvalidConfig):
-            mps_factor_count(4, 2)
+            _mps_groups(4, 2)
         with pytest.raises(InvalidConfig):
-            svd_chain(np.zeros((2,) * 4), 2, 2)
+            mps_ansatz(word("w", ts("n", "n", "n", "n")), DM, 2, 2)
 
 
 class TestSpiderAnsatz:
@@ -201,33 +205,21 @@ class TestSpiderAnsatz:
         assert len(params) == 2 and len(copies) == 1
 
     def test_factor_count_oracle(self):
-        for order in range(1, 12):
-            for m in (2, 3, 4):
+        # factors of words of order 1..11: ceil((order - 1) / (max_order - 1))
+        # once the word exceeds max_order
+        counts = {2: [1, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10],
+                  3: [1, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5],
+                  4: [1, 1, 1, 1, 2, 2, 2, 3, 3, 3, 4]}
+        for m, want in counts.items():
+            for order in range(1, 12):
                 tn = spider_ansatz(word("w", ts(*["n"] * order)), DM, m)
                 params = [n for n in tn.nodes if n.kind == "param"]
-                assert len(params) == spider_factor_count(order, m)
+                assert len(params) == want[order - 1]
                 assert all(len(n.shape) <= m for n in params)
 
     def test_invalid_config(self):
         with pytest.raises(InvalidConfig):
             spider_ansatz(word("w", ts("n")), DM, 1)
-
-
-class TestSvdChain:
-    @pytest.mark.parametrize("shape", [(4, 2, 4, 4), (2, 3, 2, 3, 2),
-                                       (3, 3, 3)])
-    def test_reconstruction_with_full_rank(self, shape):
-        rng = np.random.default_rng(7)
-        full = rng.normal(size=shape)
-        factors = svd_chain(full, max_order=3, bond_dim=64)
-        out = factors[0]
-        for f in factors[1:]:
-            out = np.tensordot(out, f, axes=([out.ndim - 1], [0]))
-        assert np.allclose(out, full, atol=1e-10)
-
-    def test_small_tensor_passthrough(self):
-        t = np.ones((2, 2))
-        assert svd_chain(t, 3, 4) == [t]
 
 
 def test_tensor_network_json_round_shape():

@@ -152,7 +152,7 @@ class TestGrad:
         v = Node("v", "param", (2,), Symbol("v", (2,)))
         tn = TensorNetwork((u, v), ((("u", 0), ("v", 0)),), ())
         ps = ParameterStore({"u": [1.0, 2.0], "v": [3.0, 4.0]})
-        grad = contract_grad(tn, ps, np.asarray(1.0))
+        grad = contract_grad(tn, ps, lambda v: np.asarray(1.0))[1]
         assert np.allclose(grad, [3.0, 4.0, 1.0, 2.0])
 
     def test_identity_upstream(self):
@@ -160,7 +160,7 @@ class TestGrad:
         tn = TensorNetwork((u,), (), (("u", 0),))
         ps = ParameterStore({"u": np.zeros(4)})
         g = np.array([1.0, -2.0, 0.5, 3.0])
-        assert np.allclose(contract_grad(tn, ps, g), g)
+        assert np.allclose(contract_grad(tn, ps, lambda v: g)[1], g)
 
     def test_fd_oracle_random_networks(self):
         rng = np.random.default_rng(11)
@@ -168,7 +168,7 @@ class TestGrad:
             tn, ps = random_network(rng)
             upstream = rng.normal(
                 size=tuple(tn.leg_dim(leg) for leg in tn.open_legs))
-            got = contract_grad(tn, ps, upstream)
+            got = contract_grad(tn, ps, lambda v: upstream)[1]
             want = fd_gradient(tn, ps, upstream)
             scale = max(1.0, float(np.max(np.abs(want))))
             assert np.max(np.abs(got - want)) / scale < 1e-5
@@ -187,7 +187,7 @@ class TestGrad:
             ps = store_for(tn, seed=int(rng.integers(1000)))
             upstream = rng.normal(
                 size=tuple(tn.leg_dim(leg) for leg in tn.open_legs))
-            got = contract_grad(tn, ps, upstream)
+            got = contract_grad(tn, ps, lambda v: upstream)[1]
             want = fd_gradient(tn, ps, upstream)
             scale = max(1.0, float(np.max(np.abs(want))))
             assert np.max(np.abs(got - want)) / scale < 1e-5
@@ -198,8 +198,47 @@ class TestGrad:
         tn = TensorNetwork((a, b), ((("a", 0), ("b", 0)),), ())
         ps = ParameterStore({"w": [1.0, 2.0]})
         # value = w . w, gradient = 2w
-        grad = contract_grad(tn, ps, np.asarray(1.0))
+        grad = contract_grad(tn, ps, lambda v: np.asarray(1.0))[1]
         assert np.allclose(grad, [2.0, 4.0])
+
+    def test_value_equals_contract_bit_for_bit(self):
+        d = (word("john", ts("n")) @ word("saw", ts("n.r", "s", "n.l"))
+             @ word("mary", ts("n")))
+        d = cup_at(cup_at(d, 3), 0)
+        rng = np.random.default_rng(17)
+        cases = [(tn, store_for(tn)) for tn in (
+            tensor_ansatz(d, DM), mps_ansatz(d, DM, 2, 3),
+            spider_ansatz(d, DM, 2))]
+        cases += [random_network(rng) for _ in range(40)]
+        for tn, ps in cases:
+            seen = []
+            value, _ = contract_grad(
+                tn, ps, lambda v: seen.append(v) or np.ones(v.shape))
+            assert np.array_equal(value, contract(tn, ps))
+            assert seen[0] is value
+
+    def test_directional_fd_on_long_spider_network(self):
+        from synq.pipeline import PipelineConfig, sentence_to_diagram
+        from test_scan_once import long_derivation
+        text, line = long_derivation(160)
+        d = sentence_to_diagram(PipelineConfig(rewrites=("determiner",)),
+                                text, line)
+        tn = spider_ansatz(d, {"n": 2, "s": 2}, max_order=2)
+        assert len(tn.nodes) >= 150
+        ps = store_for(tn, seed=4)
+        rng = np.random.default_rng(8)
+        upstream = rng.normal(size=2)
+        _, grad = contract_grad(tn, ps, lambda v: upstream)
+
+        def loss(vec):
+            return float(np.sum(contract(tn, ps.from_vector(vec)) * upstream))
+
+        x0, h = ps.to_vector(), 1e-6
+        for _ in range(3):
+            u = rng.normal(size=x0.shape)
+            u /= np.linalg.norm(u)
+            fd = (loss(x0 + h * u) - loss(x0 - h * u)) / (2 * h)
+            assert abs(fd - grad @ u) / abs(grad @ u) < 1e-5
 
 
 class TestSnakeSemantics:

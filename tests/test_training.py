@@ -7,14 +7,15 @@ import pytest
 
 from synq.dataset import generate_dataset
 from synq.params import ParameterStore
+from synq import pipeline, training
 from synq.pipeline import (
     CompileError, CompiledModel, PipelineConfig, compile_model, predict_p1,
-    sentence_to_diagram,
+    prediction_gradient, sentence_to_diagram,
 )
 from synq.simulator import plan_circuits
 from synq.training import (
-    AdamState, TrainHistory, _batch_p1, accuracy, adam_step, bce_loss,
-    evaluate_split, iterations_to_reach, spsa_step, train,
+    AdamState, TrainHistory, _batch_p1, accuracy, adam_step, bce_grad,
+    bce_loss, evaluate_split, iterations_to_reach, spsa_step, train,
 )
 
 
@@ -236,6 +237,78 @@ class TestPipelines:
             "(<T S[dcl] 1 2> (<L NP NNP NNP john NP>) "
             "(<L S[dcl]\\NP VBZ VBZ walks S[dcl]\\NP>))")
         assert d.cod.items[0].base == "s"
+
+
+class TestAdamGradientPass:
+    def test_contracts_only_for_evaluation(self, monkeypatch):
+        ds = generate_dataset(0)
+        model = compile_model(
+            PipelineConfig(ansatz="spider", iterations=2, seed=0), ds)
+        calls = []
+        real = pipeline.contract
+        monkeypatch.setattr(pipeline, "contract",
+                            lambda *args: calls.append(1) or real(*args))
+        train(model)
+        # train and dev evaluation only: the gradient pass contracts once,
+        # inside contract_grad
+        assert len(calls) == 2 * (len(ds.train) + len(ds.dev))
+
+    def test_prediction_gradient_matches_finite_differences(self):
+        model = compile_model(PipelineConfig(ansatz="spider", seed=3),
+                              tiny_dataset())
+        store = model.store
+        x0 = store.to_vector()
+        u = np.random.default_rng(0).normal(size=x0.shape)
+        u /= np.linalg.norm(u)
+        h = 1e-6
+        for i in range(4):
+            p1, dp1 = prediction_gradient(model, store, i)
+            assert p1 == predict_p1(model, store, i)
+            fd = (predict_p1(model, store.from_vector(x0 + h * u), i)
+                  - predict_p1(model, store.from_vector(x0 - h * u), i)
+                  ) / (2 * h)
+            assert abs(fd - dp1 @ u) < 1e-6
+
+    def test_zero_vector_warns_once_and_adds_no_gradient(self, monkeypatch,
+                                                         caplog):
+        from synq.ansatz import tensor_ansatz
+        from synq.diagram import word
+        from synq.types import ts as _ts
+        ds = tiny_dataset()
+        cfg = PipelineConfig(reader="cups", ansatz="tensor", iterations=1,
+                             dim_map={"n": 2, "s": 2})
+        model = compile_model(cfg, ds)
+        dead = tensor_ansatz(word("dead", _ts("s")), {"s": 2})
+        store = model.store.copy()
+        store[dead.symbols[0].name] = np.zeros(2)
+        model = replace(model, artifacts=[dead] + model.artifacts[1:],
+                        store=store)
+        assert ds.train[0] == 0
+        predicted, steps = [], []
+        real_predict = training.predict_p1
+
+        def spy_predict(*args):
+            p1 = real_predict(*args)
+            predicted.append((args[2], p1))
+            return p1
+
+        def spy_step(vec, grad, state, *args):
+            warned = [r for r in caplog.records if r.name == "synq.pipeline"]
+            steps.append((list(predicted), len(warned), grad))
+            return vec, state
+
+        monkeypatch.setattr(training, "predict_p1", spy_predict)
+        monkeypatch.setattr(training, "adam_step", spy_step)
+        with caplog.at_level(logging.WARNING, logger="synq.pipeline"):
+            train(model)
+        ((in_gradient_pass, warnings, grad),) = steps
+        assert in_gradient_pass == [(0, 0.5)]
+        assert warnings == 1
+        want = np.zeros(store.size)
+        for i, y in zip(ds.train[1:], ds.labels("train")[1:]):
+            p1, dp1 = prediction_gradient(model, store, i)
+            want += bce_grad(p1, y) * dp1
+        assert np.array_equal(grad, want / len(ds.train))
 
 
 class TestPlannedCircuits:
