@@ -222,6 +222,12 @@ class TensorNetwork:
         by_id = {n.node_id: n for n in self.nodes}
         if len(by_id) != len(self.nodes):
             raise ValueError("duplicate node ids")
+        object.__setattr__(self, "_by_id", by_id)
+        for leg in [*(leg for edge in self.edges for leg in edge),
+                    *self.open_legs]:
+            node = by_id.get(leg[0])
+            if node is None or not 0 <= leg[1] < len(node.shape):
+                raise ValueError(f"unknown leg {leg}")
         for (a, b) in self.edges:
             legs[a] = legs.get(a, 0) + 1
             legs[b] = legs.get(b, 0) + 1
@@ -235,13 +241,9 @@ class TensorNetwork:
                     raise ValueError(
                         f"leg {(node.node_id, i)} must have exactly one "
                         "edge or be open")
-        for leg in legs:
-            node = by_id.get(leg[0])
-            if node is None or not 0 <= leg[1] < len(node.shape):
-                raise ValueError(f"unknown leg {leg}")
 
     def node(self, node_id: str) -> Node:
-        return next(n for n in self.nodes if n.node_id == node_id)
+        return self._by_id[node_id]
 
     def leg_dim(self, leg: Leg) -> int:
         return self.node(leg[0]).shape[leg[1]]

@@ -1,30 +1,47 @@
 """Exact tensor-network contraction and its reverse-mode gradient.
 
-One forward routine contracts a network pairwise and records each step it
-takes. At each step it contracts every edge between the pair of blocks
-(nodes or earlier results) whose operand sizes have the smallest product,
-taking the first such pair in edge order. That product bounds the step's
-cost and is read off the operands. Choosing by the size of the merged
-tensor needs each pair's shared dimensions; on the mc-spider and long-ccg
-networks it found plans with the same multiply-add count, and it made the
-long-ccg forward passes slower. Pieces left unconnected combine by outer
-product, and an edge joining two legs of one node is routed through an
-identity node, so every step is one ``np.tensordot``. The value does not
-depend on the order, up to rounding.
+A contraction has two parts. ``plan`` runs a greedy on the node shapes
+alone and records its steps. At each step it contracts every edge between
+the pair of blocks (nodes or earlier results) whose operand sizes have the
+smallest product, taking the first such pair in edge order. That product
+bounds the step's cost and is read off the shapes. Choosing by the size of
+the merged tensor needs each pair's shared dimensions; on the mc-spider
+and long-ccg networks it found plans with the same multiply-add count, and
+it made the long-ccg forward passes slower. A table of the pending edges of
+each block pair, updated as blocks merge, keeps the greedy linear in the
+edges. Pieces left unconnected combine by outer product, and an edge
+joining two legs of one node is routed through an identity node, so every
+step contracts two tensors. The value does not depend on the order, up to
+rounding.
+
+The replay runs the recorded steps as ``np.einsum`` calls over a batch of
+networks of one structure. Every tensor a parameter reaches carries a
+leading sentence axis; the copy, delta and identity tensors do not and are
+shared by every row. ``plan_networks`` groups networks by structure and
+plans each group once; each row's parameters are gathered from the flat
+vector with index arrays. ``contract`` is a batch of one.
 
 The gradient walks the recorded steps backwards from the cotangent of the
-value: the cotangent of each operand is the result's cotangent contracted
-with the other operand. Nodes that share a symbol sum their cotangents in
-the store's flat layout (Liao et al., arXiv:1903.09650).
+values: the cotangent of each operand is the result's cotangent contracted
+with the other operand. Rows, and nodes of one row, that share a symbol sum
+their cotangents in the store's flat layout with ``np.add.at`` (Liao et
+al., arXiv:1903.09650).
 """
 from __future__ import annotations
 
-from typing import Callable
+import heapq
+import math
+import string
+from dataclasses import dataclass
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .ansatz import Node, TensorNetwork
-from .params import ParameterStore
+from .params import ParameterStore, UnboundSymbol
+
+_BATCH = "Z"  # the einsum label of the sentence axis
+_LABELS = string.ascii_letters.replace(_BATCH, "")
 
 
 class ShapeMismatch(Exception):
@@ -42,6 +59,13 @@ def _copy_tensor(shape: tuple[int, ...]) -> np.ndarray:
     return arr
 
 
+def _constant(node: Node) -> np.ndarray:
+    """The fixed tensor of a delta or copy node."""
+    if node.kind == "delta":
+        return np.eye(node.shape[0])
+    return _copy_tensor(node.shape)
+
+
 def _node_tensor(node: Node, ps: ParameterStore) -> np.ndarray:
     if node.kind == "param":
         value = np.asarray(ps[node.symbol.name], dtype=float)
@@ -50,112 +74,299 @@ def _node_tensor(node: Node, ps: ParameterStore) -> np.ndarray:
                 f"{node.symbol.name}: stored {value.shape}, "
                 f"network wants {node.shape}")
         return value
-    if node.kind == "delta":
-        return np.eye(node.shape[0])
-    return _copy_tensor(node.shape)
+    return _constant(node)
 
 
-def _forward(tn: TensorNetwork, ps: ParameterStore):
-    """Contract ``tn``; return its value over the open legs, every tensor
-    (the nodes' first, then one per step), the steps as
-    ``(a, b, axes_a, axes_b)`` producing the next tensor, and the
-    permutation from the last tensor's axes to the open legs."""
-    tensors = [_node_tensor(node, ps) for node in tn.nodes]
-    if not tensors:
-        return np.asarray(1.0), tensors, [], []
-    alive = {k: [(node.node_id, i) for i in range(len(node.shape))]
-             for k, node in enumerate(tn.nodes)}  # block -> its open legs
-    owner = {leg: k for k, legs in alive.items() for leg in legs}
-    pending = [e for e in tn.edges if e[0][0] != e[1][0]]
-    for a, b in [e for e in tn.edges if e[0][0] == e[1][0]]:
-        k = len(tensors)
-        tensors.append(np.eye(tensors[owner[a]].shape[a[1]]))
-        alive[k] = [(k, 0), (k, 1)]
-        owner[(k, 0)], owner[(k, 1)] = k, k
-        pending += [(a, (k, 0)), (b, (k, 1))]
-    steps = []
+@dataclass(frozen=True)
+class Plan:
+    """The recorded contraction of one network structure.
 
-    def merge(a: int, b: int, ax_a: list[int], ax_b: list[int]) -> None:
-        tensors.append(np.tensordot(tensors[a], tensors[b],
-                                    axes=(ax_a, ax_b)))
-        legs = ([l for i, l in enumerate(alive.pop(a)) if i not in ax_a]
-                + [l for i, l in enumerate(alive.pop(b)) if i not in ax_b])
-        alive[len(tensors) - 1] = legs
-        for leg in legs:
-            owner[leg] = len(tensors) - 1
-        steps.append((a, b, ax_a, ax_b))
+    The tensors are numbered as recorded: the nodes, then one identity per
+    self-edge, then one per step. ``leaves`` holds the fixed tensor of each
+    leaf and None for a parameter node. A step ``(a, b, axes_a, axes_b)``
+    contracts tensors a and b into the next one; ``scripts`` holds its
+    einsum subscripts. ``live`` marks the tensors a parameter reaches,
+    which carry the sentence axis. ``perm`` takes the last tensor's axes to
+    the open legs."""
+    leaves: tuple[Optional[np.ndarray], ...]
+    params: tuple[int, ...]  # the parameter leaves, in node order
+    shapes: tuple[tuple[int, ...], ...]  # of every tensor, without the batch
+    steps: tuple[tuple[int, int, tuple[int, ...], tuple[int, ...]], ...]
+    scripts: tuple[str, ...]
+    live: tuple[bool, ...]
+    perm: tuple[int, ...]
 
-    while pending:
-        # group edges by the block pair they join; a new block takes the
-        # highest number, so min/max keep the operand order of the list
-        by_pair: dict[tuple[int, int], list] = {}
-        for edge in pending:
-            a, b = owner[edge[0]], owner[edge[1]]
-            by_pair.setdefault((min(a, b), max(a, b)), []).append(edge)
-        a, b = min(by_pair, key=lambda p: tensors[p[0]].size
-                   * tensors[p[1]].size)
-        joins = by_pair[a, b]
-        ends = [(x, y) if owner[x] == a else (y, x) for x, y in joins]
-        merge(a, b, [alive[a].index(x) for x, _ in ends],
-              [alive[b].index(y) for _, y in ends])
-        joined = set(joins)
-        pending = [e for e in pending if e not in joined]
-    first, *rest = alive
+
+def _script(na: int, nb: int, ax_a: list[int], ax_b: list[int],
+            live_a: bool, live_b: bool) -> str:
+    """einsum subscripts of one step; the result keeps a's free axes, then
+    b's, as np.tensordot does."""
+    if na + nb > len(_LABELS):
+        raise ValueError(f"a step over {na} + {nb} axes has too many labels")
+    la = _LABELS[:na]
+    lb = list(_LABELS[na:na + nb])
+    free_a, free_b = list(la), lb.copy()
+    for i, j in zip(ax_a, ax_b):
+        lb[j] = la[i]
+        free_a[i] = free_b[j] = ""
+    za, zb = _BATCH if live_a else "", _BATCH if live_b else ""
+    return (f"{za}{la},{zb}{''.join(lb)}->{za or zb}{''.join(free_a)}"
+            f"{''.join(free_b)}")
+
+
+def plan(tn: TensorNetwork) -> Plan:
+    """Record the greedy pairwise contraction of ``tn`` from its shapes."""
+    index = {node.node_id: k for k, node in enumerate(tn.nodes)}
+    leaves = [None if node.kind == "param" else _constant(node)
+              for node in tn.nodes]
+    params = tuple(k for k, leaf in enumerate(leaves) if leaf is None)
+    live = [leaf is None for leaf in leaves]
+    shapes = [node.shape for node in tn.nodes]
+    if not shapes:
+        return Plan((), (), (), (), (), (), ())
+    edges, loops = [], []
+    for x, y in tn.edges:
+        x, y = (index[x[0]], x[1]), (index[y[0]], y[1])
+        (loops if x[0] == y[0] else edges).append((x, y))
+    for x, y in loops:
+        k, d = len(shapes), shapes[x[0]][x[1]]
+        leaves.append(np.eye(d))
+        live.append(False)
+        shapes.append((d, d))
+        edges += [(x, (k, 0)), (y, (k, 1))]
+    # a leaf's legs are (leaf, axis); legs[k] lists block k's open legs,
+    # None once it has merged
+    legs = [[(k, i) for i in range(len(s))] for k, s in enumerate(shapes)]
+    size = [math.prod(s) for s in shapes]
+    steps, scripts = [], []
+
+    def merge(a: int, b: int, ax_a: list[int], ax_b: list[int]) -> int:
+        la, lb, sa, sb = legs[a], legs[b], shapes[a], shapes[b]
+        scripts.append(_script(len(la), len(lb), ax_a, ax_b, live[a],
+                               live[b]))
+        steps.append((a, b, tuple(ax_a), tuple(ax_b)))
+        free_a = [i for i in range(len(la)) if i not in ax_a]
+        free_b = [j for j in range(len(lb)) if j not in ax_b]
+        legs[a] = legs[b] = None
+        legs.append([la[i] for i in free_a] + [lb[j] for j in free_b])
+        shapes.append(tuple([sa[i] for i in free_a]
+                            + [sb[j] for j in free_b]))
+        size.append(math.prod(shapes[-1]))
+        live.append(live[a] or live[b])
+        return len(legs) - 1
+
+    # near[a][b]: positions of the pending edges joining blocks a and b, in
+    # edge order. The heap orders pairs by the product of their sizes, then
+    # by their first pending edge, the rule of a scan over the edges.
+    near: list[Optional[dict[int, list[int]]]] = [{} for _ in legs]
+    for pos, (x, y) in enumerate(edges):
+        a, b = x[0], y[0]
+        if b in near[a]:
+            near[a][b].append(pos)
+        else:
+            near[a][b] = near[b][a] = [pos]
+    heap = [(size[a] * size[b], first[0], a, b)
+            for a, pairs in enumerate(near) for b, first in pairs.items()
+            if a < b]
+    heapq.heapify(heap)
+    while heap:
+        _, _, a, b = heapq.heappop(heap)
+        la, lb = legs[a], legs[b]
+        if la is None or lb is None:  # merged since it was pushed
+            continue
+        ax_a, ax_b = [], []
+        for p in near[a][b]:
+            x, y = edges[p]
+            if x not in la:
+                x, y = y, x
+            ax_a.append(la.index(x))
+            ax_b.append(lb.index(y))
+        c = merge(a, b, ax_a, ax_b)
+        joined = {x: ps for x, ps in near[a].items() if x != b}
+        for x, ps in near[b].items():
+            if x != a:
+                joined[x] = sorted(joined[x] + ps) if x in joined else ps
+        near[a] = near[b] = None
+        near.append(joined)
+        for x, ps in joined.items():
+            near[x].pop(a, None)
+            near[x].pop(b, None)
+            near[x][c] = ps
+            heapq.heappush(heap, (size[x] * size[c], ps[0], x, c))
+    first, *rest = [k for k, block in enumerate(legs) if block is not None]
     for b in rest:
-        merge(first, b, [], [])
-        first = len(tensors) - 1
-    legs = alive[first]
-    perm = [legs.index(leg) for leg in tn.open_legs]
-    return np.transpose(tensors[-1], perm), tensors, steps, perm
+        first = merge(first, b, [], [])
+    block = legs[first]
+    perm = tuple(block.index((index[node], i)) for node, i in tn.open_legs)
+    return Plan(tuple(leaves), params, tuple(shapes), tuple(steps),
+                tuple(scripts), tuple(live), perm)
+
+
+def _replay(p: Plan, params: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Every tensor of the recorded contraction, the parameter leaves taken
+    from ``params`` (each with the sentence axis first)."""
+    tensors = list(p.leaves)
+    for k, value in zip(p.params, params):
+        tensors[k] = value
+    for (a, b, _, _), script in zip(p.steps, p.scripts):
+        tensors.append(np.einsum(script, tensors[a], tensors[b]))
+    return tensors
+
+
+def _value(p: Plan, tensors: list[np.ndarray], rows: int) -> np.ndarray:
+    """The values over the open legs, sentence axis first."""
+    if not tensors:
+        return np.ones(rows)
+    last = tensors[-1]
+    if not p.live[-1]:  # no parameter: every row has the same value
+        return np.broadcast_to(np.transpose(last, p.perm),
+                               (rows,) + tuple(last.shape[i] for i in p.perm))
+    return np.transpose(last, (0,) + tuple(i + 1 for i in p.perm))
+
+
+def _backprop(p: Plan, tensors: list[np.ndarray],
+              g: np.ndarray) -> list[np.ndarray]:
+    """The cotangent of each parameter leaf, given the values' cotangent.
+
+    A step's result is einsum(s_a,s_b->s_c) of its operands; the cotangent
+    of a live operand is einsum(s_c,s_b->s_a) of the result's cotangent and
+    the other operand, and the same for b."""
+    cot: list[Optional[np.ndarray]] = [None] * len(tensors)
+    cot[-1] = np.transpose(g, np.argsort((0,) + tuple(i + 1
+                                                      for i in p.perm)))
+    leaves = len(p.leaves)
+    for s in reversed(range(len(p.steps))):
+        gc = cot[leaves + s]
+        a, b, _, _ = p.steps[s]
+        operands, sc = p.scripts[s].split("->")
+        sa, sb = operands.split(",")
+        if p.live[a]:
+            cot[a] = np.einsum(f"{sc},{sb}->{sa}", gc, tensors[b])
+        if p.live[b]:
+            cot[b] = np.einsum(f"{sa},{sc}->{sb}", tensors[a], gc)
+    return [cot[k] for k in p.params]
 
 
 def contract(tn: TensorNetwork, ps: ParameterStore) -> np.ndarray:
     """Exact value of the network over its open legs (scalar if none)."""
-    return _forward(tn, ps)[0]
+    p = plan(tn)
+    params = [_node_tensor(tn.nodes[k], ps)[None] for k in p.params]
+    return _value(p, _replay(p, params), 1)[0]
 
 
-def contract_grad(tn: TensorNetwork, ps: ParameterStore,
+# ---------------------------------------------------------------------------
+# Networks of one structure, batched.
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Group:
+    """Networks of one structure: their positions and, per row, the flat
+    vector offsets of every entry of its parameter leaves, leaf after leaf
+    in ``plan.params`` order."""
+    plan: Plan
+    rows: np.ndarray
+    index: np.ndarray  # (rows, entries)
+
+    def _gather(self, vec: np.ndarray) -> list[np.ndarray]:
+        flat, out, start = vec[self.index], [], 0
+        for k in self.plan.params:
+            shape = self.plan.shapes[k]
+            n = math.prod(shape)
+            out.append(flat[:, start:start + n].reshape((-1,) + shape))
+            start += n
+        return out
+
+
+@dataclass(frozen=True)
+class NetworkPlan:
+    """Networks grouped by structure, each group planned once; ``count``
+    is the length of the sequence the rows index."""
+    groups: tuple[Group, ...]
+    count: int
+
+    def select(self, rows: Sequence[int]) -> list[Group]:
+        """The groups cut down to ``rows``, empty ones left out."""
+        wanted = np.zeros(self.count, dtype=bool)
+        wanted[list(rows)] = True
+        out = []
+        for g in self.groups:
+            keep = wanted[g.rows]
+            if keep.all():
+                out.append(g)
+            elif keep.any():
+                out.append(Group(g.plan, g.rows[keep], g.index[keep]))
+        return out
+
+
+def _structure(tn: TensorNetwork) -> tuple:
+    """Node kinds and shapes, edges and open legs; symbols left out."""
+    index = {node.node_id: k for k, node in enumerate(tn.nodes)}
+    return (tuple((n.kind, n.shape) for n in tn.nodes),
+            tuple(((index[a], i), (index[b], j))
+                  for (a, i), (b, j) in tn.edges),
+            tuple((index[a], i) for a, i in tn.open_legs))
+
+
+def plan_networks(networks: Sequence[TensorNetwork], rows: Sequence[int],
+                  store: ParameterStore) -> NetworkPlan:
+    """Group the networks at ``rows`` by structure against the layout of
+    ``store``; the first network of each group is planned."""
+    layout = {name: (shape, offset) for name, shape, offset in store.layout}
+    groups: dict[tuple, tuple[Plan, list, list]] = {}
+    for row in rows:
+        tn = networks[row]
+        key = _structure(tn)
+        if key not in groups:
+            groups[key] = (plan(tn), [], [])
+        p, members, offsets = groups[key]
+        members.append(row)
+        here = []
+        for k in p.params:
+            node = tn.nodes[k]
+            if node.symbol.name not in layout:
+                raise UnboundSymbol(
+                    f"no value bound for symbol {node.symbol.name!r}")
+            shape, offset = layout[node.symbol.name]
+            if shape != node.shape:
+                raise ShapeMismatch(
+                    f"{node.symbol.name}: stored {shape}, "
+                    f"network wants {node.shape}")
+            here.append(offset)
+        offsets.append(here)
+    out = []
+    for p, members, offsets in groups.values():
+        starts = np.array(offsets, dtype=np.intp).reshape(len(members), -1)
+        index = [starts[:, [j]] + np.arange(math.prod(p.shapes[k]))
+                 for j, k in enumerate(p.params)]
+        out.append(Group(p, np.array(members), np.hstack(
+            index) if index else np.zeros((len(members), 0), np.intp)))
+    return NetworkPlan(tuple(out), len(networks))
+
+
+def contract_batch(group: Group, vec: np.ndarray) -> np.ndarray:
+    """The values of the group's networks under the flat vector ``vec``,
+    one row per network."""
+    return _value(group.plan, _replay(group.plan, group._gather(vec)),
+                  len(group.rows))
+
+
+def contract_grad(group: Group, vec: np.ndarray,
                   upstream: Callable[[np.ndarray], np.ndarray]
                   ) -> tuple[np.ndarray, np.ndarray]:
-    """The value v of the network and the gradient of sum(v * upstream(v))
-    in ps's flat layout, with upstream(v) held constant; one contraction
-    serves both."""
-    value, tensors, steps, perm = _forward(tn, ps)
-    g = np.asarray(upstream(value), dtype=float)
-    if g.shape != value.shape:
+    """The values V of the group's networks (one row each) and the gradient
+    of sum(V * upstream(V)) in the flat layout of ``vec``, with upstream(V)
+    held constant; one contraction serves both."""
+    p = group.plan
+    tensors = _replay(p, group._gather(vec))
+    values = _value(p, tensors, len(group.rows))
+    g = np.asarray(upstream(values), dtype=float)
+    if g.shape != values.shape:
         raise ShapeMismatch(
-            f"upstream cotangent {g.shape} vs open legs {value.shape}")
-    flat = np.zeros(ps.size)
-    leaves = len(tensors) - len(steps)
-    # a tensor is live if a parameter reaches it; others need no cotangent
-    live = [k < len(tn.nodes) and tn.nodes[k].kind == "param"
-            for k in range(leaves)]
-    for a, b, _, _ in steps:
-        live.append(live[a] or live[b])
-    if not tensors or not live[-1]:
-        return value, flat
-    cot = {len(tensors) - 1: np.transpose(g, np.argsort(perm))}
-    for s in reversed(range(len(steps))):
-        gc = cot.pop(leaves + s, None)
-        if gc is None:
-            continue
-        a, b, ax_a, ax_b = steps[s]
-        A, B = tensors[a], tensors[b]
-        free_a = [i for i in range(A.ndim) if i not in ax_a]
-        free_b = [i for i in range(B.ndim) if i not in ax_b]
-        split = len(free_a)
-        # tensordot keeps the uncontracted axes in ascending order
-        if live[a]:
-            ga = np.tensordot(gc, B, axes=(list(range(split, gc.ndim)),
-                                           free_b))
-            labels = free_a + [ax_a[ax_b.index(j)] for j in sorted(ax_b)]
-            cot[a] = np.transpose(ga, np.argsort(labels))
-        if live[b]:
-            gb = np.tensordot(A, gc, axes=(free_a, list(range(split))))
-            labels = [ax_b[ax_a.index(i)] for i in sorted(ax_a)] + free_b
-            cot[b] = np.transpose(gb, np.argsort(labels))
-    offsets = {name: offset for name, _, offset in ps.layout}
-    for k, grad in cot.items():
-        start = offsets[tn.nodes[k].symbol.name]
-        flat[start:start + grad.size] += grad.ravel()
-    return value, flat
+            f"upstream cotangent {g.shape} vs values {values.shape}")
+    flat = np.zeros(len(vec))
+    if tensors and p.live[-1]:
+        cots = _backprop(p, tensors, g)
+        np.add.at(flat, group.index, np.concatenate(
+            [c.reshape(len(group.rows), -1) for c in cots], axis=1))
+    return values, flat

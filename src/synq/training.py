@@ -1,9 +1,13 @@
 """Losses, optimizers and the full-batch experiment loop.
 
-The classical pipeline trains tensor networks with Adam on exact gradients,
-one reverse pass over each sentence's recorded contraction; quantum
+The classical pipeline trains tensor networks with Adam on exact gradients.
+``train`` groups the train and dev sentences by network structure and
+plans each group's contraction once; every iteration then takes one
+batched value-and-gradient pass per group of training sentences and one
+batched forward pass per group for the train and dev scores. Quantum
 pipelines use SPSA, which probes the loss at two randomly perturbed points
-per step and never needs circuit gradients.
+per step and never needs circuit gradients; exact circuits are evaluated
+in one pass per circuit structure.
 All runs are deterministic given the config seed (with the exact backend,
 bit-for-bit).
 """
@@ -16,10 +20,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .ansatz import TensorNetwork
+from .contract import NetworkPlan, plan_networks
 from .params import ParameterStore
-from .pipeline import CompiledModel, PipelineConfig, predict_p1, \
+from .pipeline import CompiledModel, PipelineConfig, group_p1, predict_p1, \
     prediction_gradient, shot_seed
-from .simulator import ZERO_NORM_THRESHOLD, plan_p1
+from .simulator import ZERO_NORM_THRESHOLD, CircuitPlan, plan_p1
 
 CLAMP = 1e-9
 
@@ -31,13 +37,16 @@ def bce_loss(p1, y):
     return -(y * np.log(p) + (1 - y) * np.log(1.0 - p))
 
 
-def bce_grad(p1: float, y: int) -> float:
-    p = min(max(p1, CLAMP), 1.0 - CLAMP)
+def bce_grad(p1, y):
+    """d bce_loss / d p1 with the same clamping; elementwise on arrays."""
+    p = np.clip(p1, CLAMP, 1.0 - CLAMP)
     return -y / p + (1 - y) / (1.0 - p)
 
 
 def accuracy(p1s, labels) -> float:
-    hits = sum((p >= 0.5) == bool(y) for p, y in zip(p1s, labels))
+    """Share of sentences whose p1 >= 0.5 matches the label."""
+    hits = np.count_nonzero((np.asarray(p1s) >= 0.5)
+                            == np.asarray(labels, dtype=bool))
     return hits / len(labels)
 
 
@@ -125,28 +134,39 @@ def iterations_to_reach(history: TrainHistory, threshold: float,
     return None
 
 
-def _batch_p1(model: CompiledModel, vec: np.ndarray, indices,
+def _batch_p1(model: CompiledModel, plan, vec: np.ndarray, indices,
               iteration: int, slot: int) -> list[float]:
     """p1 of the sentences at ``indices`` under the flat vector ``vec``.
 
-    Exact circuit models are evaluated from ``vec`` in one planned pass per
-    circuit structure; a sentence below the postselection threshold is
-    re-predicted by predict_p1, which reports it. Other models predict
-    sentence by sentence."""
+    With a NetworkPlan, tensor models are evaluated in one batched pass per
+    group; with the CircuitPlan of an exact circuit model, in one pass per
+    circuit structure. A sentence whose vector is degenerate, or whose
+    postselection norm is below the threshold, is re-predicted by
+    predict_p1, which reports it. Other models predict sentence by
+    sentence."""
     cfg = model.config
-    if cfg.backend == "exact" and model.plan is not None:
-        p1, norm = plan_p1(model.plan, vec, indices)
-        for k in np.flatnonzero(norm < ZERO_NORM_THRESHOLD):
-            p1[k] = predict_p1(model, model.store.from_vector(vec),
-                               indices[k])
-        return p1.tolist()
-    store = model.store.from_vector(vec)
-    out = []
-    for i in indices:
-        seed = (shot_seed(cfg.seed, iteration, slot, i)
-                if cfg.backend == "shots" else None)
-        out.append(predict_p1(model, store, i, seed))
-    return out
+    if isinstance(plan, NetworkPlan):
+        p1 = np.zeros(plan.count)
+        for g in plan.select(indices):
+            p1[g.rows] = group_p1(g, vec)
+        p1 = p1[list(indices)]
+        bad = np.flatnonzero(np.isnan(p1))
+    elif isinstance(plan, CircuitPlan) and cfg.backend == "exact":
+        p1, norm = plan_p1(plan, vec, indices)
+        bad = np.flatnonzero(norm < ZERO_NORM_THRESHOLD)
+    else:
+        store = model.store.from_vector(vec)
+        out = []
+        for i in indices:
+            seed = (shot_seed(cfg.seed, iteration, slot, i)
+                    if cfg.backend == "shots" else None)
+            out.append(predict_p1(model, store, i, seed))
+        return out
+    if len(bad):
+        store = model.store.from_vector(vec)
+        for k in bad:
+            p1[k] = predict_p1(model, store, indices[k])
+    return p1.tolist()
 
 
 def _mean_loss(p1s, labels) -> float:
@@ -164,35 +184,52 @@ def train(model: CompiledModel) -> tuple[ParameterStore, TrainHistory]:
     if cfg.iterations == 0:
         return store, history
 
+    plan = model.plan
+    if isinstance(model.artifacts[0], TensorNetwork):
+        plan = plan_networks(model.artifacts, train_idx + dev_idx, store)
     vec = store.to_vector()
     adam_state = AdamState.zeros(len(vec))
     spsa_rng = np.random.default_rng(cfg.seed)
     big_a = (cfg.spsa_big_a if cfg.spsa_big_a is not None
              else 0.1 * cfg.iterations)
+    if cfg.optimizer == "adam":
+        if not isinstance(plan, NetworkPlan):
+            raise TypeError("exact gradients need a tensor backend")
+        groups = plan.select(train_idx)
+        labels = np.zeros(plan.count)
+        labels[list(train_idx)] = train_y
 
     for it in range(cfg.iterations):
         if cfg.optimizer == "adam":
-            current = store.from_vector(vec)
-            grad = np.zeros_like(vec)
-            for i, y in zip(train_idx, train_y):
-                p1, dp1 = prediction_gradient(model, current, i)
-                if p1 is None:  # zero vector, zero gradient: report it
-                    p1 = predict_p1(model, current, i)
-                grad += bce_grad(p1, y) * dp1
+            grad, degenerate = np.zeros_like(vec), []
+            for g in groups:
+                y = labels[g.rows]
+                p1, g_grad = prediction_gradient(
+                    g, vec, lambda p, y=y: bce_grad(p, y))
+                grad += g_grad
+                degenerate += g.rows[np.isnan(p1)].tolist()
+            if degenerate:  # zero vectors add no gradient: report them
+                current = store.from_vector(vec)
+                for i in sorted(degenerate):
+                    predict_p1(model, current, i)
             grad /= len(train_idx)
             vec, adam_state = adam_step(
                 vec, grad, adam_state, cfg.learning_rate, cfg.beta1,
                 cfg.beta2, cfg.epsilon)
         else:
             def loss_at(theta: np.ndarray, _it=it) -> float:
-                p1s = _batch_p1(model, theta, train_idx, _it, slot=0)
+                p1s = _batch_p1(model, plan, theta, train_idx, _it, slot=0)
                 return _mean_loss(p1s, train_y)
 
             vec = spsa_step(vec, loss_at, it, cfg.spsa_a, cfg.spsa_c,
                             big_a, cfg.spsa_alpha, cfg.spsa_gamma, spsa_rng)
 
-        train_p1 = _batch_p1(model, vec, train_idx, it, slot=1)
-        dev_p1 = _batch_p1(model, vec, dev_idx, it, slot=2)
+        if isinstance(plan, NetworkPlan):  # one pass per group for both
+            p1s = _batch_p1(model, plan, vec, train_idx + dev_idx, it, 1)
+            train_p1, dev_p1 = p1s[:len(train_idx)], p1s[len(train_idx):]
+        else:
+            train_p1 = _batch_p1(model, plan, vec, train_idx, it, slot=1)
+            dev_p1 = _batch_p1(model, plan, vec, dev_idx, it, slot=2)
         history.append(it, _mean_loss(train_p1, train_y),
                        accuracy(train_p1, train_y),
                        _mean_loss(dev_p1, dev_y),
@@ -208,7 +245,7 @@ def evaluate_split(model: CompiledModel, store: ParameterStore,
     ds = model.dataset
     idx, labels = getattr(ds, split), ds.labels(split)
     vec = store.to_vector(model.store.names())  # in the model's layout
-    p1s = _batch_p1(model, vec, idx, iteration, slot=3)
+    p1s = _batch_p1(model, model.plan, vec, idx, iteration, slot=3)
     return {
         f"{split}_loss": _mean_loss(p1s, labels),
         f"{split}_accuracy": accuracy(p1s, labels),

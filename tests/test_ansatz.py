@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from synq.ansatz import (
-    Circuit, InvalidConfig, Op, Symbol, UnsupportedBox, _mps_groups,
-    iqp_ansatz, mps_ansatz, spider_ansatz, tensor_ansatz,
+    Circuit, InvalidConfig, Node, Op, Symbol, TensorNetwork, UnsupportedBox,
+    _mps_groups, iqp_ansatz, mps_ansatz, spider_ansatz, tensor_ansatz,
 )
 from synq.diagram import Diagram, Spider, Word, cup_at, word
 from synq.types import ts
@@ -227,3 +227,16 @@ def test_tensor_network_json_round_shape():
     obj = json.loads(tn.to_json())
     assert set(obj) == {"nodes", "edges", "open"}
     assert all({"id", "kind", "shape"} <= set(n) for n in obj["nodes"])
+
+
+@pytest.mark.parametrize("edges, open_legs", [
+    (((("u", 0), ("ghost", 0)),), ()),
+    (((("u", 0), ("u", 3)),), ()),
+    ((), (("u", 0), ("ghost", 1))),
+])
+def test_tensor_network_names_an_unknown_leg(edges, open_legs):
+    u = Node("u", "param", (2,), Symbol("u", (2,)))
+    with pytest.raises(ValueError, match="unknown leg"):
+        TensorNetwork((u,), edges, open_legs)
+    tn = TensorNetwork((u,), (), (("u", 0),))
+    assert tn.node("u") is u and tn.leg_dim(("u", 0)) == 2

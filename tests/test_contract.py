@@ -1,12 +1,19 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from synq.ansatz import (
     Node, Symbol, TensorNetwork, mps_ansatz, spider_ansatz, tensor_ansatz,
 )
-from synq.contract import ShapeMismatch, contract, contract_grad
+from synq.contract import (
+    ShapeMismatch, contract, contract_batch, contract_grad, plan,
+    plan_networks,
+)
 from synq.diagram import Cap, Cup, Diagram, Spider, Word, cup_at, word
-from synq.params import ParameterStore
+from synq.params import ParameterStore, UnboundSymbol
 from synq.types import ts
 
 DM = {"n": 3, "s": 2}
@@ -14,6 +21,14 @@ DM = {"n": 3, "s": 2}
 
 def store_for(tn, seed=0):
     return ParameterStore.initialize(tn.symbols, seed)
+
+
+def grad_one(tn, ps, upstream):
+    """contract_grad of ``tn`` as a batch of one; upstream sees its value."""
+    (group,) = plan_networks([tn], [0], ps).groups
+    values, flat = contract_grad(group, ps.to_vector(),
+                                 lambda v: np.asarray(upstream(v[0]))[None])
+    return values[0], flat
 
 
 def fd_gradient(tn, ps, upstream, h=1e-4):
@@ -152,7 +167,7 @@ class TestGrad:
         v = Node("v", "param", (2,), Symbol("v", (2,)))
         tn = TensorNetwork((u, v), ((("u", 0), ("v", 0)),), ())
         ps = ParameterStore({"u": [1.0, 2.0], "v": [3.0, 4.0]})
-        grad = contract_grad(tn, ps, lambda v: np.asarray(1.0))[1]
+        grad = grad_one(tn, ps, lambda v: np.asarray(1.0))[1]
         assert np.allclose(grad, [3.0, 4.0, 1.0, 2.0])
 
     def test_identity_upstream(self):
@@ -160,7 +175,7 @@ class TestGrad:
         tn = TensorNetwork((u,), (), (("u", 0),))
         ps = ParameterStore({"u": np.zeros(4)})
         g = np.array([1.0, -2.0, 0.5, 3.0])
-        assert np.allclose(contract_grad(tn, ps, lambda v: g)[1], g)
+        assert np.allclose(grad_one(tn, ps, lambda v: g)[1], g)
 
     def test_fd_oracle_random_networks(self):
         rng = np.random.default_rng(11)
@@ -168,7 +183,7 @@ class TestGrad:
             tn, ps = random_network(rng)
             upstream = rng.normal(
                 size=tuple(tn.leg_dim(leg) for leg in tn.open_legs))
-            got = contract_grad(tn, ps, lambda v: upstream)[1]
+            got = grad_one(tn, ps, lambda v: upstream)[1]
             want = fd_gradient(tn, ps, upstream)
             scale = max(1.0, float(np.max(np.abs(want))))
             assert np.max(np.abs(got - want)) / scale < 1e-5
@@ -187,7 +202,7 @@ class TestGrad:
             ps = store_for(tn, seed=int(rng.integers(1000)))
             upstream = rng.normal(
                 size=tuple(tn.leg_dim(leg) for leg in tn.open_legs))
-            got = contract_grad(tn, ps, lambda v: upstream)[1]
+            got = grad_one(tn, ps, lambda v: upstream)[1]
             want = fd_gradient(tn, ps, upstream)
             scale = max(1.0, float(np.max(np.abs(want))))
             assert np.max(np.abs(got - want)) / scale < 1e-5
@@ -198,7 +213,7 @@ class TestGrad:
         tn = TensorNetwork((a, b), ((("a", 0), ("b", 0)),), ())
         ps = ParameterStore({"w": [1.0, 2.0]})
         # value = w . w, gradient = 2w
-        grad = contract_grad(tn, ps, lambda v: np.asarray(1.0))[1]
+        grad = grad_one(tn, ps, lambda v: np.asarray(1.0))[1]
         assert np.allclose(grad, [2.0, 4.0])
 
     def test_value_equals_contract_bit_for_bit(self):
@@ -211,11 +226,13 @@ class TestGrad:
             spider_ansatz(d, DM, 2))]
         cases += [random_network(rng) for _ in range(40)]
         for tn, ps in cases:
+            (group,) = plan_networks([tn], [0], ps).groups
             seen = []
-            value, _ = contract_grad(
-                tn, ps, lambda v: seen.append(v) or np.ones(v.shape))
-            assert np.array_equal(value, contract(tn, ps))
-            assert seen[0] is value
+            values, _ = contract_grad(
+                group, ps.to_vector(),
+                lambda v: seen.append(v) or np.ones(v.shape))
+            assert np.array_equal(values[0], contract(tn, ps))
+            assert seen[0] is values
 
     def test_directional_fd_on_long_spider_network(self):
         from synq.pipeline import PipelineConfig, sentence_to_diagram
@@ -228,7 +245,7 @@ class TestGrad:
         ps = store_for(tn, seed=4)
         rng = np.random.default_rng(8)
         upstream = rng.normal(size=2)
-        _, grad = contract_grad(tn, ps, lambda v: upstream)
+        _, grad = grad_one(tn, ps, lambda v: upstream)
 
         def loss(vec):
             return float(np.sum(contract(tn, ps.from_vector(vec)) * upstream))
@@ -267,3 +284,161 @@ class TestSnakeSemantics:
         v_nf = contract(tensor_ansatz(nf, DM), ps)
         assert np.allclose(v_rewritten, flower, atol=1e-10)
         assert np.allclose(v_nf, flower, atol=1e-10)
+
+
+def reference_steps(tn):
+    """The greedy rule of ``plan`` as a scan of every pending edge at each
+    step, quadratic in the edges; steps as ``plan`` records them."""
+    index = {node.node_id: k for k, node in enumerate(tn.nodes)}
+    shapes = [node.shape for node in tn.nodes]
+    alive = {k: [(k, i) for i in range(len(s))] for k, s in enumerate(shapes)}
+    owner = {leg: k for k, legs in alive.items() for leg in legs}
+    edges = [((index[a], i), (index[b], j)) for (a, i), (b, j) in tn.edges]
+    pending = [e for e in edges if e[0][0] != e[1][0]]
+    for x, y in [e for e in edges if e[0][0] == e[1][0]]:
+        k = len(shapes)
+        shapes.append((shapes[x[0]][x[1]],) * 2)
+        alive[k] = [(k, 0), (k, 1)]
+        owner[(k, 0)] = owner[(k, 1)] = k
+        pending += [(x, (k, 0)), (y, (k, 1))]
+    blocks, steps = len(shapes), []
+
+    def size(k):
+        return math.prod(shapes[leaf][i] for leaf, i in alive[k])
+
+    def merge(a, b, ax_a, ax_b):
+        nonlocal blocks
+        legs = ([l for i, l in enumerate(alive.pop(a)) if i not in ax_a]
+                + [l for i, l in enumerate(alive.pop(b)) if i not in ax_b])
+        alive[blocks] = legs
+        for leg in legs:
+            owner[leg] = blocks
+        blocks += 1
+        steps.append((a, b, tuple(ax_a), tuple(ax_b)))
+
+    while pending:
+        by_pair = {}
+        for edge in pending:
+            a, b = owner[edge[0]], owner[edge[1]]
+            by_pair.setdefault((min(a, b), max(a, b)), []).append(edge)
+        a, b = min(by_pair, key=lambda p: size(p[0]) * size(p[1]))
+        ends = [(x, y) if owner[x] == a else (y, x) for x, y in by_pair[a, b]]
+        merge(a, b, [alive[a].index(x) for x, _ in ends],
+              [alive[b].index(y) for _, y in ends])
+        pending = [e for e in pending if e not in by_pair[a, b]]
+    if alive:
+        first, *rest = alive
+        for b in rest:
+            merge(first, b, [], [])
+            first = blocks - 1
+    return steps
+
+
+def shared_batch(seed, rows, pool):
+    """Networks of one random structure whose parameter nodes draw their
+    symbols from a small pool: row 0's first two nodes share one symbol, and
+    row 1 reuses it, so symbols repeat within a row and across rows."""
+    rng = np.random.default_rng(seed)
+    template, _ = random_network(rng)
+    first = template.nodes[0]
+    nodes = [first, Node("twin", "param", first.shape,
+                         Symbol("twin", first.shape))] + list(
+        template.nodes[1:])
+    edges = tuple(template.edges)
+    open_legs = tuple(template.open_legs) + tuple(
+        ("twin", i) for i in range(len(first.shape)))
+    networks, values = [], {}
+    for r in range(rows):
+        picked = []
+        for j, node in enumerate(nodes):
+            k = 0 if (r < 2 and j < 2) else int(rng.integers(pool))
+            name = f"s{k}_" + "x".join(map(str, node.shape))
+            if name not in values:
+                values[name] = rng.normal(size=node.shape)
+            picked.append(Node(node.node_id, "param", node.shape,
+                               Symbol(name, node.shape)))
+        networks.append(TensorNetwork(tuple(picked), edges, open_legs))
+    return networks, ParameterStore(values)
+
+
+def per_row_grad(networks, ps, cotangents):
+    """The sum over rows of each network's batch-of-one gradient."""
+    total = np.zeros(ps.size)
+    for tn, g in zip(networks, cotangents):
+        total += grad_one(tn, ps, lambda v: g)[1]
+    return total
+
+
+class TestPlan:
+    def test_linear_greedy_records_the_reference_steps(self):
+        from synq.pipeline import PipelineConfig, sentence_to_diagram
+        from test_scan_once import long_derivation
+        rng = np.random.default_rng(23)
+        networks = [random_network(rng, max_nodes=8)[0] for _ in range(300)]
+        d = (word("john", ts("n")) @ word("saw", ts("n.r", "s", "n.l"))
+             @ word("mary", ts("n")))
+        d = cup_at(cup_at(d, 3), 0)
+        networks += [tensor_ansatz(d, DM), mps_ansatz(d, DM, 2, 3),
+                     spider_ansatz(d, DM, 2)]
+        text, line = long_derivation(96)
+        long = sentence_to_diagram(PipelineConfig(rewrites=("determiner",)),
+                                   text, line)
+        networks.append(spider_ansatz(long, {"n": 2, "s": 2}, 2))
+        for tn in networks:
+            assert list(plan(tn).steps) == reference_steps(tn)
+
+    def test_groups_share_one_plan_per_structure(self):
+        networks, ps = shared_batch(5, rows=4, pool=2)
+        other, _ = random_network(np.random.default_rng(6))
+        ps = ParameterStore({**{n: ps[n] for n in ps.names()},
+                             **{s.name: np.ones(s.shape)
+                                for s in other.symbols}})
+        netplan = plan_networks(networks + [other], [4, 0, 2, 3], ps)
+        assert [list(g.rows) for g in netplan.groups] == [[4], [0, 2, 3]]
+        assert [list(g.rows) for g in netplan.select([3, 4])] == [[4], [3]]
+
+    def test_missing_symbol_is_named(self):
+        networks, ps = shared_batch(1, rows=1, pool=1)
+        with pytest.raises(UnboundSymbol):
+            plan_networks(networks, [0], ParameterStore({}))
+
+
+class TestBatched:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 6), st.integers(1, 3))
+    def test_batch_matches_rows_and_finite_differences(self, seed, rows,
+                                                       pool):
+        networks, ps = shared_batch(seed, rows, pool)
+        (group,) = plan_networks(networks, range(rows), ps).groups
+        assert np.array_equal(group.rows, np.arange(rows))
+        vec = ps.to_vector()
+        values = contract_batch(group, vec)
+        for r, tn in enumerate(networks):
+            assert np.allclose(values[r], contract(tn, ps), rtol=0,
+                               atol=1e-12)
+        # symbols repeat within row 0 and across rows 0 and 1
+        width = math.prod(networks[0].nodes[0].shape)
+        assert np.array_equal(group.index[0, :width],
+                              group.index[0, width:2 * width])
+        assert np.array_equal(group.index[0, :width],
+                              group.index[1, :width])
+        rng = np.random.default_rng(seed)
+        g = rng.normal(size=values.shape)
+        got_values, grad = contract_grad(group, vec, lambda v: g)
+        assert np.array_equal(got_values, values)
+        want = per_row_grad(networks, ps, g)
+        assert np.max(np.abs(grad - want)) <= 1e-12 * max(
+            1.0, float(np.max(np.abs(want))))
+        u = rng.normal(size=vec.shape)
+        h = 1e-6
+        fd = (np.sum(contract_batch(group, vec + h * u) * g)
+              - np.sum(contract_batch(group, vec - h * u) * g)) / (2 * h)
+        assert abs(fd - grad @ u) <= 1e-6 * max(1.0, abs(fd))
+
+    def test_rows_without_parameters_share_the_value(self):
+        m = Node("m", "delta", (3, 3))
+        tn = TensorNetwork((m,), ((("m", 0), ("m", 1)),), ())
+        (group,) = plan_networks([tn, tn], [0, 1], ParameterStore({})).groups
+        values, grad = contract_grad(group, np.zeros(0),
+                                     lambda v: np.ones(v.shape))
+        assert values.tolist() == [3.0, 3.0] and grad.size == 0

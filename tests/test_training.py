@@ -8,9 +8,10 @@ import pytest
 from synq.dataset import generate_dataset
 from synq.params import ParameterStore
 from synq import pipeline, training
+from synq.contract import plan_networks
 from synq.pipeline import (
-    CompileError, CompiledModel, PipelineConfig, compile_model, predict_p1,
-    prediction_gradient, sentence_to_diagram,
+    CompileError, CompiledModel, PipelineConfig, compile_model, group_p1,
+    predict_p1, prediction_gradient, sentence_to_diagram,
 )
 from synq.simulator import plan_circuits
 from synq.training import (
@@ -30,6 +31,22 @@ class TestBce:
 
     def test_clamp_boundary(self):
         assert bce_loss(0.0, 1) == pytest.approx(np.log(1e9), rel=1e-6)
+
+    def test_array_and_scalar_calls_agree(self):
+        rng = np.random.default_rng(4)
+        p1 = np.concatenate([rng.random(40), [0.0, 1.0, 0.5, 1e-12]])
+        y = rng.integers(0, 2, size=p1.size)
+        for fn in (bce_loss, bce_grad):
+            got = fn(p1, y)
+            assert got.shape == p1.shape
+            assert got.tolist() == [fn(float(p), int(t))
+                                    for p, t in zip(p1, y)]
+        for p, t in zip(p1.tolist(), y.tolist()):  # the scalar rule
+            clamped = min(max(p, 1e-9), 1.0 - 1e-9)
+            assert bce_grad(p, t) == -t / clamped + (1 - t) / (1 - clamped)
+        hits = sum((float(p) >= 0.5) == bool(t) for p, t in zip(p1, y))
+        assert accuracy(p1, y) == accuracy(p1.tolist(), y.tolist()) \
+            == hits / p1.size
 
     def test_nonnegative(self):
         rng = np.random.default_rng(0)
@@ -239,50 +256,72 @@ class TestPipelines:
         assert d.cod.items[0].base == "s"
 
 
+def with_dead_row(model, item):
+    """The model with item's network renamed apart: its first parameter
+    node gets a fresh all-zero symbol, so the sentence vector is zero while
+    the network keeps its structure and its group."""
+    from synq.ansatz import Node, Symbol, TensorNetwork
+    tn = model.artifacts[item]
+    k = next(k for k, n in enumerate(tn.nodes) if n.kind == "param")
+    node = tn.nodes[k]
+    dead = Node(node.node_id, "param", node.shape, Symbol("dead", node.shape))
+    nodes = tn.nodes[:k] + (dead,) + tn.nodes[k + 1:]
+    artifacts = list(model.artifacts)
+    artifacts[item] = TensorNetwork(nodes, tn.edges, tn.open_legs)
+    store = model.store.copy()
+    store["dead"] = np.zeros(node.shape)
+    return replace(model, artifacts=artifacts, store=store)
+
+
+def one_row(model, item):
+    (group,) = plan_networks(model.artifacts, [item], model.store).groups
+    return group
+
+
 class TestAdamGradientPass:
     def test_contracts_only_for_evaluation(self, monkeypatch):
         ds = generate_dataset(0)
         model = compile_model(
             PipelineConfig(ansatz="spider", iterations=2, seed=0), ds)
-        calls = []
-        real = pipeline.contract
+        calls, grads = [], []
+        real, real_grad = pipeline.contract, pipeline.contract_grad
         monkeypatch.setattr(pipeline, "contract",
                             lambda *args: calls.append(1) or real(*args))
+        monkeypatch.setattr(pipeline, "contract_grad", lambda *args: (
+            grads.append(1) or real_grad(*args)))
         train(model)
-        # train and dev evaluation only: the gradient pass contracts once,
-        # inside contract_grad
-        assert len(calls) == 2 * (len(ds.train) + len(ds.dev))
+        # no sentence is contracted on its own: one batched gradient pass
+        # per group of training sentences and iteration
+        groups = plan_networks(model.artifacts, ds.train, model.store).groups
+        assert len(calls) == 0
+        assert len(grads) == 2 * len(groups) == 8
 
     def test_prediction_gradient_matches_finite_differences(self):
         model = compile_model(PipelineConfig(ansatz="spider", seed=3),
                               tiny_dataset())
         store = model.store
         x0 = store.to_vector()
-        u = np.random.default_rng(0).normal(size=x0.shape)
+        rng = np.random.default_rng(0)
+        u = rng.normal(size=x0.shape)
         u /= np.linalg.norm(u)
         h = 1e-6
-        for i in range(4):
-            p1, dp1 = prediction_gradient(model, store, i)
-            assert p1 == predict_p1(model, store, i)
-            fd = (predict_p1(model, store.from_vector(x0 + h * u), i)
-                  - predict_p1(model, store.from_vector(x0 - h * u), i)
-                  ) / (2 * h)
-            assert abs(fd - dp1 @ u) < 1e-6
+        rows = list(range(8))
+        w = rng.normal(size=len(rows))
+        for g in plan_networks(model.artifacts, rows, store).groups:
+            p1, dp1 = prediction_gradient(g, x0, lambda p, w=w[g.rows]: w)
+            assert p1.tolist() == [predict_p1(model, store, i)
+                                   for i in g.rows]
+            loss = [sum(w[i] * predict_p1(model, store.from_vector(x), i)
+                        for i in g.rows) for x in (x0 + h * u, x0 - h * u)]
+            assert abs((loss[0] - loss[1]) / (2 * h) - dp1 @ u) < 1e-6
 
     def test_zero_vector_warns_once_and_adds_no_gradient(self, monkeypatch,
                                                          caplog):
-        from synq.ansatz import tensor_ansatz
-        from synq.diagram import word
-        from synq.types import ts as _ts
         ds = tiny_dataset()
         cfg = PipelineConfig(reader="cups", ansatz="tensor", iterations=1,
                              dim_map={"n": 2, "s": 2})
-        model = compile_model(cfg, ds)
-        dead = tensor_ansatz(word("dead", _ts("s")), {"s": 2})
-        store = model.store.copy()
-        store[dead.symbols[0].name] = np.zeros(2)
-        model = replace(model, artifacts=[dead] + model.artifacts[1:],
-                        store=store)
+        clean = compile_model(cfg, ds)
+        model = with_dead_row(clean, 0)
         assert ds.train[0] == 0
         predicted, steps = [], []
         real_predict = training.predict_p1
@@ -304,11 +343,67 @@ class TestAdamGradientPass:
         ((in_gradient_pass, warnings, grad),) = steps
         assert in_gradient_pass == [(0, 0.5)]
         assert warnings == 1
-        want = np.zeros(store.size)
-        for i, y in zip(ds.train[1:], ds.labels("train")[1:]):
-            p1, dp1 = prediction_gradient(model, store, i)
-            want += bce_grad(p1, y) * dp1
-        assert np.array_equal(grad, want / len(ds.train))
+        # the clean sentences alone, in the same groups and order
+        labels = np.array(ds.labels("train"), dtype=float)
+        want = np.zeros(clean.store.size)
+        netplan = plan_networks(clean.artifacts, ds.train, clean.store)
+        for g in netplan.select(ds.train[1:]):
+            want += prediction_gradient(
+                g, clean.store.to_vector(),
+                lambda p, y=labels[g.rows]: bce_grad(p, y))[1]
+        assert np.array_equal(grad[:clean.store.size], want / len(ds.train))
+        assert not grad[clean.store.size:].any()
+
+
+class TestBatchedTensors:
+    @pytest.mark.parametrize("ansatz", ["spider", "tensor", "mps"])
+    def test_batch_matches_rows_and_finite_differences(self, ansatz):
+        ds = generate_dataset(0)
+        model = compile_model(PipelineConfig(ansatz=ansatz, seed=1), ds)
+        store, rows = model.store, ds.train + ds.dev
+        vec = store.to_vector()
+        netplan = plan_networks(model.artifacts, rows, store)
+        assert len(netplan.groups) < len(rows)
+        rng = np.random.default_rng(2)
+        w = rng.normal(size=len(model.artifacts))
+        u = rng.normal(size=vec.shape)
+        u /= np.linalg.norm(u)
+        h = 1e-6
+        for g in netplan.groups:
+            p1, grad = prediction_gradient(g, vec, lambda p: w[g.rows])
+            want_p1 = [predict_p1(model, store, i) for i in g.rows]
+            assert np.allclose(p1, want_p1, rtol=0, atol=1e-12)
+            assert np.array_equal(group_p1(g, vec), p1)
+            want = sum(prediction_gradient(one_row(model, i), vec,
+                                           lambda p, i=i: w[[i]])[1]
+                       for i in g.rows)
+            scale = max(1.0, float(np.max(np.abs(want))))
+            assert np.max(np.abs(grad - want)) <= 1e-12 * scale
+            fd = (w[g.rows] @ group_p1(g, vec + h * u)
+                  - w[g.rows] @ group_p1(g, vec - h * u)) / (2 * h)
+            assert abs(fd - grad @ u) < 1e-6
+
+    def test_zero_vector_row_reports_once_and_leaves_others(self, caplog):
+        model = compile_model(PipelineConfig(ansatz="spider", seed=4),
+                              generate_dataset(0))
+        rows = list(model.dataset.train)
+        item = rows[5]
+        dead = with_dead_row(model, item)
+        netplan = plan_networks(model.artifacts, rows, model.store)
+        dead_plan = plan_networks(dead.artifacts, rows, dead.store)
+        assert len(dead_plan.groups) == len(netplan.groups)
+        before = _batch_p1(model, netplan, model.store.to_vector(), rows,
+                           0, 1)
+        assert np.allclose(before, [predict_p1(model, model.store, i)
+                                    for i in rows], rtol=0, atol=1e-12)
+        with caplog.at_level(logging.WARNING, logger="synq.pipeline"):
+            after = _batch_p1(dead, dead_plan, dead.store.to_vector(), rows,
+                              0, 1)
+        warnings = [r for r in caplog.records if r.name == "synq.pipeline"]
+        assert len(warnings) == 1
+        assert f"item {item}" in warnings[0].getMessage()
+        assert after[5] == 0.5
+        assert after[:5] + after[6:] == before[:5] + before[6:]
 
 
 class TestPlannedCircuits:
@@ -335,7 +430,8 @@ class TestPlannedCircuits:
         from synq.ansatz import Circuit, Op, Symbol
         model = self.model()
         rows = list(range(10))
-        before = _batch_p1(model, model.store.to_vector(), rows, 0, 1)
+        before = _batch_p1(model, model.plan, model.store.to_vector(), rows,
+                           0, 1)
         # Rx(pi) leaves the postselected qubit in |1>: zero norm
         dead = Circuit(2, (Op("Rx", (1,), Symbol("flip")),), (1,), (0,))
         store = model.store.copy()
@@ -345,7 +441,8 @@ class TestPlannedCircuits:
         broken = replace(model, artifacts=artifacts, store=store,
                          plan=plan_circuits(artifacts, store))
         with caplog.at_level(logging.WARNING, logger="synq.pipeline"):
-            after = _batch_p1(broken, store.to_vector(), rows, 0, 1)
+            after = _batch_p1(broken, broken.plan, store.to_vector(), rows,
+                              0, 1)
         warnings = [r for r in caplog.records if r.name == "synq.pipeline"]
         assert len(warnings) == 1 and "item 3" in warnings[0].getMessage()
         assert after[3] == 0.5
