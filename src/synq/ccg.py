@@ -22,7 +22,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
 
-from .diagram import Cap, Diagram, Swap, Word, cup_at
+from .diagram import (
+    Builder, Cap, Diagram, IllTyped, Swap, TypeMismatch, Word,
+)
 from .types import NOUN, SENTENCE, PType, TypeSeq
 
 logger = logging.getLogger(__name__)
@@ -382,53 +384,28 @@ def cat_to_typeseq(c: CCGCategory) -> TypeSeq:
 # ---------------------------------------------------------------------------
 
 
-def _cups(d: Diagram, start: int, count: int) -> Diagram:
+def _cups(b: Builder, start: int, count: int) -> None:
     """Nested cups cancelling ``count`` pairs straddling position start+count."""
     for step in range(count):
         try:
-            d = cup_at(d, start + count - 1 - step)
-        except Exception as exc:
+            b.cup(start + count - 1 - step)
+        except (TypeMismatch, IllTyped) as exc:
             raise DerivationError(f"cups do not cancel: {exc}") from exc
-    return d
 
 
-def _swap_block_left(d: Diagram, start: int, size: int, dist: int) -> Diagram:
+def _swap_block_left(b: Builder, start: int, size: int, dist: int) -> None:
     """Move the ``size`` wires at ``start`` left across ``dist`` wires."""
     for i in range(size):
-        pos = start + i
-        for _ in range(dist):
-            left, right = d.cod[pos - 1], d.cod[pos]
-            layer = Diagram(
-                d.cod,
-                d.cod[:pos - 1] @ TypeSeq((right, left)) @ d.cod[pos + 1:],
-                ((Swap(left, right), pos - 1),))
-            d = d >> layer
-            pos -= 1
-    return d
+        for pos in range(start + i - 1, start + i - 1 - dist, -1):
+            b.add(Swap(b.wires[pos], b.wires[pos + 1]), pos)
 
 
-def _swap_block_right(d: Diagram, start: int, size: int, dist: int) -> Diagram:
+def _swap_block_right(b: Builder, start: int, size: int, dist: int) -> None:
     """Move the ``size`` wires at ``start`` right across ``dist`` wires."""
-    for _ in range(size):
-        # always move the rightmost remaining block wire first
-        pos = start + size - 1
-        for _ in range(dist):
-            left, right = d.cod[pos], d.cod[pos + 1]
-            layer = Diagram(
-                d.cod,
-                d.cod[:pos] @ TypeSeq((right, left)) @ d.cod[pos + 2:],
-                ((Swap(left, right), pos),))
-            d = d >> layer
-            pos += 1
-        size -= 1
-    return d
-
-
-def _cap_layer(d: Diagram, offset: int, base: str, z: int) -> Diagram:
-    cap = Cap(base, z)
-    layer = Diagram(d.cod, d.cod[:offset] @ cap.cod @ d.cod[offset:],
-                    ((cap, offset),))
-    return d >> layer
+    # always move the rightmost remaining block wire first
+    for last in range(start + size - 1, start - 1, -1):
+        for pos in range(last, last + dist):
+            b.add(Swap(b.wires[pos], b.wires[pos + 1]), pos)
 
 
 def _cap_shaped(a: PType, b: PType) -> bool:
@@ -437,12 +414,14 @@ def _cap_shaped(a: PType, b: PType) -> bool:
 
 def tree_to_diagram(t: CCGTree) -> Diagram:
     """Convert a derivation to a diagram with dom [] and cod T(root)."""
+    b = Builder()
     try:
-        d = _convert(t)
+        _convert(t, b)
     except RecursionError:
         raise DerivationError(
             "derivation is too deep to convert (nesting exceeds the "
             "interpreter's recursion limit)") from None
+    d = b.diagram()
     want = cat_to_typeseq(t.category)
     if d.cod != want:
         raise DerivationError(
@@ -450,86 +429,99 @@ def tree_to_diagram(t: CCGTree) -> Diagram:
     return d
 
 
-def _convert(t: CCGTree) -> Diagram:
+def _convert(t: CCGTree, b: Builder) -> None:
+    """Append the layers of ``t``'s diagram to ``b``, in post-order.
+
+    Invariant: ``t``'s wires start at the right end of ``b``'s wires, since
+    every subtree to its left is complete. So no tensor, composition or
+    offset shift is needed: a combining layer acts at an offset counted
+    from ``start``, where the left child's wires begin.
+    """
     if isinstance(t, Leaf):
-        return Diagram.from_box(Word(t.token, cod=cat_to_typeseq(t.category)))
+        b.add(Word(t.token, cod=cat_to_typeseq(t.category)), len(b.wires))
+        return
     if t.rule in ("TR", "LEX", "UNARY"):
-        return _convert_unary(t)
+        return _convert_unary(t, b)
     if t.rule == "CONJ":
-        return _convert_conj(t)
+        return _convert_conj(t, b)
     left, right = t.children
-    ld, rd = _convert(left), _convert(right)
+    start = len(b.wires)
+    _convert(left, b)
+    mid = len(b.wires)
+    _convert(right, b)
     lc, rc = left.category, right.category
     if t.rule == "FA":
         arg = cat_to_typeseq(lc.argument)
         x = len(cat_to_typeseq(lc.result))
-        return _cups(ld @ rd, x, len(arg))
+        return _cups(b, start + x, len(arg))
     if t.rule == "BA":
         arg = cat_to_typeseq(rc.argument)
-        return _cups(ld @ rd, len(ld.cod) - len(arg), len(arg))
+        return _cups(b, mid - len(arg), len(arg))
     if t.rule == "FC":
         y = cat_to_typeseq(lc.argument)
         x = len(cat_to_typeseq(lc.result))
-        return _cups(ld @ rd, x, len(y))
+        return _cups(b, start + x, len(y))
     if t.rule == "BC":
         y = cat_to_typeseq(rc.argument)
         z = len(cat_to_typeseq(lc.argument))
-        return _cups(ld @ rd, z, len(y))
+        return _cups(b, start + z, len(y))
     if t.rule == "FX":
         # left: T(X) ++ T(Y).l, right: T(Z).r ++ T(Y); pull T(Z).r leftmost
         y = cat_to_typeseq(lc.argument)
         x = len(cat_to_typeseq(lc.result))
         zlen = len(cat_to_typeseq(rc.argument))
-        d = ld @ rd
-        d = _swap_block_left(d, len(ld.cod), zlen, len(ld.cod))
-        return _cups(d, zlen + x, len(y))
+        _swap_block_left(b, mid, zlen, mid - start)
+        return _cups(b, start + zlen + x, len(y))
     if t.rule == "BX":
         # left: T(Y) ++ T(Z).l, right: T(Y).r ++ T(X); push T(Z).l rightmost
         y = cat_to_typeseq(rc.argument)
-        x = len(cat_to_typeseq(rc.result))
         zlen = len(cat_to_typeseq(lc.argument))
-        d = ld @ rd
-        d = _swap_block_right(d, len(y), zlen, len(rd.cod))
-        return _cups(d, 0, len(y))
+        _swap_block_right(b, start + len(y), zlen, len(b.wires) - mid)
+        return _cups(b, start, len(y))
     raise DerivationError(f"unhandled rule {t.rule}")
 
 
-def _convert_unary(t: Node) -> Diagram:
+def _convert_unary(t: Node, b: Builder) -> None:
     child = t.children[0]
-    d = _convert(child)
+    start = len(b.wires)
+    _convert(child, b)
     a = cat_to_typeseq(child.category)
-    b = cat_to_typeseq(t.category)
-    if a == b:
-        return d
-    if len(b) == len(a) + 2 and b[2:] == a and _cap_shaped(b[0], b[1]):
-        return _cap_layer(d, 0, b[1].base, b[1].z)
-    if len(b) == len(a) + 2 and b[:-2] == a and _cap_shaped(b[-2], b[-1]):
-        return _cap_layer(d, len(d.cod), b[-1].base, b[-1].z)
-    # general re-typing: a trainable bridge box consuming T(A), producing T(B)
-    src = category_to_str(child.category)
-    dst = category_to_str(t.category)
-    bridge = Diagram(a, b, ((Word(f"[{src}->{dst}]", dom=a, cod=b), 0),))
-    return d >> bridge
+    c = cat_to_typeseq(t.category)
+    if a == c:
+        return
+    if len(c) == len(a) + 2 and c[2:] == a and _cap_shaped(c[0], c[1]):
+        b.add(Cap(c[1].base, c[1].z), start)
+    elif len(c) == len(a) + 2 and c[:-2] == a and _cap_shaped(c[-2], c[-1]):
+        b.add(Cap(c[-1].base, c[-1].z), len(b.wires))
+    else:
+        # general re-typing: a trainable bridge box consuming T(A), producing T(B)
+        src = category_to_str(child.category)
+        dst = category_to_str(t.category)
+        b.add(Word(f"[{src}->{dst}]", dom=a, cod=c), start)
 
 
-def _convert_conj(t: Node) -> Diagram:
+def _convert_conj(t: Node, b: Builder) -> None:
     left, right = t.children
     lc, rc, pc = left.category, right.category, t.category
     if pc.conj and isinstance(left, Leaf) \
             and (_is_conj_atom(lc) or _is_punct(lc)):
         neighbour = cat_to_typeseq(rc)
-        conj_word = Diagram.from_box(Word(left.token, cod=neighbour.r))
-        return conj_word @ _convert(right)
-    if rc.conj and cat_eq(lc, _strip_conj(rc)):
-        ld, rd = _convert(left), _convert(right)
-        shared = cat_to_typeseq(lc)
-        return _cups(ld @ rd, 0, len(shared))
-    if _is_punct(rc) and isinstance(right, Leaf):
-        return _convert(left) @ Diagram.from_box(Word(right.token))
-    if _is_punct(lc) and isinstance(left, Leaf):
-        return Diagram.from_box(Word(left.token)) @ _convert(right)
-    raise DerivationError(
-        f"unsupported conj/punct combination at {category_to_str(pc)}")
+        b.add(Word(left.token, cod=neighbour.r), len(b.wires))
+        _convert(right, b)
+    elif rc.conj and cat_eq(lc, _strip_conj(rc)):
+        start = len(b.wires)
+        _convert(left, b)
+        _convert(right, b)
+        _cups(b, start, len(cat_to_typeseq(lc)))
+    elif _is_punct(rc) and isinstance(right, Leaf):
+        _convert(left, b)
+        b.add(Word(right.token), len(b.wires))
+    elif _is_punct(lc) and isinstance(left, Leaf):
+        b.add(Word(left.token), len(b.wires))
+        _convert(right, b)
+    else:
+        raise DerivationError(
+            f"unsupported conj/punct combination at {category_to_str(pc)}")
 
 
 # ---------------------------------------------------------------------------

@@ -3,17 +3,17 @@
 A diagram is a list of layers, each holding one box and the count of wires
 to its left. Scanning layers top to bottom from the domain, every box must
 consume exactly the wire window at its offset; the final wire sequence is
-the codomain. All values are immutable and all operations are pure.
+the codomain. ``Diagram`` values are immutable.
 
-The public constructor is the only place that scans: a diagram built from
-raw layers (``Diagram(dom, cod, layers)``, ``diagram_from_dict``) is checked
-once, layer by layer, and raises ``IllTyped`` if it does not scan. Every
-``Diagram`` therefore type-checks, and the operations that combine or reorder
-existing diagrams preserve that: ``then`` (after its boundary check),
-``tensor``, and the interchange and yank steps of ``normal_form`` build
-their results through ``Diagram._typed`` without scanning again. Building
-or normalising an L-layer diagram thus scans each layer once, not O(L)
-times.
+Diagrams are built in a ``Builder``, a layer list plus the wires below its
+last layer. ``Builder.add`` is the one per-layer type check (it raises
+``IllTyped``), and ``Builder.diagram()`` freezes the list once. The public
+constructor (``Diagram(dom, cod, layers)``, ``diagram_from_dict``),
+``cup_at``, the readers, the CCG conversion and the rewrite fragments all
+go through ``add``. ``then``, ``tensor``, ``rewrite.apply`` and
+``normal_form`` only combine or reorder typed layers, so they freeze their
+results unchecked. Building, rewriting and normalising an L-layer diagram
+thus checks and copies O(L) layers.
 
 Box variants:
 
@@ -117,9 +117,9 @@ Box = Union[Word, Cup, Cap, Spider, Swap]
 class Diagram:
     """A layer list that scans from ``dom`` to ``cod``.
 
-    Invariant: every instance type-checks. The constructor scans once;
-    composition, tensor, interchange and yank preserve typing, so their
-    results skip the scan.
+    Invariant: every instance type-checks. The constructor checks each
+    layer once through ``Builder.add``; composition, tensor and
+    ``normal_form`` preserve typing, so their results skip the check.
     """
 
     dom: TypeSeq = EMPTY
@@ -130,22 +130,11 @@ class Diagram:
         self._check()
 
     def _check(self) -> None:
-        wires = self.dom
-        for k, (box, offset) in enumerate(self.layers):
-            d = len(box.dom)
-            if offset < 0 or offset > len(wires) - d:
-                raise IllTyped(
-                    f"layer {k}: offset {offset} out of range for "
-                    f"{len(wires)} wires and box dom {box.dom}"
-                )
-            window = wires[offset:offset + d]
-            if window != box.dom:
-                raise IllTyped(
-                    f"layer {k}: box dom {box.dom} does not match wires {window}"
-                )
-            wires = wires[:offset] @ box.cod @ wires[offset + d:]
-        if wires != self.cod:
-            raise IllTyped(f"final wires {wires} do not match cod {self.cod}")
+        b = Builder(self.dom)
+        for box, offset in self.layers:
+            b.add(box, offset)
+        if b.cod != self.cod:
+            raise IllTyped(f"final wires {b.cod} do not match cod {self.cod}")
 
     @classmethod
     def _typed(cls, dom: TypeSeq, cod: TypeSeq,
@@ -205,12 +194,10 @@ class Diagram:
 
     def normal_form(self) -> Diagram:
         """Remove every yankable cap-cup snake, iterating to a fixed point."""
-        d = self
-        while True:
-            nxt = _remove_one_snake(d)
-            if nxt is None:
-                return d
-            d = nxt
+        layers = self.layers
+        while (nxt := _remove_one_snake(layers)) is not None:
+            layers = nxt
+        return Diagram._typed(self.dom, self.cod, tuple(layers))
 
     def to_json(self, indent: int | None = None) -> str:
         return json.dumps(diagram_to_dict(self), indent=indent)
@@ -220,12 +207,46 @@ class Diagram:
         return diagram_from_json(text)
 
 
-def compose(top: Diagram, bottom: Diagram) -> Diagram:
-    return top.then(bottom)
+class Builder:
+    """A layer list that scans from ``dom``, and the wires below it."""
 
+    def __init__(self, dom: TypeSeq = EMPTY):
+        self.dom = dom
+        self.wires = list(dom)
+        self.layers: list[tuple[Box, int]] = []
 
-def tensor(left: Diagram, right: Diagram) -> Diagram:
-    return left.tensor(right)
+    @property
+    def cod(self) -> TypeSeq:
+        return TypeSeq(tuple(self.wires))
+
+    def add(self, box: Box, offset: int) -> Builder:
+        """Append ``box`` consuming the wires at ``offset``."""
+        wires, dom = self.wires, box.dom
+        end = offset + len(dom)
+        if offset < 0 or end > len(wires):
+            raise IllTyped(f"layer {len(self.layers)}: offset {offset} out of "
+                           f"range for {len(wires)} wires and box dom {dom}")
+        window = TypeSeq(tuple(wires[offset:end]))
+        if window != dom:
+            raise IllTyped(f"layer {len(self.layers)}: box dom {dom} does not "
+                           f"match wires {window}")
+        wires[offset:end] = box.cod.items
+        self.layers.append((box, offset))
+        return self
+
+    def cup(self, offset: int) -> Builder:
+        """Append a cup over the cancelling pair of wires at ``offset``."""
+        if not 0 <= offset < len(self.wires) - 1:
+            raise IllTyped(f"cup offset {offset} out of range for "
+                           f"{len(self.wires)} wires")
+        a, b = self.wires[offset], self.wires[offset + 1]
+        if a.base != b.base or a.z + 1 != b.z:
+            raise TypeMismatch(
+                f"wires {a} and {b} at offset {offset} do not cancel")
+        return self.add(Cup(a.base, a.z), offset)
+
+    def diagram(self) -> Diagram:
+        return Diagram._typed(self.dom, self.cod, tuple(self.layers))
 
 
 def word(token: str, cod: TypeSeq, dom: TypeSeq = EMPTY) -> Diagram:
@@ -234,12 +255,7 @@ def word(token: str, cod: TypeSeq, dom: TypeSeq = EMPTY) -> Diagram:
 
 def cup_at(d: Diagram, offset: int) -> Diagram:
     """Append a cup over the adjacent cancelling pair at ``offset`` of d.cod."""
-    a, b = d.cod[offset], d.cod[offset + 1]
-    if a.base != b.base or a.z + 1 != b.z:
-        raise TypeMismatch(f"wires {a} and {b} at offset {offset} do not cancel")
-    layer = Diagram(d.cod, d.cod[:offset] @ d.cod[offset + 2:],
-                    ((Cup(a.base, a.z), offset),))
-    return d >> layer
+    return d >> Builder(d.cod).cup(offset).diagram()
 
 
 # ---------------------------------------------------------------------------
@@ -258,22 +274,21 @@ def cup_at(d: Diagram, offset: int) -> Diagram:
 # ---------------------------------------------------------------------------
 
 
-def _interchange(d: Diagram, k: int) -> Diagram | None:
-    """Swap layers k and k+1 if their windows are disjoint, else None."""
-    (b1, o1), (b2, o2) = d.layers[k], d.layers[k + 1]
+def _interchange(layers: list, k: int) -> bool:
+    """Swap layers k and k+1 in place if their windows are disjoint."""
+    (b1, o1), (b2, o2) = layers[k], layers[k + 1]
     c1, d1 = len(b1.cod), len(b1.dom)
     d2 = len(b2.dom)
     if o2 >= o1 + c1:
-        swapped = ((b2, o2 - c1 + d1), (b1, o1))
+        layers[k:k + 2] = (b2, o2 - c1 + d1), (b1, o1)
     elif o2 + d2 <= o1:
-        swapped = ((b2, o2), (b1, o1 + len(b2.cod) - d2))
+        layers[k:k + 2] = (b2, o2), (b1, o1 + len(b2.cod) - d2)
     else:
-        return None
-    layers = d.layers[:k] + swapped + d.layers[k + 2:]
-    return Diagram._typed(d.dom, d.cod, layers)
+        return False
+    return True
 
 
-def _follow_wire(d: Diagram, start_layer: int, position: int):
+def _follow_wire(layers, start_layer: int, position: int):
     """Trace the wire at ``position`` below ``start_layer`` until consumed.
 
     Returns (consumer_layer, position_at_consumer, dom_slot, lefts, rights)
@@ -282,8 +297,8 @@ def _follow_wire(d: Diagram, start_layer: int, position: int):
     """
     wire = position
     lefts, rights = [], []
-    for j in range(start_layer + 1, len(d.layers)):
-        box, off = d.layers[j]
+    for j in range(start_layer + 1, len(layers)):
+        box, off = layers[j]
         nd = len(box.dom)
         if off <= wire < off + nd:
             return j, wire, wire - off, lefts, rights
@@ -295,52 +310,50 @@ def _follow_wire(d: Diagram, start_layer: int, position: int):
     return None
 
 
-def _remove_one_snake(d: Diagram) -> Diagram | None:
-    for i, (box, off) in enumerate(d.layers):
+def _remove_one_snake(layers) -> list | None:
+    """The layers with one snake yanked, as a new list, or None."""
+    for i, (box, off) in enumerate(layers):
         if not isinstance(box, Cap):
             continue
         # leg 0 is the cap's left output, leg 1 its right output
         for leg, want_slot in ((1, 0), (0, 1)):
-            hit = _follow_wire(d, i, off + leg)
+            hit = _follow_wire(layers, i, off + leg)
             if hit is None:
                 continue
             j, _, slot, lefts, rights = hit
-            cup_box = d.layers[j][0]
+            cup_box = layers[j][0]
             if not isinstance(cup_box, Cup) or slot != want_slot:
                 continue
             if cup_box.base != box.base or cup_box.z != box.z:
                 continue
-            result = _yank(d, i, j, leg, lefts, rights)
+            result = _yank(list(layers), i, j, leg, lefts, rights)
             if result is not None:
                 return result
     return None
 
 
-def _yank(d: Diagram, cap: int, cup: int, leg: int,
-          lefts: list[int], rights: list[int]) -> Diagram | None:
+def _yank(layers: list, cap: int, cup: int, leg: int,
+          lefts: list[int], rights: list[int]) -> list | None:
+    """Yank the snake in ``layers``, a copy the caller gives up."""
     # off-side boxes go below the cup; the cap slides down the near-side ones
     below, near = (lefts, rights) if leg == 1 else (rights, lefts)
     for idx in reversed(below):
         for k in range(idx, cup):
-            nxt = _interchange(d, k)
-            if nxt is None:
+            if not _interchange(layers, k):
                 return None
-            d = nxt
         cup -= 1
     for _ in near:
-        nxt = _interchange(d, cap)
-        if nxt is None:
+        if not _interchange(layers, cap):
             return None
-        d = nxt
         cap += 1
     if cup != cap + 1:
         return None
-    (_, o_cap), (_, o_cup) = d.layers[cap], d.layers[cup]
+    (_, o_cap), (_, o_cup) = layers[cap], layers[cup]
     if abs(o_cup - o_cap) != 1:
         return None
     # the adjacent cap and cup compose to the identity on the traced wire
-    layers = d.layers[:cap] + d.layers[cap + 2:]
-    return Diagram._typed(d.dom, d.cod, layers)
+    del layers[cap:cap + 2]
+    return layers
 
 
 # ---------------------------------------------------------------------------

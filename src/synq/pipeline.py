@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -95,8 +96,12 @@ def sentence_to_diagram(cfg: PipelineConfig, text: str,
         (tree,) = ccg.parse_auto(line)
         d = ccg.tree_to_diagram(tree)
     if cfg.rewrites:
-        d = Rewriter(list(cfg.rewrites))(d).normal_form()
+        d = _rewriter(tuple(cfg.rewrites))(d).normal_form()
     return d
+
+
+# one Rewriter per rule tuple, so its word lists are read once
+_rewriter = lru_cache(Rewriter)
 
 
 def _load_derivations(cfg: PipelineConfig,

@@ -9,7 +9,7 @@ from __future__ import annotations
 import string
 from dataclasses import dataclass
 
-from .diagram import Diagram, Spider, Word, cup_at
+from .diagram import Builder, Diagram, Spider, Word
 from .types import SENTENCE, ts
 
 _PUNCT = str.maketrans("", "", string.punctuation)
@@ -34,22 +34,19 @@ def tokenize(text: str) -> Sentence:
 
 def spiders_read(s: Sentence) -> Diagram:
     """Bag of words: every token is an s-state, one spider merges them all."""
-    d = Diagram()
-    for token in s.tokens:
-        d = d @ Diagram.from_box(Word(token, cod=ts("s")))
-    k = len(s.tokens)
-    merge = Diagram(d.cod, ts("s"), ((Spider(SENTENCE, 0, k, 1), 0),))
-    return d >> merge
+    b = Builder()
+    for i, token in enumerate(s.tokens):
+        b.add(Word(token, cod=ts("s")), i)
+    return b.add(Spider(SENTENCE, 0, len(s.tokens), 1), 0).diagram()
 
 
 def cups_read(s: Sentence) -> Diagram:
     """Left-to-right word chain: s.l wires cup with the next word's s."""
-    d = Diagram()
+    b = Builder()
     for i, token in enumerate(s.tokens):
         cod = ts("s") if i == len(s.tokens) - 1 else ts("s", "s.l")
-        d = d @ Diagram.from_box(Word(token, cod=cod))
+        b.add(Word(token, cod=cod), len(b.wires))
     # rightmost cancelling pair first keeps every cup's legs adjacent
     for _ in range(len(s.tokens) - 1):
-        offset = len(d.cod) - 2
-        d = cup_at(d, offset)
-    return d
+        b.cup(len(b.wires) - 2)
+    return b.diagram()

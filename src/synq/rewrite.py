@@ -13,7 +13,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Callable, Iterable
 
-from .diagram import Cap, Diagram, Word
+from .diagram import Builder, Cap, Diagram, Word
 from .types import NOUN, TypeSeq, ts
 
 
@@ -51,9 +51,8 @@ class Rewriter:
 
 def apply(rw: Rewriter, d: Diagram) -> Diagram:
     """Replace every matched word box in place by its transformer output."""
-    out = Diagram.identity(d.dom)
-    boundaries = d.wire_layers()
-    for k, (box, offset) in enumerate(d.layers):
+    layers = []
+    for box, offset in d.layers:
         fragment = None
         if isinstance(box, Word):
             for rule in rw.rules:
@@ -61,18 +60,13 @@ def apply(rw: Rewriter, d: Diagram) -> Diagram:
                     fragment = rule.transformer(box)
                     break
         if fragment is None:
-            wires = boundaries[k]
-            layer = Diagram(wires, boundaries[k + 1], ((box, offset),))
-            out = out >> layer
-        else:
-            if fragment.dom != box.dom or fragment.cod != box.cod:
-                raise ValueError(
-                    f"rule fragment for {box.token!r} changes the boundary")
-            wires = boundaries[k]
-            left = Diagram.identity(wires[:offset])
-            right = Diagram.identity(wires[offset + len(box.dom):])
-            out = out >> (left @ fragment @ right)
-    return out
+            layers.append((box, offset))
+            continue
+        if fragment.dom != box.dom or fragment.cod != box.cod:
+            raise ValueError(
+                f"rule fragment for {box.token!r} changes the boundary")
+        layers.extend((b, o + offset) for b, o in fragment.layers)
+    return Diagram._typed(d.dom, d.cod, tuple(layers))
 
 
 def _nested_caps(cod: TypeSeq) -> Diagram | None:
@@ -84,12 +78,11 @@ def _nested_caps(cod: TypeSeq) -> Diagram | None:
         a, b = cod[i], cod[len(cod) - 1 - i]
         if a.base != b.base or a.z != b.z + 1:
             return None
-    d = Diagram()
+    b = Builder()
     for j in range(k):  # outermost pair first, each next cap nests inside
         partner = cod[len(cod) - 1 - j]
-        cap = Cap(partner.base, partner.z)
-        layer = Diagram(d.cod, d.cod[:j] @ cap.cod @ d.cod[j:], ((cap, j),))
-        d = d >> layer
+        b.add(Cap(partner.base, partner.z), j)
+    d = b.diagram()
     return d if d.cod == cod else None
 
 
@@ -144,9 +137,8 @@ def preadverb_rule(words: frozenset[str] | None = None) -> RewriteRule:
 
     def transformer(w: Word) -> Diagram:
         # cap (n.r, n) wraps around the reduced word (s, s.l)
-        d = Diagram.from_box(Cap(NOUN, 0))
         inner = Word(w.token, cod=ts("s", "s.l"))
-        return d >> Diagram(d.cod, _PREADVERB_SHAPE, ((inner, 1),))
+        return Builder().add(Cap(NOUN, 0), 0).add(inner, 1).diagram()
 
     return RewriteRule("preadverb", matcher, transformer)
 
@@ -160,10 +152,8 @@ def postadverb_rule(words: frozenset[str] | None = None) -> RewriteRule:
                 and w.cod == _POSTADVERB_SHAPE)
 
     def transformer(w: Word) -> Diagram:
-        inner = Diagram.from_box(Word(w.token, cod=ts("s.r", "s")))
-        cap = Cap(NOUN, 1)
-        return inner >> Diagram(
-            inner.cod, _POSTADVERB_SHAPE, ((cap, 1),))
+        inner = Word(w.token, cod=ts("s.r", "s"))
+        return Builder().add(inner, 0).add(Cap(NOUN, 1), 1).diagram()
 
     return RewriteRule("postadverb", matcher, transformer)
 
@@ -180,10 +170,8 @@ def prepositional_phrase_rule(words: frozenset[str] | None = None) -> RewriteRul
                 and w.cod == _PREPOSITION_SHAPE)
 
     def transformer(w: Word) -> Diagram:
-        inner = Diagram.from_box(Word(w.token, cod=ts("s.r", "s", "n.l")))
-        cap = Cap(NOUN, 1)
-        return inner >> Diagram(
-            inner.cod, _PREPOSITION_SHAPE, ((cap, 1),))
+        inner = Word(w.token, cod=ts("s.r", "s", "n.l"))
+        return Builder().add(inner, 0).add(Cap(NOUN, 1), 1).diagram()
 
     return RewriteRule("prepositional_phrase", matcher, transformer)
 

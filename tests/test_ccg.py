@@ -202,6 +202,16 @@ class TestTreeToDiagram:
         with pytest.raises(DerivationError):
             parse_auto("(<T NP 0 2> (<L NP/N DT DT a NP/N>) (<L S X X x S>))")
 
+    def test_cups_past_the_wires_are_named(self):
+        # built directly, past the rule inference that parse_auto runs: the
+        # argument NP/NP needs two cups, the right child gives one wire
+        tree = Node(parse_category("S"), "FA", (
+            Leaf("x", parse_category("S/(NP/NP)")),
+            Leaf("y", parse_category("NP"))))
+        with pytest.raises(DerivationError,
+                           match="cup offset 1 out of range for 2 wires"):
+            tree_to_diagram(tree)
+
 
 class TestReadAuto:
     def test_fixture_ids_are_strings(self):

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from synq.diagram import (
     Cap, Cup, Diagram, IllTyped, ParseError, Spider, Swap, TypeMismatch,
-    Word, compose, cup_at, tensor, word,
+    Word, cup_at, word,
 )
 from synq.types import EMPTY, PType, TypeSeq, ts
 
@@ -48,24 +48,32 @@ class TestTypeChecking:
 class TestComposeTensor:
     def test_identity_laws(self):
         d = five_word_sentence()
-        assert compose(d, Diagram.identity(d.cod)) == d
-        assert compose(Diagram.identity(d.dom), d) == d
+        assert d >> Diagram.identity(d.cod) == d
+        assert Diagram.identity(d.dom) >> d == d
 
     def test_type_mismatch_reports_both(self):
         john = word("john", ts("n"))
         cup = Diagram.from_box(Cup("n", 0))
         with pytest.raises(TypeMismatch) as err:
-            compose(john, cup)
+            john >> cup
         assert "n" in str(err.value) and "n.r" in str(err.value)
 
     def test_tensor_unit_and_cod(self):
         d = five_word_sentence()
         empty = Diagram()
-        assert tensor(empty, d) == d
-        assert tensor(d, empty) == d
+        assert empty @ d == d
+        assert d @ empty == d
         a, b = word("a", ts("n")), word("b", ts("n"))
-        assert tensor(a, b).cod == ts("n", "n")
-        assert tensor(a, b).cod == a.cod @ b.cod
+        assert (a @ b).cod == ts("n", "n")
+        assert (a @ b).cod == a.cod @ b.cod
+
+    @pytest.mark.parametrize("offset", [-1, 1, 2])
+    def test_cup_offset_out_of_range_is_named(self, offset):
+        d = word("a", ts("n", "n.r"))
+        with pytest.raises(IllTyped,
+                           match=f"offset {offset} out of range for 2 wires"):
+            cup_at(d, offset)
+        assert cup_at(d, 0).cod == EMPTY
 
 
 def random_diagram_strategy():

@@ -255,6 +255,19 @@ class TestPipelines:
             "(<L S[dcl]\\NP VBZ VBZ walks S[dcl]\\NP>))")
         assert d.cod.items[0].base == "s"
 
+    def test_rewriter_is_built_once_per_rule_tuple(self, monkeypatch):
+        from synq import rewrite
+        loads = []
+        load = rewrite.load_wordlist
+        monkeypatch.setattr(rewrite, "load_wordlist",
+                            lambda name: loads.append(name) or load(name))
+        pipeline._rewriter.cache_clear()
+        cfg = PipelineConfig(reader="cups", rewrites=tuple(rewrite.RULE_NAMES))
+        for text in ("chef cooks meal", "red chef cooks tasty meal"):
+            sentence_to_diagram(cfg, text)
+            sentence_to_diagram(replace(cfg, rewrites=list(cfg.rewrites)), text)
+        assert len(loads) == len(rewrite.RULE_NAMES)
+
 
 def with_dead_row(model, item):
     """The model with item's network renamed apart: its first parameter
