@@ -34,6 +34,11 @@ class InvalidConfig(Exception):
     """Ansatz configuration outside its legal range."""
 
 
+class InvalidOp(ValueError):
+    """A circuit op with an unknown gate, or with qubits that are the wrong
+    number for its gate, repeated or outside the circuit."""
+
+
 @dataclass(frozen=True)
 class Symbol:
     """A named parameter; shape () marks a scalar rotation angle."""
@@ -68,7 +73,7 @@ def _values(mapping: dict, seq: TypeSeq, what: str) -> list[int]:
 # Circuits.
 # ---------------------------------------------------------------------------
 
-GATES = ("H", "Rx", "Rz", "CRz", "CX")
+GATES = {"H": 1, "Rx": 1, "Rz": 1, "CRz": 2, "CX": 2}  # gate: qubit count
 
 
 @dataclass(frozen=True)
@@ -86,6 +91,22 @@ class Circuit:
     open: tuple[int, ...]  # output qubits, in codomain order
 
     def __post_init__(self):
+        every = frozenset(range(self.n_qubits))
+        for i, op in enumerate(self.ops):
+            distinct = set(op.qubits)
+            if GATES.get(op.gate) == len(op.qubits) == len(distinct) \
+                    and distinct <= every:
+                continue
+            if op.gate not in GATES:
+                problem = "unknown gate"
+            elif len(op.qubits) != GATES[op.gate]:
+                problem = f"{op.gate} acts on {GATES[op.gate]} qubit(s)"
+            elif len(distinct) != len(op.qubits):
+                problem = "repeated qubit"
+            else:
+                problem = f"qubit not in range({self.n_qubits})"
+            raise InvalidOp(
+                f"op {i} ({op.gate!r} on qubits {op.qubits}): {problem}")
         used = set(self.postselect) | set(self.open)
         if set(self.postselect) & set(self.open):
             raise ValueError("open and postselected qubits overlap")

@@ -83,6 +83,9 @@ class PipelineConfig:
                     f"unknown {what} {value!r}; allowed: {', '.join(allowed)}")
         if self.iterations < 0 or self.n_shots < 1:
             raise ValueError("iterations must be >= 0 and n_shots >= 1")
+        if not 0.0 <= self.noise_p <= 1.0:
+            raise ValueError(
+                f"noise_p must lie in [0, 1], got {self.noise_p!r}")
 
 
 def sentence_to_diagram(cfg: PipelineConfig, text: str,

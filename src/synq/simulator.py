@@ -9,16 +9,28 @@ One gate kernel, ``_apply``, acts on a batch of statevectors of shape
 (b, 2**n) with one angle per row: CX is a fixed index permutation, Rz and
 CRz are diagonal phases chosen by precomputed bit patterns, and H and Rx a
 two-point butterfly over the gate qubit. ``statevector`` and ``evaluate``
-run it as a batch of one, ``sample`` with one row per noise pattern.
-``plan_circuits`` groups circuits by structure (gates and their qubits,
-postselected and open qubits); ``plan_p1`` then evaluates each group in one
-pass, reading each row's angles from the flat parameter vector.
+run it as a batch of one. ``plan_circuits`` groups circuits by structure
+(gates and their qubits, postselected and open qubits); ``plan_p1`` then
+evaluates each group in one pass, reading each row's angles from the flat
+parameter vector.
 
-The noise model is a Monte Carlo Pauli twirl: per shot, after every
-two-qubit gate, each touched qubit independently suffers a uniformly random
-Pauli with probability p. Shots sharing an insertion pattern share one
-simulated row, and with p = 0 the path is bit-identical to noiseless
-sampling.
+The noise model: after every two-qubit gate, each touched qubit suffers X,
+Y or Z, each with probability p / 3. Shots are independent, so ``sample``
+computes the exact distribution of one shot under the channel-averaged
+map and draws all counts from it with one multinomial over (discarded,
+each open bitstring). Averaged over the Paulis, the noise on one qubit is
+the depolarising channel rho -> (1 - 4p/3) rho + (4p/3) I/2 (x) Tr_q rho,
+valid for every p in [0, 1]. ``_density`` evolves the density matrix of
+the live qubits only, as a (2,)*2w array with a ket and a bra axis per
+qubit. A qubit's single-qubit gates are multiplied into one pending 2x2
+matrix. It is allocated at its first two-qubit gate as the product state
+U|0><0|U+ of that matrix U, or at the end if it is open and has none. Each
+two-qubit gate, with the pending matrices of its qubits and the
+depolarising channel on both, is one 16x16 superoperator applied by one
+``tensordot``. A postselected qubit is projected onto |0> right after its
+last gate and that gate's noise, and an open qubit's outcome is read out
+there, so neither stays live any longer. With p = 0 the distribution
+comes from ``statevector`` instead.
 """
 from __future__ import annotations
 
@@ -103,39 +115,17 @@ def _apply(states: np.ndarray, op: Op, theta=None) -> np.ndarray:
     return out.reshape(len(states), -1)
 
 
-def _pauli(states: np.ndarray, q: int, code: np.ndarray) -> None:
-    """Insert, in place, Pauli ``code`` (0 none, 1 X, 2 Y, 3 Z) on qubit q
-    of each row; Y = iXZ."""
-    bit = _bits(states.shape[1].bit_length() - 1)[q]
-    z, x, y = code >= 2, (code == 1) | (code == 2), code == 2
-    states[z] *= 1 - 2 * bit
-    states[x] = states[x][:, np.arange(len(bit)) ^ (1 << q)]
-    states[y] *= 1j
-
-
-def _evolve(c: Circuit, angles: np.ndarray, rows: int,
-            inserts: dict | None = None,
-            forks: np.ndarray | None = None) -> np.ndarray:
-    """``rows`` statevectors after c's gates on |0...0>.
-
-    angles holds, per row (or one row for all), the angle of each rotation
-    gate in gate order; inserts maps a gate index to the (qubit, Pauli
-    codes) inserted after that gate. With ``forks`` (ascending, from -1),
-    row r copies row 0 up to gate forks[r], so it is simulated only from
-    where it can differ from row 0."""
+def _evolve(c: Circuit, angles: np.ndarray, rows: int) -> np.ndarray:
+    """``rows`` statevectors after c's gates on |0...0>; angles holds, per
+    row (or one row for all), the angle of each rotation gate in gate
+    order."""
     states = np.zeros((rows, 2 ** c.n_qubits), dtype=complex)
     states[:, 0] = 1.0
-    live, k = (rows if forks is None else 1), 0
-    for i, op in enumerate(c.ops):
+    k = 0
+    for op in c.ops:
         rotation = op.gate in _ROTATIONS
-        theta = angles[:live, k] if rotation else None
-        states[:live], k = _apply(states[:live], op, theta), k + rotation
-        if forks is not None:
-            forked = np.searchsorted(forks, i, side="right")
-            states[live:forked] = states[0]
-            live = forked
-        for q, code in (inserts or {}).get(i, ()):
-            _pauli(states[:live], q, code[:live])
+        states = _apply(states, op, angles[:, k] if rotation else None)
+        k += rotation
     return states
 
 
@@ -228,53 +218,136 @@ def plan_p1(plan: CircuitPlan, vec: np.ndarray,
     return p1[list(rows)], norm[list(rows)]
 
 
+_H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+_CX = np.eye(4, dtype=complex)[[0, 1, 3, 2]]
+_I2 = np.eye(2, dtype=complex)
+_TRACE = _I2.real.ravel()  # the identity as a vector over (ket, bra)
+for _shared in (_H, _CX, _I2, _TRACE):
+    _shared.setflags(write=False)
+
+
+def _unitary(gate: str, theta: float) -> np.ndarray:
+    """2x2 matrix of a single-qubit gate; 4x4 of a two-qubit gate, with
+    its first qubit the high bit of the row and column index."""
+    if gate == "H":
+        return _H
+    if gate == "CX":
+        return _CX
+    phase = np.exp(-0.5j * theta)
+    if gate == "Rz":
+        return np.diag([phase, phase.conjugate()])
+    if gate == "CRz":
+        return np.diag([1, 1, phase, phase.conjugate()])
+    cos, sin = np.cos(theta / 2), np.sin(theta / 2)
+    return np.array([[cos, -1j * sin], [-1j * sin, cos]])
+
+
+def _density(c: Circuit, angles: np.ndarray, noise_p: float) -> np.ndarray:
+    """_outcomes under noise, from the density matrix of the live qubits
+    (see the module docstring). Axis labels: ("k", q) and ("b", q) are the
+    ket and bra of live qubit q, ("x", q) the outcome of open qubit q."""
+    lam = 4.0 * noise_p / 3.0
+    # rho -> (1 - lam) rho + lam I/2 Tr rho, over one qubit's (ket, bra)
+    depolarise = (1.0 - lam) * np.eye(4) + lam / 2.0 * np.outer(_TRACE,
+                                                                _TRACE)
+    noise = np.kron(depolarise, depolarise)  # over (ka, ba, kb, bb)
+    last = {q: i for i, op in enumerate(c.ops) for q in op.qubits}
+    pending = dict.fromkeys(range(c.n_qubits), _I2)
+    rho, axes = np.ones((), dtype=complex), []
+
+    def finish(q: int) -> None:
+        nonlocal rho, axes
+        u = pending.pop(q)
+        if ("k", q) not in axes:
+            w = np.abs(u[:, 0]) ** 2
+            if q in c.postselect:
+                rho = rho * w[0]
+            else:
+                rho, axes = np.multiply.outer(w, rho), [("x", q)] + axes
+            return
+        pair = [axes.index(("k", q)), axes.index(("b", q))]
+        if q in c.postselect:
+            rho = np.tensordot(np.outer(u[0], u[0].conj()), rho,
+                               axes=([0, 1], pair))
+            new = []
+        else:  # out[x] = sum over k, b of u[x, k] rho[k, b] u*[x, b]
+            rho = np.tensordot(u[:, :, None] * u.conj()[:, None, :], rho,
+                               axes=([1, 2], pair))
+            new = [("x", q)]
+        axes = new + [a for a in axes if a not in (("k", q), ("b", q))]
+
+    k = 0
+    for i, op in enumerate(c.ops):
+        theta = angles[k] if op.gate in _ROTATIONS else None
+        k += op.gate in _ROTATIONS
+        u = _unitary(op.gate, theta)
+        if len(op.qubits) == 1:
+            pending[op.qubits[0]] = u @ pending[op.qubits[0]]
+        else:
+            for q in op.qubits:
+                if ("k", q) not in axes:
+                    v = pending[q][:, 0]
+                    rho = np.multiply.outer(np.outer(v, v.conj()), rho)
+                    axes = [("k", q), ("b", q)] + axes
+                    pending[q] = _I2
+            a, b = op.qubits
+            both = pending[a][:, None, :, None] * pending[b][None, :, None, :]
+            g = (u @ both.reshape(4, 4)).reshape(2, 2, 2, 2)
+            # sup[ka, ba, kb, bb, ka', ba', kb', bb'] = g[ka, kb, ka', kb']
+            # g*[ba, bb, ba', bb']
+            sup = (g[:, None, :, None, :, None, :, None]
+                   * g.conj()[None, :, None, :, None, :, None, :])
+            sup = (noise @ sup.reshape(16, 16)).reshape((2,) * 8)
+            ket_bra = [("k", a), ("b", a), ("k", b), ("b", b)]
+            rho = np.tensordot(sup, rho, axes=(
+                [4, 5, 6, 7], [axes.index(label) for label in ket_bra]))
+            axes = ket_bra + [x for x in axes if x not in ket_bra]
+            pending[a] = pending[b] = _I2
+        for q in op.qubits:
+            if last[q] == i and (("k", q) in axes or q in c.postselect):
+                finish(q)
+    for q in list(pending):
+        finish(q)
+    return rho.transpose([axes.index(("x", q)) for q in c.open]).real.ravel()
+
+
+def _outcomes(c: Circuit, ps: ParameterStore, noise_p: float) -> np.ndarray:
+    """Probability that one shot passes postselection and reads open
+    bitstring j, for each j read as a binary number with c.open[0] the most
+    significant bit."""
+    angles = _angles(c, ps)
+    if noise_p > 0.0:
+        return _density(c, angles[0], noise_p)
+    n = c.n_qubits
+    # axis j of the reshaped statevector is qubit n - 1 - j
+    probs = (np.abs(_evolve(c, angles, 1)[0]) ** 2).reshape((2,) * n)[
+        tuple(0 if q in c.postselect else slice(None)
+              for q in reversed(range(n)))]
+    kept = [q for q in reversed(range(n)) if q not in c.postselect]
+    return probs.transpose([kept.index(q) for q in c.open]).ravel()
+
+
 def sample(c: Circuit, ps: ParameterStore, n_shots: int, seed: int,
            noise_p: float = 0.0) -> dict[str, int]:
     """Counts over open-qubit bitstrings; deterministic given seed.
 
-    Shots draw from the full-basis distribution and any shot whose
-    postselected qubits read nonzero is discarded. With noise_p > 0, each
-    shot first samples Pauli insertions after every two-qubit gate (one
-    chance per touched qubit); shots sharing an insertion pattern share one
-    simulated row. The noise-free pattern draws its counts first, then the
-    others in the order of their first shot. noise_p = 0 takes exactly the
-    noiseless path.
+    Each shot either passes postselection and reads an open bitstring or is
+    discarded. Shots are independent, so all counts come from one
+    multinomial over (discarded, each open bitstring) with the exact
+    probabilities of one shot. With noise_p > 0 those come from the density
+    matrix under the channel-averaged Pauli noise (see the module
+    docstring); with noise_p = 0 from the statevector. Rounding negatives
+    are clipped to 0 before the draw.
     """
     if n_shots < 1:
         raise ValueError("n_shots must be at least 1")
-    rng = np.random.default_rng(seed)
-    sites = [(i, q) for i, op in enumerate(c.ops) if len(op.qubits) == 2
-             for q in op.qubits]
-    shots, inserts, forks, draw = np.array([n_shots]), {}, None, [0]
-    if noise_p > 0.0 and sites:
-        hits = rng.random((n_shots, len(sites))) < noise_p
-        paulis = rng.integers(0, 3, size=(n_shots, len(sites)))
-        # one row per distinct pattern, after an added clean pattern that
-        # makes the clean row exist even when no shot is clean
-        codes = np.vstack((np.zeros(len(sites), dtype=int),
-                           np.where(hits, paulis + 1, 0)))
-        by_code = np.lexsort(codes.T)  # stable: equal rows keep shot order
-        codes = codes[by_code]
-        start = np.flatnonzero(np.r_[True, (codes[1:] != codes[:-1]).any(1)])
-        shots, codes = np.diff(np.r_[start, n_shots + 1]), codes[start]
-        shots[0] -= 1  # the added clean pattern
-        # a row forks off the clean row 0 at its first insertion; counts
-        # are drawn for the clean row, then by each pattern's first shot
-        gates = np.array([i for i, _ in sites])
-        forks = np.where(codes.any(axis=1),
-                         gates[np.argmax(codes != 0, axis=1)], -1)
-        rows = np.argsort(forks, kind="stable")
-        codes, shots, forks = codes[rows], shots[rows], forks[rows]
-        draw = np.argsort(by_code[start][rows])
-        draw = draw[shots[draw] > 0]
-        for j, (i, q) in enumerate(sites):
-            inserts.setdefault(i, []).append((q, codes[:, j]))
-    states = _evolve(c, _angles(c, ps), len(shots), inserts, forks)[draw]
-    probs = np.abs(states) ** 2
-    counts_vec = rng.multinomial(
-        shots[draw], probs / probs.sum(axis=1, keepdims=True)).sum(axis=0)
-
-    counts = {key: int(n) for key, n in _by_open(c, counts_vec).items() if n}
-    if not counts:
+    if not 0.0 <= noise_p <= 1.0:
+        raise ValueError(f"noise_p must lie in [0, 1], got {noise_p!r}")
+    kept = np.clip(_outcomes(c, ps, noise_p), 0.0, None)
+    drawn = np.random.default_rng(seed).multinomial(
+        n_shots, np.r_[max(0.0, 1.0 - kept.sum()), kept])[1:]
+    if not drawn.any():
         raise AllShotsDiscarded(f"all {n_shots} shots violated postselection")
-    return counts
+    k = len(c.open)
+    return {format(j, f"0{k}b") if k else "": int(drawn[j])
+            for j in np.flatnonzero(drawn)}

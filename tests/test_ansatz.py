@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from synq.ansatz import (
-    Circuit, InvalidConfig, Node, Op, Symbol, TensorNetwork, UnsupportedBox,
+    Circuit, InvalidConfig, InvalidOp, Node, Op, Symbol, TensorNetwork,
+    UnsupportedBox,
     _mps_groups, iqp_ansatz, mps_ansatz, spider_ansatz, tensor_ansatz,
 )
 from synq.diagram import Diagram, Spider, Word, cup_at, word
@@ -99,6 +100,32 @@ class TestIqp:
             iqp_ansatz(word("x", ts("n")), {"s": 1})
         with pytest.raises(InvalidConfig):
             iqp_ansatz(word("x", ts("n")), {"n": 0})
+
+
+class TestCircuitOps:
+    def check(self, op, problem):
+        with pytest.raises(InvalidOp) as err:
+            Circuit(3, (Op("H", (0,)), op), (), (0, 1, 2))
+        assert isinstance(err.value, ValueError)
+        message = str(err.value)
+        assert message.startswith(f"op 1 ({op.gate!r} on qubits {op.qubits})")
+        assert problem in message
+
+    def test_unknown_gate(self):
+        self.check(Op("Ry", (0,), 0.3), "unknown gate")
+
+    def test_single_qubit_gate_on_two_qubits(self):
+        self.check(Op("Rx", (0, 1), 0.3), "Rx acts on 1 qubit")
+
+    def test_two_qubit_gate_on_one_qubit(self):
+        self.check(Op("CRz", (2,), 0.3), "CRz acts on 2 qubit")
+
+    def test_repeated_qubit(self):
+        self.check(Op("CX", (0, 0)), "repeated qubit")
+
+    def test_qubit_out_of_range(self):
+        self.check(Op("CX", (1, 3)), "not in range(3)")
+        self.check(Op("H", (-1,)), "not in range(3)")
 
 
 class TestTensor:

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from synq.ansatz import Circuit, Op, Symbol, iqp_ansatz
@@ -11,8 +11,8 @@ from synq.diagram import Cap, Diagram, cup_at, word
 from synq.params import ParameterStore, UnboundSymbol
 from synq.pipeline import PipelineConfig, compile_model
 from synq.simulator import (
-    AllShotsDiscarded, ZeroNorm, evaluate, plan_circuits, plan_p1, sample,
-    statevector,
+    ZERO_NORM_THRESHOLD, AllShotsDiscarded, ZeroNorm, _outcomes, evaluate,
+    plan_circuits, plan_p1, sample, statevector,
 )
 from synq.types import ts
 
@@ -63,6 +63,19 @@ def lift2(n, mat4, q0, q1):
     return full
 
 
+def full_gate(n: int, op: Op, ps: ParameterStore) -> np.ndarray:
+    """The 2^n x 2^n matrix of one gate, by explicit kron products."""
+    if op.gate == "H":
+        return lift1(n, H, op.qubits[0])
+    if op.gate == "Rx":
+        return lift1(n, rx(angle(op, ps)), op.qubits[0])
+    if op.gate == "Rz":
+        return lift1(n, rz(angle(op, ps)), op.qubits[0])
+    if op.gate == "CRz":
+        return lift2(n, crz(angle(op, ps)), *op.qubits)
+    return lift2(n, CX, *op.qubits)
+
+
 def dense_oracle(circuit: Circuit, ps: ParameterStore,
                  paulis: dict | None = None) -> np.ndarray:
     """Independent statevector: full 2^n matrices by explicit kron products.
@@ -73,19 +86,37 @@ def dense_oracle(circuit: Circuit, ps: ParameterStore,
     state = np.zeros(2 ** n, dtype=complex)
     state[0] = 1.0
     for i, op in enumerate(circuit.ops):
-        if op.gate == "H":
-            state = lift1(n, H, op.qubits[0]) @ state
-        elif op.gate == "Rx":
-            state = lift1(n, rx(angle(op, ps)), op.qubits[0]) @ state
-        elif op.gate == "Rz":
-            state = lift1(n, rz(angle(op, ps)), op.qubits[0]) @ state
-        elif op.gate == "CRz":
-            state = lift2(n, crz(angle(op, ps)), *op.qubits) @ state
-        elif op.gate == "CX":
-            state = lift2(n, CX, *op.qubits) @ state
+        state = full_gate(n, op, ps) @ state
         for q, pauli in (paulis or {}).get(i, ()):
             state = lift1(n, PAULIS[pauli], q) @ state
     return state
+
+
+def density_oracle(circuit: Circuit, ps: ParameterStore,
+                   p: float) -> np.ndarray:
+    """Independent noisy distribution from a full 2^n x 2^n density matrix:
+    after each two-qubit gate, (1-p) rho + (p/3) sum_P P rho P+ on each
+    touched qubit by explicit Pauli conjugations. Entry j is the
+    probability that postselection holds and the open qubits read j, with
+    circuit.open[0] the most significant bit of j."""
+    n = circuit.n_qubits
+    rho = np.zeros((2 ** n, 2 ** n), dtype=complex)
+    rho[0, 0] = 1.0
+    for op in circuit.ops:
+        u = full_gate(n, op, ps)
+        rho = u @ rho @ u.conj().T
+        if len(op.qubits) == 2:
+            for q in op.qubits:
+                flips = [lift1(n, pauli, q) for pauli in PAULIS]
+                rho = (1 - p) * rho + (p / 3) * sum(
+                    f @ rho @ f.conj().T for f in flips)
+    out = np.zeros(2 ** len(circuit.open))
+    for basis, weight in enumerate(np.real(np.diag(rho))):
+        bits = [(basis >> q) & 1 for q in range(n)]
+        if not any(bits[q] for q in circuit.postselect):
+            out[int("".join(str(bits[q]) for q in circuit.open) or "0",
+                    2)] += weight
+    return out
 
 
 def oracle_p1(circuit: Circuit, ps: ParameterStore) -> tuple[float, float]:
@@ -296,6 +327,89 @@ class TestSample:
         for key, n in counts.items():
             got[sum(int(b) << q for q, b in zip(c.open, key))] = n / n_shots
         assert 0.5 * np.abs(got - want).sum() < 0.01
+
+
+@st.composite
+def noisy_circuits(draw):
+    """Circuits of up to 5 qubits, each qubit open or postselected, the
+    open qubits in any order, two-qubit gates in either qubit order."""
+    n = draw(st.integers(1, 5))
+    gates = ["H", "Rx", "Rz"] + (["CRz", "CX"] if n >= 2 else [])
+    ops = []
+    for _ in range(draw(st.integers(0, 10))):
+        gate = draw(st.sampled_from(gates))
+        width = 2 if gate in ("CRz", "CX") else 1
+        qubits = tuple(draw(st.permutations(range(n)))[:width])
+        param = draw(st.floats(0, 2 * np.pi)) \
+            if gate in ("Rx", "Rz", "CRz") else None
+        ops.append(Op(gate, qubits, param))
+    post = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    opened = draw(st.permutations([q for q in range(n) if not post[q]]))
+    return Circuit(n, tuple(ops), tuple(q for q in range(n) if post[q]),
+                   tuple(opened))
+
+
+# H after a two-qubit gate makes a phase error observable
+SEVERAL_OPEN = Circuit(3, (Op("H", (2,)), Op("CX", (2, 0)), Op("H", (0,)),
+                           Op("CRz", (1, 2), 0.7), Op("H", (1,)),
+                           Op("CX", (0, 1)), Op("Rx", (2,), 1.1)),
+                       (), (1, 2, 0))
+BOTH_ORDERS = Circuit(3, (Op("H", (0,)), Op("Rx", (1,), 0.4),
+                          Op("CRz", (0, 1), 1.9), Op("CRz", (1, 0), 0.8),
+                          Op("CX", (1, 2)), Op("CX", (2, 1)), Op("H", (1,)),
+                          Op("H", (2,))), (1,), (2, 0))
+# qubit 3 is touched by no gate
+UNTOUCHED = (Op("Rx", (0,), 0.3), Op("CX", (0, 1)), Op("Rz", (2,), 0.5),
+             Op("H", (2,)), Op("CRz", (2, 1), 2.1), Op("H", (1,)))
+UNTOUCHED_OPEN = Circuit(4, UNTOUCHED, (1,), (3, 0, 2))
+UNTOUCHED_POSTSELECTED = Circuit(4, UNTOUCHED, (1, 3), (2, 0))
+
+
+class TestNoisyDistribution:
+    """sample draws from _outcomes; here that distribution meets the
+    density-matrix oracle, which shares no code with the simulator."""
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(noisy_circuits(), st.sampled_from([0.0, 0.01, 0.2, 1.0]))
+    @example(SEVERAL_OPEN, 0.2)
+    @example(BOTH_ORDERS, 0.01)
+    @example(BOTH_ORDERS, 1.0)
+    @example(UNTOUCHED_OPEN, 0.2)
+    @example(UNTOUCHED_POSTSELECTED, 0.2)
+    def test_matches_density_oracle(self, c, p):
+        got = _outcomes(c, EMPTY_PS, p)
+        assert got.shape == (2 ** len(c.open),)
+        assert np.abs(got - density_oracle(c, EMPTY_PS, p)).max() < 1e-12
+        if p == 0.0:
+            if got.sum() < ZERO_NORM_THRESHOLD:
+                with pytest.raises(ZeroNorm):
+                    evaluate(c, EMPTY_PS)
+                return
+            k = len(c.open)
+            want = evaluate(c, EMPTY_PS)
+            assert all(abs(got[j] / got.sum()
+                           - want[format(j, f"0{k}b") if k else ""]) < 1e-12
+                       for j in range(2 ** k))
+
+    def test_kept_shots_binomial_on_sentence_circuit(self):
+        model = compile_model(PipelineConfig(ansatz="iqp", optimizer="spsa"),
+                              generate_dataset(0))
+        c = min((c for c in model.artifacts if c.postselect),
+                key=lambda c: c.n_qubits)
+        n_shots, p = 8192, 0.01
+        kept = density_oracle(c, model.store, p).sum()
+        sigma = np.sqrt(n_shots * kept * (1 - kept))
+        assert 0.01 < kept < 0.99
+        for seed in range(3):
+            counts = sample(c, model.store, n_shots, seed, noise_p=p)
+            assert abs(sum(counts.values()) - n_shots * kept) <= 5 * sigma
+
+    @pytest.mark.parametrize("p", [-0.5, 1.5, float("nan"), float("inf")])
+    def test_noise_p_outside_unit_interval_rejected(self, p):
+        c = Circuit(2, (Op("H", (0,)), Op("CX", (0, 1))), (), (0, 1))
+        with pytest.raises(ValueError, match=f"noise_p .*{p!r}"):
+            sample(c, EMPTY_PS, 100, seed=0, noise_p=p)
 
 
 @st.composite

@@ -164,6 +164,12 @@ class TestPipelines:
             compile_model(cfg, ds)
         assert "0:" in str(err.value)
 
+    @pytest.mark.parametrize("noise_p", [3.0, 1.0001, -0.5, float("nan"),
+                                         float("inf")])
+    def test_noise_p_outside_unit_interval_rejected(self, noise_p):
+        with pytest.raises(ValueError, match=f"noise_p .*{noise_p!r}"):
+            PipelineConfig(ansatz="iqp", backend="shots", noise_p=noise_p)
+
     def test_zero_iterations(self):
         ds = tiny_dataset()
         cfg = PipelineConfig(reader="cups", ansatz="tensor", iterations=0,
