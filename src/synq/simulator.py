@@ -9,10 +9,11 @@ One gate kernel, ``_apply``, acts on a batch of statevectors of shape
 (b, 2**n) with one angle per row: CX is a fixed index permutation, Rz and
 CRz are diagonal phases chosen by precomputed bit patterns, and H and Rx a
 two-point butterfly over the gate qubit. ``statevector`` and ``evaluate``
-run it as a batch of one. ``plan_circuits`` groups circuits by structure
-(gates and their qubits, postselected and open qubits); ``plan_p1`` then
-evaluates each group in one pass, reading each row's angles from the flat
-parameter vector.
+run it as a batch of one, and ``_density`` reads its gate matrices off
+it. ``plan_circuits`` groups circuits by structure (gates and their
+qubits, postselected and open qubits); ``plan_p1`` then evaluates each
+group in one pass, reading each row's angles from the flat parameter
+vector.
 
 The noise model: after every two-qubit gate, each touched qubit suffers X,
 Y or Z, each with probability p / 3. Shots are independent, so ``sample``
@@ -29,8 +30,8 @@ two-qubit gate, with the pending matrices of its qubits and the
 depolarising channel on both, is one 16x16 superoperator applied by one
 ``tensordot``. A postselected qubit is projected onto |0> right after its
 last gate and that gate's noise, and an open qubit's outcome is read out
-there, so neither stays live any longer. With p = 0 the distribution
-comes from ``statevector`` instead.
+there, so neither stays live any longer. With p = 0 the channel is the
+identity and the distribution is the noiseless one.
 """
 from __future__ import annotations
 
@@ -218,32 +219,32 @@ def plan_p1(plan: CircuitPlan, vec: np.ndarray,
     return p1[list(rows)], norm[list(rows)]
 
 
-_H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-_CX = np.eye(4, dtype=complex)[[0, 1, 3, 2]]
 _I2 = np.eye(2, dtype=complex)
 _TRACE = _I2.real.ravel()  # the identity as a vector over (ket, bra)
-for _shared in (_H, _CX, _I2, _TRACE):
+for _shared in (_I2, _TRACE):
     _shared.setflags(write=False)
 
 
-def _unitary(gate: str, theta: float) -> np.ndarray:
-    """2x2 matrix of a single-qubit gate; 4x4 of a two-qubit gate, with
-    its first qubit the high bit of the row and column index."""
-    if gate == "H":
-        return _H
-    if gate == "CX":
-        return _CX
-    phase = np.exp(-0.5j * theta)
-    if gate == "Rz":
-        return np.diag([phase, phase.conjugate()])
-    if gate == "CRz":
-        return np.diag([1, 1, phase, phase.conjugate()])
-    cos, sin = np.cos(theta / 2), np.sin(theta / 2)
-    return np.array([[cos, -1j * sin], [-1j * sin, cos]])
+def _matrices(c: Circuit, angles: np.ndarray) -> list[np.ndarray]:
+    """Per op of c, its 2x2 matrix, or 4x4 with its first qubit the high bit
+    of the row and column index. Read off ``_apply`` on the basis states,
+    one call per gate kind: row i of its output is U e_i."""
+    thetas = iter(angles)
+    theta = [next(thetas) if op.gate in _ROTATIONS else 0.0 for op in c.ops]
+    out = [None] * len(c.ops)
+    for gate in dict.fromkeys(op.gate for op in c.ops):
+        at = [i for i, op in enumerate(c.ops) if op.gate == gate]
+        dim = 4 if len(c.ops[at[0]].qubits) == 2 else 2
+        basis = np.tile(np.eye(dim, dtype=complex), (len(at), 1))
+        mats = _apply(basis, Op(gate, (1, 0) if dim == 4 else (0,)),
+                      np.repeat([theta[i] for i in at], dim))
+        for i, m in zip(at, mats.reshape(-1, dim, dim)):
+            out[i] = m.T
+    return out
 
 
 def _density(c: Circuit, angles: np.ndarray, noise_p: float) -> np.ndarray:
-    """_outcomes under noise, from the density matrix of the live qubits
+    """_outcomes, from the density matrix of the live qubits
     (see the module docstring). Axis labels: ("k", q) and ("b", q) are the
     ket and bra of live qubit q, ("x", q) the outcome of open qubit q."""
     lam = 4.0 * noise_p / 3.0
@@ -276,11 +277,7 @@ def _density(c: Circuit, angles: np.ndarray, noise_p: float) -> np.ndarray:
             new = [("x", q)]
         axes = new + [a for a in axes if a not in (("k", q), ("b", q))]
 
-    k = 0
-    for i, op in enumerate(c.ops):
-        theta = angles[k] if op.gate in _ROTATIONS else None
-        k += op.gate in _ROTATIONS
-        u = _unitary(op.gate, theta)
+    for i, (op, u) in enumerate(zip(c.ops, _matrices(c, angles))):
         if len(op.qubits) == 1:
             pending[op.qubits[0]] = u @ pending[op.qubits[0]]
         else:
@@ -315,16 +312,7 @@ def _outcomes(c: Circuit, ps: ParameterStore, noise_p: float) -> np.ndarray:
     """Probability that one shot passes postselection and reads open
     bitstring j, for each j read as a binary number with c.open[0] the most
     significant bit."""
-    angles = _angles(c, ps)
-    if noise_p > 0.0:
-        return _density(c, angles[0], noise_p)
-    n = c.n_qubits
-    # axis j of the reshaped statevector is qubit n - 1 - j
-    probs = (np.abs(_evolve(c, angles, 1)[0]) ** 2).reshape((2,) * n)[
-        tuple(0 if q in c.postselect else slice(None)
-              for q in reversed(range(n)))]
-    kept = [q for q in reversed(range(n)) if q not in c.postselect]
-    return probs.transpose([kept.index(q) for q in c.open]).ravel()
+    return _density(c, _angles(c, ps)[0], noise_p)
 
 
 def sample(c: Circuit, ps: ParameterStore, n_shots: int, seed: int,
@@ -334,10 +322,9 @@ def sample(c: Circuit, ps: ParameterStore, n_shots: int, seed: int,
     Each shot either passes postselection and reads an open bitstring or is
     discarded. Shots are independent, so all counts come from one
     multinomial over (discarded, each open bitstring) with the exact
-    probabilities of one shot. With noise_p > 0 those come from the density
-    matrix under the channel-averaged Pauli noise (see the module
-    docstring); with noise_p = 0 from the statevector. Rounding negatives
-    are clipped to 0 before the draw.
+    probabilities of one shot, which come from the density matrix under the
+    channel-averaged Pauli noise (see the module docstring). Rounding
+    negatives are clipped to 0 before the draw.
     """
     if n_shots < 1:
         raise ValueError("n_shots must be at least 1")
