@@ -19,7 +19,7 @@ import json
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .diagram import Box, Cap, Cup, Diagram, Spider, Swap, Word
+from .diagram import Cap, Cup, Diagram, Spider, Swap, Word
 from .types import TypeSeq
 
 QubitMap = dict
@@ -313,9 +313,13 @@ def _word_factors(box: Word, dims: list[int], bond_dim: int,
     """Emit the nodes for one word, returning one leg per data wire.
 
     mode "full" keeps a single tensor, "mps" splits into a bond chain and
-    "spider" into overlapping factors joined by copy nodes.
+    "spider" into overlapping factors joined by copy nodes. A word with no
+    wires (punctuation) gets no node, as it gets no gate in iqp_ansatz: a
+    scalar factor only rescales the sentence vector and leaves p1 as is.
     """
     k = len(dims)
+    if k == 0:
+        return []
     if mode == "full" or k <= max_order:
         sym = Symbol(word_symbol_name(box, 0), tuple(dims))
         nid = net.add("param", tuple(dims), sym, stem="w")

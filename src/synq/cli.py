@@ -1,8 +1,12 @@
 """Command line: ``synq train --config cfg.json --out DIR``.
 
 The config is a JSON object of PipelineConfig fields; fields left out keep
-their defaults. ``train`` compiles the generated MC-style dataset
-(``generate_dataset(0)``), trains it and writes into DIR:
+their defaults. The keys are ``reader`` ("ccg", "cups" or "spiders"),
+``ccg_path`` (an AUTO file, CCG reader only), ``rewrites`` (a list of rule
+names), ``ansatz`` ("iqp", "tensor", "mps" or "spider"), ``backend``
+("exact" or "shots"), ``n_shots``, ``noise_p``, ``optimizer`` ("adam" or
+"spsa"), ``iterations`` and ``seed``. ``train`` compiles the generated
+MC-style dataset (``generate_dataset(0)``), trains it and writes into DIR:
 
 - ``history.csv``: loss and accuracy on train and dev, one row per iteration;
 - ``store.json``: the trained parameters, symbol name -> values;
@@ -31,8 +35,6 @@ def load_config(path: str | Path) -> PipelineConfig:
     if unknown:
         raise ValueError(f"{path}: unknown config keys {unknown}; "
                          f"known: {sorted(known)}")
-    if "rewrites" in obj:
-        obj["rewrites"] = tuple(obj["rewrites"])
     return PipelineConfig(**obj)
 
 

@@ -8,8 +8,7 @@ sentence in AUTO format (the grammar makes them mechanical).
 """
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -124,39 +123,6 @@ def generate_dataset(seed: int) -> LabeledDataset:
             else:
                 test.append(idx)
     return LabeledDataset(tuple(items), tuple(train), tuple(dev), tuple(test))
-
-
-def write_tsv(ds: LabeledDataset, path: str | Path) -> None:
-    lines = [f"{label}\t{text}" for text, label in ds.items]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def read_tsv(path: str | Path,
-             splits: tuple[tuple[int, ...], ...] | None = None
-             ) -> LabeledDataset:
-    items = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        label, text = line.split("\t", 1)
-        items.append((text, int(label)))
-    if splits is None:
-        n = len(items)
-        cut1 = SPLIT_SIZES[0] * n // TOTAL
-        cut2 = cut1 + SPLIT_SIZES[1] * n // TOTAL
-        splits = (tuple(range(cut1)), tuple(range(cut1, cut2)),
-                  tuple(range(cut2, n)))
-    return LabeledDataset(tuple(items), *splits)
-
-
-def write_splits(ds: LabeledDataset, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(
-        {"train": list(ds.train), "dev": list(ds.dev), "test": list(ds.test)}))
-
-
-def read_splits(path: str | Path) -> tuple[tuple[int, ...], ...]:
-    obj = json.loads(Path(path).read_text())
-    return tuple(tuple(obj[k]) for k in ("train", "dev", "test"))
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,18 @@
 """End-to-end model assembly: sentences -> diagrams -> compiled artifacts.
 
-A PipelineConfig names the reader, optional rewrite rules, the ansatz and
-its geometry, the evaluation backend and the optimizer block. compile_model
-turns a dataset plus config into one artifact per sentence with a shared
-parameter store, giving the training loop a uniform predict interface.
+A PipelineConfig names the reader (with an optional AUTO file for the CCG
+reader), the rewrite rules, the ansatz, the evaluation backend with its
+shot count and noise, the optimizer, the iteration count and the seed.
+The ansatz geometry is fixed in compile_diagram, and the optimizer
+hyperparameters are the defaults of ``training.adam_step`` and
+``training.spsa_step``. compile_model turns a dataset plus config into one
+artifact per sentence with a shared parameter store, giving the training
+loop a uniform predict interface.
 """
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
 
@@ -24,7 +28,7 @@ from .dataset import LabeledDataset, sentence_to_auto
 from .diagram import Diagram
 from .params import ParameterStore
 from .readers import cups_read, spiders_read, tokenize
-from .rewrite import Rewriter
+from .rewrite import RULE_NAMES, Rewriter
 from .simulator import (
     AllShotsDiscarded, CircuitPlan, ZeroNorm, evaluate, plan_circuits, sample,
 )
@@ -49,38 +53,32 @@ class PipelineConfig:
     ccg_path: Optional[str] = None  # AUTO file; None derives from the grammar
     rewrites: tuple[str, ...] = ()
     ansatz: str = "spider"
-    qubit_map: dict = field(default_factory=lambda: {"n": 1, "s": 1})
-    dim_map: dict = field(default_factory=lambda: {"n": 2, "s": 2})
-    n_layers: int = 1
-    bond_dim: int = 4
-    max_order: int = 0  # 0 picks the ansatz default
     backend: str = "exact"
     n_shots: int = 8192
     noise_p: float = 0.0
     optimizer: str = "adam"
     iterations: int = 200
-    learning_rate: float = 0.05
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-    spsa_a: float = 0.05
-    spsa_c: float = 0.06
-    spsa_alpha: float = 0.602
-    spsa_gamma: float = 0.101
-    spsa_big_a: Optional[float] = None  # None means 0.1 * iterations
     seed: int = 0
 
     def __post_init__(self):
+        if isinstance(self.rewrites, str):
+            raise ValueError(f"rewrites must be a list of rule names, not "
+                             f"the string {self.rewrites!r}")
+        object.__setattr__(self, "rewrites", tuple(self.rewrites))
         checks = (
             (self.reader, READERS, "reader"),
             (self.ansatz, ANSATZE, "ansatz"),
             (self.backend, BACKENDS, "backend"),
             (self.optimizer, OPTIMIZERS, "optimizer"),
+            *((rule, RULE_NAMES, "rewrite rule") for rule in self.rewrites),
         )
         for value, allowed, what in checks:
             if value not in allowed:
                 raise ValueError(
                     f"unknown {what} {value!r}; allowed: {', '.join(allowed)}")
+        if self.ccg_path is not None and self.reader != "ccg":
+            raise ValueError(f"ccg_path {self.ccg_path!r} needs reader "
+                             f"'ccg', not {self.reader!r}")
         if self.iterations < 0 or self.n_shots < 1:
             raise ValueError("iterations must be >= 0 and n_shots >= 1")
         if not 0.0 <= self.noise_p <= 1.0:
@@ -99,7 +97,7 @@ def sentence_to_diagram(cfg: PipelineConfig, text: str,
         (tree,) = ccg.parse_auto(line)
         d = ccg.tree_to_diagram(tree)
     if cfg.rewrites:
-        d = _rewriter(tuple(cfg.rewrites))(d).normal_form()
+        d = _rewriter(cfg.rewrites)(d).normal_form()
     return d
 
 
@@ -110,7 +108,7 @@ _rewriter = lru_cache(Rewriter)
 def _load_derivations(cfg: PipelineConfig,
                       ds: LabeledDataset) -> list[Optional[str]]:
     """Item i's derivation is the ``ID=i`` entry of ``cfg.ccg_path``."""
-    if cfg.reader != "ccg" or cfg.ccg_path is None:
+    if cfg.ccg_path is None:
         return [None] * len(ds.items)
     by_id = ccg.read_auto(cfg.ccg_path)
     missing = [f"{i}: {text!r}" for i, (text, _) in enumerate(ds.items)
@@ -123,14 +121,16 @@ def _load_derivations(cfg: PipelineConfig,
 
 
 def compile_diagram(cfg: PipelineConfig, d: Diagram):
+    """The artifact of one diagram: one qubit per wire for IQP, dimension 2
+    per wire for the tensor ansatzes, each with its default split."""
     if cfg.ansatz == "iqp":
-        return iqp_ansatz(d, cfg.qubit_map, cfg.n_layers)
+        return iqp_ansatz(d, {"n": 1, "s": 1})
+    dims = {"n": 2, "s": 2}
     if cfg.ansatz == "tensor":
-        return tensor_ansatz(d, cfg.dim_map)
+        return tensor_ansatz(d, dims)
     if cfg.ansatz == "mps":
-        return mps_ansatz(d, cfg.dim_map, cfg.bond_dim,
-                          cfg.max_order or 3)
-    return spider_ansatz(d, cfg.dim_map, cfg.max_order or 2)
+        return mps_ansatz(d, dims)
+    return spider_ansatz(d, dims)
 
 
 @dataclass
@@ -158,12 +158,6 @@ def compile_model(cfg: PipelineConfig, ds: LabeledDataset) -> CompiledModel:
         raise CompileError(
             f"{len(failures)} sentences failed to compile:\n"
             + "\n".join(failures))
-    if cfg.ansatz == "iqp":
-        if cfg.qubit_map.get("s") != 1:
-            raise CompileError("binary prediction needs 1 sentence qubit")
-    else:
-        if cfg.dim_map.get("s") != 2:
-            raise CompileError("binary prediction needs sentence dimension 2")
     symbols = []
     for art in artifacts:
         symbols.extend(art.symbols)

@@ -23,7 +23,7 @@ import numpy as np
 from .ansatz import TensorNetwork
 from .contract import NetworkPlan, plan_networks
 from .params import ParameterStore
-from .pipeline import CompiledModel, PipelineConfig, group_p1, predict_p1, \
+from .pipeline import CompiledModel, group_p1, predict_p1, \
     prediction_gradient, shot_seed
 from .simulator import ZERO_NORM_THRESHOLD, CircuitPlan, plan_p1
 
@@ -81,10 +81,9 @@ def adam_step(params: np.ndarray, grad: np.ndarray, state: AdamState,
 
 def spsa_step(params: np.ndarray, loss_fn: Callable[[np.ndarray], float],
               k: int, a: float = 0.05, c: float = 0.06, big_a: float = 0.0,
-              alpha: float = 0.602, gamma: float = 0.101,
-              rng: Optional[np.random.Generator] = None) -> np.ndarray:
+              alpha: float = 0.602, gamma: float = 0.101, *,
+              rng: np.random.Generator) -> np.ndarray:
     """One SPSA update: two loss evaluations along a random direction."""
-    rng = rng if rng is not None else np.random.default_rng(k)
     delta = rng.choice((-1.0, 1.0), size=params.shape)
     ck = c / (k + 1) ** gamma
     ak = a / (big_a + k + 1) ** alpha
@@ -190,8 +189,6 @@ def train(model: CompiledModel) -> tuple[ParameterStore, TrainHistory]:
     vec = store.to_vector()
     adam_state = AdamState.zeros(len(vec))
     spsa_rng = np.random.default_rng(cfg.seed)
-    big_a = (cfg.spsa_big_a if cfg.spsa_big_a is not None
-             else 0.1 * cfg.iterations)
     if cfg.optimizer == "adam":
         if not isinstance(plan, NetworkPlan):
             raise TypeError("exact gradients need a tensor backend")
@@ -213,16 +210,14 @@ def train(model: CompiledModel) -> tuple[ParameterStore, TrainHistory]:
                 for i in sorted(degenerate):
                     predict_p1(model, current, i)
             grad /= len(train_idx)
-            vec, adam_state = adam_step(
-                vec, grad, adam_state, cfg.learning_rate, cfg.beta1,
-                cfg.beta2, cfg.epsilon)
+            vec, adam_state = adam_step(vec, grad, adam_state)
         else:
             def loss_at(theta: np.ndarray, _it=it) -> float:
                 p1s = _batch_p1(model, plan, theta, train_idx, _it, slot=0)
                 return _mean_loss(p1s, train_y)
 
-            vec = spsa_step(vec, loss_at, it, cfg.spsa_a, cfg.spsa_c,
-                            big_a, cfg.spsa_alpha, cfg.spsa_gamma, spsa_rng)
+            vec = spsa_step(vec, loss_at, it, big_a=0.1 * cfg.iterations,
+                            rng=spsa_rng)
 
         if isinstance(plan, NetworkPlan):  # one pass per group for both
             p1s = _batch_p1(model, plan, vec, train_idx + dev_idx, it, 1)
@@ -239,13 +234,12 @@ def train(model: CompiledModel) -> tuple[ParameterStore, TrainHistory]:
 
 
 def evaluate_split(model: CompiledModel, store: ParameterStore,
-                   split: str = "test",
-                   iteration: int = -1) -> dict[str, float]:
+                   split: str = "test") -> dict[str, float]:
     """Loss and accuracy of a split under a trained store."""
     ds = model.dataset
     idx, labels = getattr(ds, split), ds.labels(split)
     vec = store.to_vector(model.store.names())  # in the model's layout
-    p1s = _batch_p1(model, model.plan, vec, idx, iteration, slot=3)
+    p1s = _batch_p1(model, model.plan, vec, idx, -1, slot=3)
     return {
         f"{split}_loss": _mean_loss(p1s, labels),
         f"{split}_accuracy": accuracy(p1s, labels),

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +9,11 @@ from synq.ansatz import (
     UnsupportedBox,
     _mps_groups, iqp_ansatz, mps_ansatz, spider_ansatz, tensor_ansatz,
 )
+from synq.ccg import parse_auto, read_auto, tree_to_diagram
+from synq.contract import contract
 from synq.diagram import Diagram, Spider, Word, cup_at, word
+from synq.params import ParameterStore
+from synq.pipeline import PipelineConfig, _vector_p1, compile_diagram
 from synq.types import ts
 
 QM = {"n": 1, "s": 1}
@@ -267,3 +272,27 @@ def test_tensor_network_names_an_unknown_leg(edges, open_legs):
         TensorNetwork((u,), edges, open_legs)
     tn = TensorNetwork((u,), (), (("u", 0),))
     assert tn.node("u") is u and tn.leg_dim(("u", 0)) == 2
+
+
+FIXTURES = Path(__file__).parent / "data" / "fixtures.auto"
+
+
+@pytest.mark.parametrize("ansatz", ["tensor", "mps", "spider"])
+@pytest.mark.parametrize("deriv_id", ["fix.10", "fix.22"])
+def test_word_without_wires_gets_no_node(ansatz, deriv_id):
+    # the sentence-final "." has an empty codomain: a scalar word tensor
+    # would only rescale the sentence vector, so p1 must not change
+    (tree,) = parse_auto(read_auto(FIXTURES)[deriv_id])
+    d = tree_to_diagram(tree)
+    assert any(isinstance(b, Word) and not len(b.dom @ b.cod)
+               for b, _ in d.layers)
+    tn = compile_diagram(PipelineConfig(ansatz=ansatz), d)
+    assert all(sym.shape for sym in tn.symbols)
+    store = ParameterStore.initialize(tn.symbols, 0)
+    scalar = Symbol(".____0")
+    with_scalar = TensorNetwork(
+        tn.nodes + (Node("punct", "param", (), scalar),), tn.edges,
+        tn.open_legs)
+    store[scalar.name] = 3.81
+    p1 = [_vector_p1(contract(net, store)) for net in (tn, with_scalar)]
+    assert abs(p1[0] - p1[1]) <= 1e-12

@@ -19,7 +19,7 @@ def test_train_writes_outputs(tmp_path, capsys, pipeline):
     out = tmp_path / "run"
     assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
 
-    rows = list(csv.reader((out / "history.csv").open()))
+    rows = list(csv.reader((out / "history.csv").read_text().splitlines()))
     assert rows[0] == ["iter", "train_loss", "train_acc", "dev_loss",
                        "dev_acc"]
     assert [row[0] for row in rows[1:]] == ["0", "1"]
@@ -36,7 +36,10 @@ def test_train_writes_outputs(tmp_path, capsys, pipeline):
 
 
 @pytest.mark.parametrize("text", ['{"ansatz": "iqp", "layers": 2}',
-                                  '{"ansatz": "nope"}', "[1]", "{"])
+                                  '{"ansatz": "nope"}', "[1]", "{",
+                                  '{"learning_rate": 0.1}',
+                                  '{"dim_map": {"n": 3, "s": 2}}',
+                                  '{"rewrites": "determiner"}'])
 def test_bad_config_is_a_usage_error(tmp_path, capsys, text):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(text)

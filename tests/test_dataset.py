@@ -2,8 +2,8 @@ import pytest
 
 from synq.ccg import parse_auto, tree_to_diagram
 from synq.dataset import (
-    FOOD, IT, SEED_SENTENCES, OutOfGrammar, generate_dataset, read_splits,
-    read_tsv, sentence_to_auto, write_auto, write_splits, write_tsv,
+    FOOD, IT, SEED_SENTENCES, OutOfGrammar, generate_dataset,
+    sentence_to_auto, write_auto,
 )
 from synq.types import ts
 
@@ -36,14 +36,6 @@ def test_vocabularies_disjoint():
     food = {w for v in FOOD.values() for w in v}
     it = {w for v in IT.values() for w in v}
     assert not food & it
-
-
-def test_tsv_round_trip(tmp_path):
-    ds = generate_dataset(1)
-    write_tsv(ds, tmp_path / "d.tsv")
-    write_splits(ds, tmp_path / "s.json")
-    back = read_tsv(tmp_path / "d.tsv", read_splits(tmp_path / "s.json"))
-    assert back == ds
 
 
 def test_every_sentence_derivation_converts():

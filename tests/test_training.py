@@ -170,10 +170,25 @@ class TestPipelines:
         with pytest.raises(ValueError, match=f"noise_p .*{noise_p!r}"):
             PipelineConfig(ansatz="iqp", backend="shots", noise_p=noise_p)
 
+    def test_config_is_hashable_and_holds_no_mutable_value(self):
+        cfg = PipelineConfig(rewrites=["determiner"])
+        assert cfg.rewrites == ("determiner",)
+        assert hash(cfg) == hash(PipelineConfig(rewrites=("determiner",)))
+
+    @pytest.mark.parametrize("kwargs, named", [
+        ({"rewrites": ("determiners",)}, "rewrite rule 'determiners'"),
+        ({"rewrites": "determiner"}, "string 'determiner'"),
+        ({"reader": "cups", "ccg_path": "/nonexistent.auto"},
+         "'/nonexistent.auto' needs reader 'ccg', not 'cups'"),
+    ])
+    def test_config_mistake_rejected_at_construction(self, kwargs, named):
+        with pytest.raises(ValueError, match=named):
+            PipelineConfig(**kwargs)
+
     def test_zero_iterations(self):
         ds = tiny_dataset()
         cfg = PipelineConfig(reader="cups", ansatz="tensor", iterations=0,
-                             dim_map={"n": 2, "s": 2}, seed=0)
+                             seed=0)
         model = compile_model(cfg, ds)
         store, history = train(model)
         assert len(history) == 0
@@ -195,8 +210,7 @@ class TestPipelines:
         from synq.diagram import word
         from synq.types import ts as _ts
         ds = tiny_dataset()
-        cfg = PipelineConfig(reader="cups", ansatz="tensor",
-                             dim_map={"n": 2, "s": 2})
+        cfg = PipelineConfig(reader="cups", ansatz="tensor")
         model = compile_model(cfg, ds)
         art = tensor_ansatz(word("w", _ts("s")), {"s": 2})
         model.artifacts[0] = art
@@ -337,8 +351,7 @@ class TestAdamGradientPass:
     def test_zero_vector_warns_once_and_adds_no_gradient(self, monkeypatch,
                                                          caplog):
         ds = tiny_dataset()
-        cfg = PipelineConfig(reader="cups", ansatz="tensor", iterations=1,
-                             dim_map={"n": 2, "s": 2})
+        cfg = PipelineConfig(reader="cups", ansatz="tensor", iterations=1)
         clean = compile_model(cfg, ds)
         model = with_dead_row(clean, 0)
         assert ds.train[0] == 0
