@@ -19,6 +19,8 @@ import json
 from dataclasses import dataclass
 from typing import Optional, Union
 
+import numpy as np
+
 from .diagram import Cap, Cup, Diagram, Spider, Swap, Word
 from .types import TypeSeq
 
@@ -74,6 +76,40 @@ def _values(mapping: dict, seq: TypeSeq, what: str) -> list[int]:
 # ---------------------------------------------------------------------------
 
 GATES = {"H": 1, "Rx": 1, "Rz": 1, "CRz": 2, "CX": 2}  # gate: qubit count
+ROTATIONS = ("Rx", "Rz", "CRz")  # the gates that take an angle
+
+
+def _diagonal(theta, signs: tuple[int, ...]) -> np.ndarray:
+    # diag(e^{i s theta / 2} for s in signs), batched over theta
+    return np.exp(0.5j * np.multiply.outer(theta, signs))[..., None] \
+        * np.eye(len(signs))
+
+
+def _rx(theta) -> np.ndarray:
+    half = np.divide(theta, 2)
+    return np.multiply.outer(np.cos(half), np.eye(2)) \
+        - 1j * np.multiply.outer(np.sin(half), [[0.0, 1.0], [1.0, 0.0]])
+
+
+_H = np.sqrt(0.5) * np.array([[1.0, 1.0], [1.0, -1.0]])
+_CX = np.eye(4)[[0, 1, 3, 2]].reshape(2, 2, 2, 2)
+for _shared in (_H, _CX):
+    _shared.setflags(write=False)
+
+# The gate conventions, fixed project-wide: the tensor of each gate as a
+# function of its angle theta (ignored by H and CX). A one-qubit gate is
+# (2, 2) and a two-qubit gate (2, 2, 2, 2), output indices before input
+# indices, the first qubit of the op first in each; the axes of an array
+# theta come first. Rx(t) = exp(-i t X / 2), Rz(t) = exp(-i t Z / 2) and
+# CRz(t) = diag(1, 1, e^{-it/2}, e^{it/2}) over (control, target).
+GATE_TENSORS = {
+    "H": lambda theta: _H,
+    "CX": lambda theta: _CX,
+    "Rx": _rx,
+    "Rz": lambda theta: _diagonal(theta, (-1, 1)),
+    "CRz": lambda theta: _diagonal(theta, (0, 0, -1, 1)).reshape(
+        np.shape(theta) + (2,) * 4),
+}
 
 
 @dataclass(frozen=True)
@@ -218,12 +254,14 @@ def iqp_ansatz(d: Diagram, qm: QubitMap, n_layers: int = 1) -> Circuit:
 @dataclass(frozen=True)
 class Node:
     node_id: str
-    kind: str  # "param" | "delta" | "copy"
+    # "param" | "delta" | "copy"; circuit networks add "zero" (|0> or <0|)
+    # and the gates of GATE_TENSORS, a rotation's angle gathered per row
+    kind: str
     shape: tuple[int, ...]
     symbol: Optional[Symbol] = None
 
     def __post_init__(self):
-        if self.kind not in ("param", "delta", "copy"):
+        if self.kind not in ("param", "delta", "copy", "zero", *GATES):
             raise ValueError(f"bad node kind {self.kind!r}")
         if (self.kind == "param") != (self.symbol is not None):
             raise ValueError("param nodes carry a symbol, others do not")

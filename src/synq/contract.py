@@ -16,10 +16,13 @@ rounding.
 
 The replay runs the recorded steps as ``np.einsum`` calls over a batch of
 networks of one structure. Every tensor a parameter reaches carries a
-leading sentence axis; the copy, delta and identity tensors do not and are
-shared by every row. ``plan_networks`` groups networks by structure and
-plans each group once; each row's parameters are gathered from the flat
-vector with index arrays. ``contract`` is a batch of one.
+leading sentence axis; the fixed leaves (copy, delta and identity tensors,
+a circuit's |0>, <0|, H and CX) do not and are shared by every row.
+``plan_networks`` groups networks by structure and plans each group once;
+each row's parameters are gathered from the flat vector with index arrays:
+a stored tensor's entries, or the angle of a circuit's rotation gate,
+which ``ansatz.GATE_TENSORS`` turns into its complex tensor. ``contract``
+is a batch of one.
 
 The gradient walks the recorded steps backwards from the cotangent of the
 values: the cotangent of each operand is the result's cotangent contracted
@@ -37,7 +40,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .ansatz import Node, TensorNetwork
+from .ansatz import GATE_TENSORS, ROTATIONS, Node, TensorNetwork
 from .params import ParameterStore, UnboundSymbol
 
 _BATCH = "Z"  # the einsum label of the sentence axis
@@ -60,9 +63,13 @@ def _copy_tensor(shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _constant(node: Node) -> np.ndarray:
-    """The fixed tensor of a delta or copy node."""
+    """The fixed tensor of a delta, copy, zero, H or CX node."""
     if node.kind == "delta":
         return np.eye(node.shape[0])
+    if node.kind == "zero":
+        return np.array([1.0, 0.0])
+    if node.kind in GATE_TENSORS:
+        return GATE_TENSORS[node.kind](None)
     return _copy_tensor(node.shape)
 
 
@@ -117,8 +124,8 @@ def _script(na: int, nb: int, ax_a: list[int], ax_b: list[int],
 def plan(tn: TensorNetwork) -> Plan:
     """Record the greedy pairwise contraction of ``tn`` from its shapes."""
     index = {node.node_id: k for k, node in enumerate(tn.nodes)}
-    leaves = [None if node.kind == "param" else _constant(node)
-              for node in tn.nodes]
+    leaves = [None if node.kind == "param" or node.kind in ROTATIONS
+              else _constant(node) for node in tn.nodes]
     params = tuple(k for k, leaf in enumerate(leaves) if leaf is None)
     live = [leaf is None for leaf in leaves]
     shapes = [node.shape for node in tn.nodes]
@@ -263,13 +270,19 @@ def contract(tn: TensorNetwork, ps: ParameterStore) -> np.ndarray:
 class Group:
     """Networks of one structure: their positions and, per row, the flat
     vector offsets of every entry of its parameter leaves, leaf after leaf
-    in ``plan.params`` order."""
+    in ``plan.params`` order. ``rotations`` is None for a tensor group. In
+    a circuit group it names the rotation gate of each parameter leaf,
+    whose one entry is the angle."""
     plan: Plan
     rows: np.ndarray
     index: np.ndarray  # (rows, entries)
+    rotations: Optional[tuple[str, ...]] = None
 
     def _gather(self, vec: np.ndarray) -> list[np.ndarray]:
         flat, out, start = vec[self.index], [], 0
+        if self.rotations is not None:
+            return [GATE_TENSORS[gate](flat[:, j])
+                    for j, gate in enumerate(self.rotations)]
         for k in self.plan.params:
             shape = self.plan.shapes[k]
             n = math.prod(shape)
@@ -295,7 +308,8 @@ class NetworkPlan:
             if keep.all():
                 out.append(g)
             elif keep.any():
-                out.append(Group(g.plan, g.rows[keep], g.index[keep]))
+                out.append(Group(g.plan, g.rows[keep], g.index[keep],
+                                 g.rotations))
         return out
 
 
@@ -356,7 +370,8 @@ def contract_grad(group: Group, vec: np.ndarray,
                   ) -> tuple[np.ndarray, np.ndarray]:
     """The values V of the group's networks (one row each) and the gradient
     of sum(V * upstream(V)) in the flat layout of ``vec``, with upstream(V)
-    held constant; one contraction serves both."""
+    held constant; one contraction serves both. Real networks only: a
+    circuit's rotation leaves have no gradient here."""
     p = group.plan
     tensors = _replay(p, group._gather(vec))
     values = _value(p, tensors, len(group.rows))

@@ -12,6 +12,7 @@ loop a uniform predict interface.
 from __future__ import annotations
 
 import logging
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
@@ -30,7 +31,7 @@ from .params import ParameterStore
 from .readers import cups_read, spiders_read, tokenize
 from .rewrite import RULE_NAMES, Rewriter
 from .simulator import (
-    AllShotsDiscarded, CircuitPlan, ZeroNorm, evaluate, plan_circuits, sample,
+    ZERO_NORM_THRESHOLD, AllShotsDiscarded, ZeroNorm, evaluate, sample,
 )
 from .types import ts
 
@@ -79,11 +80,18 @@ class PipelineConfig:
         if self.ccg_path is not None and self.reader != "ccg":
             raise ValueError(f"ccg_path {self.ccg_path!r} needs reader "
                              f"'ccg', not {self.reader!r}")
-        if self.iterations < 0 or self.n_shots < 1:
-            raise ValueError("iterations must be >= 0 and n_shots >= 1")
-        if not 0.0 <= self.noise_p <= 1.0:
-            raise ValueError(
-                f"noise_p must lie in [0, 1], got {self.noise_p!r}")
+        for name, least in (("iterations", 0), ("n_shots", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if type(value) is not int or value < least:  # bool is no int
+                raise ValueError(
+                    f"{name} must be an int >= {least}, got {value!r}")
+        if not isinstance(self.noise_p, numbers.Real) \
+                or not 0.0 <= self.noise_p <= 1.0:
+            raise ValueError(f"noise_p must be a real number in [0, 1], got "
+                             f"{self.noise_p!r}")
+        if self.ansatz == "iqp" and self.optimizer == "adam":
+            raise ValueError("ansatz 'iqp' needs optimizer 'spsa': 'adam' "
+                             "needs the exact gradients of a tensor ansatz")
 
 
 def sentence_to_diagram(cfg: PipelineConfig, text: str,
@@ -139,7 +147,6 @@ class CompiledModel:
     dataset: LabeledDataset
     artifacts: list
     store: ParameterStore
-    plan: Optional[CircuitPlan] = None  # circuits grouped by structure
 
 
 def compile_model(cfg: PipelineConfig, ds: LabeledDataset) -> CompiledModel:
@@ -161,9 +168,8 @@ def compile_model(cfg: PipelineConfig, ds: LabeledDataset) -> CompiledModel:
     symbols = []
     for art in artifacts:
         symbols.extend(art.symbols)
-    store = ParameterStore.initialize(symbols, cfg.seed)
-    plan = plan_circuits(artifacts, store) if cfg.ansatz == "iqp" else None
-    return CompiledModel(cfg, ds, artifacts, store, plan)
+    return CompiledModel(cfg, ds, artifacts,
+                         ParameterStore.initialize(symbols, cfg.seed))
 
 
 def shot_seed(base_seed: int, iteration: int, slot: int, item: int) -> int:
@@ -179,14 +185,15 @@ def _vector_p1(v: np.ndarray) -> Optional[float]:
     return float(v[1] ** 2) / denom if denom >= ZERO_VECTOR else None
 
 
-def _rows_p1(v: np.ndarray) -> np.ndarray:
-    """_vector_p1 of each row of ``v``; nan for a degenerate vector. Kept
-    apart from _vector_p1, whose float arithmetic on one vector is about
-    ten times cheaper than these numpy calls."""
-    square = v[:, 1] ** 2
-    denom = v[:, 0] ** 2 + square
-    return np.where(denom >= ZERO_VECTOR,
-                    square / np.maximum(denom, ZERO_VECTOR), np.nan)
+def _rows_p1(v: np.ndarray, floor: float = ZERO_VECTOR) -> np.ndarray:
+    """|v1|^2 / (|v0|^2 + |v1|^2) of each row of a real or complex ``v``;
+    nan where that norm is below ``floor``. Kept apart from _vector_p1,
+    whose float arithmetic is about ten times cheaper on one vector."""
+    squares = np.abs(v) ** 2
+    square = squares[:, 1]
+    denom = squares[:, 0] + square
+    return np.where(denom >= floor, square / np.maximum(denom, floor),
+                    np.nan)
 
 
 def predict_p1(model: CompiledModel, store: ParameterStore, item: int,
@@ -214,10 +221,13 @@ def predict_p1(model: CompiledModel, store: ParameterStore, item: int,
 
 
 def group_p1(group: Group, vec: np.ndarray) -> np.ndarray:
-    """p1 of each sentence of a tensor group under the flat vector ``vec``;
-    nan for a degenerate sentence vector, which the caller reports through
-    predict_p1."""
-    return _rows_p1(contract_batch(group, vec))
+    """p1 of each sentence of a group under the flat vector ``vec``, read
+    off its 2-vector: a tensor's value, or a circuit's amplitudes on its
+    open qubit. nan where the norm is below ZERO_VECTOR for a tensor, or
+    below ZERO_NORM_THRESHOLD (a postselection probability) for a circuit;
+    the caller reports such a sentence through predict_p1."""
+    floor = ZERO_VECTOR if group.rotations is None else ZERO_NORM_THRESHOLD
+    return _rows_p1(contract_batch(group, vec), floor)
 
 
 def prediction_gradient(group: Group, vec: np.ndarray,

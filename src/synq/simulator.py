@@ -1,19 +1,16 @@
-"""Statevector simulation with postselection, shot sampling and noise.
+"""Circuit evaluation: exact, by tensor contraction, and sampled with noise.
 
-Conventions, fixed project-wide: qubit 0 is the least significant bit of a
-basis index; H = (1/sqrt 2)[[1,1],[1,-1]]; Rx(t) = exp(-i t X / 2);
-Rz(t) = exp(-i t Z / 2); CRz(t) = diag(1, 1, e^{-it/2}, e^{it/2}) over the
-(control, target) pair; CX is the standard controlled flip.
+The gates are those of ``ansatz.GATE_TENSORS``, and qubit 0 is the least
+significant bit of a basis index of ``statevector``.
 
-One gate kernel, ``_apply``, acts on a batch of statevectors of shape
-(b, 2**n) with one angle per row: CX is a fixed index permutation, Rz and
-CRz are diagonal phases chosen by precomputed bit patterns, and H and Rx a
-two-point butterfly over the gate qubit. ``statevector`` and ``evaluate``
-run it as a batch of one, and ``_density`` reads its gate matrices off
-it. ``plan_circuits`` groups circuits by structure (gates and their
-qubits, postselected and open qubits); ``plan_p1`` then evaluates each
-group in one pass, reading each row's angles from the flat parameter
-vector.
+An exact circuit is a tensor network, contracted by ``contract``'s planner
+like every tensor model: a |0> leaf per qubit, a (2, 2) or (2, 2, 2, 2)
+node per gate, a <0| leaf per postselected qubit and the open qubits as
+open legs. ``_network_plan`` plans each circuit structure once.
+``plan_circuits`` groups circuits by structure into a ``NetworkPlan``
+whose rows gather their angles from the flat vector, each rotation's
+tensor built from its row's angle; ``statevector`` and ``evaluate`` are a
+batch of one that gathers from the circuit's own angles.
 
 The noise model: after every two-qubit gate, each touched qubit suffers X,
 Y or Z, each with probability p / 3. Shots are independent, so ``sample``
@@ -35,17 +32,18 @@ identity and the distribution is the noiseless one.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
-from .ansatz import Circuit, Op, Symbol
+from .ansatz import (
+    GATE_TENSORS, ROTATIONS, Circuit, Node, Op, Symbol, TensorNetwork,
+)
+from .contract import Group, NetworkPlan, Plan, contract_batch, plan
 from .params import ParameterStore, UnboundSymbol
 
 ZERO_NORM_THRESHOLD = 1e-12
-_ROTATIONS = ("Rx", "Rz", "CRz")
 
 
 class ZeroNorm(Exception):
@@ -67,86 +65,62 @@ def _angle(op: Op, ps: ParameterStore) -> float:
     return float(op.param)
 
 
-@lru_cache(maxsize=None)
-def _bits(n: int) -> np.ndarray:
-    """bits[q, i] is bit q of basis index i (read-only: it is shared)."""
-    bits = (np.arange(2 ** n) >> np.arange(n)[:, None]) & 1
-    bits.setflags(write=False)
-    return bits
-
-
-@lru_cache(maxsize=None)
-def _index(n: int, gate: str, qubits: tuple[int, ...]) -> np.ndarray:
-    """CX: the permuted basis order. Rz, CRz: per basis state 0, 1 or 2 for
-    the phase e^{-it/2}, 1 or e^{it/2}. Read-only: it is shared."""
-    bits = _bits(n)
-    if gate == "CX":
-        index = np.arange(2 ** n) ^ (bits[qubits[0]] << qubits[1])
-    else:
-        control = bits[qubits[0]] if gate == "CRz" else 1
-        index = 1 + control * (2 * bits[qubits[-1]] - 1)
-    index.setflags(write=False)
-    return index
-
-
-def _apply(states: np.ndarray, op: Op, theta=None) -> np.ndarray:
-    """One gate on every row of ``states`` (b, 2**n); theta has one angle
-    per row (or one for all rows) for Rx, Rz and CRz."""
-    n = states.shape[1].bit_length() - 1
-    if op.gate in ("CX", "Rz", "CRz"):
-        index = _index(n, op.gate, op.qubits)
-        if op.gate == "CX":
-            return states[:, index]
-        half = np.exp(0.5j * np.asarray(theta))[:, None]
-        return states * np.hstack((half.conj(), np.ones_like(half), half))[
-            :, index]
-    if op.gate == "H":
-        m00 = m01 = m10 = np.sqrt(0.5)
-        m11 = -m00
-    elif op.gate == "Rx":
-        half = np.asarray(theta)[:, None, None] / 2
-        m00 = m11 = np.cos(half)
-        m01 = m10 = -1j * np.sin(half)
-    else:
-        raise ValueError(f"unknown gate {op.gate!r}")
-    v = states.reshape(len(states), -1, 2, 1 << op.qubits[0])
-    out = np.empty_like(v)
-    out[:, :, 0] = m00 * v[:, :, 0] + m01 * v[:, :, 1]
-    out[:, :, 1] = m10 * v[:, :, 0] + m11 * v[:, :, 1]
-    return out.reshape(len(states), -1)
-
-
-def _evolve(c: Circuit, angles: np.ndarray, rows: int) -> np.ndarray:
-    """``rows`` statevectors after c's gates on |0...0>; angles holds, per
-    row (or one row for all), the angle of each rotation gate in gate
-    order."""
-    states = np.zeros((rows, 2 ** c.n_qubits), dtype=complex)
-    states[:, 0] = 1.0
-    k = 0
-    for op in c.ops:
-        rotation = op.gate in _ROTATIONS
-        states = _apply(states, op, angles[:, k] if rotation else None)
-        k += rotation
-    return states
-
-
 def _angles(c: Circuit, ps: ParameterStore) -> np.ndarray:
-    return np.array([[_angle(op, ps) for op in c.ops
-                      if op.gate in _ROTATIONS]])
+    """The angle of each rotation of c, in op order."""
+    return np.array([_angle(op, ps) for op in c.ops if op.gate in ROTATIONS])
+
+
+def _structure(c: Circuit) -> tuple:
+    return c.n_qubits, tuple((op.gate, op.qubits) for op in c.ops)
+
+
+@lru_cache(maxsize=1024)  # bounded: a long run may meet many structures
+def _network_plan(n_qubits: int, gates: tuple[tuple[str, tuple], ...],
+                  postselect: tuple[int, ...], legs: tuple[int, ...]) -> Plan:
+    """The planned contraction of a circuit structure: a |0> leaf per
+    qubit, a node per gate (output legs, then input legs), a <0| leaf per
+    qubit of ``postselect`` and the qubits ``legs`` as the open legs, in
+    order. The rotation nodes are the parameter leaves, in gate order."""
+    nodes = [Node(f"in{q}", "zero", (2,)) for q in range(n_qubits)]
+    wire = {q: (f"in{q}", 0) for q in range(n_qubits)}
+    edges = []
+    for i, (gate, qubits) in enumerate(gates):
+        nodes.append(Node(f"g{i}", gate, (2,) * 2 * len(qubits)))
+        for j, q in enumerate(qubits):
+            edges.append((wire[q], (f"g{i}", len(qubits) + j)))
+            wire[q] = (f"g{i}", j)
+    for q in postselect:
+        nodes.append(Node(f"out{q}", "zero", (2,)))
+        edges.append((wire[q], (f"out{q}", 0)))
+    return plan(TensorNetwork(tuple(nodes), tuple(edges),
+                              tuple(wire[q] for q in legs)))
+
+
+def _group(key: tuple, rows: np.ndarray, index: np.ndarray) -> Group:
+    """Circuits of structure ``key``, _network_plan's arguments; index
+    holds each row's angle offsets in gate order."""
+    rotations = tuple(gate for gate, _ in key[1] if gate in ROTATIONS)
+    return Group(_network_plan(*key), rows, index, rotations)
+
+
+def _amplitudes(c: Circuit, ps: ParameterStore, postselect: tuple[int, ...],
+                legs: tuple[int, ...]) -> np.ndarray:
+    """The contracted network of c, one axis per qubit of ``legs``."""
+    angles = _angles(c, ps)
+    group = _group((*_structure(c), postselect, legs), np.zeros(1, np.intp),
+                   np.arange(len(angles))[None])
+    return contract_batch(group, angles)[0]
 
 
 def statevector(c: Circuit, ps: ParameterStore) -> np.ndarray:
     """State after all gates on |0...0>, before any postselection."""
-    return _evolve(c, _angles(c, ps), 1)[0]
+    legs = tuple(reversed(range(c.n_qubits)))
+    return _amplitudes(c, ps, (), legs).astype(complex).ravel()  # a copy
 
 
-def _by_open(c: Circuit, weights: np.ndarray) -> dict:
-    """Weight of each basis state whose postselected qubits read 0, keyed
-    by its open-qubit bitstring (character i is the bit of c.open[i])."""
-    bits = _bits(c.n_qubits)
-    passed = np.flatnonzero(~bits[list(c.postselect)].any(axis=0))
-    return {"".join(str(bits[q, b]) for q in c.open): weights[b]
-            for b in passed}
+def _key(j: int, k: int) -> str:
+    """Open bitstring j of k qubits, the first open qubit first."""
+    return format(j, f"0{k}b") if k else ""
 
 
 def evaluate(c: Circuit, ps: ParameterStore) -> dict[str, float]:
@@ -154,32 +128,23 @@ def evaluate(c: Circuit, ps: ParameterStore) -> dict[str, float]:
 
     Keys are bitstrings with character i giving the bit of c.open[i].
     """
-    probs = _by_open(c, np.abs(statevector(c, ps)) ** 2)
-    total = float(sum(probs.values()))
+    probs = np.abs(_amplitudes(c, ps, c.postselect, c.open)).ravel() ** 2
+    total = float(probs.sum())
     if total < ZERO_NORM_THRESHOLD:
         raise ZeroNorm(f"postselection probability {total:.3e}")
-    return {key: float(p / total) for key, p in probs.items()}
-
-
-@dataclass(frozen=True)
-class CircuitPlan:
-    """One-open-qubit circuits grouped by structure.
-
-    Each group is (circuit, rows, offsets): a representative circuit, the
-    positions of its circuits in the planned sequence, and per row the
-    offset of each rotation angle in the flat parameter vector."""
-    groups: tuple[tuple[Circuit, np.ndarray, np.ndarray], ...]
-    count: int
+    k = len(c.open)
+    return {_key(j, k): float(p / total) for j, p in enumerate(probs)}
 
 
 def plan_circuits(circuits: Sequence[Circuit],
-                  store: ParameterStore) -> CircuitPlan:
-    """Group circuits by structure against the layout of ``store``."""
+                  store: ParameterStore) -> NetworkPlan:
+    """Group one-open-qubit circuits by structure against the layout of
+    ``store``; each row gathers its angles at its symbols' offsets."""
     offsets = {name: offset for name, shape, offset in store.layout
                if shape == ()}
-    groups: dict[tuple, tuple[Circuit, list, list]] = {}
+    groups: dict[tuple, tuple[list, list]] = {}
     for row, c in enumerate(circuits):
-        params = [op.param for op in c.ops if op.gate in _ROTATIONS]
+        params = [op.param for op in c.ops if op.gate in ROTATIONS]
         if len(c.open) != 1 or not all(isinstance(p, Symbol)
                                        for p in params):
             raise ValueError(f"circuit {row}: a planned circuit needs one "
@@ -188,35 +153,13 @@ def plan_circuits(circuits: Sequence[Circuit],
             idx = [offsets[p.name] for p in params]
         except KeyError as exc:
             raise UnboundSymbol(f"no scalar angle bound for {exc}") from None
-        key = (c.n_qubits, tuple((op.gate, op.qubits) for op in c.ops),
-               c.postselect, c.open)
-        group = groups.setdefault(key, (c, [], []))
-        group[1].append(row)
-        group[2].append(idx)
-    return CircuitPlan(
-        tuple((c, np.array(rows), np.array(idx, dtype=np.intp))
-              for c, rows, idx in groups.values()), len(circuits))
-
-
-def plan_p1(plan: CircuitPlan, vec: np.ndarray,
-            rows: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Probability of reading 1 on the open qubit after postselection, and
-    the postselection probability, of the planned circuits at ``rows``
-    under the flat parameter vector ``vec``; one pass per group. Rows with
-    a norm below ZERO_NORM_THRESHOLD get an arbitrary p1."""
-    wanted = np.zeros(plan.count, dtype=bool)
-    wanted[list(rows)] = True
-    p1, norm = np.zeros(plan.count), np.zeros(plan.count)
-    for c, members, idx in plan.groups:
-        keep = wanted[members]
-        if keep.any():
-            members, idx = members[keep], idx[keep]
-            probs = np.abs(_evolve(c, vec[idx], len(members))[
-                :, [0, 1 << c.open[0]]]) ** 2
-            norm[members] = probs.sum(axis=1)
-            p1[members] = probs[:, 1] / np.maximum(norm[members],
-                                                   np.finfo(float).tiny)
-    return p1[list(rows)], norm[list(rows)]
+        key = (*_structure(c), c.postselect, c.open)
+        members, index = groups.setdefault(key, ([], []))
+        members.append(row)
+        index.append(idx)
+    return NetworkPlan(tuple(
+        _group(key, np.array(members), np.array(index, dtype=np.intp))
+        for key, (members, index) in groups.items()), len(circuits))
 
 
 _I2 = np.eye(2, dtype=complex)
@@ -227,20 +170,11 @@ for _shared in (_I2, _TRACE):
 
 def _matrices(c: Circuit, angles: np.ndarray) -> list[np.ndarray]:
     """Per op of c, its 2x2 matrix, or 4x4 with its first qubit the high bit
-    of the row and column index. Read off ``_apply`` on the basis states,
-    one call per gate kind: row i of its output is U e_i."""
+    of the row and column index."""
     thetas = iter(angles)
-    theta = [next(thetas) if op.gate in _ROTATIONS else 0.0 for op in c.ops]
-    out = [None] * len(c.ops)
-    for gate in dict.fromkeys(op.gate for op in c.ops):
-        at = [i for i, op in enumerate(c.ops) if op.gate == gate]
-        dim = 4 if len(c.ops[at[0]].qubits) == 2 else 2
-        basis = np.tile(np.eye(dim, dtype=complex), (len(at), 1))
-        mats = _apply(basis, Op(gate, (1, 0) if dim == 4 else (0,)),
-                      np.repeat([theta[i] for i in at], dim))
-        for i, m in zip(at, mats.reshape(-1, dim, dim)):
-            out[i] = m.T
-    return out
+    return [GATE_TENSORS[op.gate](
+        next(thetas) if op.gate in ROTATIONS else None).reshape(
+            2 ** len(op.qubits), -1) for op in c.ops]
 
 
 def _density(c: Circuit, angles: np.ndarray, noise_p: float) -> np.ndarray:
@@ -312,7 +246,7 @@ def _outcomes(c: Circuit, ps: ParameterStore, noise_p: float) -> np.ndarray:
     """Probability that one shot passes postselection and reads open
     bitstring j, for each j read as a binary number with c.open[0] the most
     significant bit."""
-    return _density(c, _angles(c, ps)[0], noise_p)
+    return _density(c, _angles(c, ps), noise_p)
 
 
 def sample(c: Circuit, ps: ParameterStore, n_shots: int, seed: int,
@@ -335,6 +269,4 @@ def sample(c: Circuit, ps: ParameterStore, n_shots: int, seed: int,
         n_shots, np.r_[max(0.0, 1.0 - kept.sum()), kept])[1:]
     if not drawn.any():
         raise AllShotsDiscarded(f"all {n_shots} shots violated postselection")
-    k = len(c.open)
-    return {format(j, f"0{k}b") if k else "": int(drawn[j])
-            for j in np.flatnonzero(drawn)}
+    return {_key(j, len(c.open)): int(drawn[j]) for j in np.flatnonzero(drawn)}

@@ -1,13 +1,14 @@
 """Losses, optimizers and the full-batch experiment loop.
 
 The classical pipeline trains tensor networks with Adam on exact gradients.
-``train`` groups the train and dev sentences by network structure and
-plans each group's contraction once; every iteration then takes one
-batched value-and-gradient pass per group of training sentences and one
-batched forward pass per group for the train and dev scores. Quantum
-pipelines use SPSA, which probes the loss at two randomly perturbed points
-per step and never needs circuit gradients; exact circuits are evaluated
-in one pass per circuit structure.
+Quantum pipelines use SPSA, which probes the loss at two randomly perturbed
+points per step and never needs circuit gradients. ``train`` groups the
+sentences by network structure and plans each group's contraction once:
+tensor networks, and exact circuits as the tensor networks of their gates.
+Every iteration then takes one batched pass per group for each loss (with
+Adam, a value-and-gradient pass) and one for the train and dev scores
+together. Shot-based circuits are sampled one sentence at a time, each
+with its own shot seed.
 All runs are deterministic given the config seed (with the exact backend,
 bit-for-bit).
 """
@@ -25,7 +26,7 @@ from .contract import NetworkPlan, plan_networks
 from .params import ParameterStore
 from .pipeline import CompiledModel, group_p1, predict_p1, \
     prediction_gradient, shot_seed
-from .simulator import ZERO_NORM_THRESHOLD, CircuitPlan, plan_p1
+from .simulator import plan_circuits
 
 CLAMP = 1e-9
 
@@ -133,34 +134,35 @@ def iterations_to_reach(history: TrainHistory, threshold: float,
     return None
 
 
-def _batch_p1(model: CompiledModel, plan, vec: np.ndarray, indices,
-              iteration: int, slot: int) -> list[float]:
+def _circuit_plan(model: CompiledModel) -> Optional[NetworkPlan]:
+    """The plan of an exact circuit model, else None: shot-based circuits
+    are sampled sentence by sentence, each with its shot seed."""
+    if model.config.ansatz == "iqp" and model.config.backend == "exact":
+        return plan_circuits(model.artifacts, model.store)
+    return None
+
+
+def _batch_p1(model: CompiledModel, plan: Optional[NetworkPlan],
+              vec: np.ndarray, indices, iteration: int,
+              slot: int) -> list[float]:
     """p1 of the sentences at ``indices`` under the flat vector ``vec``.
 
-    With a NetworkPlan, tensor models are evaluated in one batched pass per
-    group; with the CircuitPlan of an exact circuit model, in one pass per
-    circuit structure. A sentence whose vector is degenerate, or whose
-    postselection norm is below the threshold, is re-predicted by
-    predict_p1, which reports it. Other models predict sentence by
-    sentence."""
+    With a plan (tensor models and exact circuits), one batched pass per
+    group (group_p1); a sentence whose norm is below the floor of its kind
+    is re-predicted by predict_p1, which reports it. Without a plan,
+    sentence by sentence."""
     cfg = model.config
-    if isinstance(plan, NetworkPlan):
-        p1 = np.zeros(plan.count)
-        for g in plan.select(indices):
-            p1[g.rows] = group_p1(g, vec)
-        p1 = p1[list(indices)]
-        bad = np.flatnonzero(np.isnan(p1))
-    elif isinstance(plan, CircuitPlan) and cfg.backend == "exact":
-        p1, norm = plan_p1(plan, vec, indices)
-        bad = np.flatnonzero(norm < ZERO_NORM_THRESHOLD)
-    else:
+    if plan is None:
         store = model.store.from_vector(vec)
-        out = []
-        for i in indices:
-            seed = (shot_seed(cfg.seed, iteration, slot, i)
-                    if cfg.backend == "shots" else None)
-            out.append(predict_p1(model, store, i, seed))
-        return out
+        return [predict_p1(model, store, i,
+                           shot_seed(cfg.seed, iteration, slot, i)
+                           if cfg.backend == "shots" else None)
+                for i in indices]
+    p1 = np.zeros(plan.count)
+    for g in plan.select(indices):
+        p1[g.rows] = group_p1(g, vec)
+    p1 = p1[list(indices)]
+    bad = np.flatnonzero(np.isnan(p1))
     if len(bad):
         store = model.store.from_vector(vec)
         for k in bad:
@@ -183,15 +185,14 @@ def train(model: CompiledModel) -> tuple[ParameterStore, TrainHistory]:
     if cfg.iterations == 0:
         return store, history
 
-    plan = model.plan
     if isinstance(model.artifacts[0], TensorNetwork):
         plan = plan_networks(model.artifacts, train_idx + dev_idx, store)
+    else:
+        plan = _circuit_plan(model)
     vec = store.to_vector()
     adam_state = AdamState.zeros(len(vec))
     spsa_rng = np.random.default_rng(cfg.seed)
-    if cfg.optimizer == "adam":
-        if not isinstance(plan, NetworkPlan):
-            raise TypeError("exact gradients need a tensor backend")
+    if cfg.optimizer == "adam":  # the config pairs adam with tensors only
         groups = plan.select(train_idx)
         labels = np.zeros(plan.count)
         labels[list(train_idx)] = train_y
@@ -219,7 +220,7 @@ def train(model: CompiledModel) -> tuple[ParameterStore, TrainHistory]:
             vec = spsa_step(vec, loss_at, it, big_a=0.1 * cfg.iterations,
                             rng=spsa_rng)
 
-        if isinstance(plan, NetworkPlan):  # one pass per group for both
+        if plan is not None:  # one pass per group for both
             p1s = _batch_p1(model, plan, vec, train_idx + dev_idx, it, 1)
             train_p1, dev_p1 = p1s[:len(train_idx)], p1s[len(train_idx):]
         else:
@@ -239,7 +240,7 @@ def evaluate_split(model: CompiledModel, store: ParameterStore,
     ds = model.dataset
     idx, labels = getattr(ds, split), ds.labels(split)
     vec = store.to_vector(model.store.names())  # in the model's layout
-    p1s = _batch_p1(model, model.plan, vec, idx, -1, slot=3)
+    p1s = _batch_p1(model, _circuit_plan(model), vec, idx, -1, slot=3)
     return {
         f"{split}_loss": _mean_loss(p1s, labels),
         f"{split}_accuracy": accuracy(p1s, labels),

@@ -5,15 +5,18 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from synq.ansatz import Circuit, Op, Symbol, iqp_ansatz
+from synq.ansatz import GATE_TENSORS, ROTATIONS, Circuit, Op, Symbol, \
+    iqp_ansatz
+from synq.contract import contract_batch
 from synq.dataset import generate_dataset
 from synq.diagram import Cap, Diagram, cup_at, word
 from synq.params import ParameterStore, UnboundSymbol
-from synq.pipeline import PipelineConfig, compile_model
+from synq.pipeline import PipelineConfig, compile_model, group_p1
 from synq.simulator import (
     ZERO_NORM_THRESHOLD, AllShotsDiscarded, ZeroNorm, _outcomes, evaluate,
-    plan_circuits, plan_p1, sample, statevector,
+    plan_circuits, sample, statevector,
 )
+from synq.training import _circuit_plan
 from synq.types import ts
 
 EMPTY_PS = ParameterStore({})
@@ -146,11 +149,31 @@ def random_circuit(rng, n_qubits=3, n_gates=8):
     return Circuit(n_qubits, tuple(ops), (), tuple(range(n_qubits)))
 
 
+class TestGateTable:
+    def test_matches_the_test_matrices(self):
+        thetas = np.array([0.0, 0.4, 1.3, np.pi, 5.9, -2.2])
+        want = {"H": H, "CX": CX, "Rx": np.array([rx(t) for t in thetas]),
+                "Rz": np.array([rz(t) for t in thetas]),
+                "CRz": np.array([crz(t) for t in thetas])}
+        assert set(GATE_TENSORS) == set(want)
+        for gate, tensor in GATE_TENSORS.items():
+            batch = thetas.shape if gate in ROTATIONS else ()
+            got = tensor(thetas if batch else None)
+            legs = 2 * (want[gate].shape[-1] // 2)  # output, then input
+            assert got.shape == batch + (2,) * legs, gate
+            assert np.abs(got.reshape(want[gate].shape) - want[gate]).max() \
+                < 1e-12, gate
+            for k, t in enumerate(thetas if batch else ()):
+                assert np.abs(tensor(t) - got[k]).max() < 1e-12  # unbatched
+
+
 class TestStatevector:
     def test_h_on_zero(self):
         c = Circuit(1, (Op("H", (0,)),), (), (0,))
         got = statevector(c, EMPTY_PS)
         assert np.allclose(got, [1 / np.sqrt(2), 1 / np.sqrt(2)])
+        # no rotation: still a complex array of the caller's own
+        assert got.dtype == complex and got.flags.writeable
 
     def test_bell_preparation(self):
         c = Circuit(2, (Op("H", (0,)), Op("CX", (0, 1))), (), (0, 1))
@@ -205,20 +228,17 @@ class TestEvaluate:
 
     def test_cup_gadget_amplitude(self):
         # postselected amplitude on (a|0>+b|1>)(c|0>+d|1>) is (ac+bd)/sqrt 2
-        from synq.simulator import _apply
         rng = np.random.default_rng(3)
+        cx, h = GATE_TENSORS["CX"](None), GATE_TENSORS["H"](None)
         for _ in range(5):
             a, b = rng.normal(size=2)
             c, d = rng.normal(size=2)
             a, b = (a, b) / np.hypot(a, b)
             c, d = (c, d) / np.hypot(c, d)
-            full = np.zeros(4, dtype=complex)
-            for i in (0, 1):  # qubit 0 is the LSB
-                for j in (0, 1):
-                    full[(j << 1) | i] = [a, b][i] * [c, d][j]
-            post = _apply(full[None], Op("CX", (0, 1)))
-            post = _apply(post, Op("H", (0,)))[0]
-            assert abs(post[0] - (a * c + b * d) / np.sqrt(2)) < 1e-12
+            state = np.outer([a, b], [c, d])  # axis q holds qubit q
+            # CX on (0, 1), then H on qubit 0
+            post = np.einsum("xi,iykl,kl->xy", h, cx, state)
+            assert abs(post[0, 0] - (a * c + b * d) / np.sqrt(2)) < 1e-12
 
     def test_probabilities_sum_to_one(self):
         rng = np.random.default_rng(8)
@@ -449,15 +469,26 @@ def iqp_batches(draw):
     return circuits
 
 
+def planned(plan, vec, rows):
+    """Per row of ``rows``: p1 as training reads it, the postselection
+    probability |a0|^2 + |a1|^2 and |a1|^2, off each group's amplitudes."""
+    out = np.zeros((3, plan.count))
+    for g in plan.select(rows):
+        probs = np.abs(contract_batch(g, vec)) ** 2
+        out[:, g.rows] = (group_p1(g, vec), probs.sum(axis=1),
+                          probs[:, 1])
+    return out[:, rows]
+
+
 class TestPlan:
     def check(self, circuits, store):
         plan = plan_circuits(circuits, store)
         rows = list(range(len(circuits)))
-        p1, norm = plan_p1(plan, store.to_vector(), rows)
+        p1, norm, a1 = planned(plan, store.to_vector(), rows)
         for k, c in enumerate(circuits):
             want_p1, want_norm = oracle_p1(c, store)
             assert abs(norm[k] - want_norm) < 1e-12
-            assert abs(p1[k] * norm[k] - want_p1 * want_norm) < 1e-12
+            assert abs(a1[k] - want_p1 * want_norm) < 1e-12
             if want_norm >= 1e-4:  # p1 = a1 / norm magnifies rounding
                 assert abs(p1[k] - want_p1) < 1e-12
                 assert abs(p1[k] - evaluate(c, store)["1"]) < 1e-12
@@ -469,9 +500,9 @@ class TestPlan:
         assert len(model.artifacts) == 130
         plan = self.check(model.artifacts, model.store)
         assert len(plan.groups) == 4
-        assert sorted(r for _, rows, _ in plan.groups for r in rows) \
+        assert sorted(r for g in plan.groups for r in g.rows) \
             == list(range(130))
-        assert model.plan is not None and len(model.plan.groups) == 4
+        assert len(_circuit_plan(model).groups) == 4  # the plan train uses
 
     @settings(max_examples=30, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -490,12 +521,12 @@ class TestPlan:
             circuits.append(Circuit(2, tuple(ops), (1,), (0,)))
         store = ParameterStore.initialize(
             [sym for c in circuits for sym in c.symbols], seed=5)
-        p1, norm = plan_p1(plan_circuits(circuits, store), store.to_vector(),
-                           [3, 1])
+        _, norm, a1 = planned(plan_circuits(circuits, store),
+                              store.to_vector(), [3, 1])
         for k, row in enumerate((3, 1)):
             want_p1, want_norm = oracle_p1(circuits[row], store)
             assert abs(norm[k] - want_norm) < 1e-12
-            assert abs(p1[k] * norm[k] - want_p1 * want_norm) < 1e-12
+            assert abs(a1[k] - want_p1 * want_norm) < 1e-12
 
     def test_unplannable_circuits_rejected(self):
         c = Circuit(1, (Op("Rx", (0,), Symbol("missing")),), (), (0,))

@@ -180,6 +180,13 @@ class TestPipelines:
         ({"rewrites": "determiner"}, "string 'determiner'"),
         ({"reader": "cups", "ccg_path": "/nonexistent.auto"},
          "'/nonexistent.auto' needs reader 'ccg', not 'cups'"),
+        ({"ansatz": "iqp", "optimizer": "adam"},
+         "ansatz 'iqp' needs optimizer 'spsa'"),
+        ({"iterations": 2.5}, "iterations must be an int >= 0, got 2.5"),
+        ({"n_shots": 1.5}, "n_shots must be an int >= 1, got 1.5"),
+        ({"seed": -1}, "seed must be an int >= 0, got -1"),
+        ({"seed": True}, "seed must be an int >= 0, got True"),
+        ({"noise_p": "0.1"}, "noise_p must be a real number in .* '0.1'"),
     ])
     def test_config_mistake_rejected_at_construction(self, kwargs, named):
         with pytest.raises(ValueError, match=named):
@@ -444,37 +451,38 @@ class TestPlannedCircuits:
                              seed=2)
         return compile_model(cfg, generate_dataset(0))
 
-    def test_spsa_deterministic_and_matches_per_sentence(self):
+    def test_spsa_deterministic_and_matches_per_sentence(self, monkeypatch):
         model = self.model()
         s1, h1 = train(model)
         s2, h2 = train(self.model())
         assert h1.rows == h2.rows
         assert np.array_equal(s1.to_vector(), s2.to_vector())
+        planned = evaluate_split(model, s1, "test")
         # without a plan, every p1 comes from predict_p1, one sentence at a
         # time, through the same SPSA loop
-        s3, h3 = train(replace(model, plan=None))
+        monkeypatch.setattr(training, "plan_circuits", lambda *args: None)
+        s3, h3 = train(model)
         assert np.abs(np.array(h1.rows) - np.array(h3.rows)).max() < 1e-10
         assert np.abs(s1.to_vector() - s3.to_vector()).max() < 1e-10
-        assert evaluate_split(model, s1, "test") == pytest.approx(
-            evaluate_split(replace(model, plan=None), s1, "test"), abs=1e-10)
+        assert planned == pytest.approx(evaluate_split(model, s1, "test"),
+                                        abs=1e-10)
 
     def test_zero_norm_row_falls_back_once(self, caplog):
         from synq.ansatz import Circuit, Op, Symbol
         model = self.model()
         rows = list(range(10))
-        before = _batch_p1(model, model.plan, model.store.to_vector(), rows,
-                           0, 1)
+        before = _batch_p1(model, plan_circuits(model.artifacts, model.store),
+                           model.store.to_vector(), rows, 0, 1)
         # Rx(pi) leaves the postselected qubit in |1>: zero norm
         dead = Circuit(2, (Op("Rx", (1,), Symbol("flip")),), (1,), (0,))
         store = model.store.copy()
         store["flip"] = np.pi
         artifacts = list(model.artifacts)
         artifacts[3] = dead
-        broken = replace(model, artifacts=artifacts, store=store,
-                         plan=plan_circuits(artifacts, store))
+        broken = replace(model, artifacts=artifacts, store=store)
         with caplog.at_level(logging.WARNING, logger="synq.pipeline"):
-            after = _batch_p1(broken, broken.plan, store.to_vector(), rows,
-                              0, 1)
+            after = _batch_p1(broken, plan_circuits(artifacts, store),
+                              store.to_vector(), rows, 0, 1)
         warnings = [r for r in caplog.records if r.name == "synq.pipeline"]
         assert len(warnings) == 1 and "item 3" in warnings[0].getMessage()
         assert after[3] == 0.5
