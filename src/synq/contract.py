@@ -17,7 +17,8 @@ rounding.
 The replay runs the recorded steps as ``np.einsum`` calls over a batch of
 networks of one structure. Every tensor a parameter reaches carries a
 leading sentence axis; the fixed leaves (copy, delta and identity tensors,
-a circuit's |0>, <0|, H and CX) do not and are shared by every row.
+a circuit's |0>, <0|, H and CX, a noisy circuit's depolarising channel) do
+not and are shared by every row.
 ``plan_networks`` groups networks by structure and plans each group once;
 each row's parameters are gathered from the flat vector with index arrays:
 a stored tensor's entries, or the angle of a circuit's rotation gate,

@@ -92,6 +92,12 @@ class PipelineConfig:
         if self.ansatz == "iqp" and self.optimizer == "adam":
             raise ValueError("ansatz 'iqp' needs optimizer 'spsa': 'adam' "
                              "needs the exact gradients of a tensor ansatz")
+        if self.noise_p > 0 and self.backend != "shots":
+            raise ValueError(f"noise_p {self.noise_p!r} needs backend "
+                             f"'shots', not {self.backend!r}")
+        if self.backend == "shots" and self.ansatz != "iqp":
+            raise ValueError(f"backend 'shots' needs ansatz 'iqp', not "
+                             f"{self.ansatz!r}: a tensor model has no shots")
 
 
 def sentence_to_diagram(cfg: PipelineConfig, text: str,

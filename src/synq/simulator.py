@@ -17,29 +17,30 @@ Y or Z, each with probability p / 3. Shots are independent, so ``sample``
 computes the exact distribution of one shot under the channel-averaged
 map and draws all counts from it with one multinomial over (discarded,
 each open bitstring). Averaged over the Paulis, the noise on one qubit is
-the depolarising channel rho -> (1 - 4p/3) rho + (4p/3) I/2 (x) Tr_q rho,
-valid for every p in [0, 1]. ``_density`` evolves the density matrix of
-the live qubits only, as a (2,)*2w array with a ket and a bra axis per
-qubit. A qubit's single-qubit gates are multiplied into one pending 2x2
-matrix. It is allocated at its first two-qubit gate as the product state
-U|0><0|U+ of that matrix U, or at the end if it is open and has none. Each
-two-qubit gate, with the pending matrices of its qubits and the
-depolarising channel on both, is one 16x16 superoperator applied by one
-``tensordot``. A postselected qubit is projected onto |0> right after its
-last gate and that gate's noise, and an open qubit's outcome is read out
-there, so neither stays live any longer. With p = 0 the channel is the
-identity and the distribution is the noiseless one.
+the depolarising channel rho -> (1 - l) rho + l I/2 (x) Tr_q rho with
+l = 4p/3, valid for every p in [0, 1]. The distribution is the value of
+the circuit's doubled network, as DisCoPy's mixed ``to_tn`` builds it,
+contracted by the same planner; ``_doubled_plan`` plans it once per
+structure and noise. Each qubit has a ket and a bra wire, each starting at
+a |0> leaf. Each gate has a ket node and a bra node, its complex
+conjugate: for a rotation that is the same gate at minus its angle, and H
+and CX are real. After each two-qubit gate, each touched qubit passes a
+(2, 2, 2, 2) node over (ket out, bra out, ket in, bra in) whose value is
+(1 - l) d(ko, ki) d(bo, bi) + l/2 d(ko, bo) d(ki, bi), with d the
+Kronecker delta. A postselected qubit ends in <0| on its ket and its bra,
+and an open qubit in a copy node over (ket, bra, outcome) whose outcome
+leg is open. With p = 0 the channel is the identity and the distribution
+is the noiseless one.
 """
 from __future__ import annotations
 
+from dataclasses import replace
 from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
-from .ansatz import (
-    GATE_TENSORS, ROTATIONS, Circuit, Node, Op, Symbol, TensorNetwork,
-)
+from .ansatz import ROTATIONS, Circuit, Node, Op, Symbol, TensorNetwork
 from .contract import Group, NetworkPlan, Plan, contract_batch, plan
 from .params import ParameterStore, UnboundSymbol
 
@@ -74,6 +75,17 @@ def _structure(c: Circuit) -> tuple:
     return c.n_qubits, tuple((op.gate, op.qubits) for op in c.ops)
 
 
+def _lay(nodes: list, edges: list, wire: dict, node_id: str, kind: str,
+         keys: tuple) -> None:
+    """Append a node with an output and an input leg per wire of ``keys``
+    (outputs first), joined to the wires' open ends, which move to its
+    outputs."""
+    nodes.append(Node(node_id, kind, (2,) * 2 * len(keys)))
+    for j, key in enumerate(keys):
+        edges.append((wire[key], (node_id, len(keys) + j)))
+        wire[key] = (node_id, j)
+
+
 @lru_cache(maxsize=1024)  # bounded: a long run may meet many structures
 def _network_plan(n_qubits: int, gates: tuple[tuple[str, tuple], ...],
                   postselect: tuple[int, ...], legs: tuple[int, ...]) -> Plan:
@@ -85,15 +97,54 @@ def _network_plan(n_qubits: int, gates: tuple[tuple[str, tuple], ...],
     wire = {q: (f"in{q}", 0) for q in range(n_qubits)}
     edges = []
     for i, (gate, qubits) in enumerate(gates):
-        nodes.append(Node(f"g{i}", gate, (2,) * 2 * len(qubits)))
-        for j, q in enumerate(qubits):
-            edges.append((wire[q], (f"g{i}", len(qubits) + j)))
-            wire[q] = (f"g{i}", j)
+        _lay(nodes, edges, wire, f"g{i}", gate, qubits)
     for q in postselect:
         nodes.append(Node(f"out{q}", "zero", (2,)))
         edges.append((wire[q], (f"out{q}", 0)))
     return plan(TensorNetwork(tuple(nodes), tuple(edges),
                               tuple(wire[q] for q in legs)))
+
+
+@lru_cache(maxsize=1024)
+def _doubled_plan(n_qubits: int, gates: tuple[tuple[str, tuple], ...],
+                  postselect: tuple[int, ...], legs: tuple[int, ...],
+                  noise_p: float) -> Plan:
+    """The planned contraction of the doubled network of a circuit
+    structure under depolarising noise ``noise_p`` (see the module
+    docstring). Wire (s, q) is the ket (s = "k") or the bra (s = "b") of
+    qubit q. The parameter leaves are each rotation's ket node, then its
+    bra node, in gate order."""
+    wire = {(s, q): (f"{s}in{q}", 0) for s in "kb" for q in range(n_qubits)}
+    nodes = [Node(node, "zero", (2,)) for node, _ in wire.values()]
+    edges, channels = [], []
+    for i, (gate, qubits) in enumerate(gates):
+        for s in "kb":
+            _lay(nodes, edges, wire, f"{s}{i}", gate,
+                 tuple((s, q) for q in qubits))
+        for q in qubits if len(qubits) == 2 else ():
+            # planning reads shapes only, so a copy node stands in for the
+            # channel until its leaf is replaced below
+            channels.append(len(nodes))
+            _lay(nodes, edges, wire, f"n{i}.{q}", "copy",
+                 (("k", q), ("b", q)))
+    for q in postselect:
+        for s in "kb":
+            nodes.append(Node(f"{s}out{q}", "zero", (2,)))
+            edges.append((wire[s, q], (f"{s}out{q}", 0)))
+    for q in legs:
+        nodes.append(Node(f"x{q}", "copy", (2, 2, 2)))
+        edges += [(wire["k", q], (f"x{q}", 0)), (wire["b", q], (f"x{q}", 1))]
+    p = plan(TensorNetwork(tuple(nodes), tuple(edges),
+                           tuple((f"x{q}", 2) for q in legs)))
+    lam, eye = 4.0 * noise_p / 3.0, np.eye(2)
+    # over (ket out, bra out, ket in, bra in)
+    channel = ((1.0 - lam) * np.einsum("ac,bd->abcd", eye, eye)
+               + lam / 2.0 * np.einsum("ab,cd->abcd", eye, eye))
+    channel.setflags(write=False)
+    leaves = list(p.leaves)
+    for k in channels:
+        leaves[k] = channel
+    return replace(p, leaves=tuple(leaves))
 
 
 def _group(key: tuple, rows: np.ndarray, index: np.ndarray) -> Group:
@@ -162,91 +213,20 @@ def plan_circuits(circuits: Sequence[Circuit],
         for key, (members, index) in groups.items()), len(circuits))
 
 
-_I2 = np.eye(2, dtype=complex)
-_TRACE = _I2.real.ravel()  # the identity as a vector over (ket, bra)
-for _shared in (_I2, _TRACE):
-    _shared.setflags(write=False)
-
-
-def _matrices(c: Circuit, angles: np.ndarray) -> list[np.ndarray]:
-    """Per op of c, its 2x2 matrix, or 4x4 with its first qubit the high bit
-    of the row and column index."""
-    thetas = iter(angles)
-    return [GATE_TENSORS[op.gate](
-        next(thetas) if op.gate in ROTATIONS else None).reshape(
-            2 ** len(op.qubits), -1) for op in c.ops]
-
-
-def _density(c: Circuit, angles: np.ndarray, noise_p: float) -> np.ndarray:
-    """_outcomes, from the density matrix of the live qubits
-    (see the module docstring). Axis labels: ("k", q) and ("b", q) are the
-    ket and bra of live qubit q, ("x", q) the outcome of open qubit q."""
-    lam = 4.0 * noise_p / 3.0
-    # rho -> (1 - lam) rho + lam I/2 Tr rho, over one qubit's (ket, bra)
-    depolarise = (1.0 - lam) * np.eye(4) + lam / 2.0 * np.outer(_TRACE,
-                                                                _TRACE)
-    noise = np.kron(depolarise, depolarise)  # over (ka, ba, kb, bb)
-    last = {q: i for i, op in enumerate(c.ops) for q in op.qubits}
-    pending = dict.fromkeys(range(c.n_qubits), _I2)
-    rho, axes = np.ones((), dtype=complex), []
-
-    def finish(q: int) -> None:
-        nonlocal rho, axes
-        u = pending.pop(q)
-        if ("k", q) not in axes:
-            w = np.abs(u[:, 0]) ** 2
-            if q in c.postselect:
-                rho = rho * w[0]
-            else:
-                rho, axes = np.multiply.outer(w, rho), [("x", q)] + axes
-            return
-        pair = [axes.index(("k", q)), axes.index(("b", q))]
-        if q in c.postselect:
-            rho = np.tensordot(np.outer(u[0], u[0].conj()), rho,
-                               axes=([0, 1], pair))
-            new = []
-        else:  # out[x] = sum over k, b of u[x, k] rho[k, b] u*[x, b]
-            rho = np.tensordot(u[:, :, None] * u.conj()[:, None, :], rho,
-                               axes=([1, 2], pair))
-            new = [("x", q)]
-        axes = new + [a for a in axes if a not in (("k", q), ("b", q))]
-
-    for i, (op, u) in enumerate(zip(c.ops, _matrices(c, angles))):
-        if len(op.qubits) == 1:
-            pending[op.qubits[0]] = u @ pending[op.qubits[0]]
-        else:
-            for q in op.qubits:
-                if ("k", q) not in axes:
-                    v = pending[q][:, 0]
-                    rho = np.multiply.outer(np.outer(v, v.conj()), rho)
-                    axes = [("k", q), ("b", q)] + axes
-                    pending[q] = _I2
-            a, b = op.qubits
-            both = pending[a][:, None, :, None] * pending[b][None, :, None, :]
-            g = (u @ both.reshape(4, 4)).reshape(2, 2, 2, 2)
-            # sup[ka, ba, kb, bb, ka', ba', kb', bb'] = g[ka, kb, ka', kb']
-            # g*[ba, bb, ba', bb']
-            sup = (g[:, None, :, None, :, None, :, None]
-                   * g.conj()[None, :, None, :, None, :, None, :])
-            sup = (noise @ sup.reshape(16, 16)).reshape((2,) * 8)
-            ket_bra = [("k", a), ("b", a), ("k", b), ("b", b)]
-            rho = np.tensordot(sup, rho, axes=(
-                [4, 5, 6, 7], [axes.index(label) for label in ket_bra]))
-            axes = ket_bra + [x for x in axes if x not in ket_bra]
-            pending[a] = pending[b] = _I2
-        for q in op.qubits:
-            if last[q] == i and (("k", q) in axes or q in c.postselect):
-                finish(q)
-    for q in list(pending):
-        finish(q)
-    return rho.transpose([axes.index(("x", q)) for q in c.open]).real.ravel()
-
-
 def _outcomes(c: Circuit, ps: ParameterStore, noise_p: float) -> np.ndarray:
     """Probability that one shot passes postselection and reads open
     bitstring j, for each j read as a binary number with c.open[0] the most
-    significant bit."""
-    return _density(c, _angles(c, ps), noise_p)
+    significant bit: the doubled network of c, a batch of one whose row
+    gathers each rotation's ket angle and then its bra angle, its
+    negative."""
+    angles = _angles(c, ps)
+    n_qubits, gates = _structure(c)
+    index = np.arange(2 * len(angles)).reshape(2, -1).T.reshape(1, -1)
+    group = Group(_doubled_plan(n_qubits, gates, c.postselect, c.open,
+                                noise_p), np.zeros(1, np.intp), index,
+                  tuple(gate for gate, _ in gates if gate in ROTATIONS
+                        for _ in "kb"))
+    return contract_batch(group, np.r_[angles, -angles])[0].real.ravel()
 
 
 def sample(c: Circuit, ps: ParameterStore, n_shots: int, seed: int,
@@ -256,8 +236,8 @@ def sample(c: Circuit, ps: ParameterStore, n_shots: int, seed: int,
     Each shot either passes postselection and reads an open bitstring or is
     discarded. Shots are independent, so all counts come from one
     multinomial over (discarded, each open bitstring) with the exact
-    probabilities of one shot, which come from the density matrix under the
-    channel-averaged Pauli noise (see the module docstring). Rounding
+    probabilities of one shot, the value of the circuit's doubled network
+    under the channel-averaged Pauli noise (see the module docstring). Rounding
     negatives are clipped to 0 before the draw.
     """
     if n_shots < 1:

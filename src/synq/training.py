@@ -125,15 +125,6 @@ class TrainHistory:
         return len(self.rows)
 
 
-def iterations_to_reach(history: TrainHistory, threshold: float,
-                        column: str = "dev_acc") -> Optional[int]:
-    """First iteration whose metric is at or above the threshold."""
-    for it, value in zip(history.column("iter"), history.column(column)):
-        if value >= threshold:
-            return int(it)
-    return None
-
-
 def _circuit_plan(model: CompiledModel) -> Optional[NetworkPlan]:
     """The plan of an exact circuit model, else None: shot-based circuits
     are sampled sentence by sentence, each with its shot seed."""

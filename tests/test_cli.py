@@ -39,7 +39,8 @@ def test_train_writes_outputs(tmp_path, capsys, pipeline):
                                   '{"ansatz": "nope"}', "[1]", "{",
                                   '{"learning_rate": 0.1}',
                                   '{"dim_map": {"n": 3, "s": 2}}',
-                                  '{"rewrites": "determiner"}'])
+                                  '{"rewrites": "determiner"}',
+                                  '{"backend": "shots"}'])
 def test_bad_config_is_a_usage_error(tmp_path, capsys, text):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(text)

@@ -165,6 +165,13 @@ class TestGateTable:
                 < 1e-12, gate
             for k, t in enumerate(thetas if batch else ()):
                 assert np.abs(tensor(t) - got[k]).max() < 1e-12  # unbatched
+            # a doubled network's bra copy of a gate is its conjugate: a
+            # rotation at minus its angle, H and CX themselves
+            if batch:
+                assert np.abs(tensor(-thetas) - got.conj()).max() < 1e-12, \
+                    gate
+            else:
+                assert np.isrealobj(got), gate
 
 
 class TestStatevector:
@@ -397,6 +404,9 @@ class TestNoisyDistribution:
     @example(BOTH_ORDERS, 1.0)
     @example(UNTOUCHED_OPEN, 0.2)
     @example(UNTOUCHED_POSTSELECTED, 0.2)
+    # no open leg: _outcomes is the postselection probability alone
+    @example(Circuit(2, (Op("H", (0,)), Op("CX", (0, 1))), (0, 1), ()), 0.2)
+    @example(Circuit(2, (), (0,), (1,)), 0.2)  # no gate, no parameter leaf
     def test_matches_density_oracle(self, c, p):
         got = _outcomes(c, EMPTY_PS, p)
         assert got.shape == (2 ** len(c.open),)

@@ -16,7 +16,7 @@ from synq.pipeline import (
 from synq.simulator import plan_circuits
 from synq.training import (
     AdamState, TrainHistory, _batch_p1, accuracy, adam_step, bce_grad,
-    bce_loss, evaluate_split, iterations_to_reach, spsa_step, train,
+    bce_loss, evaluate_split, spsa_step, train,
 )
 
 
@@ -123,13 +123,6 @@ class TestHistory:
         assert text.splitlines()[0] == "iter,train_loss,train_acc,dev_loss,dev_acc"
         assert len(text.splitlines()) == 2
 
-    def test_iterations_to_reach(self):
-        h = TrainHistory()
-        for it, acc in enumerate([0.4, 0.6, 0.8, 0.95, 0.97]):
-            h.append(it, 0, 0, 0, acc)
-        assert iterations_to_reach(h, 0.8) == 2
-        assert iterations_to_reach(h, 0.99) is None
-
 
 def tiny_dataset(n_train=6, n_eval=2):
     from synq.dataset import LabeledDataset
@@ -187,6 +180,10 @@ class TestPipelines:
         ({"seed": -1}, "seed must be an int >= 0, got -1"),
         ({"seed": True}, "seed must be an int >= 0, got True"),
         ({"noise_p": "0.1"}, "noise_p must be a real number in .* '0.1'"),
+        ({"ansatz": "iqp", "optimizer": "spsa", "backend": "exact",
+          "noise_p": 0.3}, "noise_p 0.3 needs backend 'shots', not 'exact'"),
+        ({"ansatz": "spider", "backend": "shots", "noise_p": 0.3},
+         "backend 'shots' needs ansatz 'iqp', not 'spider'"),
     ])
     def test_config_mistake_rejected_at_construction(self, kwargs, named):
         with pytest.raises(ValueError, match=named):
