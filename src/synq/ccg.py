@@ -2,7 +2,7 @@
 
 Derivations come from CCGBank AUTO files: one derivation per line, internal
 nodes ``(<T cat head dtrs> child...)``, leaves ``(<L cat pos1 pos2 token
-pred-arg-cat>)``, with ``ID=`` header lines skipped. AUTO stores no
+pred-arg-cat>)``, each under an optional ``ID=`` header. AUTO stores no
 combinator names, so the rule tag of every node is inferred from the child
 and parent categories.
 
@@ -20,7 +20,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from .diagram import (
     Builder, Cap, Diagram, IllTyped, Swap, TypeMismatch, Word,
@@ -275,6 +275,11 @@ def infer_unary_rule(child: CCGCategory, parent: CCGCategory) -> str:
 
 # ---------------------------------------------------------------------------
 # AUTO parsing.
+#
+# One scanner, ``_scan_auto``, reads AUTO text for ``parse_auto``,
+# ``read_auto`` and ``section_to_diagrams``. It keys each derivation by its
+# ID and hands it on with its file line, so every ParseError names the line
+# of the file that it is on.
 # ---------------------------------------------------------------------------
 
 
@@ -348,15 +353,39 @@ class _AutoParser:
         return tree
 
 
-def parse_auto(text: str) -> list[CCGTree]:
-    """Parse AUTO-format text, one derivation per non-header line."""
-    trees = []
+def _scan_auto(text: str) -> Iterator[tuple[str, int, str]]:
+    """(ID, file line, derivation line) of each derivation in AUTO text.
+
+    The ID is the first field of the ``ID=`` header line before a
+    derivation (``ID=wsj_0001.1 PARSER=GOLD`` gives ``"wsj_0001.1"``). A
+    derivation without a header is keyed by its 0-based position among the
+    text's derivations, so ``write_auto``'s ``ID=i`` headers and a
+    headerless file both key item i as ``str(i)``. Blank lines are skipped.
+    Raises ParseError on an empty or repeated ID.
+    """
+    seen: set[str] = set()
+    current: Optional[str] = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("ID="):
+        if not line:
             continue
-        trees.append(_AutoParser(line, lineno).parse())
-    return trees
+        if line.startswith("ID="):
+            current = line.split()[0][3:]
+            if not current:
+                raise ParseError("empty derivation ID", lineno, 1)
+            continue
+        key = current if current is not None else str(len(seen))
+        if key in seen:
+            raise ParseError(f"repeated derivation ID {key!r}", lineno, 1)
+        seen.add(key)
+        current = None
+        yield key, lineno, line
+
+
+def parse_auto(text: str) -> list[CCGTree]:
+    """Parse AUTO-format text, one derivation per non-header line."""
+    return [_AutoParser(line, lineno).parse()
+            for _, lineno, line in _scan_auto(text)]
 
 
 # ---------------------------------------------------------------------------
@@ -450,21 +479,14 @@ def _convert(t: CCGTree, b: Builder) -> None:
     mid = len(b.wires)
     _convert(right, b)
     lc, rc = left.category, right.category
-    if t.rule == "FA":
-        arg = cat_to_typeseq(lc.argument)
+    if t.rule in ("FA", "FC"):
+        # left: T(X) ++ T(Y).l; cancel T(Y).l against the right's first wires
         x = len(cat_to_typeseq(lc.result))
-        return _cups(b, start + x, len(arg))
-    if t.rule == "BA":
-        arg = cat_to_typeseq(rc.argument)
-        return _cups(b, mid - len(arg), len(arg))
-    if t.rule == "FC":
-        y = cat_to_typeseq(lc.argument)
-        x = len(cat_to_typeseq(lc.result))
-        return _cups(b, start + x, len(y))
-    if t.rule == "BC":
-        y = cat_to_typeseq(rc.argument)
-        z = len(cat_to_typeseq(lc.argument))
-        return _cups(b, start + z, len(y))
+        return _cups(b, start + x, len(cat_to_typeseq(lc.argument)))
+    if t.rule in ("BA", "BC"):
+        # right: T(Y).r ++ T(X); cancel T(Y).r against the left's last wires
+        y = len(cat_to_typeseq(rc.argument))
+        return _cups(b, mid - y, y)
     if t.rule == "FX":
         # left: T(X) ++ T(Y).l, right: T(Z).r ++ T(Y); pull T(Z).r leftmost
         y = cat_to_typeseq(lc.argument)
@@ -541,33 +563,10 @@ class ConversionResult:
 
 
 def read_auto(path: str | Path) -> dict[str, str]:
-    """Derivation lines of one AUTO file, keyed by derivation ID.
-
-    The ID is the first field of the ``ID=`` header line before a
-    derivation (``ID=wsj_0001.1 PARSER=GOLD`` gives ``"wsj_0001.1"``). A
-    derivation without a header is keyed by its 0-based position among the
-    file's derivations, so ``write_auto``'s ``ID=i`` headers and a headerless
-    file both key item i as ``str(i)``. Raises ParseError on an empty or
-    repeated ID.
-    """
-    out: dict[str, str] = {}
-    current: Optional[str] = None
+    """Derivation lines of one AUTO file, keyed by derivation ID as
+    ``_scan_auto`` keys them. Raises ParseError on an empty or repeated ID."""
     text = Path(path).read_text(encoding="utf-8")
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("ID="):
-            current = line.split()[0][3:]
-            if not current:
-                raise ParseError("empty derivation ID", lineno, 1)
-            continue
-        key = current if current is not None else str(len(out))
-        if key in out:
-            raise ParseError(f"repeated derivation ID {key!r}", lineno, 1)
-        out[key] = line
-        current = None
-    return out
+    return {key: line for key, _, line in _scan_auto(text)}
 
 
 def section_to_diagrams(path: str | Path) -> list[ConversionResult]:
@@ -577,14 +576,14 @@ def section_to_diagrams(path: str | Path) -> list[ConversionResult]:
     results = []
     for file in files:
         try:
-            derivations = read_auto(file)
+            derivations = list(_scan_auto(file.read_text(encoding="utf-8")))
         except ParseError as exc:
             logger.warning("skipping %s: %s", file.name, exc)
             results.append(ConversionResult(file.name, error=str(exc)))
             continue
-        for deriv_id, line in derivations.items():
+        for deriv_id, lineno, line in derivations:
             try:
-                tree = _AutoParser(line, 1).parse()
+                tree = _AutoParser(line, lineno).parse()
                 diagram = tree_to_diagram(tree)
                 results.append(ConversionResult(deriv_id, diagram=diagram))
             except (ParseError, UnknownCategory, DerivationError) as exc:

@@ -12,6 +12,11 @@ MC-style dataset (``generate_dataset(0)``), trains it and writes into DIR:
 - ``store.json``: the trained parameters, symbol name -> values;
 - ``metrics.json``: loss and accuracy of the train, dev and test splits
   under the trained parameters (also printed on stdout).
+
+A bad config is a usage error (exit status 2). A config that cannot compile,
+such as one whose AUTO file is missing, malformed or lacks an item's ID,
+prints ``synq: cannot compile: <message>`` on stderr and exits with status 1;
+neither writes DIR.
 """
 from __future__ import annotations
 
@@ -21,8 +26,9 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+from .ccg import ParseError
 from .dataset import generate_dataset
-from .pipeline import PipelineConfig, compile_model
+from .pipeline import CompileError, PipelineConfig, compile_model
 from .training import evaluate_split, train
 
 
@@ -54,7 +60,11 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, ValueError, TypeError) as exc:
         parser.error(f"bad config: {exc}")
     ds = generate_dataset(0)
-    model = compile_model(cfg, ds)
+    try:
+        model = compile_model(cfg, ds)
+    except (OSError, CompileError, ParseError) as exc:
+        message = "; ".join(str(exc).splitlines())
+        parser.exit(1, f"synq: cannot compile: {message}\n")
     store, history = train(model)
     metrics: dict[str, float] = {}
     for split in ("train", "dev", "test"):

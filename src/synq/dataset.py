@@ -42,10 +42,6 @@ class LabeledDataset:
     dev: tuple[int, ...]
     test: tuple[int, ...]
 
-    def sentences(self, split: str | None = None) -> list[str]:
-        idx = range(len(self.items)) if split is None else getattr(self, split)
-        return [self.items[i][0] for i in idx]
-
     def labels(self, split: str) -> list[int]:
         return [self.items[i][1] for i in getattr(self, split)]
 

@@ -65,6 +65,9 @@ class PipelineConfig:
         if isinstance(self.rewrites, str):
             raise ValueError(f"rewrites must be a list of rule names, not "
                              f"the string {self.rewrites!r}")
+        if not isinstance(self.rewrites, (list, tuple)):
+            raise ValueError(f"rewrites must be a list of rule names, got "
+                             f"{self.rewrites!r}")
         object.__setattr__(self, "rewrites", tuple(self.rewrites))
         checks = (
             (self.reader, READERS, "reader"),
@@ -77,15 +80,22 @@ class PipelineConfig:
             if value not in allowed:
                 raise ValueError(
                     f"unknown {what} {value!r}; allowed: {', '.join(allowed)}")
+        if len(set(self.rewrites)) != len(self.rewrites):
+            raise ValueError(f"rewrites names a rule twice: "
+                             f"{list(self.rewrites)}")
         if self.ccg_path is not None and self.reader != "ccg":
             raise ValueError(f"ccg_path {self.ccg_path!r} needs reader "
                              f"'ccg', not {self.reader!r}")
+        if self.ccg_path is not None and not isinstance(self.ccg_path, str):
+            raise ValueError(f"ccg_path must be a str or None, got "
+                             f"{self.ccg_path!r}")
         for name, least in (("iterations", 0), ("n_shots", 1), ("seed", 0)):
             value = getattr(self, name)
             if type(value) is not int or value < least:  # bool is no int
                 raise ValueError(
                     f"{name} must be an int >= {least}, got {value!r}")
-        if not isinstance(self.noise_p, numbers.Real) \
+        if isinstance(self.noise_p, bool) \
+                or not isinstance(self.noise_p, numbers.Real) \
                 or not 0.0 <= self.noise_p <= 1.0:
             raise ValueError(f"noise_p must be a real number in [0, 1], got "
                              f"{self.noise_p!r}")

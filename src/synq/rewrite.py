@@ -1,30 +1,48 @@
 """Named rewrite rules replacing function words with cap-based wirings.
 
-Each rule matches word boxes by token membership in a word list plus an
-exact codomain shape, and substitutes a fragment with identical dom/cod,
-so a rewritten diagram always type-checks with its boundary unchanged.
-Callers usually follow ``apply`` with ``Diagram.normal_form()`` to yank
-the freshly introduced caps against existing cups.
+Every rule is one row of ``_RULES``: its bundled word list, the codomain it
+matches and its fragment. A rule matches a word box with no domain whose
+lowercased token is in the list and whose codomain equals the row's. A
+codomain of ``None`` matches any T.r ++ T shape, and a fragment of ``None``
+replaces the word by nested caps (``_nested_caps``). Any other fragment is
+a layer list in which a ``TypeSeq`` stands for the word retyped to that
+codomain. Every fragment keeps the word's dom/cod, so a rewritten diagram
+always type-checks with its boundary unchanged. Callers usually follow
+``apply`` with ``Diagram.normal_form()`` to yank the freshly introduced caps
+against existing cups.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from importlib import resources
-from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Optional
 
 from .diagram import Builder, Cap, Diagram, Word
 from .types import NOUN, TypeSeq, ts
 
+# name -> (word list, matched codomain, fragment)
+_RULES: dict[str, tuple[str, Optional[TypeSeq], Optional[tuple]]] = {
+    "auxiliary": ("auxiliaries", None, None),
+    "connector": ("connectors", None, None),
+    "determiner": ("determiners", ts("n", "n.l"), None),
+    # the cap (n.r, n) wraps around the reduced word (s, s.l)
+    "preadverb": ("adverbs", ts("n.r", "s", "s.l", "n"),
+                  ((Cap(NOUN, 0), 0), (ts("s", "s.l"), 1))),
+    "postadverb": ("adverbs", ts("s.r", "n.rr", "n.r", "s"),
+                   ((ts("s.r", "s"), 0), (Cap(NOUN, 1), 1))),
+    # bridges the subject noun wire through an order-5 preposition
+    "prepositional_phrase": (
+        "prepositions", ts("s.r", "n.rr", "n.r", "s", "n.l"),
+        ((ts("s.r", "s", "n.l"), 0), (Cap(NOUN, 1), 1))),
+}
 
-def load_wordlist(name_or_path: str) -> frozenset[str]:
-    """Load a word list: a bundled name ("determiners") or a file path."""
-    path = Path(name_or_path)
-    if path.suffix == ".txt" and path.exists():
-        text = path.read_text(encoding="utf-8")
-    else:
-        ref = resources.files("synq").joinpath(f"wordlists/{name_or_path}.txt")
-        text = ref.read_text(encoding="utf-8")
+RULE_NAMES = tuple(_RULES)
+
+
+def load_wordlist(name: str) -> frozenset[str]:
+    """The bundled word list ``name`` (such as "determiners"), lowercased."""
+    ref = resources.files("synq").joinpath(f"wordlists/{name}.txt")
+    text = ref.read_text(encoding="utf-8")
     return frozenset(t.strip().lower() for t in text.splitlines() if t.strip())
 
 
@@ -33,6 +51,34 @@ class RewriteRule:
     name: str
     matcher: Callable[[Word], bool]
     transformer: Callable[[Word], Diagram]
+
+
+def make_rule(name: str, words: frozenset[str] | None = None) -> RewriteRule:
+    """The rule of row ``name``, over ``words`` in place of its bundled list."""
+    if name not in _RULES:
+        raise ValueError(f"unknown rewrite rule {name!r}; "
+                         f"available: {', '.join(RULE_NAMES)}")
+    wordlist, shape, fragment = _RULES[name]
+    words = words if words is not None else load_wordlist(wordlist)
+
+    def matcher(w: Word) -> bool:
+        if w.dom or w.token.lower() not in words:
+            return False
+        if shape is None:
+            return _nested_caps(w.cod) is not None
+        return w.cod == shape
+
+    def transformer(w: Word) -> Diagram:
+        if fragment is None:
+            return _nested_caps(w.cod)
+        b = Builder()
+        for box, offset in fragment:
+            if isinstance(box, TypeSeq):
+                box = Word(w.token, cod=box)
+            b.add(box, offset)
+        return b.diagram()
+
+    return RewriteRule(name, matcher, transformer)
 
 
 class Rewriter:
@@ -84,112 +130,3 @@ def _nested_caps(cod: TypeSeq) -> Diagram | None:
         b.add(Cap(partner.base, partner.z), j)
     d = b.diagram()
     return d if d.cod == cod else None
-
-
-def _listed(token: str, words: frozenset[str]) -> bool:
-    return token.lower() in words
-
-
-def _nested_caps_rule(name: str, wordlist: str
-                      ) -> Callable[[frozenset[str] | None], RewriteRule]:
-    """Factory of a rule removing listed words shaped T.r ++ T by caps."""
-
-    def factory(words: frozenset[str] | None = None) -> RewriteRule:
-        words = words if words is not None else load_wordlist(wordlist)
-
-        def matcher(w: Word) -> bool:
-            return (not w.dom and _listed(w.token, words)
-                    and _nested_caps(w.cod) is not None)
-
-        return RewriteRule(name, matcher, lambda w: _nested_caps(w.cod))
-
-    return factory
-
-
-auxiliary_rule = _nested_caps_rule("auxiliary", "auxiliaries")
-connector_rule = _nested_caps_rule("connector", "connectors")
-
-
-def determiner_rule(words: frozenset[str] | None = None) -> RewriteRule:
-    """Remove determiners typed n @ n.l by replacing them with a cap."""
-    words = words if words is not None else load_wordlist("determiners")
-    shape = ts("n", "n.l")
-
-    def matcher(w: Word) -> bool:
-        return not w.dom and _listed(w.token, words) and w.cod == shape
-
-    return RewriteRule(
-        "determiner", matcher,
-        lambda w: Diagram.from_box(Cap(NOUN, -1)))
-
-
-_PREADVERB_SHAPE = ts("n.r", "s", "s.l", "n")
-_POSTADVERB_SHAPE = ts("s.r", "n.rr", "n.r", "s")
-
-
-def preadverb_rule(words: frozenset[str] | None = None) -> RewriteRule:
-    """Pass the noun wire through a pre-verb adverb with a cap."""
-    words = words if words is not None else load_wordlist("adverbs")
-
-    def matcher(w: Word) -> bool:
-        return (not w.dom and _listed(w.token, words)
-                and w.cod == _PREADVERB_SHAPE)
-
-    def transformer(w: Word) -> Diagram:
-        # cap (n.r, n) wraps around the reduced word (s, s.l)
-        inner = Word(w.token, cod=ts("s", "s.l"))
-        return Builder().add(Cap(NOUN, 0), 0).add(inner, 1).diagram()
-
-    return RewriteRule("preadverb", matcher, transformer)
-
-
-def postadverb_rule(words: frozenset[str] | None = None) -> RewriteRule:
-    """Pass the noun wire through a post-verb adverb with a cap."""
-    words = words if words is not None else load_wordlist("adverbs")
-
-    def matcher(w: Word) -> bool:
-        return (not w.dom and _listed(w.token, words)
-                and w.cod == _POSTADVERB_SHAPE)
-
-    def transformer(w: Word) -> Diagram:
-        inner = Word(w.token, cod=ts("s.r", "s"))
-        return Builder().add(inner, 0).add(Cap(NOUN, 1), 1).diagram()
-
-    return RewriteRule("postadverb", matcher, transformer)
-
-
-_PREPOSITION_SHAPE = ts("s.r", "n.rr", "n.r", "s", "n.l")
-
-
-def prepositional_phrase_rule(words: frozenset[str] | None = None) -> RewriteRule:
-    """Bridge the subject noun wire through an order-5 preposition."""
-    words = words if words is not None else load_wordlist("prepositions")
-
-    def matcher(w: Word) -> bool:
-        return (not w.dom and _listed(w.token, words)
-                and w.cod == _PREPOSITION_SHAPE)
-
-    def transformer(w: Word) -> Diagram:
-        inner = Word(w.token, cod=ts("s.r", "s", "n.l"))
-        return Builder().add(inner, 0).add(Cap(NOUN, 1), 1).diagram()
-
-    return RewriteRule("prepositional_phrase", matcher, transformer)
-
-
-_FACTORIES = {
-    "auxiliary": auxiliary_rule,
-    "connector": connector_rule,
-    "determiner": determiner_rule,
-    "preadverb": preadverb_rule,
-    "postadverb": postadverb_rule,
-    "prepositional_phrase": prepositional_phrase_rule,
-}
-
-RULE_NAMES = tuple(_FACTORIES)
-
-
-def make_rule(name: str) -> RewriteRule:
-    if name not in _FACTORIES:
-        raise ValueError(f"unknown rewrite rule {name!r}; "
-                         f"available: {', '.join(RULE_NAMES)}")
-    return _FACTORIES[name]()

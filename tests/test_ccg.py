@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ from synq.ccg import (
     section_to_diagrams, tree_to_diagram,
 )
 from synq.diagram import Cap, Cup, Swap, Word
+from synq.rewrite import RULE_NAMES, Rewriter
 from synq.types import EMPTY, reduce, reduces_to, ts
 
 FIXTURES = Path(__file__).parent / "data" / "fixtures.auto"
@@ -249,6 +251,17 @@ class TestSectionConversion:
     def test_empty_directory(self, tmp_path):
         assert section_to_diagrams(tmp_path) == []
 
+    def test_error_names_the_file_line(self, tmp_path):
+        good = "(<T NP 0 2> (<L NP/N DT DT a NP/N>) (<L N NN NN flower N>))"
+        text = f"ID=a\n{good}\nID=b\n{good[:40]}\n"
+        (tmp_path / "s.auto").write_text(text)
+        with pytest.raises(ParseError) as exc:
+            parse_auto(text)
+        assert exc.value.line == 4
+        results = section_to_diagrams(tmp_path)
+        assert [r.ok for r in results] == [True, False]
+        assert results[1].error == str(exc.value)
+
     def test_auto_examples_in_one_file(self, tmp_path):
         lines = [
             "(<L N NN NN flower N>)",
@@ -285,3 +298,54 @@ class TestSectionConversion:
         for i, tree in s_rooted:
             d = tree_to_diagram(tree)
             assert reduces_to(d.cod, ts("s")), i
+
+
+FIXTURE_LINES = FIXTURES.read_text().splitlines()
+HEADERS = [i for i, line in enumerate(FIXTURE_LINES) if line.startswith("ID=")]
+DERIVATIONS = [i for i, line in enumerate(FIXTURE_LINES)
+               if line and not line.startswith("ID=")]
+CATEGORY = re.compile(r"<[LT] (\S+) ")
+FIXTURE_CATEGORIES = sorted({m.group(1) for line in FIXTURE_LINES
+                             for m in CATEGORY.finditer(line)})
+
+
+@st.composite
+def mutated_fixtures(draw):
+    """The fixture text with one line mutated, and the file line of the
+    derivation that the mutation touches."""
+    lines = list(FIXTURE_LINES)
+    kind = draw(st.sampled_from(["truncate", "parenthesis", "category", "id"]))
+    if kind == "id":  # a header repeats the ID of an earlier one
+        j = draw(st.integers(min_value=1, max_value=len(HEADERS) - 1))
+        lines[HEADERS[j]] = lines[HEADERS[draw(st.integers(0, j - 1))]]
+        return "\n".join(lines), HEADERS[j] + 2
+    k = draw(st.sampled_from(DERIVATIONS))
+    line = lines[k]
+    if kind == "truncate":
+        line = line[:draw(st.integers(0, len(line) - 1))]
+    elif kind == "parenthesis":
+        at = draw(st.sampled_from(
+            [i for i, ch in enumerate(line) if ch in "()"]))
+        line = line[:at] + line[at + 1:]
+    else:
+        start, end = draw(st.sampled_from(
+            [m.span(1) for m in CATEGORY.finditer(line)]))
+        line = line[:start] + draw(st.sampled_from(FIXTURE_CATEGORIES)) \
+            + line[end:]
+    lines[k] = line
+    return "\n".join(lines), k + 1
+
+
+class TestMutatedAuto:
+    @settings(max_examples=200, deadline=None)
+    @given(mutated_fixtures())
+    def test_only_named_errors_escape(self, mutated):
+        text, lineno = mutated
+        rewriter = Rewriter(RULE_NAMES)
+        try:
+            for tree in parse_auto(text):
+                rewriter(tree_to_diagram(tree)).normal_form()
+        except ParseError as exc:
+            assert exc.line == lineno, exc
+        except (UnknownCategory, DerivationError):
+            pass

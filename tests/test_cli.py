@@ -40,7 +40,8 @@ def test_train_writes_outputs(tmp_path, capsys, pipeline):
                                   '{"learning_rate": 0.1}',
                                   '{"dim_map": {"n": 3, "s": 2}}',
                                   '{"rewrites": "determiner"}',
-                                  '{"backend": "shots"}'])
+                                  '{"backend": "shots"}',
+                                  '{"ccg_path": 5}', '{"rewrites": 5}'])
 def test_bad_config_is_a_usage_error(tmp_path, capsys, text):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(text)
@@ -48,4 +49,22 @@ def test_bad_config_is_a_usage_error(tmp_path, capsys, text):
         main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert exc.value.code == 2
     assert "bad config" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("auto", [None, "ID=0\n(<L N NN NN flower N>)\n"])
+def test_compile_failure_is_one_line_and_status_1(tmp_path, capsys, auto):
+    path = tmp_path / "derivations.auto"
+    if auto is not None:  # item 1 and every later item lack their ID
+        path.write_text(auto)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"ccg_path": str(path), "iterations": 1}))
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("synq: cannot compile: ") and err.count("\n") == 1
+    assert str(path) in err
+    if auto is not None:
+        assert "; 1: " in err
     assert not (tmp_path / "o").exists()

@@ -114,8 +114,7 @@ def test_first_match_wins():
 def test_word_lists_overridable():
     rule = make_rule("determiner")
     assert rule.matcher(Word("the", cod=ts("n", "n.l")))
-    from synq.rewrite import determiner_rule
-    custom = determiner_rule(frozenset({"yonder"}))
+    custom = make_rule("determiner", frozenset({"yonder"}))
     assert not custom.matcher(Word("the", cod=ts("n", "n.l")))
     assert custom.matcher(Word("yonder", cod=ts("n", "n.l")))
 
@@ -125,12 +124,6 @@ def test_load_bundled_wordlists():
                  "adverbs"]:
         words = load_wordlist(name)
         assert words and all(w == w.lower() for w in words)
-
-
-def test_load_wordlist_from_path(tmp_path):
-    p = tmp_path / "mine.txt"
-    p.write_text("Foo\nbar\n\n")
-    assert load_wordlist(str(p)) == {"foo", "bar"}
 
 
 @pytest.mark.parametrize("fid", [f"fix.{i}" for i in range(1, 25)])

@@ -184,6 +184,17 @@ class TestPipelines:
           "noise_p": 0.3}, "noise_p 0.3 needs backend 'shots', not 'exact'"),
         ({"ansatz": "spider", "backend": "shots", "noise_p": 0.3},
          "backend 'shots' needs ansatz 'iqp', not 'spider'"),
+        ({"ccg_path": 5}, "ccg_path must be a str or None, got 5"),
+        ({"ccg_path": {}}, r"ccg_path must be a str or None, got \{\}"),
+        ({"ccg_path": ["a"]}, r"ccg_path must be a str or None, got \['a'\]"),
+        ({"rewrites": 5}, "rewrites must be a list of rule names, got 5"),
+        ({"rewrites": None}, "rewrites must be a list of rule names, got None"),
+        ({"rewrites": {"determiner": 1}},
+         "rewrites must be a list of rule names, got {'determiner': 1}"),
+        ({"rewrites": ("determiner", "determiner")},
+         r"rewrites names a rule twice: \['determiner', 'determiner'\]"),
+        ({"ansatz": "iqp", "optimizer": "spsa", "backend": "shots",
+          "noise_p": True}, "noise_p must be a real number in .* True"),
     ])
     def test_config_mistake_rejected_at_construction(self, kwargs, named):
         with pytest.raises(ValueError, match=named):
