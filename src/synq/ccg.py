@@ -276,10 +276,10 @@ def infer_unary_rule(child: CCGCategory, parent: CCGCategory) -> str:
 # ---------------------------------------------------------------------------
 # AUTO parsing.
 #
-# One scanner, ``_scan_auto``, reads AUTO text for ``parse_auto``,
-# ``read_auto`` and ``section_to_diagrams``. It keys each derivation by its
-# ID and hands it on with its file line, so every ParseError names the line
-# of the file that it is on.
+# One scanner, ``scan_auto``, reads AUTO text for ``parse_auto``,
+# ``read_auto``, ``section_to_diagrams`` and ``pipeline.compile_model``. It
+# keys each derivation by its ID and hands it on with its file line, so
+# every ParseError names the line of the file that it is on.
 # ---------------------------------------------------------------------------
 
 
@@ -353,7 +353,7 @@ class _AutoParser:
         return tree
 
 
-def _scan_auto(text: str) -> Iterator[tuple[str, int, str]]:
+def scan_auto(text: str) -> Iterator[tuple[str, int, str]]:
     """(ID, file line, derivation line) of each derivation in AUTO text.
 
     The ID is the first field of the ``ID=`` header line before a
@@ -385,7 +385,7 @@ def _scan_auto(text: str) -> Iterator[tuple[str, int, str]]:
 def parse_auto(text: str) -> list[CCGTree]:
     """Parse AUTO-format text, one derivation per non-header line."""
     return [_AutoParser(line, lineno).parse()
-            for _, lineno, line in _scan_auto(text)]
+            for _, lineno, line in scan_auto(text)]
 
 
 # ---------------------------------------------------------------------------
@@ -564,9 +564,9 @@ class ConversionResult:
 
 def read_auto(path: str | Path) -> dict[str, str]:
     """Derivation lines of one AUTO file, keyed by derivation ID as
-    ``_scan_auto`` keys them. Raises ParseError on an empty or repeated ID."""
+    ``scan_auto`` keys them. Raises ParseError on an empty or repeated ID."""
     text = Path(path).read_text(encoding="utf-8")
-    return {key: line for key, _, line in _scan_auto(text)}
+    return {key: line for key, _, line in scan_auto(text)}
 
 
 def section_to_diagrams(path: str | Path) -> list[ConversionResult]:
@@ -576,7 +576,7 @@ def section_to_diagrams(path: str | Path) -> list[ConversionResult]:
     results = []
     for file in files:
         try:
-            derivations = list(_scan_auto(file.read_text(encoding="utf-8")))
+            derivations = list(scan_auto(file.read_text(encoding="utf-8")))
         except ParseError as exc:
             logger.warning("skipping %s: %s", file.name, exc)
             results.append(ConversionResult(file.name, error=str(exc)))

@@ -15,6 +15,7 @@ import logging
 import numbers
 from dataclasses import dataclass
 from functools import lru_cache
+from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
@@ -31,7 +32,8 @@ from .params import ParameterStore
 from .readers import cups_read, spiders_read, tokenize
 from .rewrite import RULE_NAMES, Rewriter
 from .simulator import (
-    ZERO_NORM_THRESHOLD, AllShotsDiscarded, ZeroNorm, evaluate, sample,
+    MAX_SHOTS, ZERO_NORM_THRESHOLD, AllShotsDiscarded, ZeroNorm, evaluate,
+    sample,
 )
 from .types import ts
 
@@ -94,6 +96,9 @@ class PipelineConfig:
             if type(value) is not int or value < least:  # bool is no int
                 raise ValueError(
                     f"{name} must be an int >= {least}, got {value!r}")
+        if self.n_shots > MAX_SHOTS:
+            raise ValueError(f"n_shots must be at most 2**63 - 1, got "
+                             f"{self.n_shots!r}")
         if isinstance(self.noise_p, bool) \
                 or not isinstance(self.noise_p, numbers.Real) \
                 or not 0.0 <= self.noise_p <= 1.0:
@@ -129,12 +134,14 @@ def sentence_to_diagram(cfg: PipelineConfig, text: str,
 _rewriter = lru_cache(Rewriter)
 
 
-def _load_derivations(cfg: PipelineConfig,
-                      ds: LabeledDataset) -> list[Optional[str]]:
-    """Item i's derivation is the ``ID=i`` entry of ``cfg.ccg_path``."""
+def _load_derivations(cfg: PipelineConfig, ds: LabeledDataset
+                      ) -> list[tuple[Optional[str], int]]:
+    """Item i's derivation is the ``ID=i`` entry of ``cfg.ccg_path``, given
+    with its line of the file; without a file, (None, 1) for each item."""
     if cfg.ccg_path is None:
-        return [None] * len(ds.items)
-    by_id = ccg.read_auto(cfg.ccg_path)
+        return [(None, 1)] * len(ds.items)
+    auto = Path(cfg.ccg_path).read_text(encoding="utf-8")
+    by_id = {key: (line, lineno) for key, lineno, line in ccg.scan_auto(auto)}
     missing = [f"{i}: {text!r}" for i, (text, _) in enumerate(ds.items)
                if str(i) not in by_id]
     if missing:
@@ -169,12 +176,15 @@ def compile_model(cfg: PipelineConfig, ds: LabeledDataset) -> CompiledModel:
     derivations = _load_derivations(cfg, ds)
     artifacts, failures = [], []
     for i, (text, _) in enumerate(ds.items):
+        derivation, lineno = derivations[i]
         try:
-            d = sentence_to_diagram(cfg, text, derivations[i])
+            d = sentence_to_diagram(cfg, text, derivation)
             if d.cod != ts("s"):
                 raise CompileError(f"codomain {d.cod} is not the sentence type")
             artifacts.append(compile_diagram(cfg, d))
         except Exception as exc:
+            if isinstance(exc, ccg.ParseError):  # parsed alone, it is line 1
+                exc = ccg.ParseError(exc.reason, lineno, exc.column)
             failures.append(f"{i}: {text!r}: {exc}")
             artifacts.append(None)
     if failures:

@@ -30,7 +30,10 @@ and CX are real. After each two-qubit gate, each touched qubit passes a
 Kronecker delta. A postselected qubit ends in <0| on its ket and its bra,
 and an open qubit in a copy node over (ket, bra, outcome) whose outcome
 leg is open. With p = 0 the channel is the identity and the distribution
-is the noiseless one.
+is the noiseless one. Planning reads shapes only, so a copy node stands in
+for each channel node while ``_doubled_plan`` plans; the channel's tensor
+then replaces that leaf, and replacing a plan's leaves folds its constant
+steps again, so every folded tensor holds the channel, not its stand-in.
 """
 from __future__ import annotations
 
@@ -41,10 +44,13 @@ from typing import Sequence
 import numpy as np
 
 from .ansatz import ROTATIONS, Circuit, Node, Op, Symbol, TensorNetwork
-from .contract import Group, NetworkPlan, Plan, contract_batch, plan
+from .contract import (
+    Group, NetworkPlan, Plan, contract_batch, plan, rotation_kinds,
+)
 from .params import ParameterStore, UnboundSymbol
 
 ZERO_NORM_THRESHOLD = 1e-12
+MAX_SHOTS = 2 ** 63 - 1  # the largest count numpy's multinomial draws
 
 
 class ZeroNorm(Exception):
@@ -123,7 +129,8 @@ def _doubled_plan(n_qubits: int, gates: tuple[tuple[str, tuple], ...],
                  tuple((s, q) for q in qubits))
         for q in qubits if len(qubits) == 2 else ():
             # planning reads shapes only, so a copy node stands in for the
-            # channel until its leaf is replaced below
+            # channel until its leaf is replaced below, which folds the
+            # constant steps again
             channels.append(len(nodes))
             _lay(nodes, edges, wire, f"n{i}.{q}", "copy",
                  (("k", q), ("b", q)))
@@ -150,8 +157,8 @@ def _doubled_plan(n_qubits: int, gates: tuple[tuple[str, tuple], ...],
 def _group(key: tuple, rows: np.ndarray, index: np.ndarray) -> Group:
     """Circuits of structure ``key``, _network_plan's arguments; index
     holds each row's angle offsets in gate order."""
-    rotations = tuple(gate for gate, _ in key[1] if gate in ROTATIONS)
-    return Group(_network_plan(*key), rows, index, rotations)
+    return Group(_network_plan(*key), rows, index, rotation_kinds(
+        [gate for gate, _ in key[1] if gate in ROTATIONS]))
 
 
 def _amplitudes(c: Circuit, ps: ParameterStore, postselect: tuple[int, ...],
@@ -224,8 +231,8 @@ def _outcomes(c: Circuit, ps: ParameterStore, noise_p: float) -> np.ndarray:
     index = np.arange(2 * len(angles)).reshape(2, -1).T.reshape(1, -1)
     group = Group(_doubled_plan(n_qubits, gates, c.postselect, c.open,
                                 noise_p), np.zeros(1, np.intp), index,
-                  tuple(gate for gate, _ in gates if gate in ROTATIONS
-                        for _ in "kb"))
+                  rotation_kinds([gate for gate, _ in gates
+                                  if gate in ROTATIONS for _ in "kb"]))
     return contract_batch(group, np.r_[angles, -angles])[0].real.ravel()
 
 
@@ -242,6 +249,8 @@ def sample(c: Circuit, ps: ParameterStore, n_shots: int, seed: int,
     """
     if n_shots < 1:
         raise ValueError("n_shots must be at least 1")
+    if n_shots > MAX_SHOTS:
+        raise ValueError(f"n_shots must be at most 2**63 - 1, got {n_shots!r}")
     if not 0.0 <= noise_p <= 1.0:
         raise ValueError(f"noise_p must lie in [0, 1], got {noise_p!r}")
     kept = np.clip(_outcomes(c, ps, noise_p), 0.0, None)

@@ -1,11 +1,18 @@
 import csv
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from synq.cli import main
+from synq.cli import load_config, main
 from synq.params import ParameterStore
+from synq.pipeline import (
+    ANSATZE, BACKENDS, OPTIMIZERS, READERS, PipelineConfig,
+)
+from synq.rewrite import RULE_NAMES
 
 
 @pytest.mark.parametrize("pipeline", [
@@ -68,3 +75,42 @@ def test_compile_failure_is_one_line_and_status_1(tmp_path, capsys, auto):
     if auto is not None:
         assert "; 1: " in err
     assert not (tmp_path / "o").exists()
+
+
+FIELDS = tuple(f.name for f in fields(PipelineConfig))
+# what a refusal of each field says; a rewrites refusal may name the rule
+NAMED = {**{name: name for name in FIELDS}, "rewrites": "rewrite"}
+JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers()
+    | st.sampled_from([0, 1, -1, 2 ** 63 - 1, 2 ** 63, 2 ** 70, -2 ** 70])
+    | st.floats() | st.sampled_from([float("nan"), float("inf"),
+                                     -float("inf")])
+    | st.text(max_size=8)
+    | st.sampled_from(READERS + ANSATZE + BACKENDS + OPTIMIZERS + RULE_NAMES))
+JSON_VALUES = st.recursive(
+    JSON_SCALARS, lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=6)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.dictionaries(st.sampled_from(FIELDS) | st.text(max_size=6),
+                       JSON_VALUES, max_size=4) | JSON_VALUES)
+def test_config_json_is_refused_by_name(tmp_path, obj):
+    """Any JSON value: load_config builds a config or raises a ValueError
+    that names a field it was given, an unknown key or the wrong type."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(obj))
+    try:
+        cfg = load_config(path)
+    except ValueError as exc:
+        message = str(exc)
+        if not isinstance(obj, dict):
+            assert "must be a JSON object" in message
+        elif set(obj) - set(FIELDS):
+            assert "unknown config keys" in message
+        else:
+            assert any(NAMED[name] in message for name in obj), message
+        return
+    assert isinstance(obj, dict) and isinstance(cfg, PipelineConfig)

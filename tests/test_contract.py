@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,9 +9,10 @@ from hypothesis import strategies as st
 from synq.ansatz import (
     Node, Symbol, TensorNetwork, mps_ansatz, spider_ansatz, tensor_ansatz,
 )
+from synq import contract as contract_module
 from synq.contract import (
-    ShapeMismatch, contract, contract_batch, contract_grad, plan,
-    plan_networks,
+    ShapeMismatch, _replay, _structure, _value, contract, contract_batch,
+    contract_grad, plan, plan_networks,
 )
 from synq.diagram import Cap, Cup, Diagram, Spider, Word, cup_at, word
 from synq.params import ParameterStore, UnboundSymbol
@@ -442,3 +444,125 @@ class TestBatched:
         values, grad = contract_grad(group, np.zeros(0),
                                      lambda v: np.ones(v.shape))
         assert values.tolist() == [3.0, 3.0] and grad.size == 0
+
+
+def unfolded_replay(p, params):
+    """Every tensor of the recorded contraction, every step run in order:
+    the replay without constant folding."""
+    tensors = list(p.leaves)
+    for k, value in zip(p.params, params):
+        tensors[k] = value
+    for (a, b, _, _), script in zip(p.steps, p.scripts):
+        tensors.append(np.einsum(script, tensors[a], tensors[b]))
+    return tensors
+
+
+def assert_folding_exact(p, params):
+    """The folded replay equals the unfolded one bit for bit, tensor by
+    tensor, and every folded constant is read-only."""
+    got, want = _replay(p, params), unfolded_replay(p, params)
+    assert len(got) == len(want) == len(p.fixed)
+    for k, (a, b) in enumerate(zip(got, want)):
+        assert np.array_equal(a, b) and np.shape(a) == np.shape(b)
+        assert (p.fixed[k] is None) == p.live[k]
+        if p.fixed[k] is not None:
+            assert a is p.fixed[k] and not p.fixed[k].flags.writeable
+    assert [c for c, _, _, _ in p.run] == [
+        len(p.leaves) + s for s in range(len(p.steps))
+        if p.live[len(p.leaves) + s]]
+
+
+def renamed(tn, suffix):
+    """tn with every parameter node's symbol renamed: one structure."""
+    return TensorNetwork(tuple(
+        Node(n.node_id, n.kind, n.shape, Symbol(n.symbol.name + suffix,
+                                                n.shape))
+        for n in tn.nodes), tn.edges, tn.open_legs)
+
+
+class TestPlanCache:
+    def test_one_structure_plans_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(contract_module, "plan",
+                            lambda tn, plan=plan: calls.append(tn) or plan(tn))
+        contract_module._planned.cache_clear()
+        tn, ps = random_network(np.random.default_rng(12))
+        other = renamed(tn, "_b")
+        ps = ParameterStore({**{n: ps[n] for n in ps.names()},
+                             **{s.name: np.full(s.shape, 0.5)
+                                for s in other.symbols}})
+        assert {s.name for s in tn.symbols}.isdisjoint(
+            s.name for s in other.symbols)
+        for network in (tn, other, tn):
+            contract(network, ps)
+        (group,) = plan_networks([tn, other], [0, 1], ps).groups
+        assert len(calls) == 1
+        assert np.array_equal(contract_batch(group, ps.to_vector())[1],
+                              contract(other, ps))
+
+    def test_edge_and_leg_order_get_their_own_plans(self):
+        rng = np.random.default_rng(4)
+        tn, ps = random_network(rng)
+        while len(tn.edges) < 2 or len(tn.open_legs) < 2:
+            tn, ps = random_network(rng)
+        (x, y), *rest = tn.edges
+        variants = [tn, replace(tn, edges=tn.edges[::-1]),
+                    replace(tn, edges=((y, x), *rest)),
+                    replace(tn, open_legs=tn.open_legs[::-1])]
+        plans = {id(contract_module._planned(_structure(v)))
+                 for v in variants}
+        assert len(plans) == len(variants)
+        for v in variants:
+            p = plan(v)  # uncached
+            params = [ps[v.nodes[k].symbol.name][None] for k in p.params]
+            want = _value(p, unfolded_replay(p, params), 1)[0]
+            assert np.array_equal(contract(v, ps), want)
+
+    def test_cache_is_bounded(self):
+        maxsize = contract_module._planned.cache_info().maxsize
+        assert maxsize == 1024
+        try:
+            for d in range(1, maxsize + 10):  # one structure per dimension
+                u = Node("u", "param", (d,), Symbol("u", (d,)))
+                contract(TensorNetwork((u,), (), (("u", 0),)),
+                         ParameterStore({"u": np.ones(d)}))
+            assert contract_module._planned.cache_info().currsize == maxsize
+        finally:
+            contract_module._planned.cache_clear()
+
+
+class TestFolding:
+    def test_constant_step_is_folded_read_only(self):
+        # m and k are fixed and their edge comes first at the smallest
+        # size product, so the first step is constant and the second live
+        m, k = Node("m", "delta", (2, 2)), Node("k", "delta", (2, 2))
+        u = Node("u", "param", (2, 2), Symbol("u", (2, 2)))
+        tn = TensorNetwork((m, k, u), ((("m", 1), ("k", 0)),
+                                       (("k", 1), ("u", 0))),
+                           (("m", 0), ("u", 1)))
+        p = plan(tn)
+        assert len(p.steps) == 2 and len(p.run) == 1
+        assert np.array_equal(p.fixed[3], np.eye(2))
+        with pytest.raises(ValueError):
+            p.fixed[3][0, 0] = 2.0
+        ps = ParameterStore({"u": [[1.0, 2.0], [3.0, 4.0]]})
+        assert_folding_exact(p, [ps["u"][None]])
+        assert np.array_equal(contract(tn, ps), ps["u"])
+
+    def test_network_without_parameters_is_one_constant(self):
+        m = Node("m", "delta", (3, 3))
+        tn = TensorNetwork((m, Node("c", "copy", (3, 3, 3))),
+                           ((("m", 0), ("c", 0)), (("m", 1), ("c", 1))),
+                           (("c", 2),))
+        p = plan(tn)
+        assert p.run == () and len(p.steps) == 1
+        assert_folding_exact(p, [])
+        assert np.array_equal(contract(tn, ParameterStore({})), np.ones(3))
+
+    def test_random_networks_replay_equal_unfolded(self):
+        rng = np.random.default_rng(8)
+        for _ in range(30):
+            tn, ps = random_network(rng)
+            p = plan(tn)
+            assert_folding_exact(
+                p, [ps[tn.nodes[k].symbol.name][None] for k in p.params])

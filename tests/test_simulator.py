@@ -7,17 +7,19 @@ from hypothesis import strategies as st
 
 from synq.ansatz import GATE_TENSORS, ROTATIONS, Circuit, Op, Symbol, \
     iqp_ansatz
-from synq.contract import contract_batch
+from synq.contract import _value, contract_batch, rotation_kinds
 from synq.dataset import generate_dataset
 from synq.diagram import Cap, Diagram, cup_at, word
 from synq.params import ParameterStore, UnboundSymbol
 from synq.pipeline import PipelineConfig, compile_model, group_p1
 from synq.simulator import (
-    ZERO_NORM_THRESHOLD, AllShotsDiscarded, ZeroNorm, _outcomes, evaluate,
-    plan_circuits, sample, statevector,
+    MAX_SHOTS, ZERO_NORM_THRESHOLD, AllShotsDiscarded, ZeroNorm,
+    _doubled_plan, _outcomes, _structure, evaluate, plan_circuits, sample,
+    statevector,
 )
 from synq.training import _circuit_plan
 from synq.types import ts
+from test_contract import assert_folding_exact, unfolded_replay
 
 EMPTY_PS = ParameterStore({})
 
@@ -279,6 +281,12 @@ class TestSample:
         sigma = np.sqrt(10000 * 0.25)
         assert set(counts) <= {"00", "11"}
         assert abs(counts["00"] - 5000) <= 3 * sigma
+
+    def test_shot_count_beyond_int64_rejected(self):
+        counts = sample(self.bell(), EMPTY_PS, MAX_SHOTS, seed=1)
+        assert sum(counts.values()) == MAX_SHOTS
+        with pytest.raises(ValueError, match=rf"n_shots .*{MAX_SHOTS + 1}"):
+            sample(self.bell(), EMPTY_PS, MAX_SHOTS + 1, seed=1)
 
     def test_same_seed_identical(self):
         a = sample(self.bell(), EMPTY_PS, 500, seed=7)
@@ -546,3 +554,75 @@ class TestPlan:
                     Circuit(1, (Op("Rx", (0,), 0.3),), (), (0,))):
             with pytest.raises(ValueError, match="planned circuit needs"):
                 plan_circuits([bad], EMPTY_PS)
+
+
+def leaf_gates(c):
+    """The gate of each rotation of c, in op order."""
+    return [op.gate for op in c.ops if op.gate in ROTATIONS]
+
+
+class TestRotationKinds:
+    def test_kinds_list_each_gate_once(self):
+        kinds = rotation_kinds(["Rz", "Rx", "Rz", "CRz", "Rx", "Rz"])
+        assert [(gate, cols.tolist()) for gate, cols in kinds] == [
+            ("Rz", [0, 2, 5]), ("Rx", [1, 4]), ("CRz", [3])]
+
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(iqp_batches(), st.integers(0, 2 ** 32 - 1))
+    def test_gather_equals_per_gate_tensors(self, circuits, seed):
+        symbols = [sym for c in circuits for sym in c.symbols]
+        store = ParameterStore.initialize(symbols, seed)
+        vec = store.to_vector() * 1e3 ** (seed % 3 - 1)  # small and large
+        for g in plan_circuits(circuits, store).groups:
+            got = g._gather(vec)
+            gates = leaf_gates(circuits[g.rows[0]])
+            assert len(got) == len(gates) == len(g.plan.params)
+            for j, gate in enumerate(gates):
+                want = GATE_TENSORS[gate](vec[g.index[:, j]])
+                assert np.array_equal(got[j], want)
+                assert got[j].shape == want.shape
+                assert got[j].flags.c_contiguous
+
+
+class TestFolding:
+    """Constant steps of circuit plans are folded once; the folded replay
+    equals the unfolded one bit for bit."""
+
+    def test_dataset_circuits(self):
+        model = compile_model(PipelineConfig(ansatz="iqp", optimizer="spsa"),
+                              generate_dataset(0))
+        plan = plan_circuits(model.artifacts, model.store)
+        vec = model.store.to_vector()
+        for g in plan.groups:
+            assert len(g.plan.run) < len(g.plan.steps)  # something folded
+            assert_folding_exact(g.plan, g._gather(vec))
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(noisy_circuits(), st.sampled_from([0.0, 0.01, 1.0]))
+    @example(SEVERAL_OPEN, 0.01)
+    @example(BOTH_ORDERS, 1.0)
+    @example(UNTOUCHED_POSTSELECTED, 0.0)
+    def test_doubled_network(self, c, p):
+        plan = _doubled_plan(*_structure(c), c.postselect, c.open, p)
+        # each rotation's ket leaf, then its bra leaf at minus its angle
+        params = [GATE_TENSORS[op.gate](np.array([sign * op.param]))
+                  for op in c.ops if op.gate in ROTATIONS for sign in (1, -1)]
+        assert_folding_exact(plan, params)
+        want = _value(plan, unfolded_replay(plan, params), 1)[0]
+        assert np.array_equal(_outcomes(c, EMPTY_PS, p),
+                              want.real.ravel())
+
+    def test_doubled_network_folds_the_channel(self):
+        """The channel replaces its copy-node stand-in before folding: at
+        p = 3/4 the channel depolarises fully and a Bell pair reads every
+        outcome equally often."""
+        c = Circuit(2, (Op("H", (0,)), Op("CX", (0, 1))), (), (0, 1))
+        plans = [_doubled_plan(*_structure(c), (), (0, 1), p)
+                 for p in (0.0, 0.75)]
+        assert all(plan.run == () for plan in plans)  # no parameter
+        assert not np.array_equal(plans[0].fixed[-1], plans[1].fixed[-1])
+        for p, want in ((0.0, [0.5, 0, 0, 0.5]), (0.75, [0.25] * 4)):
+            assert np.allclose(_outcomes(c, EMPTY_PS, p), want,
+                               rtol=0, atol=1e-15)

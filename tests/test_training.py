@@ -195,6 +195,9 @@ class TestPipelines:
          r"rewrites names a rule twice: \['determiner', 'determiner'\]"),
         ({"ansatz": "iqp", "optimizer": "spsa", "backend": "shots",
           "noise_p": True}, "noise_p must be a real number in .* True"),
+        ({"ansatz": "iqp", "optimizer": "spsa", "backend": "shots",
+          "n_shots": 2 ** 63},
+         rf"n_shots must be at most 2\*\*63 - 1, got {2 ** 63}"),
     ])
     def test_config_mistake_rejected_at_construction(self, kwargs, named):
         with pytest.raises(ValueError, match=named):
@@ -281,6 +284,22 @@ class TestPipelines:
         missing = range(len(ds.items)) if ids == "fix" else [len(ds.items) - 1]
         assert str(err.value).splitlines()[1:] == [
             f"{i}: {ds.items[i][0]!r}" for i in missing]
+
+    def test_ccg_path_malformed_derivation_names_its_file_line(self,
+                                                               tmp_path):
+        from synq.dataset import sentence_to_auto
+        ds = tiny_dataset()
+        lines = [f"ID={i}\n{sentence_to_auto(text)}\n"
+                 for i, (text, _) in enumerate(ds.items)]
+        lines[1] = lines[1][:len("ID=1\n") + 30] + "\n"  # file line 4
+        path = tmp_path / "truncated.auto"
+        path.write_text("".join(lines))
+        cfg = PipelineConfig(reader="ccg", ccg_path=str(path))
+        with pytest.raises(CompileError) as err:
+            compile_model(cfg, ds)
+        assert str(err.value).splitlines()[1:] == [
+            f"1: {ds.items[1][0]!r}: unterminated node header "
+            "(line 4, column 31)"]
 
     def test_sentence_to_diagram_rewrites(self):
         cfg = PipelineConfig(reader="ccg", rewrites=("determiner",))
