@@ -277,9 +277,9 @@ def infer_unary_rule(child: CCGCategory, parent: CCGCategory) -> str:
 # AUTO parsing.
 #
 # One scanner, ``scan_auto``, reads AUTO text for ``parse_auto``,
-# ``read_auto``, ``section_to_diagrams`` and ``pipeline.compile_model``. It
-# keys each derivation by its ID and hands it on with its file line, so
-# every ParseError names the line of the file that it is on.
+# ``section_to_diagrams`` and ``pipeline.compile_model``. It keys each
+# derivation by its ID and hands it on with its file line, so every
+# ParseError names the line of the file that it is on.
 # ---------------------------------------------------------------------------
 
 
@@ -560,13 +560,6 @@ class ConversionResult:
     @property
     def ok(self) -> bool:
         return self.diagram is not None
-
-
-def read_auto(path: str | Path) -> dict[str, str]:
-    """Derivation lines of one AUTO file, keyed by derivation ID as
-    ``scan_auto`` keys them. Raises ParseError on an empty or repeated ID."""
-    text = Path(path).read_text(encoding="utf-8")
-    return {key: line for key, _, line in scan_auto(text)}
 
 
 def section_to_diagrams(path: str | Path) -> list[ConversionResult]:

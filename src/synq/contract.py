@@ -32,7 +32,9 @@ row's parameters are gathered from the flat vector with index arrays: a
 stored tensor's entries, or the angle of a circuit's rotation gate. A
 circuit group builds the tensors of all its leaves of one gate with one
 call of that gate's ``ansatz.GATE_TENSORS`` kernel (``rotation_kinds``).
-``contract`` is a batch of one.
+``NetworkPlan.stack`` lays several flat vectors end to end, so one batch
+per structure serves rows under different vectors (SPSA's two probes and
+the current point). ``contract`` is a batch of one.
 
 The gradient walks the live steps backwards from the cotangent of the
 values: the cotangent of each operand is the result's cotangent contracted
@@ -349,19 +351,31 @@ class NetworkPlan:
     groups: tuple[Group, ...]
     count: int
 
-    def select(self, rows: Sequence[int]) -> list[Group]:
-        """The groups cut down to ``rows``, empty ones left out."""
-        wanted = np.zeros(self.count, dtype=bool)
-        wanted[list(rows)] = True
-        out = []
+    def stack(self, parts: Sequence[tuple[int, Sequence[int]]],
+              size: int) -> "NetworkPlan":
+        """The plan of several flat vectors at once, ``size`` entries each,
+        gathered from their concatenation: part (point, rows) takes the
+        networks at ``rows`` under vector ``point``, numbered
+        point * count + row, with every gather offset by point * size. Each
+        structure keeps one group, its parts' rows in part order; empty
+        groups are left out."""
+        wanted = np.zeros((len(parts), self.count), dtype=bool)
+        for k, (_, rows) in enumerate(parts):
+            wanted[k, list(rows)] = True
+        groups = []
         for g in self.groups:
-            keep = wanted[g.rows]
-            if keep.all():
-                out.append(g)
-            elif keep.any():
-                out.append(Group(g.plan, g.rows[keep], g.index[keep],
-                                 g.rotations))
-        return out
+            keep = wanted[:, g.rows]
+            if not keep.any():
+                continue
+            groups.append(Group(
+                g.plan,
+                np.concatenate([g.rows[m] + point * self.count
+                                for (point, _), m in zip(parts, keep)]),
+                np.concatenate([g.index[m] + point * size
+                                for (point, _), m in zip(parts, keep)]),
+                g.rotations))
+        points = 1 + max((point for point, _ in parts), default=0)
+        return NetworkPlan(tuple(groups), points * self.count)
 
 
 def _structure(tn: TensorNetwork) -> tuple:
@@ -435,8 +449,9 @@ def contract_grad(group: Group, vec: np.ndarray,
                   ) -> tuple[np.ndarray, np.ndarray]:
     """The values V of the group's networks (one row each) and the gradient
     of sum(V * upstream(V)) in the flat layout of ``vec``, with upstream(V)
-    held constant; one contraction serves both. Real networks only: a
-    circuit's rotation leaves have no gradient here."""
+    held constant; one contraction serves both, and an all-zero
+    upstream(V) skips the reverse pass. Real networks only: a circuit's
+    rotation leaves have no gradient here."""
     p = group.plan
     tensors = _replay(p, group._gather(vec))
     values = _value(p, tensors, len(group.rows))
@@ -445,7 +460,7 @@ def contract_grad(group: Group, vec: np.ndarray,
         raise ShapeMismatch(
             f"upstream cotangent {g.shape} vs values {values.shape}")
     flat = np.zeros(len(vec))
-    if tensors and p.live[-1]:
+    if tensors and p.live[-1] and g.any():
         cots = _backprop(p, tensors, g)
         np.add.at(flat, group.index, np.concatenate(
             [c.reshape(len(group.rows), -1) for c in cots], axis=1))

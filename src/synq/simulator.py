@@ -233,7 +233,8 @@ def _outcomes(c: Circuit, ps: ParameterStore, noise_p: float) -> np.ndarray:
                                 noise_p), np.zeros(1, np.intp), index,
                   rotation_kinds([gate for gate, _ in gates
                                   if gate in ROTATIONS for _ in "kb"]))
-    return contract_batch(group, np.r_[angles, -angles])[0].real.ravel()
+    vec = np.concatenate([angles, -angles])
+    return contract_batch(group, vec)[0].real.ravel()
 
 
 def sample(c: Circuit, ps: ParameterStore, n_shots: int, seed: int,
@@ -255,7 +256,7 @@ def sample(c: Circuit, ps: ParameterStore, n_shots: int, seed: int,
         raise ValueError(f"noise_p must lie in [0, 1], got {noise_p!r}")
     kept = np.clip(_outcomes(c, ps, noise_p), 0.0, None)
     drawn = np.random.default_rng(seed).multinomial(
-        n_shots, np.r_[max(0.0, 1.0 - kept.sum()), kept])[1:]
+        n_shots, np.concatenate([[max(0.0, 1.0 - kept.sum())], kept]))[1:]
     if not drawn.any():
         raise AllShotsDiscarded(f"all {n_shots} shots violated postselection")
     return {_key(j, len(c.open)): int(drawn[j]) for j in np.flatnonzero(drawn)}

@@ -5,10 +5,17 @@ Quantum pipelines use SPSA, which probes the loss at two randomly perturbed
 points per step and never needs circuit gradients. ``train`` groups the
 sentences by network structure and plans each group's contraction once:
 tensor networks, and exact circuits as the tensor networks of their gates.
-Every iteration then takes one batched pass per group for each loss (with
-Adam, a value-and-gradient pass) and one for the train and dev scores
-together. Shot-based circuits are sampled one sentence at a time, each
-with its own shot seed.
+
+Every iteration is then one batched pass per group at the current point.
+That pass also scores the point, which is the previous iteration's history
+row, so scoring takes no pass of its own; one final forward pass scores the
+last point. With Adam the pass computes values and gradients over the train
+and dev sentences, the dev rows with a zero cotangent. With SPSA,
+``spsa_step`` hands both probe points to the loss in one call, and the pass
+stacks the train sentences at each probe with the train and dev sentences
+at the current point (``NetworkPlan.stack``). Shot-based circuits are
+sampled one sentence at a time, each with the shot seed of its iteration,
+evaluation slot and item.
 All runs are deterministic given the config seed (with the exact backend,
 bit-for-bit).
 """
@@ -80,16 +87,18 @@ def adam_step(params: np.ndarray, grad: np.ndarray, state: AdamState,
     return new, AdamState(m, v, t)
 
 
-def spsa_step(params: np.ndarray, loss_fn: Callable[[np.ndarray], float],
+def spsa_step(params: np.ndarray,
+              loss_fn: Callable[[np.ndarray, np.ndarray], tuple[float, float]],
               k: int, a: float = 0.05, c: float = 0.06, big_a: float = 0.0,
               alpha: float = 0.602, gamma: float = 0.101, *,
               rng: np.random.Generator) -> np.ndarray:
-    """One SPSA update: two loss evaluations along a random direction."""
+    """One SPSA update along a random direction. ``loss_fn`` gets both
+    probe points in one call, so it can evaluate them as one batch, and
+    returns the loss at each."""
     delta = rng.choice((-1.0, 1.0), size=params.shape)
     ck = c / (k + 1) ** gamma
     ak = a / (big_a + k + 1) ** alpha
-    plus = loss_fn(params + ck * delta)
-    minus = loss_fn(params - ck * delta)
+    plus, minus = loss_fn(params + ck * delta, params - ck * delta)
     gradient = (plus - minus) / (2.0 * ck) / delta
     return params - ak * gradient
 
@@ -133,32 +142,46 @@ def _circuit_plan(model: CompiledModel) -> Optional[NetworkPlan]:
     return None
 
 
-def _batch_p1(model: CompiledModel, plan: Optional[NetworkPlan],
-              vec: np.ndarray, indices, iteration: int,
-              slot: int) -> list[float]:
-    """p1 of the sentences at ``indices`` under the flat vector ``vec``.
+def _parts_p1(model: CompiledModel, p1: np.ndarray, points, parts
+              ) -> list[np.ndarray]:
+    """Each part's p1, cut out of ``p1`` (one row per point, one column
+    per sentence); a nan entry, a sentence whose norm is below the floor of
+    its kind, is re-predicted by predict_p1, which reports it."""
+    out = []
+    for point, rows in parts:
+        values = p1[point, list(rows)]
+        bad = np.flatnonzero(np.isnan(values))
+        if len(bad):
+            store = model.store.from_vector(points[point])
+            for k in bad:
+                values[k] = predict_p1(model, store, rows[k])
+        out.append(values)
+    return out
 
-    With a plan (tensor models and exact circuits), one batched pass per
-    group (group_p1); a sentence whose norm is below the floor of its kind
-    is re-predicted by predict_p1, which reports it. Without a plan,
-    sentence by sentence."""
+
+def _batch_p1(model: CompiledModel, plan: Optional[NetworkPlan], points,
+              parts, seeds) -> list[np.ndarray]:
+    """p1 of each part's sentences: part (point, rows) holds the sentences
+    at ``rows`` under the flat vector ``points[point]``.
+
+    With ``plan``, the model's plan stacked over ``parts``
+    (NetworkPlan.stack), one batched pass per group (group_p1) serves
+    every part (_parts_p1). Without a plan, sentence by sentence; a
+    shot-based sentence draws with its shot seed, from part k's
+    (iteration, slot) = ``seeds[k]`` and its item."""
     cfg = model.config
     if plan is None:
-        store = model.store.from_vector(vec)
-        return [predict_p1(model, store, i,
-                           shot_seed(cfg.seed, iteration, slot, i)
-                           if cfg.backend == "shots" else None)
-                for i in indices]
+        stores = [model.store.from_vector(v) for v in points]
+        return [np.array([predict_p1(model, stores[point], i,
+                                     shot_seed(cfg.seed, *seed, i)
+                                     if cfg.backend == "shots" else None)
+                          for i in rows])
+                for (point, rows), seed in zip(parts, seeds)]
     p1 = np.zeros(plan.count)
-    for g in plan.select(indices):
-        p1[g.rows] = group_p1(g, vec)
-    p1 = p1[list(indices)]
-    bad = np.flatnonzero(np.isnan(p1))
-    if len(bad):
-        store = model.store.from_vector(vec)
-        for k in bad:
-            p1[k] = predict_p1(model, store, indices[k])
-    return p1.tolist()
+    flat = np.concatenate(points)
+    for g in plan.groups:
+        p1[g.rows] = group_p1(g, flat)
+    return _parts_p1(model, p1.reshape(len(points), -1), points, parts)
 
 
 def _mean_loss(p1s, labels) -> float:
@@ -166,7 +189,13 @@ def _mean_loss(p1s, labels) -> float:
 
 
 def train(model: CompiledModel) -> tuple[ParameterStore, TrainHistory]:
-    """Full-batch training; returns the final store and the history."""
+    """Full-batch training; returns the final store and the history.
+
+    Iteration k takes one batched pass per structure group at its point
+    theta_k: with Adam, values and gradients over train and dev; with SPSA,
+    the train rows at both probes stacked with train and dev at theta_k.
+    The values at theta_k give history row k - 1, the score of step
+    k - 1's result, and a final forward pass gives the last row."""
     cfg = model.config
     ds = model.dataset
     train_idx, train_y = ds.train, ds.labels("train")
@@ -181,47 +210,63 @@ def train(model: CompiledModel) -> tuple[ParameterStore, TrainHistory]:
     else:
         plan = _circuit_plan(model)
     vec = store.to_vector()
-    adam_state = AdamState.zeros(len(vec))
-    spsa_rng = np.random.default_rng(cfg.seed)
-    if cfg.optimizer == "adam":  # the config pairs adam with tensors only
-        groups = plan.select(train_idx)
-        labels = np.zeros(plan.count)
-        labels[list(train_idx)] = train_y
+    size = len(vec)
 
-    for it in range(cfg.iterations):
-        if cfg.optimizer == "adam":
-            grad, degenerate = np.zeros_like(vec), []
-            for g in groups:
-                y = labels[g.rows]
-                p1, g_grad = prediction_gradient(
-                    g, vec, lambda p, y=y: bce_grad(p, y))
-                grad += g_grad
-                degenerate += g.rows[np.isnan(p1)].tolist()
-            if degenerate:  # zero vectors add no gradient: report them
-                current = store.from_vector(vec)
-                for i in sorted(degenerate):
-                    predict_p1(model, current, i)
-            grad /= len(train_idx)
-            vec, adam_state = adam_step(vec, grad, adam_state)
-        else:
-            def loss_at(theta: np.ndarray, _it=it) -> float:
-                p1s = _batch_p1(model, plan, theta, train_idx, _it, slot=0)
-                return _mean_loss(p1s, train_y)
-
-            vec = spsa_step(vec, loss_at, it, big_a=0.1 * cfg.iterations,
-                            rng=spsa_rng)
-
-        if plan is not None:  # one pass per group for both
-            p1s = _batch_p1(model, plan, vec, train_idx + dev_idx, it, 1)
-            train_p1, dev_p1 = p1s[:len(train_idx)], p1s[len(train_idx):]
-        else:
-            train_p1 = _batch_p1(model, plan, vec, train_idx, it, slot=1)
-            dev_p1 = _batch_p1(model, plan, vec, dev_idx, it, slot=2)
+    def record(it: int, train_p1: np.ndarray, dev_p1: np.ndarray) -> None:
         history.append(it, _mean_loss(train_p1, train_y),
                        accuracy(train_p1, train_y),
-                       _mean_loss(dev_p1, dev_y),
-                       accuracy(dev_p1, dev_y))
+                       _mean_loss(dev_p1, dev_y), accuracy(dev_p1, dev_y))
 
+    def stacked(parts) -> Optional[NetworkPlan]:
+        return None if plan is None else plan.stack(parts, size)
+
+    # a score: the train and dev sentences at one point, their shots drawn
+    # in slots 1 and 2
+    score = [(0, train_idx), (0, dev_idx)]
+    if cfg.optimizer == "adam":  # the config pairs adam with tensors only
+        adam_state = AdamState.zeros(size)
+        labels, trains = np.zeros(plan.count), np.zeros(plan.count, bool)
+        labels[list(train_idx)] = train_y
+        trains[list(train_idx)] = True
+        for it in range(cfg.iterations):
+            grad, p1 = np.zeros(size), np.zeros(plan.count)
+            for g in plan.groups:
+                p1[g.rows], g_grad = prediction_gradient(
+                    g, vec, lambda p, y=labels[g.rows], t=trains[g.rows]:
+                    np.where(t, bce_grad(p, y), 0.0))
+                grad += g_grad
+            # at iteration 0 only to report degenerate rows
+            scores = _parts_p1(model, p1[None], [vec], score)
+            if it:
+                record(it - 1, *scores)
+            vec, adam_state = adam_step(vec, grad / len(train_idx),
+                                        adam_state)
+    else:
+        # the probes at points 0 and 1, whose shots share slot 0, and the
+        # score of the current point, 2
+        probes = [(0, train_idx), (1, train_idx)]
+        parts = probes + [(2, rows) for _, rows in score]
+        plans = stacked(probes), stacked(parts)
+        spsa_rng = np.random.default_rng(cfg.seed)
+        for it in range(cfg.iterations):
+            def losses(plus, minus, _it=it, _vec=vec):
+                seeds = [(_it, 0)] * 2 + [(_it - 1, 1), (_it - 1, 2)]
+                if _it:
+                    p1s = _batch_p1(model, plans[1], (plus, minus, _vec),
+                                    parts, seeds)
+                    record(_it - 1, *p1s[2:])
+                else:  # no row to score yet: the probes alone
+                    p1s = _batch_p1(model, plans[0], (plus, minus), probes,
+                                    seeds)
+                return (_mean_loss(p1s[0], train_y),
+                        _mean_loss(p1s[1], train_y))
+
+            vec = spsa_step(vec, losses, it, big_a=0.1 * cfg.iterations,
+                            rng=spsa_rng)
+
+    last = cfg.iterations - 1
+    record(last, *_batch_p1(model, stacked(score), [vec], score,
+                            [(last, 1), (last, 2)]))
     return store.from_vector(vec), history
 
 
@@ -231,7 +276,10 @@ def evaluate_split(model: CompiledModel, store: ParameterStore,
     ds = model.dataset
     idx, labels = getattr(ds, split), ds.labels(split)
     vec = store.to_vector(model.store.names())  # in the model's layout
-    p1s = _batch_p1(model, _circuit_plan(model), vec, idx, -1, slot=3)
+    plan, part = _circuit_plan(model), [(0, idx)]
+    if plan is not None:
+        plan = plan.stack(part, len(vec))
+    (p1s,) = _batch_p1(model, plan, [vec], part, [(-1, 3)])
     return {
         f"{split}_loss": _mean_loss(p1s, labels),
         f"{split}_accuracy": accuracy(p1s, labels),

@@ -9,7 +9,7 @@ from synq.ansatz import (
     UnsupportedBox,
     _mps_groups, iqp_ansatz, mps_ansatz, spider_ansatz, tensor_ansatz,
 )
-from synq.ccg import parse_auto, read_auto, tree_to_diagram
+from synq.ccg import parse_auto, scan_auto, tree_to_diagram
 from synq.contract import contract
 from synq.diagram import Diagram, Spider, Word, cup_at, word
 from synq.params import ParameterStore
@@ -282,7 +282,9 @@ FIXTURES = Path(__file__).parent / "data" / "fixtures.auto"
 def test_word_without_wires_gets_no_node(ansatz, deriv_id):
     # the sentence-final "." has an empty codomain: a scalar word tensor
     # would only rescale the sentence vector, so p1 must not change
-    (tree,) = parse_auto(read_auto(FIXTURES)[deriv_id])
+    (line,) = [line for key, _, line in scan_auto(FIXTURES.read_text())
+               if key == deriv_id]
+    (tree,) = parse_auto(line)
     d = tree_to_diagram(tree)
     assert any(isinstance(b, Word) and not len(b.dom @ b.cod)
                for b, _ in d.layers)

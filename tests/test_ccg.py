@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from synq.ccg import (
     Atomic, Backward, DerivationError, Forward, Leaf, Node, ParseError,
-    UnknownCategory, cat_to_typeseq, parse_auto, parse_category, read_auto,
+    UnknownCategory, cat_to_typeseq, parse_auto, parse_category, scan_auto,
     section_to_diagrams, tree_to_diagram,
 )
 from synq.diagram import Cap, Cup, Swap, Word
@@ -215,7 +215,14 @@ class TestTreeToDiagram:
             tree_to_diagram(tree)
 
 
+def read_auto(path):
+    """Derivation lines of an AUTO file, keyed as ``scan_auto`` keys them."""
+    return {key: line for key, _, line in scan_auto(path.read_text())}
+
+
 class TestReadAuto:
+    """AUTO files read through ``scan_auto``."""
+
     def test_fixture_ids_are_strings(self):
         derivations = read_auto(FIXTURES)
         lines = FIXTURES.read_text().splitlines()

@@ -397,7 +397,23 @@ class TestPlan:
                                 for s in other.symbols}})
         netplan = plan_networks(networks + [other], [4, 0, 2, 3], ps)
         assert [list(g.rows) for g in netplan.groups] == [[4], [0, 2, 3]]
-        assert [list(g.rows) for g in netplan.select([3, 4])] == [[4], [3]]
+        picked = netplan.stack([(0, [3, 4])], 0).groups
+        assert [list(g.rows) for g in picked] == [[4], [3]]
+
+    def test_stack_evaluates_each_point_as_its_own_batch(self):
+        networks, ps = shared_batch(9, rows=5, pool=2)
+        netplan = plan_networks(networks, range(5), ps)
+        rng = np.random.default_rng(9)
+        points = [rng.normal(size=ps.size) for _ in range(3)]
+        parts = [(0, [1, 3]), (1, [0, 1, 4]), (2, [2]), (2, [4])]
+        stacked = netplan.stack(parts, ps.size)
+        assert stacked.count == 3 * 5
+        (g,) = stacked.groups
+        assert g.rows.tolist() == [1, 3, 5, 6, 9, 12, 14]
+        values = contract_batch(g, np.concatenate(points))
+        for (point, rows), got in zip(parts, np.split(values, [2, 5, 6])):
+            (alone,) = netplan.stack([(0, rows)], ps.size).groups
+            assert np.array_equal(got, contract_batch(alone, points[point]))
 
     def test_missing_symbol_is_named(self):
         networks, ps = shared_batch(1, rows=1, pool=1)
@@ -436,6 +452,20 @@ class TestBatched:
         fd = (np.sum(contract_batch(group, vec + h * u) * g)
               - np.sum(contract_batch(group, vec - h * u) * g)) / (2 * h)
         assert abs(fd - grad @ u) <= 1e-6 * max(1.0, abs(fd))
+
+    def test_zero_cotangent_skips_the_reverse_pass(self, monkeypatch):
+        networks, ps = shared_batch(3, rows=3, pool=2)
+        (group,) = plan_networks(networks, range(3), ps).groups
+        vec = ps.to_vector()
+        reversed_passes = []
+        real = contract_module._backprop
+        monkeypatch.setattr(contract_module, "_backprop", lambda *args: (
+            reversed_passes.append(1) or real(*args)))
+        values, grad = contract_grad(group, vec, lambda v: np.zeros(v.shape))
+        assert not reversed_passes and not grad.any()
+        assert np.array_equal(values, contract_batch(group, vec))
+        contract_grad(group, vec, lambda v: np.ones(v.shape))
+        assert reversed_passes == [1]
 
     def test_rows_without_parameters_share_the_value(self):
         m = Node("m", "delta", (3, 3))

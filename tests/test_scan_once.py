@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from synq import ccg
-from synq.ccg import parse_auto, read_auto, tree_to_diagram
+from synq.ccg import parse_auto, scan_auto, tree_to_diagram
 from synq.dataset import FOOD
 from synq.diagram import (
     Builder, Cap, Cup, Diagram, IllTyped, ParseError, Swap, Word,
@@ -114,7 +114,7 @@ class TestOracle:
 
     def test_fixture_derivations_and_rewrites(self):
         rewriter = Rewriter(list(RULE_NAMES))
-        for deriv_id, line in read_auto(FIXTURES).items():
+        for deriv_id, _, line in scan_auto(FIXTURES.read_text()):
             (tree,) = parse_auto(line)
             d = tree_to_diagram(tree)
             assert rebuild(d) == d, deriv_id

@@ -491,7 +491,7 @@ def planned(plan, vec, rows):
     """Per row of ``rows``: p1 as training reads it, the postselection
     probability |a0|^2 + |a1|^2 and |a1|^2, off each group's amplitudes."""
     out = np.zeros((3, plan.count))
-    for g in plan.select(rows):
+    for g in plan.stack([(0, rows)], len(vec)).groups:
         probs = np.abs(contract_batch(g, vec)) ** 2
         out[:, g.rows] = (group_p1(g, vec), probs.sum(axis=1),
                           probs[:, 1])

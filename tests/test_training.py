@@ -80,18 +80,23 @@ class TestAdam:
         assert np.linalg.norm(x - target) < 1e-3
 
 
+def pointwise(loss):
+    """A two-point loss function of spsa_step from a one-point ``loss``."""
+    return lambda plus, minus: (loss(plus), loss(minus))
+
+
 class TestSpsa:
     def test_linear_gradient_exact(self):
         # for L = 3 theta, the two-point estimate is exactly 3 either way
         for seed in range(5):
             rng = np.random.default_rng(seed)
-            out = spsa_step(np.array([1.0]), lambda t: 3.0 * t[0], k=0,
-                            a=0.1, big_a=0.0, rng=rng)
+            out = spsa_step(np.array([1.0]), pointwise(lambda t: 3.0 * t[0]),
+                            k=0, a=0.1, big_a=0.0, rng=rng)
             ak = 0.1 / 1.0 ** 0.602
             assert out[0] == pytest.approx(1.0 - ak * 3.0)
 
     def test_constant_loss_no_motion(self):
-        out = spsa_step(np.ones(4), lambda t: 7.0, k=3,
+        out = spsa_step(np.ones(4), pointwise(lambda t: 7.0), k=3,
                         rng=np.random.default_rng(0))
         assert np.allclose(out, np.ones(4))
 
@@ -100,19 +105,23 @@ class TestSpsa:
         x = rng.normal(size=10)
         start = float(np.sum(x ** 2))
         for k in range(300):
-            x = spsa_step(x, lambda t: float(np.sum(t ** 2)), k,
+            x = spsa_step(x, pointwise(lambda t: float(np.sum(t ** 2))), k,
                           a=0.05, c=0.06, big_a=30.0, rng=rng)
         assert float(np.sum(x ** 2)) < 0.1 * start
 
     def test_two_evaluations_per_step(self):
+        # both probe points reach the loss function in one call
         calls = []
 
-        def loss(t):
-            calls.append(1)
-            return float(np.sum(t ** 2))
+        def losses(plus, minus):
+            calls.append((plus, minus))
+            return float(np.sum(plus ** 2)), float(np.sum(minus ** 2))
 
-        spsa_step(np.ones(3), loss, k=0, rng=np.random.default_rng(0))
-        assert len(calls) == 2
+        spsa_step(np.ones(3), losses, k=0, rng=np.random.default_rng(0))
+        ((plus, minus),) = calls
+        # +-c along a +-1 direction, c = 0.06 at k = 0
+        assert np.allclose(plus + minus, 2.0)
+        assert np.allclose(np.abs(plus - minus), 0.12)
 
 
 class TestHistory:
@@ -340,6 +349,14 @@ def with_dead_row(model, item):
     return replace(model, artifacts=artifacts, store=store)
 
 
+def batch_p1(model, plan, vec, rows):
+    """_batch_p1 of the sentences at ``rows`` under ``vec`` alone."""
+    part = [(0, rows)]
+    (p1,) = _batch_p1(model, plan.stack(part, len(vec)), [vec], part,
+                      [(0, 1)])
+    return p1.tolist()
+
+
 def one_row(model, item):
     (group,) = plan_networks(model.artifacts, [item], model.store).groups
     return group
@@ -358,8 +375,9 @@ class TestAdamGradientPass:
             grads.append(1) or real_grad(*args)))
         train(model)
         # no sentence is contracted on its own: one batched gradient pass
-        # per group of training sentences and iteration
-        groups = plan_networks(model.artifacts, ds.train, model.store).groups
+        # per group of train and dev sentences and iteration
+        groups = plan_networks(model.artifacts, ds.train + ds.dev,
+                               model.store).groups
         assert len(calls) == 0
         assert len(grads) == 2 * len(groups) == 8
 
@@ -413,12 +431,23 @@ class TestAdamGradientPass:
         labels = np.array(ds.labels("train"), dtype=float)
         want = np.zeros(clean.store.size)
         netplan = plan_networks(clean.artifacts, ds.train, clean.store)
-        for g in netplan.select(ds.train[1:]):
+        for g in netplan.stack([(0, ds.train[1:])], clean.store.size).groups:
             want += prediction_gradient(
                 g, clean.store.to_vector(),
                 lambda p, y=labels[g.rows]: bce_grad(p, y))[1]
         assert np.array_equal(grad[:clean.store.size], want / len(ds.train))
         assert not grad[clean.store.size:].any()
+
+
+    def test_zero_vector_warns_once_per_iteration(self, caplog):
+        # one pass per iteration reports it, and the final pass once more
+        cfg = PipelineConfig(reader="cups", ansatz="tensor", iterations=3)
+        model = with_dead_row(compile_model(cfg, tiny_dataset()), 0)
+        with caplog.at_level(logging.WARNING, logger="synq.pipeline"):
+            train(model)
+        warnings = [r for r in caplog.records if r.name == "synq.pipeline"]
+        assert len(warnings) == 3 + 1
+        assert all("item 0" in r.getMessage() for r in warnings)
 
 
 class TestBatchedTensors:
@@ -458,13 +487,11 @@ class TestBatchedTensors:
         netplan = plan_networks(model.artifacts, rows, model.store)
         dead_plan = plan_networks(dead.artifacts, rows, dead.store)
         assert len(dead_plan.groups) == len(netplan.groups)
-        before = _batch_p1(model, netplan, model.store.to_vector(), rows,
-                           0, 1)
+        before = batch_p1(model, netplan, model.store.to_vector(), rows)
         assert np.allclose(before, [predict_p1(model, model.store, i)
                                     for i in rows], rtol=0, atol=1e-12)
         with caplog.at_level(logging.WARNING, logger="synq.pipeline"):
-            after = _batch_p1(dead, dead_plan, dead.store.to_vector(), rows,
-                              0, 1)
+            after = batch_p1(dead, dead_plan, dead.store.to_vector(), rows)
         warnings = [r for r in caplog.records if r.name == "synq.pipeline"]
         assert len(warnings) == 1
         assert f"item {item}" in warnings[0].getMessage()
@@ -498,8 +525,8 @@ class TestPlannedCircuits:
         from synq.ansatz import Circuit, Op, Symbol
         model = self.model()
         rows = list(range(10))
-        before = _batch_p1(model, plan_circuits(model.artifacts, model.store),
-                           model.store.to_vector(), rows, 0, 1)
+        before = batch_p1(model, plan_circuits(model.artifacts, model.store),
+                          model.store.to_vector(), rows)
         # Rx(pi) leaves the postselected qubit in |1>: zero norm
         dead = Circuit(2, (Op("Rx", (1,), Symbol("flip")),), (1,), (0,))
         store = model.store.copy()
@@ -508,9 +535,142 @@ class TestPlannedCircuits:
         artifacts[3] = dead
         broken = replace(model, artifacts=artifacts, store=store)
         with caplog.at_level(logging.WARNING, logger="synq.pipeline"):
-            after = _batch_p1(broken, plan_circuits(artifacts, store),
-                              store.to_vector(), rows, 0, 1)
+            after = batch_p1(broken, plan_circuits(artifacts, store),
+                             store.to_vector(), rows)
         warnings = [r for r in caplog.records if r.name == "synq.pipeline"]
         assert len(warnings) == 1 and "item 3" in warnings[0].getMessage()
         assert after[3] == 0.5
         assert after[:3] + after[4:] == before[:3] + before[4:]
+
+
+def reference_train(model):
+    """The three-pass loop ``train`` folds into one pass per iteration,
+    kept as its oracle. Each iteration takes its gradient (Adam: one
+    value-and-gradient pass over the train rows) or its two SPSA probes
+    (two passes over the train rows), steps, and then scores train and dev
+    at the new point in a pass of its own."""
+    cfg, ds = model.config, model.dataset
+    train_idx, train_y = ds.train, ds.labels("train")
+    dev_idx, dev_y = ds.dev, ds.labels("dev")
+    vec = model.store.to_vector()
+    if cfg.ansatz == "iqp":
+        plan = training._circuit_plan(model)
+    else:
+        plan = plan_networks(model.artifacts, train_idx + dev_idx,
+                             model.store)
+
+    def p1_at(theta, rows, it, slot):
+        store = model.store.from_vector(theta)
+        if plan is None:  # sentence by sentence, with its shot seed
+            return [predict_p1(model, store, i,
+                               pipeline.shot_seed(cfg.seed, it, slot, i)
+                               if cfg.backend == "shots" else None)
+                    for i in rows]
+        p1 = np.zeros(plan.count)
+        for g in plan.stack([(0, rows)], len(theta)).groups:
+            p1[g.rows] = group_p1(g, theta)
+        return [predict_p1(model, store, i) if np.isnan(p1[i]) else p1[i]
+                for i in rows]
+
+    def loss(p1s, labels):
+        return float(np.mean(bce_loss(np.asarray(p1s), np.asarray(labels))))
+
+    history, state = TrainHistory(), AdamState.zeros(len(vec))
+    rng = np.random.default_rng(cfg.seed)
+    labels = np.zeros(len(model.artifacts))
+    labels[list(train_idx)] = train_y
+    for it in range(cfg.iterations):
+        if cfg.optimizer == "adam":
+            grad = np.zeros_like(vec)
+            for g in plan.stack([(0, train_idx)], len(vec)).groups:
+                grad += prediction_gradient(
+                    g, vec, lambda p, y=labels[g.rows]: bce_grad(p, y))[1]
+            vec, state = adam_step(vec, grad / len(train_idx), state)
+        else:
+            def losses(plus, minus, it=it):
+                return (loss(p1_at(plus, train_idx, it, 0), train_y),
+                        loss(p1_at(minus, train_idx, it, 0), train_y))
+
+            vec = spsa_step(vec, losses, it, big_a=0.1 * cfg.iterations,
+                            rng=rng)
+        if plan is None:
+            train_p1 = p1_at(vec, train_idx, it, 1)
+            dev_p1 = p1_at(vec, dev_idx, it, 2)
+        else:
+            p1s = p1_at(vec, train_idx + dev_idx, it, 1)
+            train_p1, dev_p1 = p1s[:len(train_idx)], p1s[len(train_idx):]
+        history.append(it, loss(train_p1, train_y),
+                       accuracy(train_p1, train_y), loss(dev_p1, dev_y),
+                       accuracy(dev_p1, dev_y))
+    return model.store.from_vector(vec), history
+
+
+class TestOnePassPerIteration:
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("kind", ["spider", "tensor", "mps", "iqp",
+                                      "shots", "spider-spsa"])
+    def test_matches_the_three_pass_loop_bit_for_bit(self, kind, seed):
+        if kind == "spider-spsa":  # stacked probes of a tensor model
+            cfg = PipelineConfig(ansatz="spider", optimizer="spsa",
+                                 iterations=4, seed=seed)
+            ds = generate_dataset(0)
+        elif kind == "shots":
+            cfg = PipelineConfig(ansatz="iqp", optimizer="spsa",
+                                 backend="shots", n_shots=256, noise_p=0.01,
+                                 iterations=3, seed=seed)
+            ds = tiny_dataset()
+        else:
+            cfg = PipelineConfig(
+                ansatz=kind, optimizer="spsa" if kind == "iqp" else "adam",
+                iterations=4, seed=seed)
+            ds = generate_dataset(0)
+        model = compile_model(cfg, ds)
+        store, history = train(model)
+        want_store, want = reference_train(model)
+        assert history.rows == want.rows
+        assert np.array_equal(store.to_vector(), want_store.to_vector())
+
+    @pytest.mark.parametrize("optimizer", ["adam", "spsa"])
+    def test_one_batched_call_per_group_and_iteration(self, monkeypatch,
+                                                      optimizer):
+        ds = generate_dataset(0)
+        cfg = PipelineConfig(ansatz="spider" if optimizer == "adam"
+                             else "iqp", optimizer=optimizer, iterations=3,
+                             seed=0)
+        model = compile_model(cfg, ds)
+        calls = []
+        for name in ("group_p1", "prediction_gradient"):
+            real = getattr(training, name)
+            monkeypatch.setattr(training, name, lambda g, *args, real=real,
+                                name=name: calls.append((name, len(g.rows)))
+                                or real(g, *args))
+        steps = []
+        real_step = getattr(training, f"{optimizer}_step")
+        monkeypatch.setattr(training, f"{optimizer}_step", lambda *args, **kw:
+                            steps.append(len(calls)) or real_step(*args, **kw))
+        train(model)
+        netplan = (plan_networks(model.artifacts, ds.train + ds.dev,
+                                 model.store)
+                   if optimizer == "adam" else plan_circuits(model.artifacts,
+                                                             model.store))
+        groups = len(netplan.stack([(0, ds.train + ds.dev)], 0).groups)
+        assert groups == 4
+        both, train_dev = len(ds.train), len(ds.train) + len(ds.dev)
+        if optimizer == "adam":
+            # each pass precedes its step; the final pass scores the last
+            # point
+            assert steps == [groups, 2 * groups, 3 * groups]
+            per_iter = [("prediction_gradient", train_dev)] * 3
+        else:
+            # the loss function runs inside the step: at iteration 0 it
+            # takes the probes alone, then the probes and the score
+            assert steps == [0, groups, 2 * groups]
+            per_iter = [("group_p1", 2 * both)] + [
+                ("group_p1", 2 * both + train_dev)] * 2
+        assert len(calls) == 4 * groups
+        passes = [calls[k * groups:(k + 1) * groups] for k in range(4)]
+        for (name, rows), one in zip(per_iter, passes):
+            assert {n for n, _ in one} == {name}
+            assert sum(r for _, r in one) == rows
+        assert {n for n, _ in passes[-1]} == {"group_p1"}
+        assert sum(r for _, r in passes[-1]) == train_dev
