@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Union
 
 import numpy as np
@@ -49,6 +50,7 @@ class Symbol:
     shape: tuple[int, ...] = ()
 
 
+@lru_cache(maxsize=4096)  # one entry per (token, type) word of a corpus
 def _signature(box: Word) -> str:
     dom = ".".join(str(t) for t in box.dom)
     cod = ".".join(str(t) for t in box.cod)

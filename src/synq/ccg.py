@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import Iterator, Optional, Union
 
@@ -33,6 +34,14 @@ PUNCT_ATOMS = {",", ".", ":", ";", "LRB", "RRB", "``", "''"}
 CONJ_ATOMS = {"conj"}
 
 RULES = ("FA", "BA", "FC", "BC", "FX", "BX", "TR", "LEX", "CONJ", "UNARY")
+
+# parse_category, cat_to_typeseq, infer_rule and infer_unary_rule are pure
+# maps of frozen categories, called once per leaf or node of every
+# derivation, so each keeps its results in a bounded cache of 4096 entries:
+# CCGBank has about 1,300 lexical category types, so the bound holds every
+# category of a corpus, and a rarer combination past it is evicted least
+# recently used first. An exception is never cached: a bad category or
+# combination raises on every call.
 
 
 class ParseError(Exception):
@@ -172,6 +181,7 @@ class _CatParser:
         return cat
 
 
+@lru_cache(maxsize=4096)
 def parse_category(text: str) -> CCGCategory:
     return _CatParser(text).parse()
 
@@ -212,6 +222,7 @@ def _is_conj_atom(c: CCGCategory) -> bool:
     return isinstance(c, Atomic) and c.name in CONJ_ATOMS
 
 
+@lru_cache(maxsize=4096)
 def infer_rule(left: CCGCategory, right: CCGCategory,
                parent: CCGCategory) -> str:
     """Name the binary combinator that takes (left, right) to parent."""
@@ -259,6 +270,7 @@ def infer_rule(left: CCGCategory, right: CCGCategory,
         f"{category_to_str(right)} into {category_to_str(parent)}")
 
 
+@lru_cache(maxsize=4096)
 def infer_unary_rule(child: CCGCategory, parent: CCGCategory) -> str:
     if isinstance(parent, Forward) and isinstance(parent.argument, Backward) \
             and cat_eq(parent.argument.argument, child) \
@@ -395,6 +407,7 @@ def parse_auto(text: str) -> list[CCGTree]:
 _ATOM_IMAGE = {"N": NOUN, "NP": NOUN, "PP": NOUN, "S": SENTENCE}
 
 
+@lru_cache(maxsize=4096)
 def cat_to_typeseq(c: CCGCategory) -> TypeSeq:
     if c.conj:
         base = cat_to_typeseq(_strip_conj(c))

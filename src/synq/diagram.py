@@ -12,8 +12,10 @@ constructor (``Diagram(dom, cod, layers)``, ``diagram_from_dict``),
 ``cup_at``, the readers, the CCG conversion and the rewrite fragments all
 go through ``add``. ``then``, ``tensor``, ``rewrite.apply`` and
 ``normal_form`` only combine or reorder typed layers, so they freeze their
-results unchecked. Building, rewriting and normalising an L-layer diagram
-thus checks and copies O(L) layers.
+results unchecked. ``normal_form`` copies the layer list once and yanks
+every snake in place, resuming its scan near each yanked cap. Building,
+rewriting and normalising an L-layer diagram thus checks and copies O(L)
+layers.
 
 Box variants:
 
@@ -194,9 +196,8 @@ class Diagram:
 
     def normal_form(self) -> Diagram:
         """Remove every yankable cap-cup snake, iterating to a fixed point."""
-        layers = self.layers
-        while (nxt := _remove_one_snake(layers)) is not None:
-            layers = nxt
+        layers = list(self.layers)
+        _remove_snakes(layers)
         return Diagram._typed(self.dom, self.cod, tuple(layers))
 
     def to_json(self, indent: int | None = None) -> str:
@@ -271,6 +272,15 @@ def cup_at(d: Diagram, offset: int) -> Diagram:
 # commute with the cap, and vice versa for right snakes; pushing the
 # off-side boxes below the cup and sliding the cap down the remaining ones
 # always makes the pair adjacent, where deleting both layers is the yank.
+#
+# Each step yanks the snake of the first cap, in layer order, that has one,
+# trying its right leg before its left. A yank permutes only the layers from
+# its cap to its cup and keeps every wire's consumer but one: the wire that
+# entered the cup's other slot now runs on to where the cap's other leg
+# went. So the caps above the yanked one stay without a snake, except the
+# cap, if any, that drew that wire, and the scan resumes at that cap or at
+# the yanked cap's layer instead of at layer 0. Each cap is thus traced
+# once, plus once for each yank that rewires one of its legs.
 # ---------------------------------------------------------------------------
 
 
@@ -310,50 +320,71 @@ def _follow_wire(layers, start_layer: int, position: int):
     return None
 
 
-def _remove_one_snake(layers) -> list | None:
-    """The layers with one snake yanked, as a new list, or None."""
-    for i, (box, off) in enumerate(layers):
-        if not isinstance(box, Cap):
+def _producer(layers: list, layer: int, position: int) -> int:
+    """The layer above ``layer`` whose box outputs the wire at ``position``
+    of ``layer``'s input, or -1 for a wire of the domain."""
+    for k in range(layer - 1, -1, -1):
+        box, off = layers[k]
+        nc = len(box.cod)
+        if off <= position < off + nc:
+            return k
+        if off + nc <= position:
+            position += len(box.dom) - nc
+    return -1
+
+
+def _snake(layers: list, i: int):
+    """The snake of the cap at layer ``i``, right leg first, as (leg,
+    cup_layer, wire position at the cup, lefts, rights), or None."""
+    box, off = layers[i]
+    # leg 0 is the cap's left output, leg 1 its right output
+    for leg, want_slot in ((1, 0), (0, 1)):
+        hit = _follow_wire(layers, i, off + leg)
+        if hit is None:
             continue
-        # leg 0 is the cap's left output, leg 1 its right output
-        for leg, want_slot in ((1, 0), (0, 1)):
-            hit = _follow_wire(layers, i, off + leg)
-            if hit is None:
-                continue
-            j, _, slot, lefts, rights = hit
-            cup_box = layers[j][0]
-            if not isinstance(cup_box, Cup) or slot != want_slot:
-                continue
-            if cup_box.base != box.base or cup_box.z != box.z:
-                continue
-            result = _yank(list(layers), i, j, leg, lefts, rights)
-            if result is not None:
-                return result
+        j, wire, slot, lefts, rights = hit
+        cup = layers[j][0]
+        if isinstance(cup, Cup) and slot == want_slot \
+                and cup.base == box.base and cup.z == box.z:
+            return leg, j, wire, lefts, rights
     return None
 
 
+def _remove_snakes(layers: list) -> None:
+    """Yank every snake of ``layers`` in place, first cap first."""
+    i = 0
+    while i < len(layers):
+        snake = _snake(layers, i) if isinstance(layers[i][0], Cap) else None
+        if snake is None:
+            i += 1
+            continue
+        leg, j, wire, lefts, rights = snake
+        # the cup's other slot is right of the traced wire for a right
+        # snake (leg 1), left of it for a left snake
+        drawer = _producer(layers, j, wire + 2 * leg - 1)
+        _yank(layers, i, j, leg, lefts, rights)
+        if 0 <= drawer < i and isinstance(layers[drawer][0], Cap):
+            i = drawer
+
+
 def _yank(layers: list, cap: int, cup: int, leg: int,
-          lefts: list[int], rights: list[int]) -> list | None:
-    """Yank the snake in ``layers``, a copy the caller gives up."""
+          lefts: list[int], rights: list[int]) -> None:
+    """Yank the snake of the layers ``cap`` and ``cup``, in place.
+
+    Every interchange succeeds: each moves a box past one on the other side
+    of the traced wire, or past the cap or cup on that wire's far side.
+    """
     # off-side boxes go below the cup; the cap slides down the near-side ones
     below, near = (lefts, rights) if leg == 1 else (rights, lefts)
     for idx in reversed(below):
         for k in range(idx, cup):
-            if not _interchange(layers, k):
-                return None
+            _interchange(layers, k)
         cup -= 1
     for _ in near:
-        if not _interchange(layers, cap):
-            return None
+        _interchange(layers, cap)
         cap += 1
-    if cup != cap + 1:
-        return None
-    (_, o_cap), (_, o_cup) = layers[cap], layers[cup]
-    if abs(o_cup - o_cap) != 1:
-        return None
     # the adjacent cap and cup compose to the identity on the traced wire
     del layers[cap:cap + 2]
-    return layers
 
 
 # ---------------------------------------------------------------------------

@@ -123,8 +123,11 @@ def sentence_to_diagram(cfg: PipelineConfig, text: str,
         d = spiders_read(tokenize(text))
     else:
         line = derivation if derivation is not None else sentence_to_auto(text)
-        (tree,) = ccg.parse_auto(line)
-        d = ccg.tree_to_diagram(tree)
+        trees = ccg.parse_auto(line)
+        if len(trees) != 1:
+            raise ccg.ParseError(f"expected one derivation, found "
+                                 f"{len(trees)}", 1, 1)
+        d = ccg.tree_to_diagram(trees[0])
     if cfg.rewrites:
         d = _rewriter(cfg.rewrites)(d).normal_form()
     return d

@@ -13,12 +13,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from synq import ccg
+from synq import ccg, diagram
 from synq.ccg import parse_auto, scan_auto, tree_to_diagram
 from synq.dataset import FOOD
 from synq.diagram import (
     Builder, Cap, Cup, Diagram, IllTyped, ParseError, Swap, Word,
-    _interchange, _remove_one_snake,
+    _follow_wire, _interchange,
 )
 from synq.pipeline import PipelineConfig, sentence_to_diagram
 from synq.readers import Sentence, cups_read, spiders_read
@@ -37,13 +37,67 @@ def rebuild(d: Diagram) -> Diagram:
     return Diagram(d.dom, d.cod, d.layers)
 
 
+def _reference_yank(layers: list, cap: int, cup: int, leg: int,
+                    lefts: list[int], rights: list[int]) -> list | None:
+    """Yank the snake in ``layers``, a copy the caller gives up."""
+    below, near = (lefts, rights) if leg == 1 else (rights, lefts)
+    for idx in reversed(below):
+        for k in range(idx, cup):
+            if not _interchange(layers, k):
+                return None
+        cup -= 1
+    for _ in near:
+        if not _interchange(layers, cap):
+            return None
+        cap += 1
+    if cup != cap + 1:
+        return None
+    (_, o_cap), (_, o_cup) = layers[cap], layers[cup]
+    if abs(o_cup - o_cap) != 1:
+        return None
+    del layers[cap:cap + 2]
+    return layers
+
+
+def reference_remove_one_snake(layers) -> list | None:
+    """The oracle of normal_form's scan: the layers with the first cap's
+    snake yanked, as a new list, or None. Its caller restarts at layer 0
+    after every yank, and each yank copies the whole layer list."""
+    for i, (box, off) in enumerate(layers):
+        if not isinstance(box, Cap):
+            continue
+        for leg, want_slot in ((1, 0), (0, 1)):
+            hit = _follow_wire(layers, i, off + leg)
+            if hit is None:
+                continue
+            j, _, slot, lefts, rights = hit
+            cup_box = layers[j][0]
+            if not isinstance(cup_box, Cup) or slot != want_slot:
+                continue
+            if cup_box.base != box.base or cup_box.z != box.z:
+                continue
+            result = _reference_yank(list(layers), i, j, leg, lefts, rights)
+            if result is not None:
+                return result
+    return None
+
+
+def reference_normal_form(d: Diagram) -> tuple:
+    """The layers of d.normal_form() by the oracle's fixed-point loop."""
+    layers = d.layers
+    while (nxt := reference_remove_one_snake(layers)) is not None:
+        layers = nxt
+    return tuple(layers)
+
+
 @st.composite
-def diagrams(draw, dom=None):
+def diagrams(draw, dom=None, kinds=("word", "cap", "cup", "swap"),
+             max_layers=10):
     """Grow a diagram layer by layer with words, caps, cups and swaps."""
     d = Diagram.identity(draw(typeseqs) if dom is None else dom)
-    for step in range(draw(st.integers(min_value=0, max_value=10))):
+    for step in range(draw(st.integers(min_value=0, max_value=max_layers))):
         wires = d.cod
-        kind = draw(st.sampled_from(["word", "cap", "cup", "swap"]))
+        kind = draw(st.sampled_from(kinds))
         if kind == "word":
             lo = draw(st.integers(min_value=0, max_value=len(wires)))
             hi = draw(st.integers(min_value=lo,
@@ -104,24 +158,38 @@ class TestOracle:
                     swapped = Diagram._typed(d.dom, d.cod, tuple(layers))
                     assert rebuild(swapped) == swapped
             layers = d.layers
-            while layers is not None:  # every yank of normal_form
+            while layers is not None:  # every yank of the oracle's loop
                 step = Diagram._typed(d.dom, d.cod, tuple(layers))
                 assert rebuild(step) == step
-                layers = _remove_one_snake(layers)
+                layers = reference_remove_one_snake(layers)
             nf = d.normal_form()
             assert rebuild(nf) == nf
             assert nf.dom == d.dom and nf.cod == d.cod
+            assert nf.layers == reference_normal_form(d)
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(diagrams(kinds=("cap", "cap", "cup", "cup", "word"),
+                    max_layers=30))
+    def test_snaky_normal_form_equals_oracle(self, d):
+        # mostly caps and cups: chains of snakes, nested and zigzag ones
+        nf = d.normal_form()
+        assert nf.layers == reference_normal_form(d)
+        assert rebuild(nf) == nf
 
     def test_fixture_derivations_and_rewrites(self):
-        rewriter = Rewriter(list(RULE_NAMES))
+        rewriters = [Rewriter(list(RULE_NAMES))]
+        rewriters += [Rewriter([rule]) for rule in RULE_NAMES]
         for deriv_id, _, line in scan_auto(FIXTURES.read_text()):
             (tree,) = parse_auto(line)
             d = tree_to_diagram(tree)
             assert rebuild(d) == d, deriv_id
-            rewritten = rewriter(d)
-            assert rebuild(rewritten) == rewritten, deriv_id
-            nf = rewritten.normal_form()
-            assert rebuild(nf) == nf, deriv_id
+            for rewriter in rewriters:
+                rewritten = rewriter(d)
+                assert rebuild(rewritten) == rewritten, deriv_id
+                nf = rewritten.normal_form()
+                assert rebuild(nf) == nf, deriv_id
+                assert nf.layers == reference_normal_form(rewritten), deriv_id
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(min_value=5, max_value=60))
@@ -134,6 +202,7 @@ class TestOracle:
         for out in (d, rewritten, nf):
             assert rebuild(out) == out
         assert nf.cod == d.cod
+        assert nf.layers == reference_normal_form(rewritten)
 
     @given(st.lists(st.sampled_from(["red", "cat", "runs"]),
                     min_size=1, max_size=12))
@@ -220,6 +289,55 @@ def test_layer_copies_grow_linearly(monkeypatch):
     # every step: 69 007 layers at 100 words and 278 007 at 200
     sizes = (25, 50, 100, 200)
     assert_linear(sizes, [frozen_layers(monkeypatch, n) for n in sizes], 10)
+
+
+def noun_phrases(n: int, bare_caps: bool = False) -> Diagram:
+    """n tensored 'the flower' phrases rewritten by the determiner rule: n
+    snakes. With ``bare_caps``, each phrase is followed by a cap whose legs
+    run to the codomain, which no yank removes."""
+    (tree,) = parse_auto("(<T NP 0 2> (<L NP/N DT DT the NP/N>) "
+                         "(<L N NN NN flower N>))")
+    phrase = tree_to_diagram(tree)
+    if bare_caps:
+        phrase = phrase @ Diagram.from_box(Cap("n", 0))
+    d = phrase
+    for _ in range(n - 1):
+        d = d @ phrase
+    return Rewriter(["determiner"])(d)
+
+
+def test_long_chain_normal_form_equals_oracle():
+    d = noun_phrases(800)
+    nf = d.normal_form()
+    assert len(nf.layers) == 800  # only the nouns are left
+    assert nf.layers == reference_normal_form(d)
+
+
+def snake_work(monkeypatch, n: int) -> tuple[int, int]:
+    """_follow_wire and _interchange calls of one normal_form of
+    noun_phrases(n, bare_caps=True)."""
+    counts = {"_follow_wire": 0, "_interchange": 0}
+    d = noun_phrases(n, bare_caps=True)
+    with monkeypatch.context() as m:
+        for name in counts:
+            def counting(*args, _name=name, _fn=getattr(diagram, name)):
+                counts[_name] += 1
+                return _fn(*args)
+            m.setattr(diagram, name, counting)
+        nf = d.normal_form()
+    assert len(nf.layers) == 2 * n  # the nouns and the bare caps
+    return counts["_follow_wire"], counts["_interchange"]
+
+
+def test_snake_work_grows_linearly(monkeypatch):
+    # restarting at layer 0 after each yank traced every bare cap above
+    # it again: 10 200 _follow_wire calls at 100 phrases, 40 400 at 200
+    sizes = (25, 50, 100, 200)
+    follows, interchanges = zip(*(snake_work(monkeypatch, n) for n in sizes))
+    # one trace of each determiner cap's leg, two of each bare cap; one
+    # interchange slides each determiner cap past its noun
+    assert list(follows) == [3 * n for n in sizes]
+    assert list(interchanges) == list(sizes)
 
 
 def test_too_deep_derivation_is_named():

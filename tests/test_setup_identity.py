@@ -1,0 +1,145 @@
+"""Set-up outputs are byte-identical to the recorded golden hashes.
+
+``tests/data/setup_golden.json`` holds the sha256 of every compiled
+artifact's ``to_json()``, of each initial ``store.to_vector()`` and of the
+``to_json()`` of every fixture diagram after rewriting and ``normal_form``.
+The memoised category and naming functions must not change any of them,
+whether their caches are warm or cold; and since ``lru_cache`` never stores
+an exception, a memoised function raises on every call.
+
+Regenerate the golden file, only for an intended change of output, with
+``PYTHONPATH=src python tests/test_setup_identity.py > GOLDEN`` from the
+repository root, GOLDEN being ``tests/data/setup_golden.json``.
+"""
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from synq import ansatz, ccg
+from synq.ccg import parse_auto, scan_auto, tree_to_diagram
+from synq.dataset import generate_dataset
+from synq.pipeline import PipelineConfig, compile_model
+from synq.rewrite import RULE_NAMES, Rewriter
+
+DATA = Path(__file__).parent / "data"
+FIXTURES = DATA / "fixtures.auto"
+GOLDEN = DATA / "setup_golden.json"
+
+SEEDS = (0, 7)
+REWRITES = {"none": (), "all": RULE_NAMES}
+CONFIGS = [(reader, name, rules, seed)
+           for reader in ("ccg", "cups", "spiders")
+           for name in ("spider", "tensor", "mps", "iqp")
+           if (reader, name) != ("spiders", "iqp")  # IQP has no spiders
+           for rules in REWRITES
+           for seed in SEEDS]
+MEMOISED = (ccg.parse_category, ccg.cat_to_typeseq, ccg.infer_rule,
+            ccg.infer_unary_rule, ansatz._signature)
+
+
+def _key(config: tuple) -> str:
+    return "/".join(map(str, config))
+
+
+def _sha(parts) -> str:
+    digest = hashlib.sha256()
+    for part in parts:
+        digest.update(part)
+        digest.update(b"\n")
+    return digest.hexdigest()
+
+
+def _compile(reader: str, name: str, rules: str, seed: int):
+    cfg = PipelineConfig(reader=reader, ansatz=name, rewrites=REWRITES[rules],
+                         optimizer="spsa" if name == "iqp" else "adam",
+                         seed=seed)
+    return compile_model(cfg, generate_dataset(seed))
+
+
+def _model_hashes(model) -> dict:
+    return {
+        "artifacts": _sha(a.to_json().encode() for a in model.artifacts),
+        "vector": _sha([json.dumps(model.store.names()).encode(),
+                        model.store.to_vector().tobytes()]),
+    }
+
+
+def _fixture_hash(rules: tuple[str, ...]) -> str:
+    rewriter = Rewriter(list(rules))
+    return _sha(rewriter(tree_to_diagram(tree)).normal_form().to_json()
+                .encode()
+                for _, _, line in scan_auto(FIXTURES.read_text())
+                for tree in parse_auto(line))
+
+
+def _fixture_cases() -> dict:
+    cases = {"none": (), "all": RULE_NAMES}
+    cases.update((rule, (rule,)) for rule in RULE_NAMES)
+    return cases
+
+
+def current_hashes() -> dict:
+    return {
+        "models": {_key(config): _model_hashes(_compile(*config))
+                   for config in CONFIGS},
+        "fixtures": {case: _fixture_hash(rules)
+                     for case, rules in _fixture_cases().items()},
+    }
+
+
+@pytest.fixture(scope="module")
+def golden() -> dict:
+    return json.loads(GOLDEN.read_text())
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=_key)
+def test_compiled_model_matches_golden(golden, config):
+    assert _model_hashes(_compile(*config)) == golden["models"][_key(config)]
+
+
+def test_fixture_diagrams_match_golden(golden):
+    got = {case: _fixture_hash(rules)
+           for case, rules in _fixture_cases().items()}
+    assert got == golden["fixtures"]
+
+
+def test_golden_covers_every_config(golden):
+    assert sorted(golden["models"]) == sorted(map(_key, CONFIGS))
+
+
+@pytest.mark.parametrize("name", ["spider", "iqp"])
+def test_cold_compile_equals_warm(name):
+    warm = _model_hashes(_compile("ccg", name, "all", 7))
+    for fn in MEMOISED:
+        fn.cache_clear()
+    assert all(fn.cache_info().currsize == 0 for fn in MEMOISED)
+    cold = _model_hashes(_compile("ccg", name, "all", 7))
+    assert cold == warm
+    assert all(fn.cache_info().currsize > 0 for fn in MEMOISED)
+
+
+def test_caches_are_bounded():
+    for fn in MEMOISED:
+        assert fn.cache_info().maxsize is not None
+
+
+def test_memoised_errors_raise_every_call():
+    messages = []
+    for _ in range(2):
+        with pytest.raises(ccg.UnknownCategory) as exc:
+            ccg.parse_category("(S\\NP")
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+    n, s = ccg.parse_category("N"), ccg.parse_category("S[dcl]")
+    for _ in range(2):
+        with pytest.raises(ccg.DerivationError, match="no supported rule"):
+            ccg.infer_rule(n, n, s)
+    for _ in range(2):
+        with pytest.raises(ccg.UnknownCategory, match="no pregroup image"):
+            ccg.cat_to_typeseq(ccg.parse_category("X"))
+
+
+if __name__ == "__main__":
+    print(json.dumps(current_hashes(), indent=1, sort_keys=True))

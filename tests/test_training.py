@@ -7,7 +7,7 @@ import pytest
 
 from synq.dataset import generate_dataset
 from synq.params import ParameterStore
-from synq import pipeline, training
+from synq import ccg, pipeline, training
 from synq.contract import plan_networks
 from synq.pipeline import (
     CompileError, CompiledModel, PipelineConfig, compile_model, group_p1,
@@ -317,6 +317,19 @@ class TestPipelines:
             "(<T S[dcl] 1 2> (<L NP NNP NNP john NP>) "
             "(<L S[dcl]\\NP VBZ VBZ walks S[dcl]\\NP>))")
         assert d.cod.items[0].base == "s"
+
+    @pytest.mark.parametrize("derivation, found", [
+        ("", 0), ("ID=3", 0), ("\n\n", 0),
+        ("(<L NP NNP NNP john NP>)\n(<L NP NNP NNP mary NP>)", 2),
+    ])
+    def test_sentence_to_diagram_needs_one_derivation(self, derivation,
+                                                      found):
+        cfg = PipelineConfig(reader="ccg")
+        with pytest.raises(
+                ccg.ParseError,
+                match=f"expected one derivation, found {found} ") as err:
+            sentence_to_diagram(cfg, "john", derivation)
+        assert err.value.reason == f"expected one derivation, found {found}"
 
     def test_rewriter_is_built_once_per_rule_tuple(self, monkeypatch):
         from synq import rewrite
