@@ -18,7 +18,7 @@ coordination completes with ordinary backward-application cups.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from pathlib import Path
 from typing import Iterator, Optional, Union
@@ -26,7 +26,7 @@ from typing import Iterator, Optional, Union
 from .diagram import (
     Builder, Cap, Diagram, IllTyped, Swap, TypeMismatch, Word,
 )
-from .types import NOUN, SENTENCE, PType, TypeSeq
+from .types import NOUN, SENTENCE, PType, TypeSeq, hash_once
 
 logger = logging.getLogger(__name__)
 
@@ -67,6 +67,7 @@ class DerivationError(Exception):
 # ---------------------------------------------------------------------------
 
 
+@hash_once
 @dataclass(frozen=True)
 class Atomic:
     name: str
@@ -74,6 +75,7 @@ class Atomic:
     conj: bool = False
 
 
+@hash_once
 @dataclass(frozen=True)
 class Forward:
     result: "CCGCategory"
@@ -81,6 +83,7 @@ class Forward:
     conj: bool = False
 
 
+@hash_once
 @dataclass(frozen=True)
 class Backward:
     result: "CCGCategory"
@@ -94,7 +97,7 @@ CCGCategory = Union[Atomic, Forward, Backward]
 def _strip_conj(c: CCGCategory) -> CCGCategory:
     if not c.conj:
         return c
-    return type(c)(**{**c.__dict__, "conj": False})
+    return replace(c, conj=False)
 
 
 def _strip_features(c: CCGCategory) -> CCGCategory:
@@ -174,7 +177,7 @@ class _CatParser:
             feature = self.text[self.pos + 1:end]
             self.pos = end + 1
             if feature == "conj":
-                cat = type(cat)(**{**cat.__dict__, "conj": True})
+                cat = replace(cat, conj=True)
             elif isinstance(cat, Atomic) and cat.feature is None:
                 cat = Atomic(cat.name, feature, cat.conj)
             # a second plain feature on the same node is ignored

@@ -32,7 +32,7 @@ import json
 from dataclasses import dataclass
 from typing import Union
 
-from .types import EMPTY, PType, TypeSeq
+from .types import EMPTY, PType, TypeSeq, hash_once
 
 
 class TypeMismatch(Exception):
@@ -43,6 +43,7 @@ class IllTyped(Exception):
     """A layer list that does not scan against its declared dom/cod."""
 
 
+@hash_once
 @dataclass(frozen=True)
 class Word:
     token: str

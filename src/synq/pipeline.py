@@ -255,7 +255,7 @@ def group_p1(group: Group, vec: np.ndarray) -> np.ndarray:
     open qubit. nan where the norm is below ZERO_VECTOR for a tensor, or
     below ZERO_NORM_THRESHOLD (a postselection probability) for a circuit;
     the caller reports such a sentence through predict_p1."""
-    floor = ZERO_VECTOR if group.rotations is None else ZERO_NORM_THRESHOLD
+    floor = ZERO_VECTOR if group.gates is None else ZERO_NORM_THRESHOLD
     return _rows_p1(contract_batch(group, vec), floor)
 
 

@@ -10,7 +10,9 @@ open legs. ``_network_plan`` plans each circuit structure once.
 ``plan_circuits`` groups circuits by structure into a ``NetworkPlan``
 whose rows gather their angles from the flat vector, each rotation's
 tensor built from its row's angle; ``statevector`` and ``evaluate`` are a
-batch of one that gathers from the circuit's own angles.
+batch of one that gathers from the circuit's own angles, its group kept
+per structure by ``_lone_group``. Every fixed leaf of a circuit plan is
+complex, like the rotation tensors, so the plan runs in one dtype.
 
 The noise model: after every two-qubit gate, each touched qubit suffers X,
 Y or Z, each with probability p / 3. Shots are independent, so ``sample``
@@ -21,7 +23,9 @@ the depolarising channel rho -> (1 - l) rho + l I/2 (x) Tr_q rho with
 l = 4p/3, valid for every p in [0, 1]. The distribution is the value of
 the circuit's doubled network, as DisCoPy's mixed ``to_tn`` builds it,
 contracted by the same planner; ``_doubled_plan`` plans it once per
-structure and noise. Each qubit has a ket and a bra wire, each starting at
+structure and noise, and ``_noisy_group`` keeps its batch of one (index
+and rotation tables) per structure and noise, so sampling a sentence
+builds neither. Each qubit has a ket and a bra wire, each starting at
 a |0> leaf. Each gate has a ket node and a bra node, its complex
 conjugate: for a rotation that is the same gate at minus its angle, and H
 and CX are real. After each two-qubit gate, each touched qubit passes a
@@ -31,9 +35,10 @@ Kronecker delta. A postselected qubit ends in <0| on its ket and its bra,
 and an open qubit in a copy node over (ket, bra, outcome) whose outcome
 leg is open. With p = 0 the channel is the identity and the distribution
 is the noiseless one. Planning reads shapes only, so a copy node stands in
-for each channel node while ``_doubled_plan`` plans; the channel's tensor
-then replaces that leaf, and replacing a plan's leaves folds its constant
-steps again, so every folded tensor holds the channel, not its stand-in.
+for each channel node while ``_doubled_plan`` plans; the channel's tensor,
+complex like every fixed leaf, then replaces that leaf, and replacing a
+plan's leaves folds its constant steps again, so every folded tensor holds
+the channel, not its stand-in.
 """
 from __future__ import annotations
 
@@ -44,9 +49,7 @@ from typing import Sequence
 import numpy as np
 
 from .ansatz import ROTATIONS, Circuit, Node, Op, Symbol, TensorNetwork
-from .contract import (
-    Group, NetworkPlan, Plan, contract_batch, plan, rotation_kinds,
-)
+from .contract import Group, NetworkPlan, Plan, contract_batch, plan
 from .params import ParameterStore, UnboundSymbol
 
 ZERO_NORM_THRESHOLD = 1e-12
@@ -146,7 +149,8 @@ def _doubled_plan(n_qubits: int, gates: tuple[tuple[str, tuple], ...],
     lam, eye = 4.0 * noise_p / 3.0, np.eye(2)
     # over (ket out, bra out, ket in, bra in)
     channel = ((1.0 - lam) * np.einsum("ac,bd->abcd", eye, eye)
-               + lam / 2.0 * np.einsum("ab,cd->abcd", eye, eye))
+               + lam / 2.0 * np.einsum("ab,cd->abcd", eye, eye)
+               ).astype(complex)  # in the plan's one dtype
     channel.setflags(write=False)
     leaves = list(p.leaves)
     for k in channels:
@@ -157,17 +161,23 @@ def _doubled_plan(n_qubits: int, gates: tuple[tuple[str, tuple], ...],
 def _group(key: tuple, rows: np.ndarray, index: np.ndarray) -> Group:
     """Circuits of structure ``key``, _network_plan's arguments; index
     holds each row's angle offsets in gate order."""
-    return Group(_network_plan(*key), rows, index, rotation_kinds(
-        [gate for gate, _ in key[1] if gate in ROTATIONS]))
+    return Group(_network_plan(*key), rows, index,
+                 tuple(gate for gate, _ in key[1] if gate in ROTATIONS))
+
+
+@lru_cache(maxsize=1024)
+def _lone_group(key: tuple) -> Group:
+    """The batch of one of structure ``key``: its row gathers a circuit's
+    own angles, in gate order."""
+    count = sum(gate in ROTATIONS for gate, _ in key[1])
+    return _group(key, np.zeros(1, np.intp), np.arange(count)[None])
 
 
 def _amplitudes(c: Circuit, ps: ParameterStore, postselect: tuple[int, ...],
                 legs: tuple[int, ...]) -> np.ndarray:
     """The contracted network of c, one axis per qubit of ``legs``."""
-    angles = _angles(c, ps)
-    group = _group((*_structure(c), postselect, legs), np.zeros(1, np.intp),
-                   np.arange(len(angles))[None])
-    return contract_batch(group, angles)[0]
+    group = _lone_group((*_structure(c), postselect, legs))
+    return contract_batch(group, _angles(c, ps))[0]
 
 
 def statevector(c: Circuit, ps: ParameterStore) -> np.ndarray:
@@ -220,19 +230,26 @@ def plan_circuits(circuits: Sequence[Circuit],
         for key, (members, index) in groups.items()), len(circuits))
 
 
+@lru_cache(maxsize=1024)
+def _noisy_group(n_qubits: int, gates: tuple[tuple[str, tuple], ...],
+                 postselect: tuple[int, ...], legs: tuple[int, ...],
+                 noise_p: float) -> Group:
+    """The doubled network of a circuit structure as a batch of one whose
+    row gathers, from a circuit's angles followed by their negatives, each
+    rotation's ket angle and then its bra angle."""
+    rotations = [gate for gate, _ in gates if gate in ROTATIONS]
+    index = np.arange(2 * len(rotations)).reshape(2, -1).T.reshape(1, -1)
+    return Group(_doubled_plan(n_qubits, gates, postselect, legs, noise_p),
+                 np.zeros(1, np.intp), index,
+                 tuple(gate for gate in rotations for _ in "kb"))
+
+
 def _outcomes(c: Circuit, ps: ParameterStore, noise_p: float) -> np.ndarray:
     """Probability that one shot passes postselection and reads open
     bitstring j, for each j read as a binary number with c.open[0] the most
-    significant bit: the doubled network of c, a batch of one whose row
-    gathers each rotation's ket angle and then its bra angle, its
-    negative."""
+    significant bit: the value of the doubled network of c."""
     angles = _angles(c, ps)
-    n_qubits, gates = _structure(c)
-    index = np.arange(2 * len(angles)).reshape(2, -1).T.reshape(1, -1)
-    group = Group(_doubled_plan(n_qubits, gates, c.postselect, c.open,
-                                noise_p), np.zeros(1, np.intp), index,
-                  rotation_kinds([gate for gate, _ in gates
-                                  if gate in ROTATIONS for _ in "kb"]))
+    group = _noisy_group(*_structure(c), c.postselect, c.open, noise_p)
     vec = np.concatenate([angles, -angles])
     return contract_batch(group, vec)[0].real.ravel()
 

@@ -8,14 +8,45 @@ sequence is the monoidal unit.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
+from operator import attrgetter
 from typing import Iterator
 
 NOUN = "n"
 SENTENCE = "s"
 
 
+def hash_once(cls: type) -> type:
+    """Give a frozen dataclass a hash computed once per instance.
+
+    The generated hash rehashes every field, and nested values rehash
+    theirs, on each call, while the memoised type, category and naming
+    functions hash their keys on every lookup. The first hash is kept in
+    the attribute ``_hash``, which is no field, so equality, ``repr`` and
+    ``dataclasses.replace`` ignore it. It is read as an attribute, not
+    through ``__dict__``: on CPython 3.11+ building an instance's dict
+    slows every later attribute read of it. Pickling drops the hash,
+    since a str hashes differently in another process."""
+    values = attrgetter(*(f.name for f in fields(cls)))
+
+    def __hash__(self) -> int:
+        value = self._hash
+        if value is None:
+            value = hash(values(self))
+            object.__setattr__(self, "_hash", value)
+        return value
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+
+    cls._hash = None  # the instance's own, once hashed
+    cls.__hash__ = __hash__
+    cls.__getstate__ = __getstate__
+    return cls
+
+
+@hash_once
 @dataclass(frozen=True)
 class PType:
     """A single pregroup type: an atomic base with an adjoint winding."""
@@ -42,6 +73,7 @@ class PType:
         return f"PType({self.base!r}, {self.z})" if self.z else f"PType({self.base!r})"
 
 
+@hash_once
 @dataclass(frozen=True)
 class TypeSeq:
     """Ordered sequence of PTypes; concatenation is the monoidal product."""

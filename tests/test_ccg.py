@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from synq.ccg import (
     Atomic, Backward, DerivationError, Forward, Leaf, Node, ParseError,
-    UnknownCategory, cat_to_typeseq, parse_auto, parse_category, scan_auto,
-    section_to_diagrams, tree_to_diagram,
+    UnknownCategory, _strip_conj, cat_to_typeseq, parse_auto, parse_category,
+    scan_auto, section_to_diagrams, tree_to_diagram,
 )
 from synq.diagram import Cap, Cup, Swap, Word
 from synq.rewrite import RULE_NAMES, Rewriter
@@ -37,6 +37,13 @@ class TestCategoryParsing:
         for bad in ["", "(", "S[dcl", "S)", "N/"]:
             with pytest.raises(UnknownCategory):
                 parse_category(bad)
+
+    def test_conj_stripped_after_hashing(self):
+        # a hashed category keeps its hash on the instance, no field
+        c = parse_category("(S\\NP)[conj]")
+        hash(c)
+        want = Backward(Atomic("S"), Atomic("NP"))
+        assert _strip_conj(c) == want and hash(_strip_conj(c)) == hash(want)
 
 
 class TestAutoParsing:

@@ -14,8 +14,10 @@ from synq.contract import (
     ShapeMismatch, _replay, _structure, _value, contract, contract_batch,
     contract_grad, plan, plan_networks,
 )
+from synq.dataset import generate_dataset
 from synq.diagram import Cap, Cup, Diagram, Spider, Word, cup_at, word
 from synq.params import ParameterStore, UnboundSymbol
+from synq.pipeline import PipelineConfig, compile_model
 from synq.types import ts
 
 DM = {"n": 3, "s": 2}
@@ -588,6 +590,18 @@ class TestFolding:
         assert p.run == () and len(p.steps) == 1
         assert_folding_exact(p, [])
         assert np.array_equal(contract(tn, ParameterStore({})), np.ones(3))
+
+    def test_tensor_plans_stay_float(self):
+        fixed = []
+        for ansatz in ("spider", "tensor", "mps"):
+            model = compile_model(PipelineConfig(ansatz=ansatz),
+                                  generate_dataset(0))
+            groups = plan_networks(model.artifacts,
+                                   range(len(model.artifacts)),
+                                   model.store).groups
+            fixed += [t for g in groups for t in g.plan.fixed
+                      if t is not None]
+        assert fixed and all(t.dtype == np.float64 for t in fixed)
 
     def test_random_networks_replay_equal_unfolded(self):
         rng = np.random.default_rng(8)

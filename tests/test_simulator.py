@@ -14,8 +14,8 @@ from synq.params import ParameterStore, UnboundSymbol
 from synq.pipeline import PipelineConfig, compile_model, group_p1
 from synq.simulator import (
     MAX_SHOTS, ZERO_NORM_THRESHOLD, AllShotsDiscarded, ZeroNorm,
-    _doubled_plan, _outcomes, _structure, evaluate, plan_circuits, sample,
-    statevector,
+    _doubled_plan, _network_plan, _noisy_group, _outcomes, _structure,
+    evaluate, plan_circuits, sample, statevector,
 )
 from synq.training import _circuit_plan
 from synq.types import ts
@@ -583,6 +583,54 @@ class TestRotationKinds:
                 assert np.array_equal(got[j], want)
                 assert got[j].shape == want.shape
                 assert got[j].flags.c_contiguous
+
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(iqp_batches(), st.integers(0, 2 ** 32 - 1))
+    def test_stacked_gather_equals_per_gate_tensors(self, circuits, seed):
+        """Three points stacked: rows share symbols within a point, and
+        points 0 and 2 share their angles."""
+        symbols = [sym for c in circuits for sym in c.symbols]
+        store = ParameterStore.initialize(symbols, seed)
+        vec = store.to_vector()
+        points = np.concatenate([vec, vec + 0.25, vec])
+        rows = list(range(len(circuits)))
+        parts = [(0, rows), (1, rows[::2]), (2, rows[::-1])]
+        plan = plan_circuits(circuits, store).stack(parts, len(vec))
+        for g in plan.groups:
+            # each row gathers from its own point's vector
+            assert (g.index // len(vec)
+                    == (g.rows // len(circuits))[:, None]).all()
+            got = g._gather(points)
+            gates = leaf_gates(circuits[g.rows[0] % len(circuits)])
+            assert len(got) == len(gates) == len(g.plan.params)
+            for j, gate in enumerate(gates):
+                want = GATE_TENSORS[gate](points[g.index[:, j]])
+                assert np.array_equal(got[j], want)
+                assert got[j].shape == want.shape
+                assert got[j].flags.c_contiguous
+
+
+class TestOneDtype:
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(noisy_circuits(), st.sampled_from([0.0, 0.01, 1.0]))
+    @example(BOTH_ORDERS, 1.0)
+    def test_circuit_plans_are_complex(self, c, p):
+        key = (*_structure(c), c.postselect, c.open)
+        for plan in (_network_plan(*key), _doubled_plan(*key, p)):
+            fixed = [t for t in plan.fixed if t is not None]
+            assert fixed
+            for t in fixed:
+                assert t.dtype == np.complex128 and not t.flags.writeable
+
+    def test_noisy_group_built_once_per_structure(self):
+        c = Circuit(2, (Op("H", (0,)), Op("CRz", (0, 1), 0.4)), (0,), (1,))
+        _noisy_group.cache_clear()
+        for seed in (1, 2):
+            sample(c, EMPTY_PS, 100, seed, noise_p=0.01)
+        info = _noisy_group.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
 
 
 class TestFolding:

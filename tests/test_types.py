@@ -1,4 +1,5 @@
 import itertools
+import pickle
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -114,3 +115,12 @@ def test_ts_helper_round_trips():
     for spec in ["n", "n.l", "n.r", "s.rr", "s.ll"]:
         (t,) = ts(spec)
         assert str(t) == spec
+
+
+def test_hash_is_kept_and_not_pickled():
+    seq = ts("n.r", "s", "n.l")
+    h = hash(seq)
+    assert seq.__dict__["_hash"] == h == hash(seq)
+    copy = pickle.loads(pickle.dumps(seq))
+    assert copy == seq and "_hash" not in copy.__dict__
+    assert hash(copy) == h
