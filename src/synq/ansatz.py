@@ -12,18 +12,27 @@ identity-pair nodes and spiders copy nodes.
 Parameter naming is deterministic: the same (token, type signature) pair
 always produces the same symbol family, which is how weight sharing across
 a dataset works.
+
+An ansatz is a functor: it maps each box by its type alone, and a word's
+token reaches the artifact only through its symbol names, token followed by
+a suffix of the word's signature and factor index. So every diagram of one
+structure compiles to one artifact up to those names. ``iqp_template`` and
+``network_template`` compile a diagram into a ``Template``: its artifact,
+and for each parameter node or rotation op the word that made it and its
+name's suffix. ``Template.instance`` re-labels the artifact with another
+diagram's tokens, and builds it through the same validation as a compile.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Union
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
 from .diagram import Cap, Cup, Diagram, Spider, Swap, Word
-from .types import TypeSeq
+from .types import PType, TypeSeq
 
 QubitMap = dict
 DimMap = dict
@@ -50,18 +59,19 @@ class Symbol:
     shape: tuple[int, ...] = ()
 
 
-@lru_cache(maxsize=4096)  # one entry per (token, type) word of a corpus
-def _signature(box: Word) -> str:
-    dom = ".".join(str(t) for t in box.dom)
-    cod = ".".join(str(t) for t in box.cod)
-    return f"{dom}>{cod}" if dom else cod
+@lru_cache(maxsize=4096)  # one entry per word type of a corpus
+def _signature(dom: TypeSeq, cod: TypeSeq) -> str:
+    dom_part = ".".join(str(t) for t in dom)
+    cod_part = ".".join(str(t) for t in cod)
+    return f"{dom_part}>{cod_part}" if dom_part else cod_part
 
 
-def word_symbol_name(box: Word, index: int) -> str:
-    return f"{box.token}__{_signature(box)}__{index}"
+def _suffix(box: Word, index: int) -> str:
+    """The name of the ``index``-th symbol of ``box`` after its token."""
+    return f"__{_signature(box.dom, box.cod)}__{index}"
 
 
-def _values(mapping: dict, seq: TypeSeq, what: str) -> list[int]:
+def _values(mapping: dict, seq: Iterable[PType], what: str) -> list[int]:
     out = []
     for t in seq:
         if t.base not in mapping:
@@ -181,11 +191,17 @@ def iqp_ansatz(d: Diagram, qm: QubitMap, n_layers: int = 1) -> Circuit:
     Pipeline diagrams have empty domains; any domain wires are allocated
     as plain |0> qubits so identity-like diagrams still compile.
     """
+    return iqp_template(d, qm, n_layers).artifact
+
+
+def iqp_template(d: Diagram, qm: QubitMap, n_layers: int = 1) -> Template:
+    """``iqp_ansatz``'s circuit as the template of ``d``'s structure."""
     if n_layers < 1:
         raise InvalidConfig("n_layers must be at least 1")
 
     ops: list[Op] = []
     postselect: list[int] = []
+    slots: list[tuple[int, int, str]] = []
     next_qubit = 0
 
     def alloc(count: int) -> tuple[int, ...]:
@@ -199,6 +215,12 @@ def iqp_ansatz(d: Diagram, qm: QubitMap, n_layers: int = 1) -> Circuit:
         (t, alloc(_values(qm, d.dom[i:i + 1], "qubit count")[0]))
         for i, t in enumerate(d.dom)]
 
+    def rotation(gate: str, qubits: tuple[int, ...], box: Word, index: int):
+        suffix = _suffix(box, index)
+        slots.append((len(ops), words, suffix))
+        ops.append(Op(gate, qubits, Symbol(box.token + suffix)))
+
+    words = 0
     for box, offset in d.layers:
         if isinstance(box, Word):
             if len(box.dom):
@@ -212,16 +234,15 @@ def iqp_ansatz(d: Diagram, qm: QubitMap, n_layers: int = 1) -> Circuit:
             if k == 1:
                 q = qubits[0]
                 for i, gate in enumerate(("Rx", "Rz", "Rx")):
-                    ops.append(Op(gate, (q,),
-                                  Symbol(word_symbol_name(box, i))))
+                    rotation(gate, (q,), box, i)
             elif k >= 2:
                 idx = 0
                 for _ in range(n_layers):
                     ops.extend(Op("H", (q,)) for q in qubits)
                     for a, b in zip(qubits, qubits[1:]):
-                        ops.append(Op("CRz", (a, b),
-                                      Symbol(word_symbol_name(box, idx))))
+                        rotation("CRz", (a, b), box, idx)
                         idx += 1
+            words += 1
             wires[offset:offset] = [
                 (t, g) for t, g in zip(box.cod, groups)]
         elif isinstance(box, Cup):
@@ -245,12 +266,17 @@ def iqp_ansatz(d: Diagram, qm: QubitMap, n_layers: int = 1) -> Circuit:
             raise UnsupportedBox(f"unknown box {box!r}")
 
     open_qubits = tuple(q for _, group in wires for q in group)
-    return Circuit(next_qubit, tuple(ops), tuple(postselect), open_qubits)
+    return Template(
+        Circuit(next_qubit, tuple(ops), tuple(postselect), open_qubits),
+        tuple(slots))
 
 
 # ---------------------------------------------------------------------------
 # Tensor networks.
 # ---------------------------------------------------------------------------
+
+
+_NODE_KINDS = frozenset(("param", "delta", "copy", "zero", *GATES))
 
 
 @dataclass(frozen=True)
@@ -263,7 +289,7 @@ class Node:
     symbol: Optional[Symbol] = None
 
     def __post_init__(self):
-        if self.kind not in ("param", "delta", "copy", "zero", *GATES):
+        if self.kind not in _NODE_KINDS:
             raise ValueError(f"bad node kind {self.kind!r}")
         if (self.kind == "param") != (self.symbol is not None):
             raise ValueError("param nodes carry a symbol, others do not")
@@ -292,7 +318,7 @@ class TensorNetwork:
         for (a, b) in self.edges:
             legs[a] = legs.get(a, 0) + 1
             legs[b] = legs.get(b, 0) + 1
-            if self.leg_dim(a) != self.leg_dim(b):
+            if by_id[a[0]].shape[a[1]] != by_id[b[0]].shape[b[1]]:
                 raise ValueError(f"edge {a}-{b} joins unequal dimensions")
         for leg in self.open_legs:
             legs[leg] = legs.get(leg, 0) + 1
@@ -329,11 +355,43 @@ class TensorNetwork:
         }, indent=indent)
 
 
+@dataclass(frozen=True)
+class Template:
+    """A compiled artifact as the template of its diagram's structure.
+
+    ``slots`` holds one (index, word, suffix) per parameter node of a
+    network or rotation op of a circuit, in order: its index in ``nodes``
+    or ``ops``, the index of the word that made it among the diagram's
+    words in layer order, and its symbol's name after that word's token.
+    """
+    artifact: Union[Circuit, TensorNetwork]
+    slots: tuple[tuple[int, int, str], ...]
+
+    def instance(self, tokens: Sequence[str]) -> Union[Circuit, TensorNetwork]:
+        """The artifact of a diagram of this structure whose i-th word has
+        the token ``tokens[i]``, validated like a compiled one."""
+        art = self.artifact
+        if isinstance(art, Circuit):
+            ops = list(art.ops)
+            for k, word, suffix in self.slots:
+                op = ops[k]
+                ops[k] = Op(op.gate, op.qubits, Symbol(tokens[word] + suffix))
+            return Circuit(art.n_qubits, tuple(ops), art.postselect, art.open)
+        nodes = list(art.nodes)
+        for k, word, suffix in self.slots:
+            node = nodes[k]
+            nodes[k] = Node(node.node_id, node.kind, node.shape,
+                            Symbol(tokens[word] + suffix, node.shape))
+        return TensorNetwork(tuple(nodes), art.edges, art.open_legs)
+
+
 class _NetBuilder:
     def __init__(self):
         self.nodes: list[Node] = []
         self.edges: list[tuple[Leg, Leg]] = []
         self.counts: dict[str, int] = {}
+        self.slots: list[tuple[int, int, str]] = []  # Template.slots
+        self.words = 0  # the words seen so far
 
     def add(self, kind: str, shape: tuple[int, ...],
             symbol: Optional[Symbol] = None, stem: str = "") -> str:
@@ -343,6 +401,13 @@ class _NetBuilder:
         node_id = f"{stem}{k}"
         self.nodes.append(Node(node_id, kind, shape, symbol))
         return node_id
+
+    def param(self, box: Word, index: int, shape: tuple[int, ...]) -> str:
+        """Add the parameter node of the ``index``-th symbol of ``box``."""
+        suffix = _suffix(box, index)
+        self.slots.append((len(self.nodes), self.words, suffix))
+        return self.add("param", shape, Symbol(box.token + suffix, shape),
+                        stem="w")
 
     def connect(self, a: Leg, b: Leg):
         self.edges.append((a, b))
@@ -361,8 +426,7 @@ def _word_factors(box: Word, dims: list[int], bond_dim: int,
     if k == 0:
         return []
     if mode == "full" or k <= max_order:
-        sym = Symbol(word_symbol_name(box, 0), tuple(dims))
-        nid = net.add("param", tuple(dims), sym, stem="w")
+        nid = net.param(box, 0, tuple(dims))
         return [(nid, i) for i in range(k)]
 
     if mode == "mps":
@@ -375,8 +439,7 @@ def _word_factors(box: Word, dims: list[int], bond_dim: int,
                 shape.insert(0, bond_dim)
             if fi < len(splits) - 1:
                 shape.append(bond_dim)
-            sym = Symbol(word_symbol_name(box, fi), tuple(shape))
-            nid = net.add("param", tuple(shape), sym, stem="w")
+            nid = net.param(box, fi, tuple(shape))
             base = 1 if fi > 0 else 0
             for j, wire in enumerate(chunk):
                 legs[wire] = (nid, base + j)
@@ -394,8 +457,7 @@ def _word_factors(box: Word, dims: list[int], bond_dim: int,
         pending: dict[int, list[Leg]] = {}
         for fi, chunk in enumerate(chunks):
             shape = tuple(dims[i] for i in chunk)
-            sym = Symbol(word_symbol_name(box, fi), shape)
-            nid = net.add("param", shape, sym, stem="w")
+            nid = net.param(box, fi, shape)
             for j, wire in enumerate(chunk):
                 pending.setdefault(wire, []).append((nid, j))
         for wire, owners in pending.items():
@@ -412,8 +474,10 @@ def _word_factors(box: Word, dims: list[int], bond_dim: int,
     raise InvalidConfig(f"unknown split mode {mode!r}")
 
 
-def _build_network(d: Diagram, dm: DimMap, mode: str, bond_dim: int,
-                   max_order: int) -> TensorNetwork:
+def network_template(d: Diagram, dm: DimMap, mode: str, bond_dim: int,
+                     max_order: int) -> Template:
+    """The network of ``d`` with words split by ``mode`` ("full", "mps" or
+    "spider", see ``_word_factors``), as the template of its structure."""
     net = _NetBuilder()
     wires: list[tuple] = []  # position -> (ptype, leg, dim)
     input_legs: list[Leg] = []
@@ -426,8 +490,9 @@ def _build_network(d: Diagram, dm: DimMap, mode: str, bond_dim: int,
 
     for box, offset in d.layers:
         if isinstance(box, Word):
-            dims = _values(dm, box.dom @ box.cod, "dimension")
+            dims = _values(dm, box.dom.items + box.cod.items, "dimension")
             legs = _word_factors(box, dims, bond_dim, max_order, mode, net)
+            net.words += 1
             n_dom = len(box.dom)
             for i in range(n_dom):
                 _, leg, dim = wires[offset + i]
@@ -460,7 +525,9 @@ def _build_network(d: Diagram, dm: DimMap, mode: str, bond_dim: int,
             raise UnsupportedBox(f"unknown box {box!r}")
 
     open_legs = tuple(input_legs) + tuple(leg for _, leg, _ in wires)
-    return TensorNetwork(tuple(net.nodes), tuple(net.edges), open_legs)
+    return Template(
+        TensorNetwork(tuple(net.nodes), tuple(net.edges), open_legs),
+        tuple(net.slots))
 
 
 def tensor_ansatz(d: Diagram, dm: DimMap) -> TensorNetwork:
@@ -469,7 +536,7 @@ def tensor_ansatz(d: Diagram, dm: DimMap) -> TensorNetwork:
     Open legs follow the diagram boundary: domain wires first (as inputs
     through identity-pair nodes), then codomain wires.
     """
-    return _build_network(d, dm, "full", 0, 0)
+    return network_template(d, dm, "full", 0, 0).artifact
 
 
 def mps_ansatz(d: Diagram, dm: DimMap, bond_dim: int = 4,
@@ -479,14 +546,14 @@ def mps_ansatz(d: Diagram, dm: DimMap, bond_dim: int = 4,
         raise InvalidConfig("mps max_order must be at least 3")
     if bond_dim < 1:
         raise InvalidConfig("bond_dim must be positive")
-    return _build_network(d, dm, "mps", bond_dim, max_order)
+    return network_template(d, dm, "mps", bond_dim, max_order).artifact
 
 
 def spider_ansatz(d: Diagram, dm: DimMap, max_order: int = 2) -> TensorNetwork:
     """Split words of order > max_order into copy-linked overlapping factors."""
     if max_order < 2:
         raise InvalidConfig("spider max_order must be at least 2")
-    return _build_network(d, dm, "spider", 0, max_order)
+    return network_template(d, dm, "spider", 0, max_order).artifact
 
 
 def _mps_groups(order: int, max_order: int) -> list[list[int]]:

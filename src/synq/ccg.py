@@ -14,6 +14,13 @@ becomes a cap; other unary re-typings that are not cap-shaped fall back to
 a typed bridge box. A category marked [conj] maps to T(X).r ++ T(X) and the
 conjunction word itself is typed as the right adjoint of its neighbour, so
 coordination completes with ordinary backward-application cups.
+
+A token decides nothing in the translation: it only labels its leaf's
+word. So ``tree_to_diagram`` converts one derivation per shape (its
+categories, rules and child structure, tokens left out) and keeps the
+diagram as the shape's template, with the layer of each leaf's word; a
+later derivation of that shape is the template with its own tokens in
+those words.
 """
 from __future__ import annotations
 
@@ -26,7 +33,7 @@ from typing import Iterator, Optional, Union
 from .diagram import (
     Builder, Cap, Diagram, IllTyped, Swap, TypeMismatch, Word,
 )
-from .types import NOUN, SENTENCE, PType, TypeSeq, hash_once
+from .types import EMPTY, NOUN, SENTENCE, PType, TypeSeq, hash_once
 
 logger = logging.getLogger(__name__)
 
@@ -41,7 +48,8 @@ RULES = ("FA", "BA", "FC", "BC", "FX", "BX", "TR", "LEX", "CONJ", "UNARY")
 # CCGBank has about 1,300 lexical category types, so the bound holds every
 # category of a corpus, and a rarer combination past it is evicted least
 # recently used first. An exception is never cached: a bad category or
-# combination raises on every call.
+# combination raises on every call. tree_to_diagram keeps its templates in a
+# bounded cache keyed by shape in the same way.
 
 
 class ParseError(Exception):
@@ -458,23 +466,79 @@ def _cap_shaped(a: PType, b: PType) -> bool:
 
 
 def tree_to_diagram(t: CCGTree) -> Diagram:
-    """Convert a derivation to a diagram with dom [] and cod T(root)."""
-    b = Builder()
-    try:
-        _convert(t, b)
-    except RecursionError:
-        raise DerivationError(
-            "derivation is too deep to convert (nesting exceeds the "
-            "interpreter's recursion limit)") from None
-    d = b.diagram()
+    """Convert a derivation to a diagram with dom [] and cod T(root).
+
+    The first derivation of a shape is converted, and its diagram kept as
+    the template of that shape with the layer of each leaf's word; a later
+    one is that diagram with its own tokens in those words."""
+    shape, tokens = _shape(t)
+    cell = _diagram_templates(shape)
+    if cell:
+        template, leaves = cell[0]
+        layers = list(template.layers)
+        for k, token in zip(leaves, tokens):
+            box, offset = layers[k]
+            layers[k] = Word(token, box.dom, box.cod), offset
+        d = Diagram._typed(template.dom, template.cod, tuple(layers))
+    else:
+        b = _Conversion()
+        try:
+            _convert(t, b)
+        except RecursionError:
+            raise DerivationError(
+                "derivation is too deep to convert (nesting exceeds the "
+                "interpreter's recursion limit)") from None
+        d, leaves = b.diagram(), tuple(b.leaves)
     want = cat_to_typeseq(t.category)
     if d.cod != want:
         raise DerivationError(
             f"converted codomain {d.cod} does not match root type {want}")
+    if not cell:
+        cell.append((d, leaves))
     return d
 
 
-def _convert(t: CCGTree, b: Builder) -> None:
+def _shape(t: CCGTree) -> tuple[tuple, list[str]]:
+    """The shape of a derivation, and its tokens from left to right.
+
+    The shape lists the derivation in pre-order, a node as its rule and
+    category and a leaf as its category alone, so it determines the tree
+    up to its tokens. It is walked without recursion, so a tree too deep
+    to convert still reaches ``_convert``, which names that error."""
+    shape, tokens, stack = [], [], [t]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, Leaf):
+            shape.append(t.category)
+            tokens.append(t.token)
+        else:
+            shape += (t.rule, t.category)
+            stack.extend(reversed(t.children))
+    return tuple(shape), tokens
+
+
+@lru_cache(maxsize=1024)  # bounded, like the categories' caches
+def _diagram_templates(shape: tuple) -> list:
+    """The diagram of the derivations of one ``_shape``, and the layer of
+    each leaf's word, once the first has converted. Empty until then, and
+    after a failed conversion, so a shape that does not convert fails on
+    every derivation."""
+    return []
+
+
+class _Conversion(Builder):
+    """A Builder that records the layer of each leaf's word."""
+
+    def __init__(self):
+        super().__init__()
+        self.leaves: list[int] = []
+
+    def leaf(self, token: str, cod: TypeSeq = EMPTY) -> None:
+        self.leaves.append(len(self.layers))
+        self.add(Word(token, cod=cod), len(self.wires))
+
+
+def _convert(t: CCGTree, b: _Conversion) -> None:
     """Append the layers of ``t``'s diagram to ``b``, in post-order.
 
     Invariant: ``t``'s wires start at the right end of ``b``'s wires, since
@@ -483,8 +547,7 @@ def _convert(t: CCGTree, b: Builder) -> None:
     from ``start``, where the left child's wires begin.
     """
     if isinstance(t, Leaf):
-        b.add(Word(t.token, cod=cat_to_typeseq(t.category)), len(b.wires))
-        return
+        return b.leaf(t.token, cat_to_typeseq(t.category))
     if t.rule in ("TR", "LEX", "UNARY"):
         return _convert_unary(t, b)
     if t.rule == "CONJ":
@@ -519,7 +582,7 @@ def _convert(t: CCGTree, b: Builder) -> None:
     raise DerivationError(f"unhandled rule {t.rule}")
 
 
-def _convert_unary(t: Node, b: Builder) -> None:
+def _convert_unary(t: Node, b: _Conversion) -> None:
     child = t.children[0]
     start = len(b.wires)
     _convert(child, b)
@@ -538,13 +601,12 @@ def _convert_unary(t: Node, b: Builder) -> None:
         b.add(Word(f"[{src}->{dst}]", dom=a, cod=c), start)
 
 
-def _convert_conj(t: Node, b: Builder) -> None:
+def _convert_conj(t: Node, b: _Conversion) -> None:
     left, right = t.children
     lc, rc, pc = left.category, right.category, t.category
     if pc.conj and isinstance(left, Leaf) \
             and (_is_conj_atom(lc) or _is_punct(lc)):
-        neighbour = cat_to_typeseq(rc)
-        b.add(Word(left.token, cod=neighbour.r), len(b.wires))
+        b.leaf(left.token, cat_to_typeseq(rc).r)
         _convert(right, b)
     elif rc.conj and cat_eq(lc, _strip_conj(rc)):
         start = len(b.wires)
@@ -553,9 +615,9 @@ def _convert_conj(t: Node, b: Builder) -> None:
         _cups(b, start, len(cat_to_typeseq(lc)))
     elif _is_punct(rc) and isinstance(right, Leaf):
         _convert(left, b)
-        b.add(Word(right.token), len(b.wires))
+        b.leaf(right.token)
     elif _is_punct(lc) and isinstance(left, Leaf):
-        b.add(Word(left.token), len(b.wires))
+        b.leaf(left.token)
         _convert(right, b)
     else:
         raise DerivationError(

@@ -146,8 +146,8 @@ class OutOfGrammar(ValueError):
         self.reason = reason
 
 
-def _vocabulary(role: str) -> set[str]:
-    return {w for v in (FOOD, IT) for w in v[role]}
+# the words of each role, over both topics
+_VOCABULARY = {role: frozenset(FOOD[role] + IT[role]) for role in FOOD}
 
 
 def sentence_to_auto(text: str) -> str:
@@ -157,7 +157,7 @@ def sentence_to_auto(text: str) -> str:
     the grammar's vocabulary.
     """
     words = text.split()
-    adjectives = _vocabulary("adjectives")
+    adjectives = _VOCABULARY["adjectives"]
     subj_adj = words[0] if words and words[0] in adjectives else None
     rest = words[1:] if subj_adj else words
     obj_adj = rest[2] if len(rest) > 2 and rest[2] in adjectives else None
@@ -168,7 +168,7 @@ def sentence_to_auto(text: str) -> str:
                   "[adjective] subject verb [adjective] object")
     subj, verb, obj = rest[0], rest[1], tail[0]
     for word, role in ((subj, "subjects"), (verb, "verbs"), (obj, "objects")):
-        if word not in _vocabulary(role):
+        if word not in _VOCABULARY[role]:
             raise OutOfGrammar(text, f"{word!r} is not one of its {role}")
     subj_np = _np(subj, subj_adj)
     obj_np = _np(obj, obj_adj)

@@ -228,10 +228,10 @@ class Builder:
         if offset < 0 or end > len(wires):
             raise IllTyped(f"layer {len(self.layers)}: offset {offset} out of "
                            f"range for {len(wires)} wires and box dom {dom}")
-        window = TypeSeq(tuple(wires[offset:end]))
-        if window != dom:
+        window = tuple(wires[offset:end])
+        if window != dom.items:
             raise IllTyped(f"layer {len(self.layers)}: box dom {dom} does not "
-                           f"match wires {window}")
+                           f"match wires {TypeSeq(window)}")
         wires[offset:end] = box.cod.items
         self.layers.append((box, offset))
         return self

@@ -8,6 +8,13 @@ hyperparameters are the defaults of ``training.adam_step`` and
 ``training.spsa_step``. compile_model turns a dataset plus config into one
 artifact per sentence with a shared parameter store, giving the training
 loop a uniform predict interface.
+
+Conversion and compile run once per sentence structure. The sentences of
+a dataset share few structures (the 130 of the dataset grammar have 4), and
+a token reaches a compiled artifact only through its symbol names. So
+compile_diagram compiles the first diagram of each structure and re-labels
+that artifact for the others, as ``ccg.tree_to_diagram`` does for
+derivations of one shape; each artifact is still validated on its own.
 """
 from __future__ import annotations
 
@@ -21,13 +28,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import ccg
-from .ansatz import (
-    Circuit, TensorNetwork, iqp_ansatz, mps_ansatz, spider_ansatz,
-    tensor_ansatz,
-)
+from .ansatz import Circuit, TensorNetwork, iqp_template, network_template
 from .contract import Group, contract, contract_batch, contract_grad
 from .dataset import LabeledDataset, sentence_to_auto
-from .diagram import Diagram
+from .diagram import Diagram, Word
 from .params import ParameterStore
 from .readers import cups_read, spiders_read, tokenize
 from .rewrite import RULE_NAMES, Rewriter
@@ -156,15 +160,43 @@ def _load_derivations(cfg: PipelineConfig, ds: LabeledDataset
 
 def compile_diagram(cfg: PipelineConfig, d: Diagram):
     """The artifact of one diagram: one qubit per wire for IQP, dimension 2
-    per wire for the tensor ansatzes, each with its default split."""
-    if cfg.ansatz == "iqp":
-        return iqp_ansatz(d, {"n": 1, "s": 1})
+    per wire for the tensor ansatzes, each with the default split of
+    ``mps_ansatz`` or ``spider_ansatz``.
+
+    The first diagram of a structure is compiled, and its artifact kept as
+    the template of that structure; a later one is its template re-labelled
+    with the diagram's tokens (``Template.instance``)."""
+    tokens, structure = [], [cfg.ansatz, d.dom]
+    for box, offset in d.layers:
+        if isinstance(box, Word):
+            tokens.append(box.token)
+            structure += (box.dom, box.cod, offset)
+        else:
+            structure += (box, offset)
+    cell = _artifact_templates(tuple(structure))
+    if cell:
+        return cell[0].instance(tokens)
     dims = {"n": 2, "s": 2}
-    if cfg.ansatz == "tensor":
-        return tensor_ansatz(d, dims)
-    if cfg.ansatz == "mps":
-        return mps_ansatz(d, dims)
-    return spider_ansatz(d, dims)
+    if cfg.ansatz == "iqp":
+        template = iqp_template(d, {"n": 1, "s": 1})
+    elif cfg.ansatz == "tensor":
+        template = network_template(d, dims, "full", 0, 0)
+    elif cfg.ansatz == "mps":
+        template = network_template(d, dims, "mps", 4, 3)
+    else:
+        template = network_template(d, dims, "spider", 0, 2)
+    cell.append(template)
+    return template.artifact
+
+
+@lru_cache(maxsize=1024)  # bounded, like contract's plans
+def _artifact_templates(structure: tuple) -> list:
+    """The template of the diagrams of one structure, once the first has
+    compiled: the ansatz, the dom, and each layer's box and offset, a word
+    given by its dom and cod alone (its token makes only symbol names).
+    Empty until then, and after a failed compile, so a structure that does
+    not compile fails on every diagram."""
+    return []
 
 
 @dataclass

@@ -3,9 +3,11 @@
 ``tests/data/setup_golden.json`` holds the sha256 of every compiled
 artifact's ``to_json()``, of each initial ``store.to_vector()`` and of the
 ``to_json()`` of every fixture diagram after rewriting and ``normal_form``.
-The memoised category and naming functions must not change any of them,
-whether their caches are warm or cold; and since ``lru_cache`` never stores
-an exception, a memoised function raises on every call.
+The memoised category and naming functions, and the templates of
+conversion and compile, must not change any of them, whether their caches
+are warm or cold; and since ``lru_cache`` never stores an exception, and a
+template is kept only once it is built, a memoised function raises on
+every call.
 
 Regenerate the golden file, only for an intended change of output, with
 ``PYTHONPATH=src python tests/test_setup_identity.py > GOLDEN`` from the
@@ -17,11 +19,16 @@ from pathlib import Path
 
 import pytest
 
-from synq import ansatz, ccg
+from synq import ansatz, ccg, pipeline
 from synq.ccg import parse_auto, scan_auto, tree_to_diagram
-from synq.dataset import generate_dataset
-from synq.pipeline import PipelineConfig, compile_model
+from synq.dataset import generate_dataset, sentence_to_auto
+from synq.diagram import Builder, Word
+from synq.pipeline import (
+    PipelineConfig, compile_diagram, compile_model, sentence_to_diagram,
+)
+from synq.readers import spiders_read, tokenize
 from synq.rewrite import RULE_NAMES, Rewriter
+from synq.types import ts
 
 DATA = Path(__file__).parent / "data"
 FIXTURES = DATA / "fixtures.auto"
@@ -36,7 +43,9 @@ CONFIGS = [(reader, name, rules, seed)
            for rules in REWRITES
            for seed in SEEDS]
 MEMOISED = (ccg.parse_category, ccg.cat_to_typeseq, ccg.infer_rule,
-            ccg.infer_unary_rule, ansatz._signature)
+            ccg.infer_unary_rule, ansatz._signature, ccg._diagram_templates,
+            pipeline._artifact_templates)
+TEMPLATES = (ccg._diagram_templates, pipeline._artifact_templates)
 
 
 def _key(config: tuple) -> str:
@@ -139,6 +148,99 @@ def test_memoised_errors_raise_every_call():
     for _ in range(2):
         with pytest.raises(ccg.UnknownCategory, match="no pregroup image"):
             ccg.cat_to_typeseq(ccg.parse_category("X"))
+
+
+def test_one_cold_compile_builds_each_structure_once():
+    # the 130 sentences of the dataset grammar have 4 shapes
+    for fn in TEMPLATES:
+        fn.cache_clear()
+    compile_model(PipelineConfig(), generate_dataset(7))
+    assert [fn.cache_info().misses for fn in TEMPLATES] == [4, 4]
+
+
+def _config(name: str) -> PipelineConfig:
+    return PipelineConfig(ansatz=name,
+                          optimizer="spsa" if name == "iqp" else "adam")
+
+
+def _direct(name: str, d):
+    """The artifact of ``d`` compiled without a template."""
+    if name == "iqp":
+        return ansatz.iqp_ansatz(d, {"n": 1, "s": 1})
+    dims = {"n": 2, "s": 2}
+    return {"tensor": ansatz.tensor_ansatz, "mps": ansatz.mps_ansatz,
+            "spider": ansatz.spider_ansatz}[name](d, dims)
+
+
+def _edges(art) -> tuple:
+    if isinstance(art, ansatz.Circuit):
+        return tuple((op.gate, op.qubits) for op in art.ops)
+    return art.edges
+
+
+@pytest.mark.parametrize("name", ["spider", "tensor", "mps", "iqp"])
+def test_same_shape_other_tokens(name):
+    cfg = _config(name)
+    texts = ("skillful programmer creates software", "tasty chef cooks dinner")
+    fresh = []
+    for text in texts:  # each converted on its own
+        ccg._diagram_templates.cache_clear()
+        fresh.append(sentence_to_diagram(cfg, text))
+    for fn in TEMPLATES:
+        fn.cache_clear()
+    diagrams = [sentence_to_diagram(cfg, text) for text in texts]
+    arts = [compile_diagram(cfg, d) for d in diagrams]
+    assert [fn.cache_info().hits for fn in TEMPLATES] == [1, 1]
+    assert diagrams == fresh
+    assert arts == [_direct(name, d) for d in diagrams]
+    assert _edges(arts[0]) == _edges(arts[1])
+    names = [{sym.name for sym in art.symbols} for art in arts]
+    assert not names[0] & names[1]
+
+
+@pytest.mark.parametrize("name", ["spider", "iqp"])
+def test_repeated_token_shares_one_symbol(name):
+    cfg = _config(name)
+    line = sentence_to_auto("chef cooks meal")
+    # the shape's templates, whose nouns differ
+    distinct = compile_diagram(cfg, sentence_to_diagram(cfg, "chef cooks meal"))
+    d = sentence_to_diagram(cfg, "chef cooks chef",
+                            line.replace(" meal ", " chef "))
+    art = compile_diagram(cfg, d)
+    assert art == _direct(name, d)
+    names = [sym.name for sym in art.symbols]
+    # both nouns are of type n, so the object takes the subject's symbols
+    assert names == [sym.name for sym in distinct.symbols
+                     if not sym.name.startswith("meal__")]
+
+
+def test_structural_errors_raise_every_call():
+    cfg = _config("iqp")
+    for _ in range(2):
+        with pytest.raises(ansatz.UnsupportedBox, match="tensor-backend"):
+            compile_diagram(cfg, spiders_read(tokenize("chef cooks meal")))
+    noun, adj = ccg.parse_category("N"), ccg.parse_category("N/N")
+    tree = ccg.Node(noun, "FA", (ccg.Leaf("red", adj),
+                                 ccg.Leaf("runs", ccg.parse_category("S"))))
+    for _ in range(2):
+        with pytest.raises(ccg.DerivationError, match="do not cancel"):
+            tree_to_diagram(tree)
+
+
+def test_rules_and_word_types_are_part_of_the_structure():
+    # the same categories under another rule: FA converts, FX does not
+    leaves = (ccg.Leaf("chef", ccg.parse_category("S/(S\\NP)")),
+              ccg.Leaf("runs", ccg.parse_category("S\\NP")))
+    s = ccg.parse_category("S")
+    tree_to_diagram(ccg.Node(s, "FA", leaves))
+    with pytest.raises(ccg.DerivationError, match="do not cancel"):
+        tree_to_diagram(ccg.Node(s, "FX", leaves))
+    # a word at the same offset with the same cod, over another dom
+    cfg = _config("tensor")
+    state = Builder(ts("n")).add(Word("w", cod=ts("s")), 0).diagram()
+    effect = Builder(ts("n")).add(Word("w", ts("n"), ts("s")), 0).diagram()
+    for d in (state, effect):
+        assert compile_diagram(cfg, d) == _direct("tensor", d)
 
 
 if __name__ == "__main__":
