@@ -538,6 +538,13 @@ class _Conversion(Builder):
         self.add(Word(token, cod=cod), len(self.wires))
 
 
+# the kinds of the left and right categories each binary rule combines,
+# whose parts its conversion reads: FA takes X/Y and Y, BA takes Y and X\Y
+_OPERANDS = {"FA": (Forward, object), "BA": (object, Backward),
+             "FC": (Forward, Forward), "BC": (Backward, Backward),
+             "FX": (Forward, Backward), "BX": (Forward, Backward)}
+
+
 def _convert(t: CCGTree, b: _Conversion) -> None:
     """Append the layers of ``t``'s diagram to ``b``, in post-order.
 
@@ -553,11 +560,14 @@ def _convert(t: CCGTree, b: _Conversion) -> None:
     if t.rule == "CONJ":
         return _convert_conj(t, b)
     left, right = t.children
+    lc, rc = left.category, right.category
+    kind_l, kind_r = _OPERANDS[t.rule]
+    if not (isinstance(lc, kind_l) and isinstance(rc, kind_r)):
+        raise _misfit(t)  # a hand-built node: parse_auto infers the rule
     start = len(b.wires)
     _convert(left, b)
     mid = len(b.wires)
     _convert(right, b)
-    lc, rc = left.category, right.category
     if t.rule in ("FA", "FC"):
         # left: T(X) ++ T(Y).l; cancel T(Y).l against the right's first wires
         x = len(cat_to_typeseq(lc.result))
@@ -580,6 +590,14 @@ def _convert(t: CCGTree, b: _Conversion) -> None:
         _swap_block_right(b, start + len(y), zlen, len(b.wires) - mid)
         return _cups(b, start, len(y))
     raise DerivationError(f"unhandled rule {t.rule}")
+
+
+def _misfit(t: Node) -> DerivationError:
+    """The error of a binary node whose rule does not fit its categories."""
+    left, right = (category_to_str(c.category) for c in t.children)
+    return DerivationError(
+        f"rule {t.rule} does not combine {left} and {right} into "
+        f"{category_to_str(t.category)}")
 
 
 def _convert_unary(t: Node, b: _Conversion) -> None:
@@ -620,8 +638,7 @@ def _convert_conj(t: Node, b: _Conversion) -> None:
         b.leaf(left.token)
         _convert(right, b)
     else:
-        raise DerivationError(
-            f"unsupported conj/punct combination at {category_to_str(pc)}")
+        raise _misfit(t)
 
 
 # ---------------------------------------------------------------------------

@@ -41,13 +41,24 @@ of their symbols (on mc-iqp, 50 to 120 distinct angles per gate against
 172 to 344 leaf tensors).
 ``NetworkPlan.stack`` lays several flat vectors end to end, so one batch
 per structure serves rows under different vectors (SPSA's two probes and
-the current point). ``contract`` is a batch of one.
+the current point). ``contract`` and ``contract_batch`` are a batch of
+one network and of one group.
+
+One call serves a whole ``NetworkPlan``: ``contract_plan`` for values,
+``contract_grad`` for values and gradient. Each group replays its own
+steps, and the values of every row come back in ``NetworkPlan.rows``
+order. A circuit plan merges its groups' angle tables, so a pass calls
+each gate's kernel once on the distinct angles of every group (an
+mc-iqp SPSA pass at seed 7 builds 264 angles in 3 calls, not 927 in 12).
 
 The gradient walks the live steps backwards from the cotangent of the
 values: the cotangent of each operand is the result's cotangent contracted
-with the other operand. Rows, and nodes of one row, that share a symbol sum
-their cotangents in the store's flat layout with ``np.add.at`` (Liao et
-al., arXiv:1903.09650).
+with the other operand (Liao et al., arXiv:1903.09650). The cotangent of
+every row is taken in one call, each group walks back from its own rows,
+and rows and nodes that share a symbol sum their cotangents in the
+store's flat layout with one ``np.bincount``: each group into its own row
+of a (groups, size) array, the rows then added in group order, so the
+gradient is the groups' gradients summed one after another.
 """
 from __future__ import annotations
 
@@ -56,7 +67,7 @@ import math
 import string
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -323,6 +334,28 @@ def rotation_kinds(gates: Sequence[str]
                  for gate, cols in where.items())
 
 
+def _kernels(angles: tuple[tuple[str, np.ndarray], ...], vec: np.ndarray
+             ) -> dict[str, np.ndarray]:
+    """Each gate's tensors at the distinct angles ``vec[offsets]`` of
+    ``angles``, one call of its ``ansatz.GATE_TENSORS`` kernel per gate."""
+    return {gate: GATE_TENSORS[gate](vec[offsets])
+            for gate, offsets in angles}
+
+
+def _rotation_leaves(count: int, picks, tables: dict[str, np.ndarray]
+                     ) -> list[np.ndarray]:
+    """The ``count`` rotation leaves of one circuit group: for each (gate,
+    cols, inverse) of ``picks``, leaf cols[i] takes the rows
+    tables[gate][inverse[i]]."""
+    out = [None] * count
+    for gate, cols, inverse in picks:
+        # (leaves, rows) taken, so each leaf's (rows, ...) slice of the
+        # result is contiguous
+        for j, tensor in zip(cols, tables[gate][inverse]):
+            out[j] = tensor
+    return out
+
+
 @dataclass(frozen=True)
 class Group:
     """Networks of one structure: their positions and, per row, the flat
@@ -331,46 +364,42 @@ class Group:
     circuit group every parameter leaf is a rotation gate whose one entry
     is the angle, and ``gates`` names each leaf's gate.
 
-    Built from these, ``rotations`` holds, for each distinct gate of a
-    circuit group, the distinct offsets of its angles, the positions of
-    its leaves (``rotation_kinds``) and, per leaf, where each row's angle
-    lies among those offsets; None for a tensor group. The stacked rows of
-    a group share most of their symbols, so one call of the gate's kernel
-    on the distinct angles builds a table from which every leaf takes its
-    rows."""
+    Built from these, for a circuit group (None for a tensor group):
+    ``angles`` holds, for each distinct gate, the distinct offsets of its
+    angles, and ``picks`` the positions of its leaves (``rotation_kinds``)
+    and, per leaf, where each row's angle lies among those offsets. The
+    stacked rows of a group share most of their symbols, so one call of
+    the gate's kernel on the distinct angles builds a table from which
+    every leaf takes its rows."""
     plan: Plan
     rows: np.ndarray
     index: np.ndarray  # (rows, entries)
     gates: Optional[tuple[str, ...]] = None
-    rotations: Optional[tuple[tuple[str, np.ndarray, np.ndarray,
-                                    np.ndarray], ...]] = field(
+    angles: Optional[tuple[tuple[str, np.ndarray], ...]] = field(
+        init=False, repr=False)
+    picks: Optional[tuple[tuple[str, np.ndarray, np.ndarray], ...]] = field(
         init=False, repr=False)
 
     def __post_init__(self):
-        arrays, tables = [self.rows, self.index], None
+        arrays, angles, picks = [self.rows, self.index], None, None
         if self.gates is not None:
-            tables = []
+            angles, picks = [], []
             for gate, cols in rotation_kinds(self.gates):
-                angles = self.index[:, cols].T  # (leaves, rows)
-                offsets, inverse = np.unique(angles, return_inverse=True)
-                tables.append((gate, offsets, cols,
-                               inverse.reshape(angles.shape)))
-                arrays += tables[-1][1:]
-            tables = tuple(tables)
+                taken = self.index[:, cols].T  # (leaves, rows)
+                offsets, inverse = np.unique(taken, return_inverse=True)
+                angles.append((gate, offsets))
+                picks.append((gate, cols, inverse.reshape(taken.shape)))
+                arrays += [offsets, cols, picks[-1][2]]
+            angles, picks = tuple(angles), tuple(picks)
         for array in arrays:  # a group may be cached and shared
             array.setflags(write=False)
-        object.__setattr__(self, "rotations", tables)
+        object.__setattr__(self, "angles", angles)
+        object.__setattr__(self, "picks", picks)
 
     def _gather(self, vec: np.ndarray) -> list[np.ndarray]:
-        if self.rotations is not None:
-            out = [None] * len(self.gates)
-            for gate, offsets, cols, inverse in self.rotations:
-                # (leaves, rows) taken, so each leaf's (rows, ...) slice
-                # of the result is contiguous
-                taken = GATE_TENSORS[gate](vec[offsets])[inverse]
-                for j, tensor in zip(cols, taken):
-                    out[j] = tensor
-            return out
+        if self.gates is not None:
+            return _rotation_leaves(len(self.gates), self.picks,
+                                    _kernels(self.angles, vec))
         flat = vec[self.index]
         out, start = [], 0
         for k in self.plan.params:
@@ -384,9 +413,56 @@ class Group:
 @dataclass(frozen=True)
 class NetworkPlan:
     """Networks grouped by structure, each group planned once; ``count``
-    is the length of the sequence the rows index."""
+    is the length of the sequence the rows index.
+
+    Built from these, ``rows`` holds every group's rows, group after
+    group: the order of the values of ``contract_plan`` and
+    ``contract_grad``. In a circuit plan, ``angles`` holds, for each
+    distinct gate, the distinct offsets of its angles across every group,
+    and ``picks`` each group's ``Group.picks`` re-pointed into them, so a
+    pass calls each gate's kernel once, not once per group; both are None
+    in a tensor plan."""
     groups: tuple[Group, ...]
     count: int
+    rows: np.ndarray = field(init=False, repr=False)
+    angles: Optional[tuple[tuple[str, np.ndarray], ...]] = field(
+        init=False, repr=False)
+    picks: Optional[tuple] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        rows = np.concatenate([g.rows for g in self.groups]
+                              or [np.zeros(0, np.intp)])
+        angles = picks = None
+        if any(g.gates is not None for g in self.groups):
+            offsets: dict[str, list[np.ndarray]] = {}
+            for g in self.groups:
+                for gate, distinct in g.angles:
+                    offsets.setdefault(gate, []).append(distinct)
+            # with return_inverse, np.unique does not import numpy.ma,
+            # which adds 1.3 MB to the peak RSS of a run
+            union = {gate: np.unique(np.concatenate(parts),
+                                     return_inverse=True)[0]
+                     for gate, parts in offsets.items()}
+            angles = tuple(union.items())
+            picks = tuple(tuple(
+                (gate, cols, np.searchsorted(union[gate], distinct)[inverse])
+                for (gate, distinct), (_, cols, inverse)
+                in zip(g.angles, g.picks)) for g in self.groups)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "angles", angles)
+        object.__setattr__(self, "picks", picks)
+
+    def _gather(self, vec: np.ndarray) -> Iterator[list[np.ndarray]]:
+        """Each group's parameter leaves under the flat vector ``vec``, one
+        group at a time, so a group's leaves can go before the next's are
+        built."""
+        if self.angles is None:
+            for g in self.groups:
+                yield g._gather(vec)
+            return
+        tables = _kernels(self.angles, vec)
+        for g, picks in zip(self.groups, self.picks):
+            yield _rotation_leaves(len(g.gates), picks, tables)
 
     def stack(self, parts: Sequence[tuple[int, Sequence[int]]],
               size: int) -> "NetworkPlan":
@@ -481,24 +557,58 @@ def contract_batch(group: Group, vec: np.ndarray) -> np.ndarray:
                   len(group.rows))
 
 
-def contract_grad(group: Group, vec: np.ndarray,
+def as_plan(networks: NetworkPlan | Group) -> NetworkPlan:
+    """``networks`` itself, or a Group as the plan of its one structure."""
+    if isinstance(networks, Group):
+        return NetworkPlan((networks,), int(networks.rows.max(initial=-1)) + 1)
+    return networks
+
+
+def contract_plan(plan: NetworkPlan, vec: np.ndarray) -> np.ndarray:
+    """The values of the plan's networks under the flat vector ``vec``, one
+    row each in ``plan.rows`` order; every network has the same open
+    shape. Each group's tensors go once its values are read."""
+    return np.concatenate([
+        _value(g.plan, _replay(g.plan, params), len(g.rows))
+        for g, params in zip(plan.groups, plan._gather(vec))])
+
+
+def contract_grad(plan: NetworkPlan, vec: np.ndarray,
                   upstream: Callable[[np.ndarray], np.ndarray]
                   ) -> tuple[np.ndarray, np.ndarray]:
-    """The values V of the group's networks (one row each) and the gradient
-    of sum(V * upstream(V)) in the flat layout of ``vec``, with upstream(V)
-    held constant; one contraction serves both, and an all-zero
-    upstream(V) skips the reverse pass. Real networks only: a circuit's
-    rotation leaves have no gradient here."""
-    p = group.plan
-    tensors = _replay(p, group._gather(vec))
-    values = _value(p, tensors, len(group.rows))
+    """The values V of the plan's networks (one row each, in ``plan.rows``
+    order) and the gradient of sum(V * upstream(V)) in the flat layout of
+    ``vec``, with upstream(V) held constant; every network has the same
+    open shape. One pass serves every group: each replays its
+    contraction, upstream sees all rows at once, and each group walks back
+    from its rows' cotangent unless that is all zero. One bincount
+    scatters the cotangents of each group walked back into its own row of
+    a (groups, len(vec)) array, whose rows are then added in group order,
+    so the gradient is the sum of the groups' gradients taken one after
+    another. Real networks only: a circuit's rotation leaves have no
+    gradient here."""
+    runs = [_replay(g.plan, params)
+            for g, params in zip(plan.groups, plan._gather(vec))]
+    values = np.concatenate([_value(g.plan, tensors, len(g.rows))
+                             for g, tensors in zip(plan.groups, runs)])
     g = np.asarray(upstream(values), dtype=float)
     if g.shape != values.shape:
         raise ShapeMismatch(
             f"upstream cotangent {g.shape} vs values {values.shape}")
-    flat = np.zeros(len(vec))
-    if tensors and p.live[-1] and g.any():
-        cots = _backprop(p, tensors, g)
-        np.add.at(flat, group.index, np.concatenate(
-            [c.reshape(len(group.rows), -1) for c in cots], axis=1))
-    return values, flat
+    size, index, cots, start = len(vec), [], [], 0
+    for group, tensors in zip(plan.groups, runs):
+        p, n = group.plan, len(group.rows)
+        cut, start = g[start:start + n], start + n
+        if tensors and p.live[-1] and cut.any():
+            index.append((group.index + len(index) * size).ravel())
+            cots.append(np.concatenate(
+                [c.reshape(n, -1) for c in _backprop(p, tensors, cut)],
+                axis=1).ravel())
+    grad = np.zeros(size)
+    if index:
+        flat = np.bincount(np.concatenate(index), np.concatenate(cots),
+                           len(index) * size)
+        for row in flat.reshape(len(index), size):
+            # one row after another: numpy's sum over axis 0 may pair them
+            grad += row
+    return values, grad

@@ -6,11 +6,13 @@ points per step and never needs circuit gradients. ``train`` groups the
 sentences by network structure and plans each group's contraction once:
 tensor networks, and exact circuits as the tensor networks of their gates.
 
-Every iteration is then one batched pass per group at the current point.
-That pass also scores the point, which is the previous iteration's history
-row, so scoring takes no pass of its own; one final forward pass scores the
-last point. With Adam the pass computes values and gradients over the train
-and dev sentences, the dev rows with a zero cotangent. With SPSA,
+Every iteration is then one batched pass at the current point, one engine
+call that serves every structure group (``prediction_gradient`` or
+``group_p1`` on the whole ``NetworkPlan``). That pass also scores the
+point, which is the previous iteration's history row, so scoring takes no
+pass of its own; one final forward pass scores the last point. With Adam
+the pass computes values and gradients over the train and dev sentences,
+the dev rows with a zero cotangent. With SPSA,
 ``spsa_step`` hands both probe points to the loss in one call, and the pass
 stacks the train sentences at each probe with the train and dev sentences
 at the current point (``NetworkPlan.stack``). Shot-based circuits are
@@ -165,8 +167,8 @@ def _batch_p1(model: CompiledModel, plan: Optional[NetworkPlan], points,
     at ``rows`` under the flat vector ``points[point]``.
 
     With ``plan``, the model's plan stacked over ``parts``
-    (NetworkPlan.stack), one batched pass per group (group_p1) serves
-    every part (_parts_p1). Without a plan, sentence by sentence; a
+    (NetworkPlan.stack), one batched pass over every group (group_p1)
+    serves every part (_parts_p1). Without a plan, sentence by sentence; a
     shot-based sentence draws with its shot seed, from part k's
     (iteration, slot) = ``seeds[k]`` and its item."""
     cfg = model.config
@@ -178,9 +180,7 @@ def _batch_p1(model: CompiledModel, plan: Optional[NetworkPlan], points,
                           for i in rows])
                 for (point, rows), seed in zip(parts, seeds)]
     p1 = np.zeros(plan.count)
-    flat = np.concatenate(points)
-    for g in plan.groups:
-        p1[g.rows] = group_p1(g, flat)
+    p1[plan.rows] = group_p1(plan, np.concatenate(points))
     return _parts_p1(model, p1.reshape(len(points), -1), points, parts)
 
 
@@ -191,11 +191,11 @@ def _mean_loss(p1s, labels) -> float:
 def train(model: CompiledModel) -> tuple[ParameterStore, TrainHistory]:
     """Full-batch training; returns the final store and the history.
 
-    Iteration k takes one batched pass per structure group at its point
-    theta_k: with Adam, values and gradients over train and dev; with SPSA,
-    the train rows at both probes stacked with train and dev at theta_k.
-    The values at theta_k give history row k - 1, the score of step
-    k - 1's result, and a final forward pass gives the last row."""
+    Iteration k takes one batched pass over every structure group at its
+    point theta_k: with Adam, values and gradients over train and dev; with
+    SPSA, the train rows at both probes stacked with train and dev at
+    theta_k. The values at theta_k give history row k - 1, the score of
+    step k - 1's result, and a final forward pass gives the last row."""
     cfg = model.config
     ds = model.dataset
     train_idx, train_y = ds.train, ds.labels("train")
@@ -228,13 +228,11 @@ def train(model: CompiledModel) -> tuple[ParameterStore, TrainHistory]:
         labels, trains = np.zeros(plan.count), np.zeros(plan.count, bool)
         labels[list(train_idx)] = train_y
         trains[list(train_idx)] = True
+        y, t = labels[plan.rows], trains[plan.rows]
         for it in range(cfg.iterations):
-            grad, p1 = np.zeros(size), np.zeros(plan.count)
-            for g in plan.groups:
-                p1[g.rows], g_grad = prediction_gradient(
-                    g, vec, lambda p, y=labels[g.rows], t=trains[g.rows]:
-                    np.where(t, bce_grad(p, y), 0.0))
-                grad += g_grad
+            p1 = np.zeros(plan.count)
+            p1[plan.rows], grad = prediction_gradient(
+                plan, vec, lambda p: np.where(t, bce_grad(p, y), 0.0))
             # at iteration 0 only to report degenerate rows
             scores = _parts_p1(model, p1[None], [vec], score)
             if it:

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from synq.ccg import (
-    Atomic, Backward, DerivationError, Forward, Leaf, Node, ParseError,
-    UnknownCategory, _strip_conj, cat_to_typeseq, parse_auto, parse_category,
-    scan_auto, section_to_diagrams, tree_to_diagram,
+    RULES, Atomic, Backward, DerivationError, Forward, Leaf, Node,
+    ParseError, UnknownCategory, _strip_conj, cat_to_typeseq, parse_auto,
+    parse_category, scan_auto, section_to_diagrams, tree_to_diagram,
 )
 from synq.diagram import Cap, Cup, Swap, Word
 from synq.rewrite import RULE_NAMES, Rewriter
@@ -219,6 +219,18 @@ class TestTreeToDiagram:
             Leaf("y", parse_category("NP"))))
         with pytest.raises(DerivationError,
                            match="cup offset 1 out of range for 2 wires"):
+            tree_to_diagram(tree)
+
+    @pytest.mark.parametrize("rule", [r for r in RULES
+                                      if r not in ("TR", "LEX", "UNARY")])
+    def test_hand_built_misfit_rule_is_named(self, rule):
+        # N/N cannot combine as the right child with N on its left under
+        # any binary rule; built directly, past parse_auto's inference
+        n = parse_category("N")
+        tree = Node(n, rule, (Leaf("meal", n),
+                              Leaf("red", parse_category("N/N"))))
+        with pytest.raises(DerivationError, match=re.escape(
+                f"rule {rule} does not combine N and N/N into N")):
             tree_to_diagram(tree)
 
 

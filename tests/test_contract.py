@@ -29,8 +29,7 @@ def store_for(tn, seed=0):
 
 def grad_one(tn, ps, upstream):
     """contract_grad of ``tn`` as a batch of one; upstream sees its value."""
-    (group,) = plan_networks([tn], [0], ps).groups
-    values, flat = contract_grad(group, ps.to_vector(),
+    values, flat = contract_grad(plan_networks([tn], [0], ps), ps.to_vector(),
                                  lambda v: np.asarray(upstream(v[0]))[None])
     return values[0], flat
 
@@ -230,10 +229,9 @@ class TestGrad:
             spider_ansatz(d, DM, 2))]
         cases += [random_network(rng) for _ in range(40)]
         for tn, ps in cases:
-            (group,) = plan_networks([tn], [0], ps).groups
             seen = []
             values, _ = contract_grad(
-                group, ps.to_vector(),
+                plan_networks([tn], [0], ps), ps.to_vector(),
                 lambda v: seen.append(v) or np.ones(v.shape))
             assert np.array_equal(values[0], contract(tn, ps))
             assert seen[0] is values
@@ -429,7 +427,8 @@ class TestBatched:
     def test_batch_matches_rows_and_finite_differences(self, seed, rows,
                                                        pool):
         networks, ps = shared_batch(seed, rows, pool)
-        (group,) = plan_networks(networks, range(rows), ps).groups
+        netplan = plan_networks(networks, range(rows), ps)
+        (group,) = netplan.groups
         assert np.array_equal(group.rows, np.arange(rows))
         vec = ps.to_vector()
         values = contract_batch(group, vec)
@@ -444,7 +443,7 @@ class TestBatched:
                               group.index[1, :width])
         rng = np.random.default_rng(seed)
         g = rng.normal(size=values.shape)
-        got_values, grad = contract_grad(group, vec, lambda v: g)
+        got_values, grad = contract_grad(netplan, vec, lambda v: g)
         assert np.array_equal(got_values, values)
         want = per_row_grad(networks, ps, g)
         assert np.max(np.abs(grad - want)) <= 1e-12 * max(
@@ -457,23 +456,25 @@ class TestBatched:
 
     def test_zero_cotangent_skips_the_reverse_pass(self, monkeypatch):
         networks, ps = shared_batch(3, rows=3, pool=2)
-        (group,) = plan_networks(networks, range(3), ps).groups
+        netplan = plan_networks(networks, range(3), ps)
+        (group,) = netplan.groups
         vec = ps.to_vector()
         reversed_passes = []
         real = contract_module._backprop
         monkeypatch.setattr(contract_module, "_backprop", lambda *args: (
             reversed_passes.append(1) or real(*args)))
-        values, grad = contract_grad(group, vec, lambda v: np.zeros(v.shape))
+        values, grad = contract_grad(netplan, vec,
+                                     lambda v: np.zeros(v.shape))
         assert not reversed_passes and not grad.any()
         assert np.array_equal(values, contract_batch(group, vec))
-        contract_grad(group, vec, lambda v: np.ones(v.shape))
+        contract_grad(netplan, vec, lambda v: np.ones(v.shape))
         assert reversed_passes == [1]
 
     def test_rows_without_parameters_share_the_value(self):
         m = Node("m", "delta", (3, 3))
         tn = TensorNetwork((m,), ((("m", 0), ("m", 1)),), ())
-        (group,) = plan_networks([tn, tn], [0, 1], ParameterStore({})).groups
-        values, grad = contract_grad(group, np.zeros(0),
+        netplan = plan_networks([tn, tn], [0, 1], ParameterStore({}))
+        values, grad = contract_grad(netplan, np.zeros(0),
                                      lambda v: np.ones(v.shape))
         assert values.tolist() == [3.0, 3.0] and grad.size == 0
 

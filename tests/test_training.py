@@ -8,7 +8,8 @@ import pytest
 from synq.dataset import generate_dataset
 from synq.params import ParameterStore
 from synq import ccg, pipeline, training
-from synq.contract import plan_networks
+from synq import contract as contract_module
+from synq.contract import NetworkPlan, plan_networks
 from synq.pipeline import (
     CompileError, CompiledModel, PipelineConfig, compile_model, group_p1,
     predict_p1, prediction_gradient, sentence_to_diagram,
@@ -388,11 +389,11 @@ class TestAdamGradientPass:
             grads.append(1) or real_grad(*args)))
         train(model)
         # no sentence is contracted on its own: one batched gradient pass
-        # per group of train and dev sentences and iteration
+        # per iteration serves every group of train and dev sentences
         groups = plan_networks(model.artifacts, ds.train + ds.dev,
                                model.store).groups
         assert len(calls) == 0
-        assert len(grads) == 2 * len(groups) == 8
+        assert len(groups) == 4 and len(grads) == 2
 
     def test_prediction_gradient_matches_finite_differences(self):
         model = compile_model(PipelineConfig(ansatz="spider", seed=3),
@@ -644,8 +645,7 @@ class TestOnePassPerIteration:
         assert np.array_equal(store.to_vector(), want_store.to_vector())
 
     @pytest.mark.parametrize("optimizer", ["adam", "spsa"])
-    def test_one_batched_call_per_group_and_iteration(self, monkeypatch,
-                                                      optimizer):
+    def test_one_batched_call_per_pass(self, monkeypatch, optimizer):
         ds = generate_dataset(0)
         cfg = PipelineConfig(ansatz="spider" if optimizer == "adam"
                              else "iqp", optimizer=optimizer, iterations=3,
@@ -654,9 +654,10 @@ class TestOnePassPerIteration:
         calls = []
         for name in ("group_p1", "prediction_gradient"):
             real = getattr(training, name)
-            monkeypatch.setattr(training, name, lambda g, *args, real=real,
-                                name=name: calls.append((name, len(g.rows)))
-                                or real(g, *args))
+            monkeypatch.setattr(training, name, lambda plan, *args,
+                                real=real, name=name: calls.append(
+                                    (name, len(plan.groups), plan.rows))
+                                or real(plan, *args))
         steps = []
         real_step = getattr(training, f"{optimizer}_step")
         monkeypatch.setattr(training, f"{optimizer}_step", lambda *args, **kw:
@@ -666,24 +667,153 @@ class TestOnePassPerIteration:
                                  model.store)
                    if optimizer == "adam" else plan_circuits(model.artifacts,
                                                              model.store))
-        groups = len(netplan.stack([(0, ds.train + ds.dev)], 0).groups)
-        assert groups == 4
+        assert len(netplan.groups) == 4
         both, train_dev = len(ds.train), len(ds.train) + len(ds.dev)
         if optimizer == "adam":
             # each pass precedes its step; the final pass scores the last
             # point
-            assert steps == [groups, 2 * groups, 3 * groups]
+            assert steps == [1, 2, 3]
             per_iter = [("prediction_gradient", train_dev)] * 3
         else:
             # the loss function runs inside the step: at iteration 0 it
             # takes the probes alone, then the probes and the score
-            assert steps == [0, groups, 2 * groups]
+            assert steps == [0, 1, 2]
             per_iter = [("group_p1", 2 * both)] + [
                 ("group_p1", 2 * both + train_dev)] * 2
-        assert len(calls) == 4 * groups
-        passes = [calls[k * groups:(k + 1) * groups] for k in range(4)]
-        for (name, rows), one in zip(per_iter, passes):
-            assert {n for n, _ in one} == {name}
-            assert sum(r for _, r in one) == rows
-        assert {n for n, _ in passes[-1]} == {"group_p1"}
-        assert sum(r for _, r in passes[-1]) == train_dev
+        # one call per pass, every group of the pass in it
+        assert [(n, groups, len(rows)) for n, groups, rows in calls] == [
+            (n, 4, rows) for n, rows in per_iter + [("group_p1", train_dev)]]
+
+
+def per_group_pass(plan, vec, dloss_dp1):
+    """The per-group loop that one engine call per pass replaced, kept as
+    its oracle: each group is contracted, its cotangent taken from its own
+    rows and scattered with np.add.at into a zero vector of its own, and
+    the groups' gradients are added one after another. Returns the values
+    and p1 in ``plan.rows`` order, and the gradient."""
+    from synq.contract import _backprop, _replay, _value
+    values, p1, grad = [], [], np.zeros(len(vec))
+    start = 0
+    for g in plan.groups:
+        p, n = g.plan, len(g.rows)
+        tensors = _replay(p, g._gather(vec))
+        v = _value(p, tensors, n)
+        q = pipeline._rows_p1(v)
+        ok = ~np.isnan(q)
+        v0, v1 = v[:, 0], v[:, 1]
+        s = np.where(ok, v0 ** 2 + v1 ** 2, 1.0)
+        w = np.where(ok, dloss_dp1(q, slice(start, start + n)), 0.0) / s ** 2
+        cot = np.stack((-2.0 * v0 * v1 ** 2 * w, 2.0 * v1 * v0 ** 2 * w),
+                       axis=1)
+        flat = np.zeros(len(vec))
+        if tensors and p.live[-1] and cot.any():
+            np.add.at(flat, g.index, np.concatenate(
+                [c.reshape(n, -1) for c in _backprop(p, tensors, cot)],
+                axis=1))
+        grad += flat
+        values.append(v)
+        p1.append(q)
+        start += n
+    return np.concatenate(values), np.concatenate(p1), grad
+
+
+class TestFusedPass:
+    @pytest.mark.parametrize("ansatz", ["spider", "tensor", "mps"])
+    def test_matches_the_per_group_loop_bit_for_bit(self, ansatz, monkeypatch,
+                                                    caplog):
+        ds = generate_dataset(0)
+        model = compile_model(PipelineConfig(ansatz=ansatz, seed=5), ds)
+        everything = plan_networks(model.artifacts, range(len(ds.items)),
+                                   model.store)
+        by_size = sorted(everything.groups, key=lambda g: len(g.rows))
+        a, b, c, d = (g.rows.tolist() for g in by_size[::-1])
+        # A: many train rows, one of them a zero vector; B: a lone train
+        # row, as every group of long sentences is; C: train rows that
+        # share symbols with A's, so the order of the groups' sums shows;
+        # D: dev rows only, whose cotangent is all zero
+        dead_item = a[2]
+        rows = a[:12] + b[:1] + c[:6] + d[:5]
+        trains = set(a[:12] + b[:1] + c[:6])
+        model = with_dead_row(model, dead_item)
+        store = model.store
+        netplan = plan_networks(model.artifacts, rows, store)
+        assert [len(g.rows) for g in netplan.groups] == [12, 1, 6, 5]
+        vec = store.to_vector() * 1.5  # away from the initial point
+        labels = np.array([item[1] for item in ds.items], dtype=float)
+        y = labels[netplan.rows]
+        t = np.array([r in trains for r in netplan.rows.tolist()])
+        reversed_passes = []
+        real = contract_module._backprop
+        monkeypatch.setattr(contract_module, "_backprop", lambda *args: (
+            reversed_passes.append(1) or real(*args)))
+        p1, grad = prediction_gradient(
+            netplan, vec, lambda p: np.where(t, bce_grad(p, y), 0.0))
+        # the dev-only group is not walked back
+        assert len(reversed_passes) == 3
+        monkeypatch.undo()
+        want_values, want_p1, want_grad = per_group_pass(
+            netplan, vec,
+            lambda p, cut: np.where(t[cut], bce_grad(p, y[cut]), 0.0))
+        assert np.array_equal(contract_module.contract_plan(netplan, vec),
+                              want_values)
+        assert np.array_equal(p1, want_p1, equal_nan=True)
+        assert np.array_equal(group_p1(netplan, vec), want_p1,
+                              equal_nan=True)
+        assert np.array_equal(grad, want_grad)
+        assert grad.any()
+        # the zero vector is nan in the pass and reaches predict_p1, which
+        # warns once
+        (dead,) = np.flatnonzero(np.isnan(p1))
+        assert netplan.rows[dead] == dead_item
+        full = np.zeros(netplan.count)
+        full[netplan.rows] = p1
+        with caplog.at_level(logging.WARNING, logger="synq.pipeline"):
+            (got,) = training._parts_p1(model, full[None], [vec],
+                                        [(0, rows)])
+        warnings = [r for r in caplog.records if r.name == "synq.pipeline"]
+        assert len(warnings) == 1
+        assert f"item {dead_item}" in warnings[0].getMessage()
+        assert got[rows.index(dead_item)] == 0.5
+
+    def test_circuit_plan_stacked_over_three_points(self):
+        from synq.contract import contract_batch
+        from synq.simulator import ZERO_NORM_THRESHOLD
+        cfg = PipelineConfig(ansatz="iqp", optimizer="spsa", seed=3)
+        ds = generate_dataset(0)
+        model = compile_model(cfg, ds)
+        vec = model.store.to_vector()
+        size = len(vec)
+        parts = [(0, ds.train), (1, ds.train), (2, ds.train), (2, ds.dev)]
+        netplan = plan_circuits(model.artifacts, model.store).stack(parts,
+                                                                    size)
+        assert len(netplan.groups) == 4
+        flat = np.concatenate([vec, vec + 0.25, vec - 0.25])
+        # every gate's kernel once per pass, on fewer angles than the
+        # groups' own tables hold between them
+        for gate, offsets in netplan.angles:
+            assert len(offsets) < sum(len(o) for g in netplan.groups
+                                      for k, o in g.angles if k == gate)
+        for g, leaves in zip(netplan.groups, netplan._gather(flat)):
+            for got, want in zip(leaves, g._gather(flat)):
+                assert np.array_equal(got, want)
+                assert got.flags.c_contiguous
+        values = [contract_batch(g, flat) for g in netplan.groups]
+        assert np.array_equal(contract_module.contract_plan(netplan, flat),
+                              np.concatenate(values))
+        want = np.concatenate([pipeline._rows_p1(v, ZERO_NORM_THRESHOLD)
+                               for v in values])
+        assert np.array_equal(group_p1(netplan, flat), want)
+
+    def test_empty_plan_scores_nothing(self):
+        # an empty split, or a model with no train or dev sentence, scores
+        # nan as it did before one call served every group
+        empty = NetworkPlan((), 5)
+        vec = np.arange(3.0)
+        assert group_p1(empty, vec).shape == (0,)
+        p1, grad = prediction_gradient(empty, vec, lambda p: p)
+        assert p1.shape == (0,) and grad.tolist() == [0.0] * 3
+        cfg = PipelineConfig(ansatz="iqp", optimizer="spsa")
+        model = compile_model(cfg, replace(generate_dataset(0), test=()))
+        with pytest.warns(RuntimeWarning):  # the mean of nothing
+            got = evaluate_split(model, model.store, "test")
+        assert np.isnan(got["test_loss"]) and np.isnan(got["test_accuracy"])
