@@ -20,7 +20,10 @@ structure compiles to one artifact up to those names. ``iqp_template`` and
 ``network_template`` compile a diagram into a ``Template``: its artifact,
 and for each parameter node or rotation op the word that made it and its
 name's suffix. ``Template.instance`` re-labels the artifact with another
-diagram's tokens, and builds it through the same validation as a compile.
+diagram's tokens. The template's artifact was validated when it compiled,
+and an instance differs from it only in those nodes or ops, so only they
+are checked: each keeps its node's id, kind and shape, or its op's gate and
+qubits.
 """
 from __future__ import annotations
 
@@ -160,6 +163,21 @@ class Circuit:
             raise ValueError("open and postselected qubits overlap")
         if used != set(range(self.n_qubits)):
             raise ValueError("every qubit must be open or postselected")
+
+    def _relabel(self, ops: Iterable[tuple[int, Op]]) -> Circuit:
+        """This circuit with each (k, op) of ``ops`` in place of its k-th
+        op. An op must keep the gate and qubits of the one it replaces, so
+        the circuit stays as valid as when it was built: only the replaced
+        ops are checked."""
+        out = list(self.ops)
+        for k, op in ops:
+            if op.gate != out[k].gate or op.qubits != out[k].qubits:
+                raise InvalidOp(f"op {k} ({op.gate!r} on qubits "
+                                f"{op.qubits}): replaces {out[k].gate!r} "
+                                f"on qubits {out[k].qubits}")
+            out[k] = op
+        return _built(Circuit, n_qubits=self.n_qubits, ops=tuple(out),
+                      postselect=self.postselect, open=self.open)
 
     @property
     def symbols(self) -> list[Symbol]:
@@ -329,6 +347,23 @@ class TensorNetwork:
                         f"leg {(node.node_id, i)} must have exactly one "
                         "edge or be open")
 
+    def _relabel(self, nodes: Iterable[tuple[int, Node]]) -> TensorNetwork:
+        """This network with each (k, node) of ``nodes`` in place of its
+        k-th node. A node must keep the id, kind and shape of the one it
+        replaces, so every leg checked when this network was built is still
+        valid: only the replaced nodes are checked."""
+        out, by_id = list(self.nodes), dict(self._by_id)
+        for k, node in nodes:
+            was = out[k]
+            if node.node_id != was.node_id or node.kind != was.kind \
+                    or node.shape != was.shape:
+                raise ValueError(f"node {k} ({node.node_id!r}, {node.kind}, "
+                                 f"{node.shape}) replaces ({was.node_id!r}, "
+                                 f"{was.kind}, {was.shape})")
+            out[k] = by_id[node.node_id] = node
+        return _built(TensorNetwork, nodes=tuple(out), edges=self.edges,
+                      open_legs=self.open_legs, _by_id=by_id)
+
     def node(self, node_id: str) -> Node:
         return self._by_id[node_id]
 
@@ -369,20 +404,30 @@ class Template:
 
     def instance(self, tokens: Sequence[str]) -> Union[Circuit, TensorNetwork]:
         """The artifact of a diagram of this structure whose i-th word has
-        the token ``tokens[i]``, validated like a compiled one."""
+        the token ``tokens[i]``. It differs from the template's, which was
+        validated when it compiled, only in the symbols at ``slots``, so
+        only those nodes or ops are checked."""
         art = self.artifact
         if isinstance(art, Circuit):
-            ops = list(art.ops)
-            for k, word, suffix in self.slots:
-                op = ops[k]
-                ops[k] = Op(op.gate, op.qubits, Symbol(tokens[word] + suffix))
-            return Circuit(art.n_qubits, tuple(ops), art.postselect, art.open)
-        nodes = list(art.nodes)
-        for k, word, suffix in self.slots:
-            node = nodes[k]
-            nodes[k] = Node(node.node_id, node.kind, node.shape,
-                            Symbol(tokens[word] + suffix, node.shape))
-        return TensorNetwork(tuple(nodes), art.edges, art.open_legs)
+            ops = art.ops
+            return art._relabel(
+                (k, Op(ops[k].gate, ops[k].qubits,
+                       Symbol(tokens[word] + suffix)))
+                for k, word, suffix in self.slots)
+        nodes = art.nodes
+        return art._relabel(
+            (k, Node(nodes[k].node_id, nodes[k].kind, nodes[k].shape,
+                     Symbol(tokens[word] + suffix, nodes[k].shape)))
+            for k, word, suffix in self.slots)
+
+
+def _built(cls: type, **attributes):
+    """An instance of the frozen dataclass ``cls`` with ``attributes`` set,
+    built without its ``__post_init__``: the caller has checked them."""
+    out = object.__new__(cls)
+    for name, value in attributes.items():
+        object.__setattr__(out, name, value)
+    return out
 
 
 class _NetBuilder:

@@ -6,6 +6,13 @@ pred-arg-cat>)``, each under an optional ``ID=`` header. AUTO stores no
 combinator names, so the rule tag of every node is inferred from the child
 and parent categories.
 
+A line is read by one regex tokenisation (a closed leaf, another node
+header, or a closing parenthesis) into a tree built without recursion.
+Its tokens decide nothing in the parse but its leaves' labels, so the parse
+is kept in a bounded cache per derivation shape, keyed by the line with
+every leaf's token lifted out; a later line of that shape is the kept tree
+with its own tokens in the leaves.
+
 The translation to pregroup types sends N, NP and PP to the noun type, any
 S[feature] to the sentence type, X/Y to T(X) ++ T(Y).l and X\\Y to
 T(Y).r ++ T(X). Application and composition become nested cups; crossed
@@ -15,8 +22,8 @@ a typed bridge box. A category marked [conj] maps to T(X).r ++ T(X) and the
 conjunction word itself is typed as the right adjoint of its neighbour, so
 coordination completes with ordinary backward-application cups.
 
-A token decides nothing in the translation: it only labels its leaf's
-word. So ``tree_to_diagram`` converts one derivation per shape (its
+A token decides nothing in the translation either: it only labels its
+leaf's word. So ``tree_to_diagram`` converts one derivation per shape (its
 categories, rules and child structure, tokens left out) and keeps the
 diagram as the shape's template, with the layer of each leaf's word; a
 later derivation of that shape is the template with its own tokens in
@@ -24,7 +31,10 @@ those words.
 """
 from __future__ import annotations
 
+import itertools
 import logging
+import re
+import sys
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from pathlib import Path
@@ -48,8 +58,8 @@ RULES = ("FA", "BA", "FC", "BC", "FX", "BX", "TR", "LEX", "CONJ", "UNARY")
 # CCGBank has about 1,300 lexical category types, so the bound holds every
 # category of a corpus, and a rarer combination past it is evicted least
 # recently used first. An exception is never cached: a bad category or
-# combination raises on every call. tree_to_diagram keeps its templates in a
-# bounded cache keyed by shape in the same way.
+# combination raises on every call. The parse of a line and the diagram of
+# a derivation are kept per shape in bounded caches in the same way.
 
 
 class ParseError(Exception):
@@ -303,77 +313,31 @@ def infer_unary_rule(child: CCGCategory, parent: CCGCategory) -> str:
 # ``section_to_diagrams`` and ``pipeline.compile_model``. It keys each
 # derivation by its ID and hands it on with its file line, so every
 # ParseError names the line of the file that it is on.
+#
+# ``_parse_line`` parses each derivation line. A token decides nothing in a
+# parse but its leaf's label, so a line is keyed by its text with the token
+# of every leaf ``(<L cat pos pos token cat>)`` lifted out (``_LEAF``). The
+# first line of a key is parsed, and its tree kept in post-order as the
+# template of that key; a later line of the key is that template with its
+# own tokens in the leaves. A lifted token holds no space and no ``>``, so
+# the parse reads it as the fifth field of its leaf's header whatever it
+# holds, and the rest of the line parses as the template's did.
+#
+# A parse reads a line as the tokens of one regex, ``_TOKEN``, each after
+# any spaces: a closed leaf ``(<L ...>)`` with its category and token;
+# another node header ``(<...>``, split into fields on single spaces; a
+# closing parenthesis; or any other character, which is out of place. It
+# keeps the open nodes on a list, not on the interpreter's stack, and infers
+# a node's rule as the node closes. Only an error reads a token's position,
+# from the same regex.
 # ---------------------------------------------------------------------------
 
-
-class _AutoParser:
-    def __init__(self, line: str, lineno: int):
-        self.line = line
-        self.lineno = lineno
-        self.pos = 0
-
-    def fail(self, reason: str):
-        raise ParseError(reason, self.lineno, self.pos + 1)
-
-    def skip_ws(self):
-        while self.pos < len(self.line) and self.line[self.pos] == " ":
-            self.pos += 1
-
-    def expect(self, ch: str):
-        if self.pos >= len(self.line) or self.line[self.pos] != ch:
-            self.fail(f"expected {ch!r}")
-        self.pos += 1
-
-    def parse_node(self) -> CCGTree:
-        self.skip_ws()
-        self.expect("(")
-        self.expect("<")
-        end = self.line.find(">", self.pos)
-        if end < 0:
-            self.fail("unterminated node header")
-        fields = self.line[self.pos:end].split(" ")
-        self.pos = end + 1
-        if fields[0] == "L":
-            if len(fields) != 6:
-                self.fail(f"leaf header needs 6 fields, got {len(fields)}")
-            category = parse_category(fields[1])
-            tree: CCGTree = Leaf(fields[4], category)
-            self.skip_ws()
-            self.expect(")")
-            return tree
-        if fields[0] == "T":
-            if len(fields) != 4:
-                self.fail(f"internal header needs 4 fields, got {len(fields)}")
-            category = parse_category(fields[1])
-            try:
-                n_children = int(fields[3])
-            except ValueError:
-                self.fail(f"bad child count {fields[3]!r}")
-            if n_children not in (1, 2):
-                self.fail(f"unsupported child count {n_children}")
-            children = tuple(self.parse_node() for _ in range(n_children))
-            self.skip_ws()
-            self.expect(")")
-            if len(children) == 1:
-                rule = infer_unary_rule(children[0].category, category)
-            else:
-                rule = infer_rule(children[0].category, children[1].category,
-                                  category)
-            return Node(category, rule, children)
-        self.fail(f"unknown node tag {fields[0]!r}")
-
-    def parse(self) -> CCGTree:
-        try:
-            tree = self.parse_node()
-        except RecursionError:
-            raise ParseError(
-                "derivation is too deep to parse (nesting exceeds the "
-                "interpreter's recursion limit)", self.lineno,
-                self.pos + 1) from None
-        self.skip_ws()
-        if self.pos != len(self.line):
-            self.fail("trailing characters after derivation")
-        return tree
+# a closed leaf's category and token; another node header, or ")"; or any
+# other character, out of place
+_TOKEN = re.compile(r" *(?:\(<L ([^ >]*) [^ >]* [^ >]* ([^ >]*) [^ >]*> *\)"
+                    r"|(\(<[^>]*>|\))|([^ ]))")
+# the head of a closed leaf up to its token, and the token
+_LEAF = re.compile(r"(\(<L (?:[^ >]* ){3})([^ >]*)(?= [^ >]*> *\))")
 
 
 def scan_auto(text: str) -> Iterator[tuple[str, int, str]]:
@@ -407,8 +371,148 @@ def scan_auto(text: str) -> Iterator[tuple[str, int, str]]:
 
 def parse_auto(text: str) -> list[CCGTree]:
     """Parse AUTO-format text, one derivation per non-header line."""
-    return [_AutoParser(line, lineno).parse()
-            for _, lineno, line in scan_auto(text)]
+    return [_parse_line(line, lineno) for _, lineno, line in scan_auto(text)]
+
+
+def _parse_line(line: str, lineno: int) -> CCGTree:
+    """The derivation on one line of an AUTO file, ``lineno``."""
+    pieces = _LEAF.split(line)
+    tokens = pieces[2::3]
+    del pieces[2::3]
+    cell = _tree_templates(tuple(pieces))
+    if cell:
+        return _assemble(cell[0], tokens)
+    program, leaves = _parse_program(line, lineno)
+    if len(leaves) == len(tokens):  # every leaf's token lifted
+        cell.append(program)
+    return _assemble(program, leaves)
+
+
+@lru_cache(maxsize=1024)  # bounded, like the categories' caches
+def _tree_templates(key: tuple) -> list:
+    """The parsed derivation of the lines of one key, in post-order, once
+    the first has parsed. Empty until then, and after a failed parse, so a
+    line that does not parse fails every time."""
+    return []
+
+
+def _parse_program(line: str, lineno: int) -> tuple[tuple, list[str]]:
+    """The nodes of a derivation line in post-order, each as (category,
+    rule, number of children), a leaf's rule None; and the tokens of its
+    leaves from left to right.
+
+    A tree is walked by recursion, up to two frames a level (unary
+    conversion, a Node's hash), so a line whose nodes nest deeper than half
+    the interpreter's recursion limit is refused with a named error."""
+    program, tokens, built = [], [], []
+    # the open internal nodes, each [category, children, children still to
+    # come]; built holds the categories of the subtrees not yet taken
+    open_nodes = []
+    unclosed = False  # a leaf header with no ")" next
+    deep = sys.getrecursionlimit() // 2
+    found = _TOKEN.findall(line)
+    for k, (category, token, text, other) in enumerate(found):
+        if text == ")":
+            if not open_nodes or open_nodes[-1][2]:
+                break
+            category, arity, _ = open_nodes.pop()
+            if arity == 2:
+                right = built.pop()
+                rule = infer_rule(built[-1], right, category)
+            else:
+                rule = infer_unary_rule(built[-1], category)
+            built[-1] = category
+            program.append((category, rule, arity))
+        else:
+            if other or program and not open_nodes \
+                    or open_nodes and not open_nodes[-1][2]:
+                break  # out of place, after the root, or where ")" is due
+            if len(open_nodes) >= deep:
+                raise ParseError(
+                    "derivation is too deep to parse (nesting exceeds half "
+                    "the interpreter's recursion limit)", lineno,
+                    _span(line, k)[0] + 1)
+            if not text:  # a closed leaf
+                category = parse_category(category)
+                program.append((category, None, 0))
+                built.append(category)
+                tokens.append(token)
+            else:
+                fields = text[2:-1].split(" ")
+                if fields[0] == "T":
+                    if len(fields) != 4:
+                        raise _header_error(
+                            f"internal header needs 4 fields, got "
+                            f"{len(fields)}", line, lineno, k)
+                    category = parse_category(fields[1])
+                    try:
+                        arity = int(fields[3])
+                    except ValueError:
+                        raise _header_error(f"bad child count {fields[3]!r}",
+                                            line, lineno, k) from None
+                    if arity not in (1, 2):
+                        raise _header_error(f"unsupported child count "
+                                            f"{arity}", line, lineno, k)
+                    open_nodes.append([category, arity, arity])
+                    continue
+                if fields[0] != "L":
+                    raise _header_error(f"unknown node tag {fields[0]!r}",
+                                        line, lineno, k)
+                if len(fields) != 6:
+                    raise _header_error(f"leaf header needs 6 fields, got "
+                                        f"{len(fields)}", line, lineno, k)
+                parse_category(fields[1])  # a bad category is named first
+                # no ")" follows, or the leaf would be a closed one: the
+                # token after it is out of place
+                unclosed, k = True, k + 1
+                break
+        if not open_nodes:  # the root is complete
+            if k + 1 == len(found):
+                return tuple(program), tokens
+        else:
+            open_nodes[-1][2] -= 1
+    else:
+        k = len(found)
+    # token k, or the end of the line, is out of place
+    at = _span(line, k)[0] if k < len(found) else len(line)
+    if unclosed or open_nodes and not open_nodes[-1][2]:
+        reason, column = "expected ')'", at + 1
+    elif program and not open_nodes:  # after the root
+        reason, column = "trailing characters after derivation", at + 1
+    elif line[at:at + 1] != "(":
+        reason, column = "expected '('", at + 1
+    elif line[at + 1:at + 2] != "<":
+        reason, column = "expected '<'", at + 2
+    else:
+        reason, column = "unterminated node header", at + 3
+    raise ParseError(reason, lineno, column)
+
+
+def _span(line: str, k: int) -> tuple[int, int]:
+    """Where the k-th ``_TOKEN`` of a line starts, after its spaces, and
+    ends: read only for the column of an error."""
+    m = next(itertools.islice(_TOKEN.finditer(line), k, None))
+    return m.end() - len(m.group().lstrip(" ")), m.end()
+
+
+def _header_error(reason: str, line: str, lineno: int, k: int) -> ParseError:
+    """The error of a malformed header, the k-th token of a line, named at
+    the column after it."""
+    return ParseError(reason, lineno, _span(line, k)[1] + 1)
+
+
+def _assemble(program: tuple, tokens: list[str]) -> CCGTree:
+    """The tree of a ``_parse_program`` with ``tokens`` in its leaves."""
+    trees, tokens = [], iter(tokens)
+    for category, rule, arity in program:
+        if not arity:
+            trees.append(Leaf(next(tokens), category))
+        elif arity == 2:
+            right = trees.pop()
+            trees[-1] = Node(category, rule, (trees[-1], right))
+        else:
+            trees[-1] = Node(category, rule, (trees[-1],))
+    return trees[0]
 
 
 # ---------------------------------------------------------------------------
@@ -671,7 +775,7 @@ def section_to_diagrams(path: str | Path) -> list[ConversionResult]:
             continue
         for deriv_id, lineno, line in derivations:
             try:
-                tree = _AutoParser(line, lineno).parse()
+                tree = _parse_line(line, lineno)
                 diagram = tree_to_diagram(tree)
                 results.append(ConversionResult(deriv_id, diagram=diagram))
             except (ParseError, UnknownCategory, DerivationError) as exc:

@@ -131,8 +131,11 @@ class Plan:
     Built from these, ``fixed`` holds every tensor that no parameter
     reaches, read-only: the fixed leaves and the result of each constant
     step, computed here once; None for a live tensor. ``run`` lists the
-    live steps as (result, a, b, script), the only steps a replay runs.
-    ``dataclasses.replace`` of the leaves folds the constant steps again."""
+    live steps as (result, a, b, script), the only steps a replay runs,
+    and ``back`` the same steps in reverse as (result, a, b, script_a,
+    script_b), the subscripts that take the result's cotangent to a's and
+    b's, None for an operand that is not live. ``dataclasses.replace`` of
+    the leaves folds the constant steps again."""
     leaves: tuple[Optional[np.ndarray], ...]
     params: tuple[int, ...]  # the parameter leaves, in node order
     shapes: tuple[tuple[int, ...], ...]  # of every tensor, without the batch
@@ -142,12 +145,19 @@ class Plan:
     perm: tuple[int, ...]
     fixed: tuple[Optional[np.ndarray], ...] = field(init=False, repr=False)
     run: tuple[tuple[int, int, int, str], ...] = field(init=False, repr=False)
+    back: tuple[tuple[int, int, int, Optional[str], Optional[str]], ...] = \
+        field(init=False, repr=False)
 
     def __post_init__(self):
-        fixed, run = list(self.leaves), []
+        fixed, run, back = list(self.leaves), [], []
         for (a, b, _, _), script in zip(self.steps, self.scripts):
             if self.live[len(fixed)]:
                 run.append((len(fixed), a, b, script))
+                operands, sc = script.split("->")
+                sa, sb = operands.split(",")
+                back.append((len(fixed), a, b,
+                             f"{sc},{sb}->{sa}" if self.live[a] else None,
+                             f"{sa},{sc}->{sb}" if self.live[b] else None))
                 fixed.append(None)
             else:
                 fixed.append(np.einsum(script, fixed[a], fixed[b]))
@@ -156,6 +166,7 @@ class Plan:
                 tensor.setflags(write=False)
         object.__setattr__(self, "fixed", tuple(fixed))
         object.__setattr__(self, "run", tuple(run))
+        object.__setattr__(self, "back", tuple(reversed(back)))
 
 
 def _script(na: int, nb: int, ax_a: list[int], ax_b: list[int],
@@ -296,18 +307,16 @@ def _backprop(p: Plan, tensors: list[np.ndarray],
 
     A step's result is einsum(s_a,s_b->s_c) of its operands; the cotangent
     of a live operand is einsum(s_c,s_b->s_a) of the result's cotangent and
-    the other operand, and the same for b."""
+    the other operand, and the same for b (``Plan.back``)."""
     cot: list[Optional[np.ndarray]] = [None] * len(tensors)
     cot[-1] = np.transpose(g, np.argsort((0,) + tuple(i + 1
                                                       for i in p.perm)))
-    for c, a, b, script in reversed(p.run):
+    for c, a, b, script_a, script_b in p.back:
         gc = cot[c]
-        operands, sc = script.split("->")
-        sa, sb = operands.split(",")
-        if p.live[a]:
-            cot[a] = np.einsum(f"{sc},{sb}->{sa}", gc, tensors[b])
-        if p.live[b]:
-            cot[b] = np.einsum(f"{sa},{sc}->{sb}", tensors[a], gc)
+        if script_a is not None:
+            cot[a] = np.einsum(script_a, gc, tensors[b])
+        if script_b is not None:
+            cot[b] = np.einsum(script_b, tensors[a], gc)
     return [cot[k] for k in p.params]
 
 

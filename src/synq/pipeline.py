@@ -9,12 +9,13 @@ hyperparameters are the defaults of ``training.adam_step`` and
 artifact per sentence with a shared parameter store, giving the training
 loop a uniform predict interface.
 
-Conversion and compile run once per sentence structure. The sentences of
-a dataset share few structures (the 130 of the dataset grammar have 4), and
-a token reaches a compiled artifact only through its symbol names. So
-compile_diagram compiles the first diagram of each structure and re-labels
-that artifact for the others, as ``ccg.tree_to_diagram`` does for
-derivations of one shape; each artifact is still validated on its own.
+The AUTO parse, conversion and compile run once per sentence structure.
+The sentences of a dataset share few structures (the 130 of the dataset
+grammar have 4), and a token reaches a compiled artifact only through its
+symbol names. So compile_diagram compiles the first diagram of each
+structure and re-labels that artifact for the others, as
+``ccg.parse_auto`` and ``ccg.tree_to_diagram`` do for derivations of one
+shape; each re-labelled node or op is checked against the template's.
 """
 from __future__ import annotations
 

@@ -298,3 +298,40 @@ def test_word_without_wires_gets_no_node(ansatz, deriv_id):
     store[scalar.name] = 3.81
     p1 = [_vector_p1(contract(net, store)) for net in (tn, with_scalar)]
     assert abs(p1[0] - p1[1]) <= 1e-12
+
+
+class TestRelabel:
+    """An instance re-labels its template's parameter nodes or rotation
+    ops and checks only those: each keeps its template's id, kind and shape,
+    or gate and qubits."""
+
+    def test_network_instance_equals_a_validated_build(self):
+        from synq.ansatz import network_template
+        d = svo_diagram()
+        template = network_template(d, DM, "full", 0, 0)
+        art = template.instance(["mary", "runs"])
+        assert art == TensorNetwork(art.nodes, art.edges, art.open_legs)
+        assert [n.symbol.name for n in art.nodes if n.symbol] == [
+            "mary__n__0", "runs__n.r.s__0"]
+        assert art.node("w0") is art.nodes[0]
+        node = art.nodes[0]
+        for other in (Node(node.node_id, "param", (2,), Symbol("x", (2,))),
+                      Node("w9", "param", node.shape,
+                           Symbol("x", node.shape))):
+            with pytest.raises(ValueError, match="replaces"):
+                art._relabel([(0, other)])
+
+    def test_circuit_instance_equals_a_validated_build(self):
+        from synq.ansatz import iqp_template
+        template = iqp_template(svo_diagram(), QM)
+        art = template.instance(["mary", "runs"])
+        assert art == Circuit(art.n_qubits, art.ops, art.postselect,
+                              art.open)
+        assert {s.name.split("__")[0] for s in art.symbols} == {"mary",
+                                                                "runs"}
+        k = next(k for k, op in enumerate(art.ops) if op.gate == "Rx")
+        op = art.ops[k]
+        for other in (Op("Rz", op.qubits, op.param),
+                      Op(op.gate, (op.qubits[0] + 1,), op.param)):
+            with pytest.raises(InvalidOp, match="replaces"):
+                art._relabel([(k, other)])

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from synq import ccg
 from synq.ccg import (
     RULES, Atomic, Backward, DerivationError, Forward, Leaf, Node,
     ParseError, UnknownCategory, _strip_conj, cat_to_typeseq, parse_auto,
@@ -375,3 +376,68 @@ class TestMutatedAuto:
             assert exc.line == lineno, exc
         except (UnknownCategory, DerivationError):
             pass
+
+
+# the token of a fixture leaf, its fifth header field
+LEAF_TOKEN = re.compile(r"\(<L (?:\S+ ){3}(\S+) \S+>\)")
+
+
+@st.composite
+def token_mutations(draw):
+    """A fixture derivation line with one leaf's token, or the space before
+    or after it, replaced by a string of parentheses, angle brackets,
+    spaces and letters, or by nothing."""
+    line = FIXTURE_LINES[draw(st.sampled_from(DERIVATIONS))]
+    start, end = draw(st.sampled_from(
+        [m.span(1) for m in LEAF_TOKEN.finditer(line)]))
+    text = draw(st.text(alphabet="()<> x", max_size=4))
+    where = draw(st.sampled_from(["token", "before", "after"]))
+    if where == "token":
+        return line[:start] + text + line[end:]
+    if where == "before":
+        return line[:start - 1] + text + line[start:]
+    return line[:end] + text + line[end + 1:]
+
+
+def parse_outcome(line):
+    """The trees of ``line``, or the error it raises, with a ParseError's
+    line and column."""
+    try:
+        return parse_auto(line)
+    except ParseError as exc:
+        return "ParseError", exc.reason, exc.line, exc.column
+    except (UnknownCategory, DerivationError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def leaves(tree):
+    """The leaves of a tree from left to right."""
+    if isinstance(tree, Leaf):
+        return [tree]
+    return [leaf for child in tree.children for leaf in leaves(child)]
+
+
+class TestParseCache:
+    """A line whose tokens are lifted into a cached key parses as it does
+    with the cache empty."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(token_mutations())
+    def test_warm_parse_equals_cold(self, line):
+        for k in DERIVATIONS:  # every fixture shape cached
+            parse_auto(FIXTURE_LINES[k])
+        warm = parse_outcome(line)
+        ccg._tree_templates.cache_clear()
+        assert warm == parse_outcome(line)
+
+    def test_same_shape_reuses_the_parse(self):
+        ccg._tree_templates.cache_clear()
+        line = FIXTURE_LINES[DERIVATIONS[0]]
+        (first,) = parse_auto(line)
+        (second,) = parse_auto(line.replace(" john ", " (<x ")
+                               .replace(" gave ", " ) "))
+        assert ccg._tree_templates.cache_info().hits == 1
+        assert [leaf.token for leaf in leaves(second)] == [
+            "(<x", ")", "mary", "a", "flower"]
+        assert [leaf.category for leaf in leaves(second)] == [
+            leaf.category for leaf in leaves(first)]

@@ -3,7 +3,7 @@
 ``tests/data/setup_golden.json`` holds the sha256 of every compiled
 artifact's ``to_json()``, of each initial ``store.to_vector()`` and of the
 ``to_json()`` of every fixture diagram after rewriting and ``normal_form``.
-The memoised category and naming functions, and the templates of
+The memoised category and naming functions, and the templates of parsing,
 conversion and compile, must not change any of them, whether their caches
 are warm or cold; and since ``lru_cache`` never stores an exception, and a
 template is kept only once it is built, a memoised function raises on
@@ -43,9 +43,10 @@ CONFIGS = [(reader, name, rules, seed)
            for rules in REWRITES
            for seed in SEEDS]
 MEMOISED = (ccg.parse_category, ccg.cat_to_typeseq, ccg.infer_rule,
-            ccg.infer_unary_rule, ansatz._signature, ccg._diagram_templates,
-            pipeline._artifact_templates)
-TEMPLATES = (ccg._diagram_templates, pipeline._artifact_templates)
+            ccg.infer_unary_rule, ansatz._signature, ccg._tree_templates,
+            ccg._diagram_templates, pipeline._artifact_templates)
+TEMPLATES = (ccg._tree_templates, ccg._diagram_templates,
+             pipeline._artifact_templates)
 
 
 def _key(config: tuple) -> str:
@@ -129,6 +130,23 @@ def test_cold_compile_equals_warm(name):
     assert all(fn.cache_info().currsize > 0 for fn in MEMOISED)
 
 
+@pytest.mark.parametrize("caches", ["cold", "warm"])
+def test_every_golden_hash_cold_and_warm(golden, caches):
+    # cold: every cache emptied before each build; warm: each build follows
+    # the same one, so its every lookup can hit
+    builds = [(lambda c=config: _model_hashes(_compile(*c)),
+               golden["models"][_key(config)]) for config in CONFIGS]
+    builds += [(lambda r=rules: _fixture_hash(r), golden["fixtures"][case])
+               for case, rules in _fixture_cases().items()]
+    for build, want in builds:
+        if caches == "cold":
+            for fn in MEMOISED:
+                fn.cache_clear()
+        else:
+            build()
+        assert build() == want
+
+
 def test_caches_are_bounded():
     for fn in MEMOISED:
         assert fn.cache_info().maxsize is not None
@@ -155,7 +173,7 @@ def test_one_cold_compile_builds_each_structure_once():
     for fn in TEMPLATES:
         fn.cache_clear()
     compile_model(PipelineConfig(), generate_dataset(7))
-    assert [fn.cache_info().misses for fn in TEMPLATES] == [4, 4]
+    assert [fn.cache_info().misses for fn in TEMPLATES] == [4, 4, 4]
 
 
 def _config(name: str) -> PipelineConfig:
@@ -183,14 +201,15 @@ def test_same_shape_other_tokens(name):
     cfg = _config(name)
     texts = ("skillful programmer creates software", "tasty chef cooks dinner")
     fresh = []
-    for text in texts:  # each converted on its own
+    for text in texts:  # each parsed and converted on its own
+        ccg._tree_templates.cache_clear()
         ccg._diagram_templates.cache_clear()
         fresh.append(sentence_to_diagram(cfg, text))
     for fn in TEMPLATES:
         fn.cache_clear()
     diagrams = [sentence_to_diagram(cfg, text) for text in texts]
     arts = [compile_diagram(cfg, d) for d in diagrams]
-    assert [fn.cache_info().hits for fn in TEMPLATES] == [1, 1]
+    assert [fn.cache_info().hits for fn in TEMPLATES] == [1, 1, 1]
     assert diagrams == fresh
     assert arts == [_direct(name, d) for d in diagrams]
     assert _edges(arts[0]) == _edges(arts[1])

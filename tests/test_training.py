@@ -817,3 +817,67 @@ class TestFusedPass:
         with pytest.warns(RuntimeWarning):  # the mean of nothing
             got = evaluate_split(model, model.store, "test")
         assert np.isnan(got["test_loss"]) and np.isnan(got["test_accuracy"])
+
+
+FIXTURES = Path(__file__).parent / "data" / "fixtures.auto"
+
+
+def ditransitive_model(tmp_path, ansatz):
+    """A model compiled from an AUTO file whose sentences hold the order-4
+    ditransitive ``gave`` of the fixtures, of type n.r s n.l n.l, and the
+    order-5 preposition ``in``: words that ``mps_ansatz`` splits at the
+    dimensions of compile_diagram, where no word of the dataset grammar
+    is split."""
+    lines = {key: line for key, _, line in ccg.scan_auto(FIXTURES.read_text())}
+    gave = lines["fix.1"]  # john gave mary a flower
+    swapped = gave.replace(" john ", " X ").replace(" mary ", " john ") \
+        .replace(" X ", " mary ")
+    derivations = [gave, swapped, lines["fix.6"], lines["fix.2"],
+                   gave.replace(" flower ", " cake "), lines["fix.9"]]
+    items = (("john gave mary a flower", 1), ("mary gave john a flower", 0),
+             ("mary sleeps", 0), ("john walks in the park", 1),
+             ("john gave mary a cake", 0), ("john and mary sleep", 1))
+    path = tmp_path / "gave.auto"
+    path.write_text("".join(f"ID={i}\n{line}\n"
+                            for i, line in enumerate(derivations)))
+    from synq.dataset import LabeledDataset
+    ds = LabeledDataset(items, (0, 1, 2, 3), (4, 5), ())
+    cfg = PipelineConfig(ccg_path=str(path), ansatz=ansatz, iterations=4,
+                         seed=0)
+    return compile_model(cfg, ds)
+
+
+class TestMpsBond:
+    def test_ditransitive_splits_into_a_bond(self, tmp_path):
+        mps = ditransitive_model(tmp_path, "mps")
+        tensor = ditransitive_model(tmp_path, "tensor")
+        differs = [a.to_json() != b.to_json()
+                   for a, b in zip(mps.artifacts, tensor.artifacts)]
+        # the sentences with gave or in
+        assert differs == [True, True, False, True, True, False]
+        shapes = [node.shape for node in mps.artifacts[0].nodes
+                  if node.kind == "param"
+                  and node.symbol.name.startswith("gave__")]
+        # n.r s | n.l n.l, joined by a bond of dimension 4
+        assert shapes == [(2, 2, 4), (4, 2, 2)]
+
+    def test_trains_as_the_reference_with_exact_gradients(self, tmp_path):
+        model = ditransitive_model(tmp_path, "mps")
+        store, history = train(model)
+        want_store, want = reference_train(model)
+        assert history.rows == want.rows
+        assert np.array_equal(store.to_vector(), want_store.to_vector())
+        rows = model.dataset.train + model.dataset.dev
+        vec = store.to_vector()
+        netplan = plan_networks(model.artifacts, rows, store)
+        rng = np.random.default_rng(0)
+        w = rng.normal(size=len(model.artifacts))
+        u = rng.normal(size=vec.shape)
+        u /= np.linalg.norm(u)
+        h = 1e-6
+        p1, grad = prediction_gradient(netplan, vec, lambda p: w[netplan.rows])
+        assert np.allclose(p1, [predict_p1(model, store, i)
+                                for i in netplan.rows], rtol=0, atol=1e-12)
+        fd = (w[netplan.rows] @ group_p1(netplan, vec + h * u)
+              - w[netplan.rows] @ group_p1(netplan, vec - h * u)) / (2 * h)
+        assert abs(fd - grad @ u) < 1e-6
