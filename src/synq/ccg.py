@@ -212,14 +212,48 @@ def parse_category(text: str) -> CCGCategory:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Leaf:
+class _Tree:
+    """Equality and hash of a derivation by its ``_shape`` and tokens, and
+    its repr, all walked without recursion, so a unary chain as deep as
+    ``parse_auto`` accepts still compares, hashes and prints."""
+
+    def __eq__(self, other):
+        if not isinstance(other, _Tree):
+            return NotImplemented
+        return _shape(self) == _shape(other)
+
+    def __hash__(self) -> int:
+        shape, tokens = _shape(self)
+        return hash((shape, tuple(tokens)))
+
+    def __repr__(self) -> str:
+        parts, stack = [], [self]
+        while stack:
+            t = stack.pop()
+            if isinstance(t, str):
+                parts.append(t)
+            elif isinstance(t, Leaf):
+                parts.append(f"Leaf(token={t.token!r}, "
+                             f"category={t.category!r})")
+            else:
+                parts.append(f"Node(category={t.category!r}, "
+                             f"rule={t.rule!r}, children=(")
+                # pushed last to first, as the tuple's repr reads them
+                if len(t.children) == 1:
+                    stack += [",))", t.children[0]]
+                else:
+                    stack += ["))", t.children[1], ", ", t.children[0]]
+        return "".join(parts)
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class Leaf(_Tree):
     token: str
     category: CCGCategory
 
 
-@dataclass(frozen=True)
-class Node:
+@dataclass(frozen=True, eq=False, repr=False)
+class Node(_Tree):
     category: CCGCategory
     rule: str
     children: tuple["CCGTree", ...]
@@ -401,9 +435,9 @@ def _parse_program(line: str, lineno: int) -> tuple[tuple, list[str]]:
     rule, number of children), a leaf's rule None; and the tokens of its
     leaves from left to right.
 
-    A tree is walked by recursion, up to two frames a level (unary
-    conversion, a Node's hash), so a line whose nodes nest deeper than half
-    the interpreter's recursion limit is refused with a named error."""
+    A tree is converted by recursion, up to two frames a level (a unary
+    node's conversion), so a line whose nodes nest deeper than half the
+    interpreter's recursion limit is refused with a named error."""
     program, tokens, built = [], [], []
     # the open internal nodes, each [category, children, children still to
     # come]; built holds the categories of the subtrees not yet taken

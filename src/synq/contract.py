@@ -30,26 +30,23 @@ mixes float and complex operands); a tensor model's plan stays float.
 
 ``contract`` and ``plan_networks`` take each structure's plan from a
 bounded cache, so a structure is planned once, not on every call; ``plan``
-itself is uncached. ``plan_networks`` groups networks by structure; each
-row's parameters are gathered from the flat vector with index arrays: a
-stored tensor's entries, or the angle of a circuit's rotation gate. When a
-circuit group is built, it finds, per gate, the distinct offsets of its
-leaves' angles and each leaf's map into them. A gather then calls that
-gate's ``ansatz.GATE_TENSORS`` kernel once on the distinct angles, and
-every leaf takes its rows from the result: the rows of a group share most
-of their symbols (on mc-iqp, 50 to 120 distinct angles per gate against
-172 to 344 leaf tensors).
-``NetworkPlan.stack`` lays several flat vectors end to end, so one batch
-per structure serves rows under different vectors (SPSA's two probes and
-the current point). ``contract`` and ``contract_batch`` are a batch of
-one network and of one group.
+itself is uncached. ``plan_networks`` groups networks by structure into a
+``NetworkPlan``, the one batch the replay runs; ``contract`` is a network
+alone. Each row's parameters are gathered from the flat vector with index
+arrays: a stored tensor's entries, or the angle of a circuit's rotation
+gate. A circuit plan finds, per gate, the distinct offsets of the angles of
+every group and each leaf's map into them. A gather then calls that gate's
+``ansatz.GATE_TENSORS`` kernel once on the distinct angles, and every leaf
+takes its rows from the result: the rows share most of their symbols (an
+mc-iqp SPSA pass at seed 7 builds 264 angles in 3 calls, where a call per
+group and gate would build 927 in 12). ``NetworkPlan.stack`` lays several
+flat vectors end to end, so one batch per structure serves rows under
+different vectors (SPSA's two probes and the current point).
 
 One call serves a whole ``NetworkPlan``: ``contract_plan`` for values,
 ``contract_grad`` for values and gradient. Each group replays its own
 steps, and the values of every row come back in ``NetworkPlan.rows``
-order. A circuit plan merges its groups' angle tables, so a pass calls
-each gate's kernel once on the distinct angles of every group (an
-mc-iqp SPSA pass at seed 7 builds 264 angles in 3 calls, not 927 in 12).
+order.
 
 The gradient walks the live steps backwards from the cotangent of the
 values: the cotangent of each operand is the result's cotangent contracted
@@ -332,91 +329,17 @@ def contract(tn: TensorNetwork, ps: ParameterStore) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def rotation_kinds(gates: Sequence[str]
-                   ) -> tuple[tuple[str, np.ndarray], ...]:
-    """Each distinct gate of ``gates``, a circuit group's rotation leaves in
-    ``plan.params`` order, with the positions of its leaves."""
-    where: dict[str, list[int]] = {}
-    for j, gate in enumerate(gates):
-        where.setdefault(gate, []).append(j)
-    return tuple((gate, np.array(cols, dtype=np.intp))
-                 for gate, cols in where.items())
-
-
-def _kernels(angles: tuple[tuple[str, np.ndarray], ...], vec: np.ndarray
-             ) -> dict[str, np.ndarray]:
-    """Each gate's tensors at the distinct angles ``vec[offsets]`` of
-    ``angles``, one call of its ``ansatz.GATE_TENSORS`` kernel per gate."""
-    return {gate: GATE_TENSORS[gate](vec[offsets])
-            for gate, offsets in angles}
-
-
-def _rotation_leaves(count: int, picks, tables: dict[str, np.ndarray]
-                     ) -> list[np.ndarray]:
-    """The ``count`` rotation leaves of one circuit group: for each (gate,
-    cols, inverse) of ``picks``, leaf cols[i] takes the rows
-    tables[gate][inverse[i]]."""
-    out = [None] * count
-    for gate, cols, inverse in picks:
-        # (leaves, rows) taken, so each leaf's (rows, ...) slice of the
-        # result is contiguous
-        for j, tensor in zip(cols, tables[gate][inverse]):
-            out[j] = tensor
-    return out
-
-
 @dataclass(frozen=True)
 class Group:
     """Networks of one structure: their positions and, per row, the flat
     vector offsets of every entry of its parameter leaves, leaf after leaf
     in ``plan.params`` order. ``gates`` is None for a tensor group. In a
     circuit group every parameter leaf is a rotation gate whose one entry
-    is the angle, and ``gates`` names each leaf's gate.
-
-    Built from these, for a circuit group (None for a tensor group):
-    ``angles`` holds, for each distinct gate, the distinct offsets of its
-    angles, and ``picks`` the positions of its leaves (``rotation_kinds``)
-    and, per leaf, where each row's angle lies among those offsets. The
-    stacked rows of a group share most of their symbols, so one call of
-    the gate's kernel on the distinct angles builds a table from which
-    every leaf takes its rows."""
+    is the angle, and ``gates`` names each leaf's gate."""
     plan: Plan
     rows: np.ndarray
     index: np.ndarray  # (rows, entries)
     gates: Optional[tuple[str, ...]] = None
-    angles: Optional[tuple[tuple[str, np.ndarray], ...]] = field(
-        init=False, repr=False)
-    picks: Optional[tuple[tuple[str, np.ndarray, np.ndarray], ...]] = field(
-        init=False, repr=False)
-
-    def __post_init__(self):
-        arrays, angles, picks = [self.rows, self.index], None, None
-        if self.gates is not None:
-            angles, picks = [], []
-            for gate, cols in rotation_kinds(self.gates):
-                taken = self.index[:, cols].T  # (leaves, rows)
-                offsets, inverse = np.unique(taken, return_inverse=True)
-                angles.append((gate, offsets))
-                picks.append((gate, cols, inverse.reshape(taken.shape)))
-                arrays += [offsets, cols, picks[-1][2]]
-            angles, picks = tuple(angles), tuple(picks)
-        for array in arrays:  # a group may be cached and shared
-            array.setflags(write=False)
-        object.__setattr__(self, "angles", angles)
-        object.__setattr__(self, "picks", picks)
-
-    def _gather(self, vec: np.ndarray) -> list[np.ndarray]:
-        if self.gates is not None:
-            return _rotation_leaves(len(self.gates), self.picks,
-                                    _kernels(self.angles, vec))
-        flat = vec[self.index]
-        out, start = [], 0
-        for k in self.plan.params:
-            shape = self.plan.shapes[k]
-            n = math.prod(shape)
-            out.append(flat[:, start:start + n].reshape((-1,) + shape))
-            start += n
-        return out
 
 
 @dataclass(frozen=True)
@@ -428,35 +351,52 @@ class NetworkPlan:
     group: the order of the values of ``contract_plan`` and
     ``contract_grad``. In a circuit plan, ``angles`` holds, for each
     distinct gate, the distinct offsets of its angles across every group,
-    and ``picks`` each group's ``Group.picks`` re-pointed into them, so a
-    pass calls each gate's kernel once, not once per group; both are None
-    in a tensor plan."""
+    and ``picks``, per group and gate, the positions of the gate's leaves
+    and, per leaf, where each row's angle lies among those offsets; both
+    are None in a tensor plan. The rows share most of their symbols, so a
+    pass calls each gate's kernel once on the distinct angles, and every
+    leaf takes its rows from the result. Every array is read-only, since a
+    plan may be cached and shared."""
     groups: tuple[Group, ...]
     count: int
     rows: np.ndarray = field(init=False, repr=False)
     angles: Optional[tuple[tuple[str, np.ndarray], ...]] = field(
         init=False, repr=False)
-    picks: Optional[tuple] = field(init=False, repr=False)
+    picks: Optional[tuple[tuple[tuple[str, np.ndarray, np.ndarray], ...],
+                          ...]] = field(init=False, repr=False)
 
     def __post_init__(self):
         rows = np.concatenate([g.rows for g in self.groups]
                               or [np.zeros(0, np.intp)])
+        arrays = [rows, *(a for g in self.groups for a in (g.rows, g.index))]
         angles = picks = None
         if any(g.gates is not None for g in self.groups):
-            offsets: dict[str, list[np.ndarray]] = {}
+            cols, taken = [], {}
             for g in self.groups:
-                for gate, distinct in g.angles:
-                    offsets.setdefault(gate, []).append(distinct)
+                where: dict[str, list[int]] = {}
+                for j, gate in enumerate(g.gates):
+                    where.setdefault(gate, []).append(j)
+                cols.append({gate: np.array(js, dtype=np.intp)
+                             for gate, js in where.items()})
+                for gate, js in cols[-1].items():
+                    taken.setdefault(gate, []).append(g.index[:, js].ravel())
             # with return_inverse, np.unique does not import numpy.ma,
             # which adds 1.3 MB to the peak RSS of a run
-            union = {gate: np.unique(np.concatenate(parts),
-                                     return_inverse=True)[0]
-                     for gate, parts in offsets.items()}
-            angles = tuple(union.items())
+            angles = tuple((gate, np.unique(np.concatenate(parts),
+                                            return_inverse=True)[0])
+                           for gate, parts in taken.items())
+            table = dict(angles)
+            # (leaves, rows), so each leaf's (rows, ...) slice of a gathered
+            # table is contiguous
             picks = tuple(tuple(
-                (gate, cols, np.searchsorted(union[gate], distinct)[inverse])
-                for (gate, distinct), (_, cols, inverse)
-                in zip(g.angles, g.picks)) for g in self.groups)
+                (gate, js, np.searchsorted(table[gate], g.index[:, js].T))
+                for gate, js in where.items())
+                for g, where in zip(self.groups, cols))
+            arrays += [*table.values(), *(a for group in picks
+                                          for _, js, at in group
+                                          for a in (js, at))]
+        for array in arrays:
+            array.setflags(write=False)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "angles", angles)
         object.__setattr__(self, "picks", picks)
@@ -464,14 +404,24 @@ class NetworkPlan:
     def _gather(self, vec: np.ndarray) -> Iterator[list[np.ndarray]]:
         """Each group's parameter leaves under the flat vector ``vec``, one
         group at a time, so a group's leaves can go before the next's are
-        built."""
-        if self.angles is None:
-            for g in self.groups:
-                yield g._gather(vec)
-            return
-        tables = _kernels(self.angles, vec)
-        for g, picks in zip(self.groups, self.picks):
-            yield _rotation_leaves(len(g.gates), picks, tables)
+        built: a tensor leaf's entries, or a rotation's tensor taken from
+        one ``ansatz.GATE_TENSORS`` call per gate on the distinct angles."""
+        tables = {gate: GATE_TENSORS[gate](vec[offsets])
+                  for gate, offsets in self.angles or ()}
+        for k, g in enumerate(self.groups):
+            if g.gates is None:
+                flat, out, start = vec[g.index], [], 0
+                for j in g.plan.params:
+                    shape = g.plan.shapes[j]
+                    n = math.prod(shape)
+                    out.append(flat[:, start:start + n].reshape((-1,) + shape))
+                    start += n
+            else:
+                out = [None] * len(g.gates)
+                for gate, js, at in self.picks[k]:
+                    for j, tensor in zip(js, tables[gate][at]):
+                        out[j] = tensor
+            yield out
 
     def stack(self, parts: Sequence[tuple[int, Sequence[int]]],
               size: int) -> "NetworkPlan":
@@ -557,20 +507,6 @@ def plan_networks(networks: Sequence[TensorNetwork], rows: Sequence[int],
         out.append(Group(p, np.array(members), np.hstack(
             index) if index else np.zeros((len(members), 0), np.intp)))
     return NetworkPlan(tuple(out), len(networks))
-
-
-def contract_batch(group: Group, vec: np.ndarray) -> np.ndarray:
-    """The values of the group's networks under the flat vector ``vec``,
-    one row per network."""
-    return _value(group.plan, _replay(group.plan, group._gather(vec)),
-                  len(group.rows))
-
-
-def as_plan(networks: NetworkPlan | Group) -> NetworkPlan:
-    """``networks`` itself, or a Group as the plan of its one structure."""
-    if isinstance(networks, Group):
-        return NetworkPlan((networks,), int(networks.rows.max(initial=-1)) + 1)
-    return networks
 
 
 def contract_plan(plan: NetworkPlan, vec: np.ndarray) -> np.ndarray:

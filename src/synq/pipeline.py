@@ -30,8 +30,7 @@ import numpy as np
 
 from . import ccg
 from .ansatz import Circuit, TensorNetwork, iqp_template, network_template
-from .contract import Group, NetworkPlan, as_plan, contract, \
-    contract_grad, contract_plan
+from .contract import NetworkPlan, contract, contract_grad, contract_plan
 from .dataset import LabeledDataset, sentence_to_auto
 from .diagram import Diagram, Word
 from .params import ParameterStore
@@ -283,31 +282,29 @@ def predict_p1(model: CompiledModel, store: ParameterStore, item: int,
         return 0.5
 
 
-def group_p1(plan: NetworkPlan | Group, vec: np.ndarray) -> np.ndarray:
+def group_p1(plan: NetworkPlan, vec: np.ndarray) -> np.ndarray:
     """p1 of each sentence of a plan under the flat vector ``vec``, in
     ``plan.rows`` order, read off its 2-vector: a tensor's value, or a
     circuit's amplitudes on its open qubit. One engine call
-    (contract_plan) serves every group; a Group is the plan of its one
-    structure. nan where the norm is below ZERO_VECTOR for a tensor, or
-    below ZERO_NORM_THRESHOLD (a postselection probability) for a circuit;
-    the caller reports such a sentence through predict_p1."""
-    plan = as_plan(plan)
+    (contract_plan) serves every group. nan where the norm is below
+    ZERO_VECTOR for a tensor, or below ZERO_NORM_THRESHOLD (a
+    postselection probability) for a circuit; the caller reports such a
+    sentence through predict_p1."""
     if not plan.groups:  # an empty split
         return np.zeros(0)
     floor = ZERO_VECTOR if plan.angles is None else ZERO_NORM_THRESHOLD
     return _rows_p1(contract_plan(plan, vec), floor)
 
 
-def prediction_gradient(plan: NetworkPlan | Group, vec: np.ndarray,
+def prediction_gradient(plan: NetworkPlan, vec: np.ndarray,
                         dloss_dp1: Callable[[np.ndarray], np.ndarray]
                         ) -> tuple[np.ndarray, np.ndarray]:
     """group_p1, and the gradient of the sum of the sentences' losses given
     ``dloss_dp1(p1)``, each loss's derivative by its p1, in ``plan.rows``
     order. One engine call (contract_grad) serves every group and both
     results: dloss_dp1 sees every sentence at once, and the gradient sums
-    the groups' gradients in group order. A Group is the plan of its one
-    structure. A degenerate sentence adds nothing."""
-    plan = as_plan(plan)
+    the groups' gradients in group order. A degenerate sentence adds
+    nothing."""
     if not plan.groups:  # no train or dev sentence
         return np.zeros(0), np.zeros(len(vec))
     p1 = []

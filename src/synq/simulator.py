@@ -9,10 +9,11 @@ node per gate, a <0| leaf per postselected qubit and the open qubits as
 open legs. ``_network_plan`` plans each circuit structure once.
 ``plan_circuits`` groups circuits by structure into a ``NetworkPlan``
 whose rows gather their angles from the flat vector, each rotation's
-tensor built from its row's angle; ``statevector`` and ``evaluate`` are a
-batch of one that gathers from the circuit's own angles, its group kept
-per structure by ``_lone_group``. Every fixed leaf of a circuit plan is
-complex, like the rotation tensors, so the plan runs in one dtype.
+tensor built from its row's angle. ``statevector`` and ``evaluate`` run
+the same engine call (``contract_plan``) on a one-circuit ``NetworkPlan``
+that gathers from the circuit's own angles, kept per structure by
+``_lone_plan``. Every fixed leaf of a circuit plan is complex, like the
+rotation tensors, so the plan runs in one dtype.
 
 The noise model: after every two-qubit gate, each touched qubit suffers X,
 Y or Z, each with probability p / 3. Shots are independent, so ``sample``
@@ -23,9 +24,10 @@ the depolarising channel rho -> (1 - l) rho + l I/2 (x) Tr_q rho with
 l = 4p/3, valid for every p in [0, 1]. The distribution is the value of
 the circuit's doubled network, as DisCoPy's mixed ``to_tn`` builds it,
 contracted by the same planner; ``_doubled_plan`` plans it once per
-structure and noise, and ``_noisy_group`` keeps its batch of one (index
-and rotation tables) per structure and noise, so sampling a sentence
-builds neither. Each qubit has a ket and a bra wire, each starting at
+structure and noise, and ``_noisy_plan`` keeps its one-circuit
+``NetworkPlan`` (index and angle tables) per structure and noise, so
+sampling a sentence builds neither and runs one ``contract_plan``. Each
+qubit has a ket and a bra wire, each starting at
 a |0> leaf. Each gate has a ket node and a bra node, its complex
 conjugate: for a rotation that is the same gate at minus its angle, and H
 and CX are real. After each two-qubit gate, each touched qubit passes a
@@ -49,7 +51,7 @@ from typing import Sequence
 import numpy as np
 
 from .ansatz import ROTATIONS, Circuit, Node, Op, Symbol, TensorNetwork
-from .contract import Group, NetworkPlan, Plan, contract_batch, plan
+from .contract import Group, NetworkPlan, Plan, contract_plan, plan
 from .params import ParameterStore, UnboundSymbol
 
 ZERO_NORM_THRESHOLD = 1e-12
@@ -166,18 +168,19 @@ def _group(key: tuple, rows: np.ndarray, index: np.ndarray) -> Group:
 
 
 @lru_cache(maxsize=1024)
-def _lone_group(key: tuple) -> Group:
-    """The batch of one of structure ``key``: its row gathers a circuit's
-    own angles, in gate order."""
+def _lone_plan(key: tuple) -> NetworkPlan:
+    """The plan of one circuit of structure ``key``: its row gathers the
+    circuit's own angles, in gate order."""
     count = sum(gate in ROTATIONS for gate, _ in key[1])
-    return _group(key, np.zeros(1, np.intp), np.arange(count)[None])
+    return NetworkPlan((_group(key, np.zeros(1, np.intp),
+                               np.arange(count)[None]),), 1)
 
 
 def _amplitudes(c: Circuit, ps: ParameterStore, postselect: tuple[int, ...],
                 legs: tuple[int, ...]) -> np.ndarray:
     """The contracted network of c, one axis per qubit of ``legs``."""
-    group = _lone_group((*_structure(c), postselect, legs))
-    return contract_batch(group, _angles(c, ps))[0]
+    networks = _lone_plan((*_structure(c), postselect, legs))
+    return contract_plan(networks, _angles(c, ps))[0]
 
 
 def statevector(c: Circuit, ps: ParameterStore) -> np.ndarray:
@@ -231,17 +234,18 @@ def plan_circuits(circuits: Sequence[Circuit],
 
 
 @lru_cache(maxsize=1024)
-def _noisy_group(n_qubits: int, gates: tuple[tuple[str, tuple], ...],
-                 postselect: tuple[int, ...], legs: tuple[int, ...],
-                 noise_p: float) -> Group:
-    """The doubled network of a circuit structure as a batch of one whose
-    row gathers, from a circuit's angles followed by their negatives, each
-    rotation's ket angle and then its bra angle."""
+def _noisy_plan(n_qubits: int, gates: tuple[tuple[str, tuple], ...],
+                postselect: tuple[int, ...], legs: tuple[int, ...],
+                noise_p: float) -> NetworkPlan:
+    """The plan of the doubled network of one circuit of a structure,
+    whose row gathers, from the circuit's angles followed by their
+    negatives, each rotation's ket angle and then its bra angle."""
     rotations = [gate for gate, _ in gates if gate in ROTATIONS]
     index = np.arange(2 * len(rotations)).reshape(2, -1).T.reshape(1, -1)
-    return Group(_doubled_plan(n_qubits, gates, postselect, legs, noise_p),
-                 np.zeros(1, np.intp), index,
-                 tuple(gate for gate in rotations for _ in "kb"))
+    return NetworkPlan((Group(
+        _doubled_plan(n_qubits, gates, postselect, legs, noise_p),
+        np.zeros(1, np.intp), index,
+        tuple(gate for gate in rotations for _ in "kb")),), 1)
 
 
 def _outcomes(c: Circuit, ps: ParameterStore, noise_p: float) -> np.ndarray:
@@ -249,9 +253,9 @@ def _outcomes(c: Circuit, ps: ParameterStore, noise_p: float) -> np.ndarray:
     bitstring j, for each j read as a binary number with c.open[0] the most
     significant bit: the value of the doubled network of c."""
     angles = _angles(c, ps)
-    group = _noisy_group(*_structure(c), c.postselect, c.open, noise_p)
+    networks = _noisy_plan(*_structure(c), c.postselect, c.open, noise_p)
     vec = np.concatenate([angles, -angles])
-    return contract_batch(group, vec)[0].real.ravel()
+    return contract_plan(networks, vec)[0].real.ravel()
 
 
 def sample(c: Circuit, ps: ParameterStore, n_shots: int, seed: int,

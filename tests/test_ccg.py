@@ -74,6 +74,33 @@ class TestAutoParsing:
         with pytest.raises(ParseError):
             parse_auto("(<X NP 0 2>)")
 
+    def test_repr_reads_as_the_fields(self):
+        n, np_ = Atomic("N"), Atomic("NP")
+        leaf = Leaf("flower", n)
+        assert repr(leaf) == f"Leaf(token='flower', category={n!r})"
+        assert repr(Node(np_, "LEX", (leaf,))) == (
+            f"Node(category={np_!r}, rule='LEX', children=({leaf!r},))")
+        pair = Node(np_, "FA", (Leaf("a", Forward(np_, n)), leaf))
+        assert repr(pair) == (
+            f"Node(category={np_!r}, rule='FA', children="
+            f"({pair.children[0]!r}, {leaf!r}))")
+
+    def test_deep_unary_chain_compares_hashes_and_prints(self):
+        # a chain of unary LEX nodes, below parse_auto's depth limit but
+        # deeper than a recursive comparison, hash or repr reaches
+        def chain(token):
+            (tree,) = parse_auto("(<T NP 0 1> " * 400
+                                 + f"(<L N NN NN {token} N>)" + " )" * 400)
+            return tree
+
+        tree, same, other = chain("meal"), chain("meal"), chain("cake")
+        assert tree.rule == "LEX"
+        assert tree is not same and tree == same and hash(tree) == hash(same)
+        assert tree != other and not tree == other
+        text = repr(tree)
+        assert text.count("Node(") == 400 and text.count("'meal'") == 1
+        assert text.endswith(",))" * 400)
+
 
 class TestCatToTypeseq:
     def test_determiner(self):

@@ -11,8 +11,8 @@ from synq.ansatz import (
 )
 from synq import contract as contract_module
 from synq.contract import (
-    ShapeMismatch, _replay, _structure, _value, contract, contract_batch,
-    contract_grad, plan, plan_networks,
+    NetworkPlan, ShapeMismatch, _replay, _structure, _value, contract,
+    contract_grad, contract_plan, plan, plan_networks,
 )
 from synq.dataset import generate_dataset
 from synq.diagram import Cap, Cup, Diagram, Spider, Word, cup_at, word
@@ -410,10 +410,11 @@ class TestPlan:
         assert stacked.count == 3 * 5
         (g,) = stacked.groups
         assert g.rows.tolist() == [1, 3, 5, 6, 9, 12, 14]
-        values = contract_batch(g, np.concatenate(points))
+        values = contract_plan(stacked, np.concatenate(points))
         for (point, rows), got in zip(parts, np.split(values, [2, 5, 6])):
-            (alone,) = netplan.stack([(0, rows)], ps.size).groups
-            assert np.array_equal(got, contract_batch(alone, points[point]))
+            alone = netplan.stack([(0, rows)], ps.size)
+            assert len(alone.groups) == 1
+            assert np.array_equal(got, contract_plan(alone, points[point]))
 
     def test_missing_symbol_is_named(self):
         networks, ps = shared_batch(1, rows=1, pool=1)
@@ -431,7 +432,7 @@ class TestBatched:
         (group,) = netplan.groups
         assert np.array_equal(group.rows, np.arange(rows))
         vec = ps.to_vector()
-        values = contract_batch(group, vec)
+        values = contract_plan(netplan, vec)
         for r, tn in enumerate(networks):
             assert np.allclose(values[r], contract(tn, ps), rtol=0,
                                atol=1e-12)
@@ -450,14 +451,13 @@ class TestBatched:
             1.0, float(np.max(np.abs(want))))
         u = rng.normal(size=vec.shape)
         h = 1e-6
-        fd = (np.sum(contract_batch(group, vec + h * u) * g)
-              - np.sum(contract_batch(group, vec - h * u) * g)) / (2 * h)
+        fd = (np.sum(contract_plan(netplan, vec + h * u) * g)
+              - np.sum(contract_plan(netplan, vec - h * u) * g)) / (2 * h)
         assert abs(fd - grad @ u) <= 1e-6 * max(1.0, abs(fd))
 
     def test_zero_cotangent_skips_the_reverse_pass(self, monkeypatch):
         networks, ps = shared_batch(3, rows=3, pool=2)
         netplan = plan_networks(networks, range(3), ps)
-        (group,) = netplan.groups
         vec = ps.to_vector()
         reversed_passes = []
         real = contract_module._backprop
@@ -466,7 +466,7 @@ class TestBatched:
         values, grad = contract_grad(netplan, vec,
                                      lambda v: np.zeros(v.shape))
         assert not reversed_passes and not grad.any()
-        assert np.array_equal(values, contract_batch(group, vec))
+        assert np.array_equal(values, contract_plan(netplan, vec))
         contract_grad(netplan, vec, lambda v: np.ones(v.shape))
         assert reversed_passes == [1]
 
@@ -477,6 +477,12 @@ class TestBatched:
         values, grad = contract_grad(netplan, np.zeros(0),
                                      lambda v: np.ones(v.shape))
         assert values.tolist() == [3.0, 3.0] and grad.size == 0
+
+
+def alone(plan, g):
+    """Group g of ``plan`` as a plan of its own, for the reference loops
+    that run one group at a time."""
+    return NetworkPlan((g,), plan.count)
 
 
 def unfolded_replay(p, params):
@@ -528,9 +534,9 @@ class TestPlanCache:
             s.name for s in other.symbols)
         for network in (tn, other, tn):
             contract(network, ps)
-        (group,) = plan_networks([tn, other], [0, 1], ps).groups
-        assert len(calls) == 1
-        assert np.array_equal(contract_batch(group, ps.to_vector())[1],
+        netplan = plan_networks([tn, other], [0, 1], ps)
+        assert len(calls) == 1 and len(netplan.groups) == 1
+        assert np.array_equal(contract_plan(netplan, ps.to_vector())[1],
                               contract(other, ps))
 
     def test_edge_and_leg_order_get_their_own_plans(self):

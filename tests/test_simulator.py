@@ -7,19 +7,19 @@ from hypothesis import strategies as st
 
 from synq.ansatz import GATE_TENSORS, ROTATIONS, Circuit, Op, Symbol, \
     iqp_ansatz
-from synq.contract import _value, contract_batch, rotation_kinds
+from synq.contract import _value, contract_plan
 from synq.dataset import generate_dataset
 from synq.diagram import Cap, Diagram, cup_at, word
 from synq.params import ParameterStore, UnboundSymbol
 from synq.pipeline import PipelineConfig, compile_model, group_p1
 from synq.simulator import (
     MAX_SHOTS, ZERO_NORM_THRESHOLD, AllShotsDiscarded, ZeroNorm,
-    _doubled_plan, _network_plan, _noisy_group, _outcomes, _structure,
-    evaluate, plan_circuits, sample, statevector,
+    _doubled_plan, _lone_plan, _network_plan, _noisy_plan, _outcomes,
+    _structure, evaluate, plan_circuits, sample, statevector,
 )
 from synq.training import _circuit_plan
 from synq.types import ts
-from test_contract import assert_folding_exact, unfolded_replay
+from test_contract import alone, assert_folding_exact, unfolded_replay
 
 EMPTY_PS = ParameterStore({})
 
@@ -491,9 +491,11 @@ def planned(plan, vec, rows):
     """Per row of ``rows``: p1 as training reads it, the postselection
     probability |a0|^2 + |a1|^2 and |a1|^2, off each group's amplitudes."""
     out = np.zeros((3, plan.count))
-    for g in plan.stack([(0, rows)], len(vec)).groups:
-        probs = np.abs(contract_batch(g, vec)) ** 2
-        out[:, g.rows] = (group_p1(g, vec), probs.sum(axis=1),
+    stacked = plan.stack([(0, rows)], len(vec))
+    for g in stacked.groups:
+        one = alone(stacked, g)
+        probs = np.abs(contract_plan(one, vec)) ** 2
+        out[:, g.rows] = (group_p1(one, vec), probs.sum(axis=1),
                           probs[:, 1])
     return out[:, rows]
 
@@ -561,11 +563,30 @@ def leaf_gates(c):
     return [op.gate for op in c.ops if op.gate in ROTATIONS]
 
 
+def check_picks(plan):
+    """Each group's picks list each gate of its leaves once, in order of
+    first use, with the positions of its leaves; each gate's angle table
+    holds the distinct offsets of its angles across every group."""
+    tables = dict(plan.angles)
+    for g, picks in zip(plan.groups, plan.picks):
+        where = {}
+        for j, gate in enumerate(g.gates):
+            where.setdefault(gate, []).append(j)
+        assert [(gate, js.tolist()) for gate, js, _ in picks] \
+            == list(where.items())
+    for gate, offsets in plan.angles:
+        assert offsets.tolist() == sorted({
+            int(o) for g in plan.groups
+            for j, k in enumerate(g.gates) if k == gate
+            for o in g.index[:, j]})
+    for g, picks in zip(plan.groups, plan.picks):
+        for gate, js, at in picks:
+            assert np.array_equal(tables[gate][at], g.index[:, js].T)
+
+
 class TestRotationKinds:
-    def test_kinds_list_each_gate_once(self):
-        kinds = rotation_kinds(["Rz", "Rx", "Rz", "CRz", "Rx", "Rz"])
-        assert [(gate, cols.tolist()) for gate, cols in kinds] == [
-            ("Rz", [0, 2, 5]), ("Rx", [1, 4]), ("CRz", [3])]
+    """Each rotation kind's picks and angle table, and the leaves that a
+    plan gathers from them."""
 
     @settings(max_examples=30, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -574,9 +595,11 @@ class TestRotationKinds:
         symbols = [sym for c in circuits for sym in c.symbols]
         store = ParameterStore.initialize(symbols, seed)
         vec = store.to_vector() * 1e3 ** (seed % 3 - 1)  # small and large
-        for g in plan_circuits(circuits, store).groups:
-            got = g._gather(vec)
+        plan = plan_circuits(circuits, store)
+        check_picks(plan)
+        for g, got in zip(plan.groups, plan._gather(vec)):
             gates = leaf_gates(circuits[g.rows[0]])
+            assert list(g.gates) == gates
             assert len(got) == len(gates) == len(g.plan.params)
             for j, gate in enumerate(gates):
                 want = GATE_TENSORS[gate](vec[g.index[:, j]])
@@ -597,11 +620,11 @@ class TestRotationKinds:
         rows = list(range(len(circuits)))
         parts = [(0, rows), (1, rows[::2]), (2, rows[::-1])]
         plan = plan_circuits(circuits, store).stack(parts, len(vec))
-        for g in plan.groups:
+        check_picks(plan)
+        for g, got in zip(plan.groups, plan._gather(points)):
             # each row gathers from its own point's vector
             assert (g.index // len(vec)
                     == (g.rows // len(circuits))[:, None]).all()
-            got = g._gather(points)
             gates = leaf_gates(circuits[g.rows[0] % len(circuits)])
             assert len(got) == len(gates) == len(g.plan.params)
             for j, gate in enumerate(gates):
@@ -624,13 +647,50 @@ class TestOneDtype:
             for t in fixed:
                 assert t.dtype == np.complex128 and not t.flags.writeable
 
-    def test_noisy_group_built_once_per_structure(self):
+    def test_noisy_plan_built_once_per_structure(self):
         c = Circuit(2, (Op("H", (0,)), Op("CRz", (0, 1), 0.4)), (0,), (1,))
-        _noisy_group.cache_clear()
+        _noisy_plan.cache_clear()
         for seed in (1, 2):
             sample(c, EMPTY_PS, 100, seed, noise_p=0.01)
-        info = _noisy_group.cache_info()
+        info = _noisy_plan.cache_info()
         assert (info.misses, info.hits) == (1, 1)
+
+
+def plan_arrays(plan):
+    """Every array of a NetworkPlan."""
+    yield plan.rows
+    for g in plan.groups:
+        yield from (g.rows, g.index)
+    for _, offsets in plan.angles or ():
+        yield offsets
+    for picks in plan.picks or ():
+        for _, js, at in picks:
+            yield from (js, at)
+
+
+class TestCachedPlans:
+    def test_every_array_refuses_writes(self):
+        """The one-circuit plans of evaluate and sample are cached and
+        shared across calls, so no caller may write to them."""
+        c = Circuit(2, (Op("H", (0,)), Op("Rx", (0,), Symbol("a")),
+                        Op("CRz", (0, 1), Symbol("b"))), (0,), (1,))
+        ps = ParameterStore({"a": np.array(0.3), "b": np.array(0.7)})
+        key = (*_structure(c), c.postselect, c.open)
+        _lone_plan.cache_clear()
+        _noisy_plan.cache_clear()
+        evaluate(c, ps)
+        sample(c, ps, 100, 1, noise_p=0.01)
+        plans = _lone_plan(key), _noisy_plan(*key, 0.01)
+        assert _lone_plan.cache_info().hits == 1
+        assert _noisy_plan.cache_info().hits == 1
+        for plan in plans:
+            arrays = list(plan_arrays(plan))
+            # rows, the group's rows and index, and Rx's and CRz's table
+            # and picks
+            assert len(arrays) == 3 + 2 + 2 * 2
+            for array in arrays:
+                with pytest.raises(ValueError, match="read-only"):
+                    array[...] = 0
 
 
 class TestFolding:
@@ -642,9 +702,9 @@ class TestFolding:
                               generate_dataset(0))
         plan = plan_circuits(model.artifacts, model.store)
         vec = model.store.to_vector()
-        for g in plan.groups:
+        for g, params in zip(plan.groups, plan._gather(vec)):
             assert len(g.plan.run) < len(g.plan.steps)  # something folded
-            assert_folding_exact(g.plan, g._gather(vec))
+            assert_folding_exact(g.plan, params)
 
     @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])

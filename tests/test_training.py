@@ -19,6 +19,7 @@ from synq.training import (
     AdamState, TrainHistory, _batch_p1, accuracy, adam_step, bce_grad,
     bce_loss, evaluate_split, spsa_step, train,
 )
+from test_contract import alone
 
 
 class TestBce:
@@ -372,8 +373,9 @@ def batch_p1(model, plan, vec, rows):
 
 
 def one_row(model, item):
-    (group,) = plan_networks(model.artifacts, [item], model.store).groups
-    return group
+    netplan = plan_networks(model.artifacts, [item], model.store)
+    assert len(netplan.groups) == 1
+    return netplan
 
 
 class TestAdamGradientPass:
@@ -406,8 +408,10 @@ class TestAdamGradientPass:
         h = 1e-6
         rows = list(range(8))
         w = rng.normal(size=len(rows))
-        for g in plan_networks(model.artifacts, rows, store).groups:
-            p1, dp1 = prediction_gradient(g, x0, lambda p, w=w[g.rows]: w)
+        netplan = plan_networks(model.artifacts, rows, store)
+        for g in netplan.groups:
+            p1, dp1 = prediction_gradient(alone(netplan, g), x0,
+                                          lambda p, w=w[g.rows]: w)
             assert p1.tolist() == [predict_p1(model, store, i)
                                    for i in g.rows]
             loss = [sum(w[i] * predict_p1(model, store.from_vector(x), i)
@@ -445,9 +449,10 @@ class TestAdamGradientPass:
         labels = np.array(ds.labels("train"), dtype=float)
         want = np.zeros(clean.store.size)
         netplan = plan_networks(clean.artifacts, ds.train, clean.store)
-        for g in netplan.stack([(0, ds.train[1:])], clean.store.size).groups:
+        stacked = netplan.stack([(0, ds.train[1:])], clean.store.size)
+        for g in stacked.groups:
             want += prediction_gradient(
-                g, clean.store.to_vector(),
+                alone(stacked, g), clean.store.to_vector(),
                 lambda p, y=labels[g.rows]: bce_grad(p, y))[1]
         assert np.array_equal(grad[:clean.store.size], want / len(ds.train))
         assert not grad[clean.store.size:].any()
@@ -479,17 +484,18 @@ class TestBatchedTensors:
         u /= np.linalg.norm(u)
         h = 1e-6
         for g in netplan.groups:
-            p1, grad = prediction_gradient(g, vec, lambda p: w[g.rows])
+            one = alone(netplan, g)
+            p1, grad = prediction_gradient(one, vec, lambda p: w[g.rows])
             want_p1 = [predict_p1(model, store, i) for i in g.rows]
             assert np.allclose(p1, want_p1, rtol=0, atol=1e-12)
-            assert np.array_equal(group_p1(g, vec), p1)
+            assert np.array_equal(group_p1(one, vec), p1)
             want = sum(prediction_gradient(one_row(model, i), vec,
                                            lambda p, i=i: w[[i]])[1]
                        for i in g.rows)
             scale = max(1.0, float(np.max(np.abs(want))))
             assert np.max(np.abs(grad - want)) <= 1e-12 * scale
-            fd = (w[g.rows] @ group_p1(g, vec + h * u)
-                  - w[g.rows] @ group_p1(g, vec - h * u)) / (2 * h)
+            fd = (w[g.rows] @ group_p1(one, vec + h * u)
+                  - w[g.rows] @ group_p1(one, vec - h * u)) / (2 * h)
             assert abs(fd - grad @ u) < 1e-6
 
     def test_zero_vector_row_reports_once_and_leaves_others(self, caplog):
@@ -581,8 +587,9 @@ def reference_train(model):
                                if cfg.backend == "shots" else None)
                     for i in rows]
         p1 = np.zeros(plan.count)
-        for g in plan.stack([(0, rows)], len(theta)).groups:
-            p1[g.rows] = group_p1(g, theta)
+        stacked = plan.stack([(0, rows)], len(theta))
+        for g in stacked.groups:
+            p1[g.rows] = group_p1(alone(stacked, g), theta)
         return [predict_p1(model, store, i) if np.isnan(p1[i]) else p1[i]
                 for i in rows]
 
@@ -596,9 +603,11 @@ def reference_train(model):
     for it in range(cfg.iterations):
         if cfg.optimizer == "adam":
             grad = np.zeros_like(vec)
-            for g in plan.stack([(0, train_idx)], len(vec)).groups:
+            stacked = plan.stack([(0, train_idx)], len(vec))
+            for g in stacked.groups:
                 grad += prediction_gradient(
-                    g, vec, lambda p, y=labels[g.rows]: bce_grad(p, y))[1]
+                    alone(stacked, g), vec,
+                    lambda p, y=labels[g.rows]: bce_grad(p, y))[1]
             vec, state = adam_step(vec, grad / len(train_idx), state)
         else:
             def losses(plus, minus, it=it):
@@ -696,7 +705,8 @@ def per_group_pass(plan, vec, dloss_dp1):
     start = 0
     for g in plan.groups:
         p, n = g.plan, len(g.rows)
-        tensors = _replay(p, g._gather(vec))
+        (params,) = alone(plan, g)._gather(vec)
+        tensors = _replay(p, params)
         v = _value(p, tensors, n)
         q = pipeline._rows_p1(v)
         ok = ~np.isnan(q)
@@ -776,7 +786,6 @@ class TestFusedPass:
         assert got[rows.index(dead_item)] == 0.5
 
     def test_circuit_plan_stacked_over_three_points(self):
-        from synq.contract import contract_batch
         from synq.simulator import ZERO_NORM_THRESHOLD
         cfg = PipelineConfig(ansatz="iqp", optimizer="spsa", seed=3)
         ds = generate_dataset(0)
@@ -791,13 +800,16 @@ class TestFusedPass:
         # every gate's kernel once per pass, on fewer angles than the
         # groups' own tables hold between them
         for gate, offsets in netplan.angles:
-            assert len(offsets) < sum(len(o) for g in netplan.groups
-                                      for k, o in g.angles if k == gate)
+            assert len(offsets) < sum(
+                len(np.unique(g.index[:, [k == gate for k in g.gates]]))
+                for g in netplan.groups)
         for g, leaves in zip(netplan.groups, netplan._gather(flat)):
-            for got, want in zip(leaves, g._gather(flat)):
+            (own,) = alone(netplan, g)._gather(flat)
+            for got, want in zip(leaves, own):
                 assert np.array_equal(got, want)
                 assert got.flags.c_contiguous
-        values = [contract_batch(g, flat) for g in netplan.groups]
+        values = [contract_module.contract_plan(alone(netplan, g), flat)
+                  for g in netplan.groups]
         assert np.array_equal(contract_module.contract_plan(netplan, flat),
                               np.concatenate(values))
         want = np.concatenate([pipeline._rows_p1(v, ZERO_NORM_THRESHOLD)
