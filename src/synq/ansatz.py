@@ -127,6 +127,27 @@ GATE_TENSORS = {
 }
 
 
+def _doubled(u: np.ndarray, legs: int) -> np.ndarray:
+    """U (x) conj(U) of a gate tensor U whose last ``legs`` axes are its
+    legs, each ket leg paired with its bra leg, ket index first, into one
+    leg of dimension 4."""
+    batch = u.shape[:u.ndim - legs]
+    ket = u.reshape(batch + (2, 1) * legs)
+    bra = u.conj().reshape(batch + (1, 2) * legs)
+    return (ket * bra).reshape(batch + (4,) * legs)
+
+
+# The superoperator of each gate, U (x) conj(U), the gate acting on a
+# density matrix, as a noisy circuit's network holds it (see ``simulator``):
+# node kind DOUBLED[gate], a (4, 4) or (4, 4, 4, 4) tensor of theta laid out
+# as the gate's, each leg the pair (ket, bra) of one of the gate's legs.
+DOUBLED = {gate: gate + "~" for gate in GATES}
+SUPEROPERATORS = {
+    DOUBLED[gate]: (lambda theta, u=u, legs=2 * GATES[gate]:
+                    _doubled(u(theta), legs))
+    for gate, u in GATE_TENSORS.items()}
+
+
 @dataclass(frozen=True)
 class Op:
     gate: str
@@ -294,14 +315,18 @@ def iqp_template(d: Diagram, qm: QubitMap, n_layers: int = 1) -> Template:
 # ---------------------------------------------------------------------------
 
 
-_NODE_KINDS = frozenset(("param", "delta", "copy", "zero", *GATES))
+_NODE_KINDS = frozenset(("param", "delta", "copy", "zero", "measure", *GATES,
+                         *SUPEROPERATORS))
 
 
 @dataclass(frozen=True)
 class Node:
     node_id: str
-    # "param" | "delta" | "copy"; circuit networks add "zero" (|0> or <0|)
-    # and the gates of GATE_TENSORS, a rotation's angle gathered per row
+    # "param" | "delta" | "copy"; circuit networks add "zero" (|0> or <0|,
+    # |0><0| on a wire of dimension 4) and the gates of GATE_TENSORS, a
+    # rotation's angle gathered per row; noisy circuit networks the
+    # SUPEROPERATORS and "measure", the (4, 2) read-out of a qubit's
+    # diagonal
     kind: str
     shape: tuple[int, ...]
     symbol: Optional[Symbol] = None

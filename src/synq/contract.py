@@ -22,7 +22,7 @@ not and are shared by every row. A step that joins two tensors no
 parameter reaches is constant: a ``Plan`` computes it once, when it is
 built, and keeps the result read-only, and the replay runs the live steps
 alone. A circuit's plan has such steps (5 to 11 of the 23 to 41 steps of
-an mc-iqp circuit, 18 to 38 of the 56 to 100 of its noisy network); a
+an mc-iqp circuit, 10 to 20 of the 32 to 58 of its noisy network); a
 tensor model's has none. A plan has one dtype: a circuit's fixed leaves
 are complex, like its rotation tensors, so folding and every live step run
 all-complex (``np.einsum`` is two to three times slower on a step that
@@ -36,7 +36,8 @@ alone. Each row's parameters are gathered from the flat vector with index
 arrays: a stored tensor's entries, or the angle of a circuit's rotation
 gate. A circuit plan finds, per gate, the distinct offsets of the angles of
 every group and each leaf's map into them. A gather then calls that gate's
-``ansatz.GATE_TENSORS`` kernel once on the distinct angles, and every leaf
+kernel (``ansatz.GATE_TENSORS``, or ``ansatz.SUPEROPERATORS`` in a noisy
+circuit's network) once on the distinct angles, and every leaf
 takes its rows from the result: the rows share most of their symbols (an
 mc-iqp SPSA pass at seed 7 builds 264 angles in 3 calls, where a call per
 group and gate would build 927 in 12). ``NetworkPlan.stack`` lays several
@@ -68,11 +69,14 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .ansatz import GATE_TENSORS, ROTATIONS, Node, Symbol, TensorNetwork
+from .ansatz import DOUBLED, GATE_TENSORS, ROTATIONS, SUPEROPERATORS, Node, \
+    Symbol, TensorNetwork
 from .params import ParameterStore, UnboundSymbol
 
 _BATCH = "Z"  # the einsum label of the sentence axis
-_CIRCUIT_KINDS = frozenset(("zero", *GATE_TENSORS))
+_KERNELS = {**GATE_TENSORS, **SUPEROPERATORS}  # the tensor of a gate node
+_ANGLED = frozenset((*ROTATIONS, *(DOUBLED[gate] for gate in ROTATIONS)))
+_CIRCUIT_KINDS = frozenset(("zero", "measure", *_KERNELS))
 _LABELS = string.ascii_letters.replace(_BATCH, "")
 
 
@@ -92,13 +96,17 @@ def _copy_tensor(shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _constant(node: Node) -> np.ndarray:
-    """The fixed tensor of a delta, copy, zero, H or CX node."""
+    """The fixed tensor of a delta, copy, zero, measure, H or CX node, or
+    of the superoperator of H or CX."""
     if node.kind == "delta":
         return np.eye(node.shape[0])
     if node.kind == "zero":
-        return np.array([1.0, 0.0])
-    if node.kind in GATE_TENSORS:
-        return GATE_TENSORS[node.kind](None)
+        return np.eye(node.shape[0])[0]
+    if node.kind == "measure":  # (d * d, d): entry (k * d + b, x) is k = b = x
+        d = node.shape[1]
+        return np.eye(d * d)[:, ::d + 1]
+    if node.kind in _KERNELS:
+        return _KERNELS[node.kind](None)
     return _copy_tensor(node.shape)
 
 
@@ -190,7 +198,7 @@ def plan(tn: TensorNetwork) -> Plan:
     index = {node.node_id: k for k, node in enumerate(tn.nodes)}
     dtype = complex if any(node.kind in _CIRCUIT_KINDS
                            for node in tn.nodes) else float
-    leaves = [None if node.kind == "param" or node.kind in ROTATIONS
+    leaves = [None if node.kind == "param" or node.kind in _ANGLED
               else np.asarray(_constant(node), dtype) for node in tn.nodes]
     params = tuple(k for k, leaf in enumerate(leaves) if leaf is None)
     live = [leaf is None for leaf in leaves]
@@ -334,8 +342,10 @@ class Group:
     """Networks of one structure: their positions and, per row, the flat
     vector offsets of every entry of its parameter leaves, leaf after leaf
     in ``plan.params`` order. ``gates`` is None for a tensor group. In a
-    circuit group every parameter leaf is a rotation gate whose one entry
-    is the angle, and ``gates`` names each leaf's gate."""
+    circuit group every parameter leaf is a rotation gate, or its
+    superoperator, whose one entry is the angle, and ``gates`` names each
+    leaf's kind, a key of ``ansatz.GATE_TENSORS`` or of
+    ``ansatz.SUPEROPERATORS``."""
     plan: Plan
     rows: np.ndarray
     index: np.ndarray  # (rows, entries)
@@ -405,8 +415,8 @@ class NetworkPlan:
         """Each group's parameter leaves under the flat vector ``vec``, one
         group at a time, so a group's leaves can go before the next's are
         built: a tensor leaf's entries, or a rotation's tensor taken from
-        one ``ansatz.GATE_TENSORS`` call per gate on the distinct angles."""
-        tables = {gate: GATE_TENSORS[gate](vec[offsets])
+        one call of its kind's kernel per gate on the distinct angles."""
+        tables = {gate: _KERNELS[gate](vec[offsets])
                   for gate, offsets in self.angles or ()}
         for k, g in enumerate(self.groups):
             if g.gates is None:

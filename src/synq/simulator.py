@@ -22,22 +22,25 @@ map and draws all counts from it with one multinomial over (discarded,
 each open bitstring). Averaged over the Paulis, the noise on one qubit is
 the depolarising channel rho -> (1 - l) rho + l I/2 (x) Tr_q rho with
 l = 4p/3, valid for every p in [0, 1]. The distribution is the value of
-the circuit's doubled network, as DisCoPy's mixed ``to_tn`` builds it,
+the circuit's superoperator network, the doubled circuit of DisCoPy's mixed
+circuits (arXiv:2005.02975) with each ket wire fused to its bra wire,
 contracted by the same planner; ``_doubled_plan`` plans it once per
 structure and noise, and ``_noisy_plan`` keeps its one-circuit
 ``NetworkPlan`` (index and angle tables) per structure and noise, so
-sampling a sentence builds neither and runs one ``contract_plan``. Each
-qubit has a ket and a bra wire, each starting at
-a |0> leaf. Each gate has a ket node and a bra node, its complex
-conjugate: for a rotation that is the same gate at minus its angle, and H
-and CX are real. After each two-qubit gate, each touched qubit passes a
-(2, 2, 2, 2) node over (ket out, bra out, ket in, bra in) whose value is
-(1 - l) d(ko, ki) d(bo, bi) + l/2 d(ko, bo) d(ki, bi), with d the
-Kronecker delta. A postselected qubit ends in <0| on its ket and its bra,
-and an open qubit in a copy node over (ket, bra, outcome) whose outcome
-leg is open. With p = 0 the channel is the identity and the distribution
-is the noiseless one. Planning reads shapes only, so a copy node stands in
-for each channel node while ``_doubled_plan`` plans; the channel's tensor,
+sampling a sentence builds neither and runs one ``contract_plan``, its row
+gathering the circuit's own angles. Each qubit is one wire of dimension 4,
+the pair (ket, bra), ket index first, starting at |0><0|, a (4,) leaf.
+Each gate is one node, its superoperator U (x) conj(U)
+(``ansatz.SUPEROPERATORS``), each ket leg paired with its bra leg: fixed
+for H and CX, and for a rotation one parameter leaf built from its angle.
+After each two-qubit gate, each touched qubit passes a (4, 4) node over
+(out, in) whose value at ((ko, bo), (ki, bi)) is
+(1 - l) d(ko, ki) d(bo, bi) + l/2 d(ko, bo) d(ki, bi), with d the Kronecker
+delta. A postselected qubit ends in <00|, and an open qubit in a (4, 2)
+read-out of its diagonal, 1 at ((x, x), x), whose outcome leg is open.
+With p = 0 the channel is the identity and the distribution is the
+noiseless one. Planning reads shapes only, so a copy node stands in for
+each channel node while ``_doubled_plan`` plans; the channel's tensor,
 complex like every fixed leaf, then replaces that leaf, and replacing a
 plan's leaves folds its constant steps again, so every folded tensor holds
 the channel, not its stand-in.
@@ -50,7 +53,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .ansatz import ROTATIONS, Circuit, Node, Op, Symbol, TensorNetwork
+from .ansatz import DOUBLED, ROTATIONS, Circuit, Node, Op, Symbol, \
+    TensorNetwork
 from .contract import Group, NetworkPlan, Plan, contract_plan, plan
 from .params import ParameterStore, UnboundSymbol
 
@@ -66,6 +70,10 @@ class AllShotsDiscarded(Exception):
     """Every sampled shot violated the postselection condition."""
 
 
+class NonFiniteAngle(ValueError):
+    """A rotation's angle is nan or infinite."""
+
+
 def _angle(op: Op, ps: ParameterStore) -> float:
     if isinstance(op.param, Symbol):
         value = np.asarray(ps[op.param.name])
@@ -78,8 +86,15 @@ def _angle(op: Op, ps: ParameterStore) -> float:
 
 
 def _angles(c: Circuit, ps: ParameterStore) -> np.ndarray:
-    """The angle of each rotation of c, in op order."""
-    return np.array([_angle(op, ps) for op in c.ops if op.gate in ROTATIONS])
+    """The angle of each rotation of c, in op order, every one finite."""
+    angles = np.array([_angle(op, ps) for op in c.ops if op.gate in ROTATIONS])
+    if not np.isfinite(angles).all():
+        k = int(np.flatnonzero(~np.isfinite(angles))[0])
+        op = [op for op in c.ops if op.gate in ROTATIONS][k]
+        what = (f"symbol {op.param.name!r}" if isinstance(op.param, Symbol)
+                else f"{op.gate} on qubits {op.qubits}")
+        raise NonFiniteAngle(f"{what} has the angle {float(angles[k])!r}")
+    return angles
 
 
 def _structure(c: Circuit) -> tuple:
@@ -87,11 +102,11 @@ def _structure(c: Circuit) -> tuple:
 
 
 def _lay(nodes: list, edges: list, wire: dict, node_id: str, kind: str,
-         keys: tuple) -> None:
-    """Append a node with an output and an input leg per wire of ``keys``
-    (outputs first), joined to the wires' open ends, which move to its
-    outputs."""
-    nodes.append(Node(node_id, kind, (2,) * 2 * len(keys)))
+         keys: tuple, dim: int = 2) -> None:
+    """Append a node with an output and an input leg of dimension ``dim``
+    per wire of ``keys`` (outputs first), joined to the wires' open ends,
+    which move to its outputs."""
+    nodes.append(Node(node_id, kind, (dim,) * 2 * len(keys)))
     for j, key in enumerate(keys):
         edges.append((wire[key], (node_id, len(keys) + j)))
         wire[key] = (node_id, j)
@@ -120,38 +135,33 @@ def _network_plan(n_qubits: int, gates: tuple[tuple[str, tuple], ...],
 def _doubled_plan(n_qubits: int, gates: tuple[tuple[str, tuple], ...],
                   postselect: tuple[int, ...], legs: tuple[int, ...],
                   noise_p: float) -> Plan:
-    """The planned contraction of the doubled network of a circuit
+    """The planned contraction of the superoperator network of a circuit
     structure under depolarising noise ``noise_p`` (see the module
-    docstring). Wire (s, q) is the ket (s = "k") or the bra (s = "b") of
-    qubit q. The parameter leaves are each rotation's ket node, then its
-    bra node, in gate order."""
-    wire = {(s, q): (f"{s}in{q}", 0) for s in "kb" for q in range(n_qubits)}
-    nodes = [Node(node, "zero", (2,)) for node, _ in wire.values()]
+    docstring): _network_plan's network with a wire of dimension 4 per
+    qubit and a read-out per qubit of ``legs``, whose outcome legs are the
+    open legs, in order. The parameter leaves are the rotations'
+    superoperators, in gate order."""
+    nodes = [Node(f"in{q}", "zero", (4,)) for q in range(n_qubits)]
+    wire = {q: (f"in{q}", 0) for q in range(n_qubits)}
     edges, channels = [], []
     for i, (gate, qubits) in enumerate(gates):
-        for s in "kb":
-            _lay(nodes, edges, wire, f"{s}{i}", gate,
-                 tuple((s, q) for q in qubits))
+        _lay(nodes, edges, wire, f"g{i}", DOUBLED[gate], qubits, 4)
         for q in qubits if len(qubits) == 2 else ():
             # planning reads shapes only, so a copy node stands in for the
             # channel until its leaf is replaced below, which folds the
             # constant steps again
             channels.append(len(nodes))
-            _lay(nodes, edges, wire, f"n{i}.{q}", "copy",
-                 (("k", q), ("b", q)))
+            _lay(nodes, edges, wire, f"n{i}.{q}", "copy", (q,), 4)
     for q in postselect:
-        for s in "kb":
-            nodes.append(Node(f"{s}out{q}", "zero", (2,)))
-            edges.append((wire[s, q], (f"{s}out{q}", 0)))
+        nodes.append(Node(f"out{q}", "zero", (4,)))
+        edges.append((wire[q], (f"out{q}", 0)))
     for q in legs:
-        nodes.append(Node(f"x{q}", "copy", (2, 2, 2)))
-        edges += [(wire["k", q], (f"x{q}", 0)), (wire["b", q], (f"x{q}", 1))]
+        nodes.append(Node(f"x{q}", "measure", (4, 2)))
+        edges.append((wire[q], (f"x{q}", 0)))
     p = plan(TensorNetwork(tuple(nodes), tuple(edges),
-                           tuple((f"x{q}", 2) for q in legs)))
-    lam, eye = 4.0 * noise_p / 3.0, np.eye(2)
-    # over (ket out, bra out, ket in, bra in)
-    channel = ((1.0 - lam) * np.einsum("ac,bd->abcd", eye, eye)
-               + lam / 2.0 * np.einsum("ab,cd->abcd", eye, eye)
+                           tuple((f"x{q}", 1) for q in legs)))
+    lam, pairs = 4.0 * noise_p / 3.0, np.eye(2).ravel()  # pairs: k = b
+    channel = ((1.0 - lam) * np.eye(4) + lam / 2.0 * np.outer(pairs, pairs)
                ).astype(complex)  # in the plan's one dtype
     channel.setflags(write=False)
     leaves = list(p.leaves)
@@ -237,25 +247,21 @@ def plan_circuits(circuits: Sequence[Circuit],
 def _noisy_plan(n_qubits: int, gates: tuple[tuple[str, tuple], ...],
                 postselect: tuple[int, ...], legs: tuple[int, ...],
                 noise_p: float) -> NetworkPlan:
-    """The plan of the doubled network of one circuit of a structure,
-    whose row gathers, from the circuit's angles followed by their
-    negatives, each rotation's ket angle and then its bra angle."""
-    rotations = [gate for gate, _ in gates if gate in ROTATIONS]
-    index = np.arange(2 * len(rotations)).reshape(2, -1).T.reshape(1, -1)
+    """The plan of the superoperator network of one circuit of a
+    structure, whose row gathers the circuit's own angles, in gate
+    order."""
+    kinds = tuple(DOUBLED[gate] for gate, _ in gates if gate in ROTATIONS)
     return NetworkPlan((Group(
         _doubled_plan(n_qubits, gates, postselect, legs, noise_p),
-        np.zeros(1, np.intp), index,
-        tuple(gate for gate in rotations for _ in "kb")),), 1)
+        np.zeros(1, np.intp), np.arange(len(kinds))[None], kinds),), 1)
 
 
 def _outcomes(c: Circuit, ps: ParameterStore, noise_p: float) -> np.ndarray:
     """Probability that one shot passes postselection and reads open
     bitstring j, for each j read as a binary number with c.open[0] the most
-    significant bit: the value of the doubled network of c."""
-    angles = _angles(c, ps)
+    significant bit: the value of the superoperator network of c."""
     networks = _noisy_plan(*_structure(c), c.postselect, c.open, noise_p)
-    vec = np.concatenate([angles, -angles])
-    return contract_plan(networks, vec)[0].real.ravel()
+    return contract_plan(networks, _angles(c, ps))[0].real.ravel()
 
 
 def sample(c: Circuit, ps: ParameterStore, n_shots: int, seed: int,
@@ -265,9 +271,9 @@ def sample(c: Circuit, ps: ParameterStore, n_shots: int, seed: int,
     Each shot either passes postselection and reads an open bitstring or is
     discarded. Shots are independent, so all counts come from one
     multinomial over (discarded, each open bitstring) with the exact
-    probabilities of one shot, the value of the circuit's doubled network
-    under the channel-averaged Pauli noise (see the module docstring). Rounding
-    negatives are clipped to 0 before the draw.
+    probabilities of one shot, the value of the circuit's superoperator
+    network under the channel-averaged Pauli noise (see the module
+    docstring). Rounding negatives are clipped to 0 before the draw.
     """
     if n_shots < 1:
         raise ValueError("n_shots must be at least 1")

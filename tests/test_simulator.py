@@ -5,19 +5,19 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from synq.ansatz import GATE_TENSORS, ROTATIONS, Circuit, Op, Symbol, \
-    iqp_ansatz
+from synq.ansatz import DOUBLED, GATE_TENSORS, ROTATIONS, SUPEROPERATORS, \
+    Circuit, Op, Symbol, iqp_ansatz
 from synq.contract import _value, contract_plan
 from synq.dataset import generate_dataset
 from synq.diagram import Cap, Diagram, cup_at, word
 from synq.params import ParameterStore, UnboundSymbol
 from synq.pipeline import PipelineConfig, compile_model, group_p1
 from synq.simulator import (
-    MAX_SHOTS, ZERO_NORM_THRESHOLD, AllShotsDiscarded, ZeroNorm,
-    _doubled_plan, _lone_plan, _network_plan, _noisy_plan, _outcomes,
+    MAX_SHOTS, ZERO_NORM_THRESHOLD, AllShotsDiscarded, NonFiniteAngle,
+    ZeroNorm, _doubled_plan, _lone_plan, _network_plan, _noisy_plan, _outcomes,
     _structure, evaluate, plan_circuits, sample, statevector,
 )
-from synq.training import _circuit_plan
+from synq.training import _circuit_plan, _parts_p1
 from synq.types import ts
 from test_contract import alone, assert_folding_exact, unfolded_replay
 
@@ -167,13 +167,40 @@ class TestGateTable:
                 < 1e-12, gate
             for k, t in enumerate(thetas if batch else ()):
                 assert np.abs(tensor(t) - got[k]).max() < 1e-12  # unbatched
-            # a doubled network's bra copy of a gate is its conjugate: a
-            # rotation at minus its angle, H and CX themselves
+            # the conjugate of a gate, the bra half of its superoperator, is
+            # the rotation at minus its angle, and H and CX themselves
             if batch:
                 assert np.abs(tensor(-thetas) - got.conj()).max() < 1e-12, \
                     gate
             else:
                 assert np.isrealobj(got), gate
+
+    def test_superoperators_act_on_density_matrices(self):
+        """Each superoperator, its input legs contracted with a density
+        matrix rho laid out as (ket, bra) pairs per qubit, gives the pairs
+        of U rho U^+, U the gate's test matrix."""
+        rng = np.random.default_rng(6)
+        thetas = np.array([0.0, 0.4, 1.3, np.pi, 5.9, -2.2])
+        want = {"H": H, "CX": CX, "Rx": rx, "Rz": rz, "CRz": crz}
+        assert set(SUPEROPERATORS) == {DOUBLED[gate] for gate in want}
+        for gate, u in want.items():
+            kernel = SUPEROPERATORS[DOUBLED[gate]]
+            for t in thetas if gate in ROTATIONS else (None,):
+                mat = u if t is None else u(t)
+                n = int(np.log2(len(mat)))  # qubits
+                got = kernel(t if t is None else np.array([t]))
+                batch = () if t is None else (1,)
+                assert got.shape == batch + (4,) * 2 * n, gate
+                got = got.reshape((4 ** n,) * 2)
+                a = rng.normal(size=(2 ** n,) * 2) \
+                    + 1j * rng.normal(size=(2 ** n,) * 2)
+                rho = a @ a.conj().T
+                pairs = (2,) * 2 * n  # (k1.., b1..) to (k1, b1, k2, b2..)
+                order = [j for i in range(n) for j in (i, n + i)]
+                paired = rho.reshape(pairs).transpose(order).ravel()
+                out = (mat @ rho @ mat.conj().T).reshape(pairs) \
+                    .transpose(order).ravel()
+                assert np.abs(got @ paired - out).max() < 1e-12, gate
 
 
 class TestStatevector:
@@ -685,8 +712,8 @@ class TestCachedPlans:
         assert _noisy_plan.cache_info().hits == 1
         for plan in plans:
             arrays = list(plan_arrays(plan))
-            # rows, the group's rows and index, and Rx's and CRz's table
-            # and picks
+            # rows, the group's rows and index, and the table and picks of
+            # Rx and CRz, or of their superoperators in the noisy plan
             assert len(arrays) == 3 + 2 + 2 * 2
             for array in arrays:
                 with pytest.raises(ValueError, match="read-only"):
@@ -714,9 +741,10 @@ class TestFolding:
     @example(UNTOUCHED_POSTSELECTED, 0.0)
     def test_doubled_network(self, c, p):
         plan = _doubled_plan(*_structure(c), c.postselect, c.open, p)
-        # each rotation's ket leaf, then its bra leaf at minus its angle
-        params = [GATE_TENSORS[op.gate](np.array([sign * op.param]))
-                  for op in c.ops if op.gate in ROTATIONS for sign in (1, -1)]
+        # one leaf per rotation: its superoperator at its angle
+        params = [SUPEROPERATORS[DOUBLED[op.gate]](np.array([op.param]))
+                  for op in c.ops if op.gate in ROTATIONS]
+        assert len(plan.params) == len(params)
         assert_folding_exact(plan, params)
         want = _value(plan, unfolded_replay(plan, params), 1)[0]
         assert np.array_equal(_outcomes(c, EMPTY_PS, p),
@@ -725,12 +753,86 @@ class TestFolding:
     def test_doubled_network_folds_the_channel(self):
         """The channel replaces its copy-node stand-in before folding: at
         p = 3/4 the channel depolarises fully and a Bell pair reads every
-        outcome equally often."""
+        outcome equally often. Each qubit is one wire of dimension 4."""
         c = Circuit(2, (Op("H", (0,)), Op("CX", (0, 1))), (), (0, 1))
         plans = [_doubled_plan(*_structure(c), (), (0, 1), p)
                  for p in (0.0, 0.75)]
         assert all(plan.run == () for plan in plans)  # no parameter
+        leaves = plans[0].shapes[:len(plans[0].leaves)]
+        assert all(shape[0] == 4 for shape in leaves)
         assert not np.array_equal(plans[0].fixed[-1], plans[1].fixed[-1])
         for p, want in ((0.0, [0.5, 0, 0, 0.5]), (0.75, [0.25] * 4)):
             assert np.allclose(_outcomes(c, EMPTY_PS, p), want,
                                rtol=0, atol=1e-15)
+
+
+class TestSuperoperatorNetwork:
+    def test_dataset_structures_one_leaf_per_rotation(self):
+        """Each noisy plan of the mc dataset's 4 structures has one
+        parameter leaf per rotation, and its live steps are pinned: 22, 30,
+        30 and 38, where a ket and a bra wire per qubit, with a leaf per
+        rotation on each, took 38, 49, 49 and 62."""
+        model = compile_model(PipelineConfig(ansatz="iqp", optimizer="spsa"),
+                              generate_dataset(0))
+        live = {}
+        for c in model.artifacts:
+            key = (*_structure(c), c.postselect, c.open)
+            (g,) = _noisy_plan(*key, 0.01).groups
+            assert len(g.plan.params) == len(leaf_gates(c)) == len(g.gates)
+            assert list(g.gates) == [DOUBLED[gate] for gate in leaf_gates(c)]
+            live[key] = len(g.plan.run)
+        assert sorted(live.values()) == [22, 30, 30, 38]
+
+    @settings(max_examples=20, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(iqp_batches(), st.integers(0, 2 ** 32 - 1),
+           st.sampled_from([0.01, 0.2]))
+    def test_shared_symbols_match_density_oracle(self, circuits, seed, p):
+        """Words share symbols across the circuits, under one random
+        store."""
+        symbols = [sym for c in circuits for sym in c.symbols]
+        store = ParameterStore.initialize(symbols, seed)
+        for c in circuits:
+            if c.n_qubits > 7:  # the dense oracle takes seconds at 9 qubits
+                continue
+            assert np.abs(_outcomes(c, store, p)
+                          - density_oracle(c, store, p)).max() < 1e-12
+
+
+class TestNonFiniteAngle:
+    CIRCUIT = Circuit(2, (Op("H", (0,)), Op("Rx", (0,), Symbol("a")),
+                          Op("CRz", (0, 1), Symbol("b"))), (0,), (1,))
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       -float("inf")])
+    def test_evaluate_and_sample_name_the_symbol(self, value):
+        ps = ParameterStore({"a": np.array(0.3), "b": np.array(value)})
+        want = rf"symbol 'b' has the angle {value!r}"
+        with pytest.raises(NonFiniteAngle, match=want):
+            evaluate(self.CIRCUIT, ps)
+        for p in (0.0, 0.01):
+            with pytest.raises(NonFiniteAngle, match=want):
+                sample(self.CIRCUIT, ps, 100, seed=1, noise_p=p)
+
+    def test_float_angle_named_by_its_gate(self):
+        c = Circuit(1, (Op("Rz", (0,), 0.2), Op("Rx", (0,), float("nan"))),
+                    (), (0,))
+        with pytest.raises(ValueError, match=r"Rx on qubits \(0,\) has the "
+                                             r"angle nan"):
+            evaluate(c, EMPTY_PS)
+
+    def test_planned_row_reaches_evaluate(self):
+        """A planned row reads nan, and its re-prediction through
+        predict_p1 and evaluate names the symbol."""
+        model = compile_model(PipelineConfig(ansatz="iqp", optimizer="spsa"),
+                              generate_dataset(0))
+        name = model.artifacts[0].symbols[0].name
+        store = model.store.copy()
+        store[name] = float("nan")
+        vec = store.to_vector()
+        plan = plan_circuits(model.artifacts, model.store)
+        p1 = np.zeros(plan.count)
+        p1[plan.rows] = group_p1(plan, vec)
+        assert np.isnan(p1[0])
+        with pytest.raises(NonFiniteAngle, match=f"symbol {name!r}"):
+            _parts_p1(model, p1[None], [vec], [(0, range(plan.count))])
