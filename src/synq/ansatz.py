@@ -94,21 +94,24 @@ GATES = {"H": 1, "Rx": 1, "Rz": 1, "CRz": 2, "CX": 2}  # gate: qubit count
 ROTATIONS = ("Rx", "Rz", "CRz")  # the gates that take an angle
 
 
-def _diagonal(theta, signs: tuple[int, ...]) -> np.ndarray:
+def _diagonal(theta, signs: np.ndarray) -> np.ndarray:
     # diag(e^{i s theta / 2} for s in signs), batched over theta
     return np.exp(0.5j * np.multiply.outer(theta, signs))[..., None] \
-        * np.eye(len(signs))
+        * _EYE[len(signs)]
 
 
 def _rx(theta) -> np.ndarray:
     half = np.divide(theta, 2)
-    return np.multiply.outer(np.cos(half), np.eye(2)) \
-        - 1j * np.multiply.outer(np.sin(half), [[0.0, 1.0], [1.0, 0.0]])
+    return np.multiply.outer(np.cos(half), _EYE[2]) \
+        - 1j * np.multiply.outer(np.sin(half), _X)
 
 
+# the kernels' fixed arrays, built once and shared read-only
+_EYE, _X = {2: np.eye(2), 4: np.eye(4)}, np.array([[0.0, 1.0], [1.0, 0.0]])
+_Z_SIGNS, _CZ_SIGNS = np.array((-1, 1)), np.array((0, 0, -1, 1))
 _H = np.sqrt(0.5) * np.array([[1.0, 1.0], [1.0, -1.0]])
 _CX = np.eye(4)[[0, 1, 3, 2]].reshape(2, 2, 2, 2)
-for _shared in (_H, _CX):
+for _shared in (*_EYE.values(), _X, _Z_SIGNS, _CZ_SIGNS, _H, _CX):
     _shared.setflags(write=False)
 
 # The gate conventions, fixed project-wide: the tensor of each gate as a
@@ -121,8 +124,8 @@ GATE_TENSORS = {
     "H": lambda theta: _H,
     "CX": lambda theta: _CX,
     "Rx": _rx,
-    "Rz": lambda theta: _diagonal(theta, (-1, 1)),
-    "CRz": lambda theta: _diagonal(theta, (0, 0, -1, 1)).reshape(
+    "Rz": lambda theta: _diagonal(theta, _Z_SIGNS),
+    "CRz": lambda theta: _diagonal(theta, _CZ_SIGNS).reshape(
         np.shape(theta) + (2,) * 4),
 }
 

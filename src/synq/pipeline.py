@@ -24,7 +24,7 @@ import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -37,8 +37,8 @@ from .params import ParameterStore
 from .readers import cups_read, spiders_read, tokenize
 from .rewrite import RULE_NAMES, Rewriter
 from .simulator import (
-    MAX_SHOTS, ZERO_NORM_THRESHOLD, AllShotsDiscarded, ZeroNorm, evaluate,
-    sample,
+    MAX_SHOTS, ZERO_NORM_THRESHOLD, AllShotsDiscarded, ZeroNorm, draw,
+    evaluate, sample,
 )
 from .types import ts
 
@@ -282,18 +282,28 @@ def predict_p1(model: CompiledModel, store: ParameterStore, item: int,
         return 0.5
 
 
-def group_p1(plan: NetworkPlan, vec: np.ndarray) -> np.ndarray:
+def group_p1(plan: NetworkPlan, vec: np.ndarray, n_shots: int = 0,
+             seeds: Sequence[int] = ()) -> np.ndarray:
     """p1 of each sentence of a plan under the flat vector ``vec``, in
-    ``plan.rows`` order, read off its 2-vector: a tensor's value, or a
-    circuit's amplitudes on its open qubit. One engine call
-    (contract_plan) serves every group. nan where the norm is below
-    ZERO_VECTOR for a tensor, or below ZERO_NORM_THRESHOLD (a
-    postselection probability) for a circuit; the caller reports such a
+    ``plan.rows`` order, from one engine call (contract_plan) over every
+    group: read off a tensor's value or a circuit's amplitudes, nan where
+    the norm is below ZERO_VECTOR or ZERO_NORM_THRESHOLD; with
+    ``n_shots``, the share of the kept shots that read 1 among those that
+    row k's superoperator network (plan_circuits with a noise level)
+    draws with ``seeds[k]`` as ``sample`` does, nan where its outcomes are
+    not finite (never drawn) or it keeps none. The caller reports a nan
     sentence through predict_p1."""
     if not plan.groups:  # an empty split
         return np.zeros(0)
-    floor = ZERO_VECTOR if plan.angles is None else ZERO_NORM_THRESHOLD
-    return _rows_p1(contract_plan(plan, vec), floor)
+    values = contract_plan(plan, vec)
+    if not n_shots:
+        floor = ZERO_VECTOR if plan.angles is None else ZERO_NORM_THRESHOLD
+        return _rows_p1(values, floor)
+    p1, outcomes = np.full(len(values), np.nan), values.real
+    for k in np.flatnonzero(np.isfinite(outcomes).all(axis=1)):
+        kept = draw(outcomes[k], n_shots, seeds[k])
+        p1[k] = int(kept[1]) / int(kept.sum()) if kept.any() else np.nan
+    return p1
 
 
 def prediction_gradient(plan: NetworkPlan, vec: np.ndarray,

@@ -25,11 +25,10 @@ l = 4p/3, valid for every p in [0, 1]. The distribution is the value of
 the circuit's superoperator network, the doubled circuit of DisCoPy's mixed
 circuits (arXiv:2005.02975) with each ket wire fused to its bra wire,
 contracted by the same planner; ``_doubled_plan`` plans it once per
-structure and noise, and ``_noisy_plan`` keeps its one-circuit
-``NetworkPlan`` (index and angle tables) per structure and noise, so
-sampling a sentence builds neither and runs one ``contract_plan``, its row
-gathering the circuit's own angles. Each qubit is one wire of dimension 4,
-the pair (ket, bra), ket index first, starting at |0><0|, a (4,) leaf.
+structure and noise, ``plan_circuits`` and ``_lone_plan`` batch it given
+a noise level, and ``draw`` takes the one multinomial of ``sample`` and
+of a planned row. Each qubit is one wire of dimension 4, the pair (ket,
+bra), ket index first, starting at |0><0|, a (4,) leaf.
 Each gate is one node, its superoperator U (x) conj(U)
 (``ansatz.SUPEROPERATORS``), each ket leg paired with its bra leg: fixed
 for H and CX, and for a rotation one parameter leaf built from its angle.
@@ -49,7 +48,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 from functools import lru_cache
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -171,32 +170,35 @@ def _doubled_plan(n_qubits: int, gates: tuple[tuple[str, tuple], ...],
 
 
 def _group(key: tuple, rows: np.ndarray, index: np.ndarray) -> Group:
-    """Circuits of structure ``key``, _network_plan's arguments; index
-    holds each row's angle offsets in gate order."""
-    return Group(_network_plan(*key), rows, index,
-                 tuple(gate for gate, _ in key[1] if gate in ROTATIONS))
+    """Circuits of structure ``key``, _network_plan's arguments or, ending
+    in a noise level, _doubled_plan's; index holds each row's angle
+    offsets in gate order."""
+    gates = tuple(gate for gate, _ in key[1] if gate in ROTATIONS)
+    if len(key) == 4:
+        return Group(_network_plan(*key), rows, index, gates)
+    return Group(_doubled_plan(*key), rows, index,
+                 tuple(DOUBLED[gate] for gate in gates))
 
 
 @lru_cache(maxsize=1024)
 def _lone_plan(key: tuple) -> NetworkPlan:
-    """The plan of one circuit of structure ``key``: its row gathers the
-    circuit's own angles, in gate order."""
+    """The plan of one circuit of structure ``key`` (see _group): its row
+    gathers the circuit's own angles, in gate order."""
     count = sum(gate in ROTATIONS for gate, _ in key[1])
     return NetworkPlan((_group(key, np.zeros(1, np.intp),
                                np.arange(count)[None]),), 1)
 
 
-def _amplitudes(c: Circuit, ps: ParameterStore, postselect: tuple[int, ...],
-                legs: tuple[int, ...]) -> np.ndarray:
-    """The contracted network of c, one axis per qubit of ``legs``."""
-    networks = _lone_plan((*_structure(c), postselect, legs))
-    return contract_plan(networks, _angles(c, ps))[0]
+def _lone_value(c: Circuit, ps: ParameterStore, *key) -> np.ndarray:
+    """The value of c's network under _group's key (*_structure(c), *key)."""
+    return contract_plan(_lone_plan((*_structure(c), *key)),
+                         _angles(c, ps))[0]
 
 
 def statevector(c: Circuit, ps: ParameterStore) -> np.ndarray:
     """State after all gates on |0...0>, before any postselection."""
     legs = tuple(reversed(range(c.n_qubits)))
-    return _amplitudes(c, ps, (), legs).astype(complex).ravel()  # a copy
+    return _lone_value(c, ps, (), legs).astype(complex).ravel()  # a copy
 
 
 def _key(j: int, k: int) -> str:
@@ -209,7 +211,7 @@ def evaluate(c: Circuit, ps: ParameterStore) -> dict[str, float]:
 
     Keys are bitstrings with character i giving the bit of c.open[i].
     """
-    probs = np.abs(_amplitudes(c, ps, c.postselect, c.open)).ravel() ** 2
+    probs = np.abs(_lone_value(c, ps, c.postselect, c.open)).ravel() ** 2
     total = float(probs.sum())
     if total < ZERO_NORM_THRESHOLD:
         raise ZeroNorm(f"postselection probability {total:.3e}")
@@ -217,12 +219,14 @@ def evaluate(c: Circuit, ps: ParameterStore) -> dict[str, float]:
     return {_key(j, k): float(p / total) for j, p in enumerate(probs)}
 
 
-def plan_circuits(circuits: Sequence[Circuit],
-                  store: ParameterStore) -> NetworkPlan:
-    """Group one-open-qubit circuits by structure against the layout of
+def plan_circuits(circuits: Sequence[Circuit], store: ParameterStore,
+                  noise_p: Optional[float] = None) -> NetworkPlan:
+    """Group one-open-qubit circuits, or with ``noise_p`` their
+    superoperator networks (_outcomes), by structure against the layout of
     ``store``; each row gathers its angles at its symbols' offsets."""
     offsets = {name: offset for name, shape, offset in store.layout
                if shape == ()}
+    noise = () if noise_p is None else (noise_p,)
     groups: dict[tuple, tuple[list, list]] = {}
     for row, c in enumerate(circuits):
         params = [op.param for op in c.ops if op.gate in ROTATIONS]
@@ -234,7 +238,7 @@ def plan_circuits(circuits: Sequence[Circuit],
             idx = [offsets[p.name] for p in params]
         except KeyError as exc:
             raise UnboundSymbol(f"no scalar angle bound for {exc}") from None
-        key = (*_structure(c), c.postselect, c.open)
+        key = (*_structure(c), c.postselect, c.open, *noise)
         members, index = groups.setdefault(key, ([], []))
         members.append(row)
         index.append(idx)
@@ -243,47 +247,36 @@ def plan_circuits(circuits: Sequence[Circuit],
         for key, (members, index) in groups.items()), len(circuits))
 
 
-@lru_cache(maxsize=1024)
-def _noisy_plan(n_qubits: int, gates: tuple[tuple[str, tuple], ...],
-                postselect: tuple[int, ...], legs: tuple[int, ...],
-                noise_p: float) -> NetworkPlan:
-    """The plan of the superoperator network of one circuit of a
-    structure, whose row gathers the circuit's own angles, in gate
-    order."""
-    kinds = tuple(DOUBLED[gate] for gate, _ in gates if gate in ROTATIONS)
-    return NetworkPlan((Group(
-        _doubled_plan(n_qubits, gates, postselect, legs, noise_p),
-        np.zeros(1, np.intp), np.arange(len(kinds))[None], kinds),), 1)
-
-
 def _outcomes(c: Circuit, ps: ParameterStore, noise_p: float) -> np.ndarray:
     """Probability that one shot passes postselection and reads open
     bitstring j, for each j read as a binary number with c.open[0] the most
     significant bit: the value of the superoperator network of c."""
-    networks = _noisy_plan(*_structure(c), c.postselect, c.open, noise_p)
-    return contract_plan(networks, _angles(c, ps))[0].real.ravel()
+    return _lone_value(c, ps, c.postselect, c.open, noise_p).real.ravel()
+
+
+def draw(outcomes: np.ndarray, n_shots: int, seed: int) -> np.ndarray:
+    """The kept shots of each open bitstring among ``n_shots`` independent
+    shots, each passing postselection with one outcome's probability in
+    ``outcomes`` (_outcomes) or discarded: one multinomial over
+    (discarded, each outcome) drawn with ``seed``, rounding negatives
+    clipped to 0."""
+    kept = np.clip(outcomes, 0.0, None)
+    return np.random.default_rng(seed).multinomial(
+        n_shots, np.concatenate([[max(0.0, 1.0 - kept.sum())], kept]))[1:]
 
 
 def sample(c: Circuit, ps: ParameterStore, n_shots: int, seed: int,
            noise_p: float = 0.0) -> dict[str, int]:
-    """Counts over open-qubit bitstrings; deterministic given seed.
-
-    Each shot either passes postselection and reads an open bitstring or is
-    discarded. Shots are independent, so all counts come from one
-    multinomial over (discarded, each open bitstring) with the exact
-    probabilities of one shot, the value of the circuit's superoperator
-    network under the channel-averaged Pauli noise (see the module
-    docstring). Rounding negatives are clipped to 0 before the draw.
-    """
+    """Counts over open-qubit bitstrings, deterministic given seed: the
+    shots that ``draw`` keeps from the circuit's _outcomes under the
+    channel-averaged Pauli noise (see the module docstring)."""
     if n_shots < 1:
         raise ValueError("n_shots must be at least 1")
     if n_shots > MAX_SHOTS:
         raise ValueError(f"n_shots must be at most 2**63 - 1, got {n_shots!r}")
     if not 0.0 <= noise_p <= 1.0:
         raise ValueError(f"noise_p must lie in [0, 1], got {noise_p!r}")
-    kept = np.clip(_outcomes(c, ps, noise_p), 0.0, None)
-    drawn = np.random.default_rng(seed).multinomial(
-        n_shots, np.concatenate([[max(0.0, 1.0 - kept.sum())], kept]))[1:]
+    drawn = draw(_outcomes(c, ps, noise_p), n_shots, seed)
     if not drawn.any():
         raise AllShotsDiscarded(f"all {n_shots} shots violated postselection")
     return {_key(j, len(c.open)): int(drawn[j]) for j in np.flatnonzero(drawn)}

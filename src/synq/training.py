@@ -4,7 +4,8 @@ The classical pipeline trains tensor networks with Adam on exact gradients.
 Quantum pipelines use SPSA, which probes the loss at two randomly perturbed
 points per step and never needs circuit gradients. ``train`` groups the
 sentences by network structure and plans each group's contraction once:
-tensor networks, and exact circuits as the tensor networks of their gates.
+tensor networks, exact circuits as the tensor networks of their gates, and
+shot-based circuits as their superoperator networks.
 
 Every iteration is then one batched pass at the current point, one engine
 call that serves every structure group (``prediction_gradient`` or
@@ -15,18 +16,17 @@ the pass computes values and gradients over the train and dev sentences,
 the dev rows with a zero cotangent. With SPSA,
 ``spsa_step`` hands both probe points to the loss in one call, and the pass
 stacks the train sentences at each probe with the train and dev sentences
-at the current point (``NetworkPlan.stack``). Shot-based circuits are
-sampled one sentence at a time, each with the shot seed of its iteration,
-evaluation slot and item.
-All runs are deterministic given the config seed (with the exact backend,
-bit-for-bit).
+at the current point (``NetworkPlan.stack``). A shot-based row draws its
+shots from its outcome probabilities with the shot seed of its iteration,
+evaluation slot and item. All runs are deterministic given the config
+seed, bit for bit.
 """
 from __future__ import annotations
 
 import csv
 import io
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -136,52 +136,42 @@ class TrainHistory:
         return len(self.rows)
 
 
-def _circuit_plan(model: CompiledModel) -> Optional[NetworkPlan]:
-    """The plan of an exact circuit model, else None: shot-based circuits
-    are sampled sentence by sentence, each with its shot seed."""
-    if model.config.ansatz == "iqp" and model.config.backend == "exact":
-        return plan_circuits(model.artifacts, model.store)
-    return None
-
-
-def _parts_p1(model: CompiledModel, p1: np.ndarray, points, parts
+def _parts_p1(model: CompiledModel, p1: np.ndarray, points, parts, seeds
               ) -> list[np.ndarray]:
     """Each part's p1, cut out of ``p1`` (one row per point, one column
-    per sentence); a nan entry, a sentence whose norm is below the floor of
-    its kind, is re-predicted by predict_p1, which reports it."""
+    per sentence); a nan entry, a degenerate sentence, is re-predicted by
+    predict_p1, which reports it, a shot-based one with its shot seed (part
+    k's (iteration, slot) = ``seeds[k]``)."""
     out = []
-    for point, rows in parts:
+    for (point, rows), seed in zip(parts, seeds):
         values = p1[point, list(rows)]
         bad = np.flatnonzero(np.isnan(values))
         if len(bad):
             store = model.store.from_vector(points[point])
             for k in bad:
-                values[k] = predict_p1(model, store, rows[k])
+                values[k] = predict_p1(model, store, rows[k], shot_seed(
+                    model.config.seed, *seed, rows[k]))
         out.append(values)
     return out
 
 
-def _batch_p1(model: CompiledModel, plan: Optional[NetworkPlan], points,
-              parts, seeds) -> list[np.ndarray]:
-    """p1 of each part's sentences: part (point, rows) holds the sentences
-    at ``rows`` under the flat vector ``points[point]``.
-
-    With ``plan``, the model's plan stacked over ``parts``
-    (NetworkPlan.stack), one batched pass over every group (group_p1)
-    serves every part (_parts_p1). Without a plan, sentence by sentence; a
-    shot-based sentence draws with its shot seed, from part k's
-    (iteration, slot) = ``seeds[k]`` and its item."""
-    cfg = model.config
-    if plan is None:
-        stores = [model.store.from_vector(v) for v in points]
-        return [np.array([predict_p1(model, stores[point], i,
-                                     shot_seed(cfg.seed, *seed, i)
-                                     if cfg.backend == "shots" else None)
-                          for i in rows])
-                for (point, rows), seed in zip(parts, seeds)]
+def _batch_p1(model: CompiledModel, plan: NetworkPlan, points, parts,
+              seeds) -> list[np.ndarray]:
+    """p1 of each part's sentences, part (point, rows) the sentences at
+    ``rows`` under the flat vector ``points[point]``, from one pass
+    (group_p1) over ``plan``, the model's plan stacked over ``parts``; a
+    shot-based row draws with the shot seed of its item and of part k's
+    (iteration, slot) = ``seeds[k]``."""
+    cfg, count = model.config, len(model.artifacts)
+    n_shots, draws = 0, ()
+    if cfg.backend == "shots":
+        at = {point * count + i: shot_seed(cfg.seed, *seed, i)
+              for (point, rows), seed in zip(parts, seeds) for i in rows}
+        n_shots, draws = cfg.n_shots, [at[row] for row in plan.rows.tolist()]
     p1 = np.zeros(plan.count)
-    p1[plan.rows] = group_p1(plan, np.concatenate(points))
-    return _parts_p1(model, p1.reshape(len(points), -1), points, parts)
+    p1[plan.rows] = group_p1(plan, np.concatenate(points), n_shots, draws)
+    return _parts_p1(model, p1.reshape(len(points), -1), points, parts,
+                     seeds)
 
 
 def _mean_loss(p1s, labels) -> float:
@@ -208,7 +198,8 @@ def train(model: CompiledModel) -> tuple[ParameterStore, TrainHistory]:
     if isinstance(model.artifacts[0], TensorNetwork):
         plan = plan_networks(model.artifacts, train_idx + dev_idx, store)
     else:
-        plan = _circuit_plan(model)
+        plan = plan_circuits(model.artifacts, store, cfg.noise_p
+                             if cfg.backend == "shots" else None)
     vec = store.to_vector()
     size = len(vec)
 
@@ -216,9 +207,6 @@ def train(model: CompiledModel) -> tuple[ParameterStore, TrainHistory]:
         history.append(it, _mean_loss(train_p1, train_y),
                        accuracy(train_p1, train_y),
                        _mean_loss(dev_p1, dev_y), accuracy(dev_p1, dev_y))
-
-    def stacked(parts) -> Optional[NetworkPlan]:
-        return None if plan is None else plan.stack(parts, size)
 
     # a score: the train and dev sentences at one point, their shots drawn
     # in slots 1 and 2
@@ -234,7 +222,8 @@ def train(model: CompiledModel) -> tuple[ParameterStore, TrainHistory]:
             p1[plan.rows], grad = prediction_gradient(
                 plan, vec, lambda p: np.where(t, bce_grad(p, y), 0.0))
             # at iteration 0 only to report degenerate rows
-            scores = _parts_p1(model, p1[None], [vec], score)
+            scores = _parts_p1(model, p1[None], [vec], score,
+                               [(it - 1, 1), (it - 1, 2)])
             if it:
                 record(it - 1, *scores)
             vec, adam_state = adam_step(vec, grad / len(train_idx),
@@ -244,7 +233,7 @@ def train(model: CompiledModel) -> tuple[ParameterStore, TrainHistory]:
         # score of the current point, 2
         probes = [(0, train_idx), (1, train_idx)]
         parts = probes + [(2, rows) for _, rows in score]
-        plans = stacked(probes), stacked(parts)
+        plans = plan.stack(probes, size), plan.stack(parts, size)
         spsa_rng = np.random.default_rng(cfg.seed)
         for it in range(cfg.iterations):
             def losses(plus, minus, _it=it, _vec=vec):
@@ -263,21 +252,25 @@ def train(model: CompiledModel) -> tuple[ParameterStore, TrainHistory]:
                             rng=spsa_rng)
 
     last = cfg.iterations - 1
-    record(last, *_batch_p1(model, stacked(score), [vec], score,
+    record(last, *_batch_p1(model, plan.stack(score, size), [vec], score,
                             [(last, 1), (last, 2)]))
     return store.from_vector(vec), history
 
 
 def evaluate_split(model: CompiledModel, store: ParameterStore,
                    split: str = "test") -> dict[str, float]:
-    """Loss and accuracy of a split under a trained store."""
-    ds = model.dataset
+    """Loss and accuracy of a split under a trained store; shot-based
+    sentences draw in slot 3 of iteration -1."""
+    cfg, ds = model.config, model.dataset
     idx, labels = getattr(ds, split), ds.labels(split)
-    vec = store.to_vector(model.store.names())  # in the model's layout
-    plan, part = _circuit_plan(model), [(0, idx)]
-    if plan is not None:
-        plan = plan.stack(part, len(vec))
-    (p1s,) = _batch_p1(model, plan, [vec], part, [(-1, 3)])
+    if cfg.ansatz == "iqp" and cfg.backend == "exact":
+        vec = store.to_vector(model.store.names())  # in the model's layout
+        part, plan = [(0, idx)], plan_circuits(model.artifacts, model.store)
+        (p1s,) = _batch_p1(model, plan.stack(part, len(vec)), [vec], part,
+                           [(-1, 3)])
+    else:  # per sentence: the benchmark times and records each predict_p1
+        p1s = [predict_p1(model, store, i, shot_seed(cfg.seed, -1, 3, i)
+                          if cfg.backend == "shots" else None) for i in idx]
     return {
         f"{split}_loss": _mean_loss(p1s, labels),
         f"{split}_accuracy": accuracy(p1s, labels),

@@ -14,10 +14,10 @@ from synq.params import ParameterStore, UnboundSymbol
 from synq.pipeline import PipelineConfig, compile_model, group_p1
 from synq.simulator import (
     MAX_SHOTS, ZERO_NORM_THRESHOLD, AllShotsDiscarded, NonFiniteAngle,
-    ZeroNorm, _doubled_plan, _lone_plan, _network_plan, _noisy_plan, _outcomes,
-    _structure, evaluate, plan_circuits, sample, statevector,
+    ZeroNorm, _doubled_plan, _lone_plan, _network_plan, _outcomes, _structure,
+    evaluate, plan_circuits, sample, statevector,
 )
-from synq.training import _circuit_plan, _parts_p1
+from synq.training import _parts_p1
 from synq.types import ts
 from test_contract import alone, assert_folding_exact, unfolded_replay
 
@@ -549,7 +549,13 @@ class TestPlan:
         assert len(plan.groups) == 4
         assert sorted(r for g in plan.groups for r in g.rows) \
             == list(range(130))
-        assert len(_circuit_plan(model).groups) == 4  # the plan train uses
+        # the plan of shot-based training: superoperator networks, grouped
+        # as the exact circuits are
+        noisy = plan_circuits(model.artifacts, model.store, 0.01)
+        assert [g.rows.tolist() for g in noisy.groups] \
+            == [g.rows.tolist() for g in plan.groups]
+        assert [g.gates for g in noisy.groups] \
+            == [tuple(map(DOUBLED.get, g.gates)) for g in plan.groups]
 
     @settings(max_examples=30, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -676,10 +682,10 @@ class TestOneDtype:
 
     def test_noisy_plan_built_once_per_structure(self):
         c = Circuit(2, (Op("H", (0,)), Op("CRz", (0, 1), 0.4)), (0,), (1,))
-        _noisy_plan.cache_clear()
+        _lone_plan.cache_clear()
         for seed in (1, 2):
             sample(c, EMPTY_PS, 100, seed, noise_p=0.01)
-        info = _noisy_plan.cache_info()
+        info = _lone_plan.cache_info()
         assert (info.misses, info.hits) == (1, 1)
 
 
@@ -704,12 +710,11 @@ class TestCachedPlans:
         ps = ParameterStore({"a": np.array(0.3), "b": np.array(0.7)})
         key = (*_structure(c), c.postselect, c.open)
         _lone_plan.cache_clear()
-        _noisy_plan.cache_clear()
         evaluate(c, ps)
         sample(c, ps, 100, 1, noise_p=0.01)
-        plans = _lone_plan(key), _noisy_plan(*key, 0.01)
-        assert _lone_plan.cache_info().hits == 1
-        assert _noisy_plan.cache_info().hits == 1
+        assert _lone_plan.cache_info().misses == 2
+        plans = _lone_plan(key), _lone_plan((*key, 0.01))
+        assert _lone_plan.cache_info().hits == 2
         for plan in plans:
             arrays = list(plan_arrays(plan))
             # rows, the group's rows and index, and the table and picks of
@@ -777,7 +782,7 @@ class TestSuperoperatorNetwork:
         live = {}
         for c in model.artifacts:
             key = (*_structure(c), c.postselect, c.open)
-            (g,) = _noisy_plan(*key, 0.01).groups
+            (g,) = _lone_plan((*key, 0.01)).groups
             assert len(g.plan.params) == len(leaf_gates(c)) == len(g.gates)
             assert list(g.gates) == [DOUBLED[gate] for gate in leaf_gates(c)]
             live[key] = len(g.plan.run)
@@ -797,6 +802,26 @@ class TestSuperoperatorNetwork:
                 continue
             assert np.abs(_outcomes(c, store, p)
                           - density_oracle(c, store, p)).max() < 1e-12
+
+    @settings(max_examples=20, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(iqp_batches(), st.integers(0, 2 ** 32 - 1),
+           st.sampled_from([0.01, 0.2]))
+    def test_planned_batch_equals_lone_outcomes(self, circuits, seed, p):
+        """Several structures under one random store, planned as one noisy
+        NetworkPlan: each row is its circuit's lone _outcomes bit for bit,
+        and the density oracle's."""
+        symbols = [sym for c in circuits for sym in c.symbols]
+        store = ParameterStore.initialize(symbols, seed)
+        plan = plan_circuits(circuits, store, p)
+        values = contract_plan(plan, store.to_vector())
+        assert values.shape == (len(circuits), 2)
+        for row, value in zip(plan.rows.tolist(), values):
+            c = circuits[row]
+            assert np.array_equal(value.real, _outcomes(c, store, p))
+            if c.n_qubits <= 7:  # the dense oracle takes seconds at 9
+                assert np.abs(value.real - density_oracle(c, store, p)
+                              ).max() < 1e-12
 
 
 class TestNonFiniteAngle:
@@ -835,4 +860,25 @@ class TestNonFiniteAngle:
         p1[plan.rows] = group_p1(plan, vec)
         assert np.isnan(p1[0])
         with pytest.raises(NonFiniteAngle, match=f"symbol {name!r}"):
-            _parts_p1(model, p1[None], [vec], [(0, range(plan.count))])
+            _parts_p1(model, p1[None], [vec], [(0, range(plan.count))],
+                      [(0, 1)])
+
+    def test_planned_shot_row_reaches_sample(self):
+        """A planned shot row whose outcomes are not finite reads nan
+        without reaching the draw, and its re-prediction through predict_p1
+        and sample, with its shot seed, names the symbol."""
+        model = compile_model(PipelineConfig(
+            ansatz="iqp", optimizer="spsa", backend="shots", n_shots=64,
+            noise_p=0.01), generate_dataset(0))
+        name = model.artifacts[0].symbols[0].name
+        store = model.store.copy()
+        store[name] = float("nan")
+        vec = store.to_vector()
+        plan = plan_circuits(model.artifacts, model.store, 0.01)
+        p1 = np.zeros(plan.count)
+        p1[plan.rows] = group_p1(plan, vec, 64, plan.rows + 1)
+        assert np.isnan(p1[0])
+        assert not np.isnan(np.delete(p1, 0)).all()
+        with pytest.raises(NonFiniteAngle, match=f"symbol {name!r}"):
+            _parts_p1(model, p1[None], [vec], [(0, range(plan.count))],
+                      [(0, 1)])

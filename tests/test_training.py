@@ -532,9 +532,9 @@ class TestPlannedCircuits:
         assert h1.rows == h2.rows
         assert np.array_equal(s1.to_vector(), s2.to_vector())
         planned = evaluate_split(model, s1, "test")
-        # without a plan, every p1 comes from predict_p1, one sentence at a
-        # time, through the same SPSA loop
-        monkeypatch.setattr(training, "plan_circuits", lambda *args: None)
+        # every p1 from predict_p1, one sentence at a time, through the
+        # same SPSA loop
+        monkeypatch.setattr(training, "_batch_p1", per_sentence_p1)
         s3, h3 = train(model)
         assert np.abs(np.array(h1.rows) - np.array(h3.rows)).max() < 1e-10
         assert np.abs(s1.to_vector() - s3.to_vector()).max() < 1e-10
@@ -562,6 +562,49 @@ class TestPlannedCircuits:
         assert after[3] == 0.5
         assert after[:3] + after[4:] == before[:3] + before[4:]
 
+    def test_all_shots_discarded_row_falls_back_once(self, caplog):
+        """A planned shot row whose every shot fails postselection is
+        re-predicted with its own shot seed: 0.5 and one warning, the other
+        rows drawn as before."""
+        from synq.ansatz import Circuit, Op, Symbol
+        model = compile_model(replace(self.model().config, backend="shots",
+                                      noise_p=0.01),
+                              generate_dataset(0))
+        rows = list(range(10))
+        noisy = plan_circuits(model.artifacts, model.store, 0.01)
+        before = batch_p1(model, noisy, model.store.to_vector(), rows)
+        assert before == [predict_p1(model, model.store, i,
+                                     pipeline.shot_seed(2, 0, 1, i))
+                          for i in rows]
+        # Rx(pi) leaves the postselected qubit in |1>: every shot discarded
+        dead = Circuit(2, (Op("Rx", (1,), Symbol("flip")),), (1,), (0,))
+        store = model.store.copy()
+        store["flip"] = np.pi
+        artifacts = list(model.artifacts)
+        artifacts[3] = dead
+        broken = replace(model, artifacts=artifacts, store=store)
+        with caplog.at_level(logging.WARNING, logger="synq.pipeline"):
+            after = batch_p1(broken, plan_circuits(artifacts, store, 0.01),
+                             store.to_vector(), rows)
+        warnings = [r for r in caplog.records if r.name == "synq.pipeline"]
+        assert len(warnings) == 1 and "item 3" in warnings[0].getMessage()
+        assert "all 8192 shots" in warnings[0].getMessage()
+        assert after[3] == 0.5
+        assert after[:3] + after[4:] == before[:3] + before[4:]
+
+
+def per_sentence_p1(model, plan, points, parts, seeds):
+    """The per-sentence branch that one planned batch per pass replaced,
+    kept as its oracle: every p1 from predict_p1 under its part's point, a
+    shot-based sentence drawing with its shot seed."""
+    cfg = model.config
+    stores = [model.store.from_vector(v) for v in points]
+    return [np.array([predict_p1(model, stores[point], i,
+                                 pipeline.shot_seed(cfg.seed, *seed, i)
+                                 if cfg.backend == "shots" else None)
+                      for i in rows])
+            for (point, rows), seed in zip(parts, seeds)]
+
 
 def reference_train(model):
     """The three-pass loop ``train`` folds into one pass per iteration,
@@ -573,18 +616,19 @@ def reference_train(model):
     train_idx, train_y = ds.train, ds.labels("train")
     dev_idx, dev_y = ds.dev, ds.labels("dev")
     vec = model.store.to_vector()
-    if cfg.ansatz == "iqp":
-        plan = training._circuit_plan(model)
+    if cfg.backend == "shots":
+        plan = None  # sentence by sentence, each with its shot seed
+    elif cfg.ansatz == "iqp":
+        plan = plan_circuits(model.artifacts, model.store)
     else:
         plan = plan_networks(model.artifacts, train_idx + dev_idx,
                              model.store)
 
     def p1_at(theta, rows, it, slot):
         store = model.store.from_vector(theta)
-        if plan is None:  # sentence by sentence, with its shot seed
+        if plan is None:
             return [predict_p1(model, store, i,
-                               pipeline.shot_seed(cfg.seed, it, slot, i)
-                               if cfg.backend == "shots" else None)
+                               pipeline.shot_seed(cfg.seed, it, slot, i))
                     for i in rows]
         p1 = np.zeros(plan.count)
         stacked = plan.stack([(0, rows)], len(theta))
@@ -653,12 +697,15 @@ class TestOnePassPerIteration:
         assert history.rows == want.rows
         assert np.array_equal(store.to_vector(), want_store.to_vector())
 
-    @pytest.mark.parametrize("optimizer", ["adam", "spsa"])
-    def test_one_batched_call_per_pass(self, monkeypatch, optimizer):
+    @pytest.mark.parametrize("kind", ["adam", "spsa", "shots"])
+    def test_one_batched_call_per_pass(self, monkeypatch, kind):
         ds = generate_dataset(0)
+        optimizer = "adam" if kind == "adam" else "spsa"
         cfg = PipelineConfig(ansatz="spider" if optimizer == "adam"
                              else "iqp", optimizer=optimizer, iterations=3,
                              seed=0)
+        if kind == "shots":  # SPSA on shot-based circuits
+            cfg = replace(cfg, backend="shots", n_shots=64, noise_p=0.01)
         model = compile_model(cfg, ds)
         calls = []
         for name in ("group_p1", "prediction_gradient"):
@@ -779,7 +826,7 @@ class TestFusedPass:
         full[netplan.rows] = p1
         with caplog.at_level(logging.WARNING, logger="synq.pipeline"):
             (got,) = training._parts_p1(model, full[None], [vec],
-                                        [(0, rows)])
+                                        [(0, rows)], [(0, 1)])
         warnings = [r for r in caplog.records if r.name == "synq.pipeline"]
         assert len(warnings) == 1
         assert f"item {dead_item}" in warnings[0].getMessage()
