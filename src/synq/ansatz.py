@@ -142,8 +142,9 @@ def _doubled(u: np.ndarray, legs: int) -> np.ndarray:
 
 # The superoperator of each gate, U (x) conj(U), the gate acting on a
 # density matrix, as a noisy circuit's network holds it (see ``simulator``):
-# node kind DOUBLED[gate], a (4, 4) or (4, 4, 4, 4) tensor of theta laid out
-# as the gate's, each leg the pair (ket, bra) of one of the gate's legs.
+# keyed by DOUBLED[gate], a rotation's leaf kind there, a (4, 4) or
+# (4, 4, 4, 4) tensor of theta laid out as the gate's, each leg the pair
+# (ket, bra) of one of the gate's legs.
 DOUBLED = {gate: gate + "~" for gate in GATES}
 SUPEROPERATORS = {
     DOUBLED[gate]: (lambda theta, u=u, legs=2 * GATES[gate]:
@@ -318,19 +319,13 @@ def iqp_template(d: Diagram, qm: QubitMap, n_layers: int = 1) -> Template:
 # ---------------------------------------------------------------------------
 
 
-_NODE_KINDS = frozenset(("param", "delta", "copy", "zero", "measure", *GATES,
-                         *SUPEROPERATORS))
+_NODE_KINDS = frozenset(("param", "delta", "copy"))
 
 
 @dataclass(frozen=True)
 class Node:
     node_id: str
-    # "param" | "delta" | "copy"; circuit networks add "zero" (|0> or <0|,
-    # |0><0| on a wire of dimension 4) and the gates of GATE_TENSORS, a
-    # rotation's angle gathered per row; noisy circuit networks the
-    # SUPEROPERATORS and "measure", the (4, 2) read-out of a qubit's
-    # diagonal
-    kind: str
+    kind: str  # "param" | "delta" | "copy"
     shape: tuple[int, ...]
     symbol: Optional[Symbol] = None
 

@@ -29,7 +29,7 @@ from pathlib import Path
 from .ccg import ParseError
 from .dataset import generate_dataset
 from .pipeline import CompileError, PipelineConfig, compile_model
-from .training import evaluate_split, train
+from .training import SPLITS, evaluate_split, train
 
 
 def load_config(path: str | Path) -> PipelineConfig:
@@ -67,7 +67,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.exit(1, f"synq: cannot compile: {message}\n")
     store, history = train(model)
     metrics: dict[str, float] = {}
-    for split in ("train", "dev", "test"):
+    for split in SPLITS:
         metrics.update(evaluate_split(model, store, split))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -1,32 +1,38 @@
 """Exact tensor-network contraction and its reverse-mode gradient.
 
-A contraction has two parts. ``plan`` runs a greedy on the node shapes
-alone and records its steps. At each step it contracts every edge between
-the pair of blocks (nodes or earlier results) whose operand sizes have the
-smallest product, taking the first such pair in edge order. That product
-bounds the step's cost and is read off the shapes. Choosing by the size of
-the merged tensor needs each pair's shared dimensions; on the mc-spider
-and long-ccg networks it found plans with the same multiply-add count, and
-it made the long-ccg forward passes slower. A table of the pending edges of
-each block pair, updated as blocks merge, keeps the greedy linear in the
-edges. Pieces left unconnected combine by outer product, and an edge
-joining two legs of one node is routed through an identity node, so every
-step contracts two tensors. The value does not depend on the order, up to
-rounding.
+A contraction has two parts. ``plan`` reads a structure: one entry per
+node, a fixed tensor or ``(kind, shape)``, then the edges and the open
+legs, each leg ``(node, axis)``. ``_structure`` reads one off a tensor
+ansatz's ``TensorNetwork``, and ``simulator`` builds a circuit's directly.
+``plan`` runs a greedy on the node shapes alone and records its steps. At
+each step it contracts every edge between the pair of blocks (nodes or
+earlier results) whose operand sizes have the smallest product, taking the
+first such pair in edge order. That product bounds the step's cost and is
+read off the shapes. Choosing by the size of the merged tensor needs each
+pair's shared dimensions; on the mc-spider and long-ccg networks it found
+plans with the same multiply-add count, and it made the long-ccg forward
+passes slower. A table of the pending edges of each block pair, updated as
+blocks merge, keeps the greedy linear in the edges. Pieces left unconnected
+combine by outer product, and an edge joining two legs of one node is
+routed through an identity node, so every step contracts two tensors. The
+value does not depend on the order, up to rounding.
 
 The replay runs the recorded steps as ``np.einsum`` calls over a batch of
 networks of one structure. Every tensor a parameter reaches carries a
-leading sentence axis; the fixed leaves (copy, delta and identity tensors,
-a circuit's |0>, <0|, H and CX, a noisy circuit's depolarising channel) do
-not and are shared by every row. A step that joins two tensors no
-parameter reaches is constant: a ``Plan`` computes it once, when it is
-built, and keeps the result read-only, and the replay runs the live steps
-alone. A circuit's plan has such steps (5 to 11 of the 23 to 41 steps of
-an mc-iqp circuit, 10 to 20 of the 32 to 58 of its noisy network); a
-tensor model's has none. A plan has one dtype: a circuit's fixed leaves
-are complex, like its rotation tensors, so folding and every live step run
-all-complex (``np.einsum`` is two to three times slower on a step that
-mixes float and complex operands); a tensor model's plan stays float.
+leading sentence axis; the fixed leaves do not and are shared by every row.
+``plan`` builds the copy, delta and identity tensors from their kinds and
+shapes; a structure gives every other fixed leaf as a tensor, as
+``simulator`` gives a circuit's |0>, <0|, H and CX, and a noisy circuit's
+|0><0|, superoperators of H and CX, (4, 2) read-out and depolarising
+channel. A step that joins two tensors no parameter reaches is constant: a
+``Plan`` computes it once, when it is built, and keeps the result
+read-only, and the replay runs the live steps alone. A circuit's plan has
+such steps (5 to 11 of the 23 to 41 steps of an mc-iqp circuit, 10 to 20 of
+the 32 to 58 of its noisy network); a tensor model's has none. A plan has
+the dtype of its given tensors: a circuit's fixed leaves are complex, like
+its rotation tensors, so folding and every live step run all-complex
+(``np.einsum`` is two to three times slower on a step that mixes float and
+complex operands); a tensor model's plan stays float.
 
 ``contract`` and ``plan_networks`` take each structure's plan from a
 bounded cache, so a structure is planned once, not on every call; ``plan``
@@ -34,15 +40,16 @@ itself is uncached. ``plan_networks`` groups networks by structure into a
 ``NetworkPlan``, the one batch the replay runs; ``contract`` is a network
 alone. Each row's parameters are gathered from the flat vector with index
 arrays: a stored tensor's entries, or the angle of a circuit's rotation
-gate. A circuit plan finds, per gate, the distinct offsets of the angles of
-every group and each leaf's map into them. A gather then calls that gate's
-kernel (``ansatz.GATE_TENSORS``, or ``ansatz.SUPEROPERATORS`` in a noisy
-circuit's network) once on the distinct angles, and every leaf
-takes its rows from the result: the rows share most of their symbols (an
-mc-iqp SPSA pass at seed 7 builds 264 angles in 3 calls, where a call per
-group and gate would build 927 in 12). ``NetworkPlan.stack`` lays several
-flat vectors end to end, so one batch per structure serves rows under
-different vectors (SPSA's two probes and the current point).
+gate, as the kind of each parameter leaf says. A circuit plan finds, per
+gate, the distinct offsets of the angles of every group and each leaf's map
+into them. A gather then calls that gate's kernel (``ansatz.GATE_TENSORS``,
+or ``ansatz.SUPEROPERATORS`` in a noisy circuit's network) once on the
+distinct angles, and every leaf takes its rows from the result: the rows
+share most of their symbols (an mc-iqp SPSA pass at seed 7 builds 264
+angles in 3 calls, where a call per group and gate would build 927 in 12).
+``NetworkPlan.stack`` lays several flat vectors end to end, so one batch
+per structure serves rows under different vectors (SPSA's two probes and
+the current point).
 
 One call serves a whole ``NetworkPlan``: ``contract_plan`` for values,
 ``contract_grad`` for values and gradient. Each group replays its own
@@ -69,14 +76,11 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .ansatz import DOUBLED, GATE_TENSORS, ROTATIONS, SUPEROPERATORS, Node, \
-    Symbol, TensorNetwork
+from .ansatz import GATE_TENSORS, SUPEROPERATORS, Node, TensorNetwork
 from .params import ParameterStore, UnboundSymbol
 
 _BATCH = "Z"  # the einsum label of the sentence axis
-_KERNELS = {**GATE_TENSORS, **SUPEROPERATORS}  # the tensor of a gate node
-_ANGLED = frozenset((*ROTATIONS, *(DOUBLED[gate] for gate in ROTATIONS)))
-_CIRCUIT_KINDS = frozenset(("zero", "measure", *_KERNELS))
+_KERNELS = {**GATE_TENSORS, **SUPEROPERATORS}  # the tensor of a rotation
 _LABELS = string.ascii_letters.replace(_BATCH, "")
 
 
@@ -95,19 +99,11 @@ def _copy_tensor(shape: tuple[int, ...]) -> np.ndarray:
     return arr
 
 
-def _constant(node: Node) -> np.ndarray:
-    """The fixed tensor of a delta, copy, zero, measure, H or CX node, or
-    of the superoperator of H or CX."""
-    if node.kind == "delta":
-        return np.eye(node.shape[0])
-    if node.kind == "zero":
-        return np.eye(node.shape[0])[0]
-    if node.kind == "measure":  # (d * d, d): entry (k * d + b, x) is k = b = x
-        d = node.shape[1]
-        return np.eye(d * d)[:, ::d + 1]
-    if node.kind in _KERNELS:
-        return _KERNELS[node.kind](None)
-    return _copy_tensor(node.shape)
+def _constant(kind: str, shape: tuple[int, ...]) -> Optional[np.ndarray]:
+    """The fixed tensor of a delta or copy node; None for a parameter."""
+    if kind == "delta":
+        return np.eye(shape[0])
+    return _copy_tensor(shape) if kind == "copy" else None
 
 
 def _node_tensor(node: Node, ps: ParameterStore) -> np.ndarray:
@@ -118,7 +114,7 @@ def _node_tensor(node: Node, ps: ParameterStore) -> np.ndarray:
                 f"{node.symbol.name}: stored {value.shape}, "
                 f"network wants {node.shape}")
         return value
-    return _constant(node)
+    return _constant(node.kind, node.shape)
 
 
 @dataclass(frozen=True)
@@ -127,7 +123,10 @@ class Plan:
 
     The tensors are numbered as recorded: the nodes, then one identity per
     self-edge, then one per step. ``leaves`` holds the fixed tensor of each
-    leaf, complex in a circuit's plan, and None for a parameter node. A
+    leaf, complex in a circuit's plan, and None for a parameter leaf, whose
+    kind ``kinds`` holds: "param" for a stored tensor, or the rotation kind
+    (a key of ``ansatz.GATE_TENSORS`` or ``ansatz.SUPEROPERATORS``) whose
+    kernel builds the leaf from its angle. A
     step ``(a, b, axes_a, axes_b)`` contracts tensors a and b into the next
     one; ``scripts`` holds its einsum subscripts. ``live`` marks the
     tensors a parameter reaches, which carry the sentence axis. ``perm``
@@ -139,10 +138,10 @@ class Plan:
     live steps as (result, a, b, script), the only steps a replay runs,
     and ``back`` the same steps in reverse as (result, a, b, script_a,
     script_b), the subscripts that take the result's cotangent to a's and
-    b's, None for an operand that is not live. ``dataclasses.replace`` of
-    the leaves folds the constant steps again."""
+    b's, None for an operand that is not live."""
     leaves: tuple[Optional[np.ndarray], ...]
     params: tuple[int, ...]  # the parameter leaves, in node order
+    kinds: tuple[str, ...]  # of each parameter leaf
     shapes: tuple[tuple[int, ...], ...]  # of every tensor, without the batch
     steps: tuple[tuple[int, int, tuple[int, ...], tuple[int, ...]], ...]
     scripts: tuple[str, ...]
@@ -191,23 +190,28 @@ def _script(na: int, nb: int, ax_a: list[int], ax_b: list[int],
             f"{''.join(free_b)}")
 
 
-def plan(tn: TensorNetwork) -> Plan:
-    """Record the greedy pairwise contraction of ``tn`` from its shapes.
-    A circuit's fixed leaves are complex, like its rotations, so every
-    step runs in one dtype."""
-    index = {node.node_id: k for k, node in enumerate(tn.nodes)}
-    dtype = complex if any(node.kind in _CIRCUIT_KINDS
-                           for node in tn.nodes) else float
-    leaves = [None if node.kind == "param" or node.kind in _ANGLED
-              else np.asarray(_constant(node), dtype) for node in tn.nodes]
+def plan(structure: tuple) -> Plan:
+    """Record the greedy pairwise contraction of a structure (nodes, edges,
+    open legs) from its shapes. A node is a fixed tensor, which the plan
+    keeps and makes read-only, or (kind, shape): "delta" or "copy", built
+    here, or the kind of a parameter leaf. Every fixed leaf takes the dtype
+    of the given tensors, float if there are none: a circuit's are complex,
+    like its rotations, so every step runs in one dtype."""
+    nodes, structure_edges, open_legs = structure
+    leaves = [node if isinstance(node, np.ndarray) else _constant(*node)
+              for node in nodes]
+    dtype = np.result_type(float, *{leaf.dtype for leaf in leaves
+                                    if leaf is not None})
+    leaves = [None if leaf is None else np.asarray(leaf, dtype)
+              for leaf in leaves]
     params = tuple(k for k, leaf in enumerate(leaves) if leaf is None)
     live = [leaf is None for leaf in leaves]
-    shapes = [node.shape for node in tn.nodes]
+    shapes = [nodes[k][1] if leaf is None else leaf.shape
+              for k, leaf in enumerate(leaves)]
     if not shapes:
-        return Plan((), (), (), (), (), (), ())
+        return Plan((), (), (), (), (), (), (), ())
     edges, loops = [], []
-    for x, y in tn.edges:
-        x, y = (index[x[0]], x[1]), (index[y[0]], y[1])
+    for x, y in structure_edges:
         (loops if x[0] == y[0] else edges).append((x, y))
     for x, y in loops:
         k, d = len(shapes), shapes[x[0]][x[1]]
@@ -277,10 +281,10 @@ def plan(tn: TensorNetwork) -> Plan:
     first, *rest = [k for k, block in enumerate(legs) if block is not None]
     for b in rest:
         first = merge(first, b, [], [])
-    block = legs[first]
-    perm = tuple(block.index((index[node], i)) for node, i in tn.open_legs)
-    return Plan(tuple(leaves), params, tuple(shapes), tuple(steps),
-                tuple(scripts), tuple(live), perm)
+    perm = tuple(map(legs[first].index, open_legs))
+    return Plan(tuple(leaves), params, tuple(nodes[k][0] for k in params),
+                tuple(shapes), tuple(steps), tuple(scripts), tuple(live),
+                perm)
 
 
 def _replay(p: Plan, params: Sequence[np.ndarray]) -> list[np.ndarray]:
@@ -341,15 +345,11 @@ def contract(tn: TensorNetwork, ps: ParameterStore) -> np.ndarray:
 class Group:
     """Networks of one structure: their positions and, per row, the flat
     vector offsets of every entry of its parameter leaves, leaf after leaf
-    in ``plan.params`` order. ``gates`` is None for a tensor group. In a
-    circuit group every parameter leaf is a rotation gate, or its
-    superoperator, whose one entry is the angle, and ``gates`` names each
-    leaf's kind, a key of ``ansatz.GATE_TENSORS`` or of
-    ``ansatz.SUPEROPERATORS``."""
+    in ``plan.params`` order. In a circuit group every parameter leaf is a
+    rotation gate, or its superoperator, whose one entry is the angle."""
     plan: Plan
     rows: np.ndarray
     index: np.ndarray  # (rows, entries)
-    gates: Optional[tuple[str, ...]] = None
 
 
 @dataclass(frozen=True)
@@ -359,53 +359,53 @@ class NetworkPlan:
 
     Built from these, ``rows`` holds every group's rows, group after
     group: the order of the values of ``contract_plan`` and
-    ``contract_grad``. In a circuit plan, ``angles`` holds, for each
-    distinct gate, the distinct offsets of its angles across every group,
-    and ``picks``, per group and gate, the positions of the gate's leaves
-    and, per leaf, where each row's angle lies among those offsets; both
-    are None in a tensor plan. The rows share most of their symbols, so a
-    pass calls each gate's kernel once on the distinct angles, and every
-    leaf takes its rows from the result. Every array is read-only, since a
-    plan may be cached and shared."""
+    ``contract_grad``. ``angles`` holds, for each distinct rotation kind of
+    the parameter leaves (``Plan.kinds``), the distinct offsets of its
+    angles across every group, and ``picks``, per group and kind, the
+    positions of the kind's leaves and, per leaf, where each row's angle
+    lies among those offsets; a tensor plan has no angles, and its groups
+    no picks. The rows share most of their symbols, so a pass calls each
+    kind's kernel once on the distinct angles, and every leaf takes its
+    rows from the result. Every array is read-only, since a plan may be
+    cached and shared."""
     groups: tuple[Group, ...]
     count: int
     rows: np.ndarray = field(init=False, repr=False)
-    angles: Optional[tuple[tuple[str, np.ndarray], ...]] = field(
-        init=False, repr=False)
-    picks: Optional[tuple[tuple[tuple[str, np.ndarray, np.ndarray], ...],
-                          ...]] = field(init=False, repr=False)
+    angles: tuple[tuple[str, np.ndarray], ...] = field(init=False,
+                                                       repr=False)
+    picks: tuple[tuple[tuple[str, np.ndarray, np.ndarray], ...], ...] = \
+        field(init=False, repr=False)
 
     def __post_init__(self):
         rows = np.concatenate([g.rows for g in self.groups]
                               or [np.zeros(0, np.intp)])
-        arrays = [rows, *(a for g in self.groups for a in (g.rows, g.index))]
-        angles = picks = None
-        if any(g.gates is not None for g in self.groups):
-            cols, taken = [], {}
-            for g in self.groups:
-                where: dict[str, list[int]] = {}
-                for j, gate in enumerate(g.gates):
-                    where.setdefault(gate, []).append(j)
-                cols.append({gate: np.array(js, dtype=np.intp)
-                             for gate, js in where.items()})
-                for gate, js in cols[-1].items():
-                    taken.setdefault(gate, []).append(g.index[:, js].ravel())
-            # with return_inverse, np.unique does not import numpy.ma,
-            # which adds 1.3 MB to the peak RSS of a run
-            angles = tuple((gate, np.unique(np.concatenate(parts),
-                                            return_inverse=True)[0])
-                           for gate, parts in taken.items())
-            table = dict(angles)
-            # (leaves, rows), so each leaf's (rows, ...) slice of a gathered
-            # table is contiguous
-            picks = tuple(tuple(
-                (gate, js, np.searchsorted(table[gate], g.index[:, js].T))
-                for gate, js in where.items())
-                for g, where in zip(self.groups, cols))
-            arrays += [*table.values(), *(a for group in picks
-                                          for _, js, at in group
-                                          for a in (js, at))]
-        for array in arrays:
+        cols, taken = [], {}
+        for g in self.groups:
+            where: dict[str, list[int]] = {}
+            for j, kind in enumerate(g.plan.kinds):
+                if kind != "param":
+                    where.setdefault(kind, []).append(j)
+            cols.append({gate: np.array(js, dtype=np.intp)
+                         for gate, js in where.items()})
+            for gate, js in cols[-1].items():
+                taken.setdefault(gate, []).append(g.index[:, js].ravel())
+        # with return_inverse, np.unique does not import numpy.ma, which
+        # adds 1.3 MB to the peak RSS of a run
+        angles = tuple((gate, np.unique(np.concatenate(parts),
+                                        return_inverse=True)[0])
+                       for gate, parts in taken.items())
+        table = dict(angles)
+        # (leaves, rows), so each leaf's (rows, ...) slice of a gathered
+        # table is contiguous
+        picks = tuple(tuple(
+            (gate, js, np.searchsorted(table[gate], g.index[:, js].T))
+            for gate, js in where.items())
+            for g, where in zip(self.groups, cols))
+        for array in [rows, *(a for g in self.groups
+                              for a in (g.rows, g.index)),
+                      *table.values(), *(a for group in picks
+                                         for _, js, at in group
+                                         for a in (js, at))]:
             array.setflags(write=False)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "angles", angles)
@@ -417,9 +417,9 @@ class NetworkPlan:
         built: a tensor leaf's entries, or a rotation's tensor taken from
         one call of its kind's kernel per gate on the distinct angles."""
         tables = {gate: _KERNELS[gate](vec[offsets])
-                  for gate, offsets in self.angles or ()}
-        for k, g in enumerate(self.groups):
-            if g.gates is None:
+                  for gate, offsets in self.angles}
+        for g, picks in zip(self.groups, self.picks):
+            if not picks:
                 flat, out, start = vec[g.index], [], 0
                 for j in g.plan.params:
                     shape = g.plan.shapes[j]
@@ -427,8 +427,8 @@ class NetworkPlan:
                     out.append(flat[:, start:start + n].reshape((-1,) + shape))
                     start += n
             else:
-                out = [None] * len(g.gates)
-                for gate, js, at in self.picks[k]:
+                out = [None] * len(g.plan.params)
+                for gate, js, at in picks:
                     for j, tensor in zip(js, tables[gate][at]):
                         out[j] = tensor
             yield out
@@ -454,14 +454,14 @@ class NetworkPlan:
                 np.concatenate([g.rows[m] + point * self.count
                                 for (point, _), m in zip(parts, keep)]),
                 np.concatenate([g.index[m] + point * size
-                                for (point, _), m in zip(parts, keep)]),
-                g.gates))
+                                for (point, _), m in zip(parts, keep)])))
         points = 1 + max((point for point, _ in parts), default=0)
         return NetworkPlan(tuple(groups), points * self.count)
 
 
 def _structure(tn: TensorNetwork) -> tuple:
-    """Node kinds and shapes, edges and open legs; symbols left out."""
+    """The structure ``plan`` reads off a tensor network: node kinds and
+    shapes, edges and open legs; symbols left out."""
     index = {node.node_id: k for k, node in enumerate(tn.nodes)}
     return (tuple((n.kind, n.shape) for n in tn.nodes),
             tuple(((index[a], i), (index[b], j))
@@ -471,16 +471,8 @@ def _structure(tn: TensorNetwork) -> tuple:
 
 @lru_cache(maxsize=1024)  # bounded, like simulator's circuit plans
 def _planned(structure: tuple) -> Plan:
-    """The plan of the networks of one ``_structure``. Planning reads the
-    structure alone, so a stand-in network is planned: node k is named
-    ``str(k)``, and a parameter node's symbol is a placeholder."""
-    nodes, edges, open_legs = structure
-    return plan(TensorNetwork(
-        tuple(Node(str(k), kind, shape,
-                   Symbol(str(k), shape) if kind == "param" else None)
-              for k, (kind, shape) in enumerate(nodes)),
-        tuple(((str(a), i), (str(b), j)) for (a, i), (b, j) in edges),
-        tuple((str(a), i) for a, i in open_legs)))
+    """The plan of the networks of one ``_structure``."""
+    return plan(structure)
 
 
 def plan_networks(networks: Sequence[TensorNetwork], rows: Sequence[int],

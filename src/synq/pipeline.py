@@ -55,6 +55,10 @@ class CompileError(Exception):
     """One or more sentences failed to compile under the pipeline."""
 
 
+class NoSampleSeed(ValueError):
+    """A shot-based model asked to predict without a sampling seed."""
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     reader: str = "ccg"
@@ -260,7 +264,8 @@ def _rows_p1(v: np.ndarray, floor: float = ZERO_VECTOR) -> np.ndarray:
 
 def predict_p1(model: CompiledModel, store: ParameterStore, item: int,
                sample_seed: Optional[int] = None) -> float:
-    """Probability of label 1 for one sentence under the current store."""
+    """Probability of label 1 for one sentence under the current store; a
+    shot-based model samples with ``sample_seed``, which it needs."""
     art = model.artifacts[item]
     cfg = model.config
     if isinstance(art, TensorNetwork):
@@ -270,8 +275,11 @@ def predict_p1(model: CompiledModel, store: ParameterStore, item: int,
             return 0.5
         return p1
     assert isinstance(art, Circuit)
+    if cfg.backend == "shots" and sample_seed is None:
+        raise NoSampleSeed(f"item {item}: backend 'shots' samples, so it "
+                           "needs a sample_seed")
     try:
-        if cfg.backend == "exact" or sample_seed is None:
+        if cfg.backend == "exact":
             probs = evaluate(art, store)
             return probs.get("1", 0.0)
         counts = sample(art, store, cfg.n_shots, sample_seed, cfg.noise_p)
@@ -296,8 +304,9 @@ def group_p1(plan: NetworkPlan, vec: np.ndarray, n_shots: int = 0,
     if not plan.groups:  # an empty split
         return np.zeros(0)
     values = contract_plan(plan, vec)
-    if not n_shots:
-        floor = ZERO_VECTOR if plan.angles is None else ZERO_NORM_THRESHOLD
+    if not n_shots:  # a circuit's amplitudes are complex, a tensor's real
+        floor = ZERO_NORM_THRESHOLD if np.iscomplexobj(values) \
+            else ZERO_VECTOR
         return _rows_p1(values, floor)
     p1, outcomes = np.full(len(values), np.nan), values.real
     for k in np.flatnonzero(np.isfinite(outcomes).all(axis=1)):

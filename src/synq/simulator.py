@@ -6,14 +6,16 @@ significant bit of a basis index of ``statevector``.
 An exact circuit is a tensor network, contracted by ``contract``'s planner
 like every tensor model: a |0> leaf per qubit, a (2, 2) or (2, 2, 2, 2)
 node per gate, a <0| leaf per postselected qubit and the open qubits as
-open legs. ``_network_plan`` plans each circuit structure once.
-``plan_circuits`` groups circuits by structure into a ``NetworkPlan``
-whose rows gather their angles from the flat vector, each rotation's
-tensor built from its row's angle. ``statevector`` and ``evaluate`` run
-the same engine call (``contract_plan``) on a one-circuit ``NetworkPlan``
-that gathers from the circuit's own angles, kept per structure by
-``_lone_plan``. Every fixed leaf of a circuit plan is complex, like the
-rotation tensors, so the plan runs in one dtype.
+open legs. ``_circuit`` builds the structure that ``contract.plan`` reads,
+the rotations as parameter leaves of their gate's kind and every other node
+as its fixed tensor, built once here; ``_network_plan`` plans each circuit
+structure once. ``plan_circuits`` groups circuits by structure into a
+``NetworkPlan`` whose rows gather their angles from the flat vector, each
+rotation's tensor built from its row's angle. ``statevector`` and
+``evaluate`` run the same engine call (``contract_plan``) on a one-circuit
+``NetworkPlan`` that gathers from the circuit's own angles, kept per
+structure by ``_lone_plan``. Every fixed leaf of a circuit plan is complex,
+like the rotation tensors, so the plan runs in one dtype.
 
 The noise model: after every two-qubit gate, each touched qubit suffers X,
 Y or Z, each with probability p / 3. Shots are independent, so ``sample``
@@ -38,27 +40,35 @@ After each two-qubit gate, each touched qubit passes a (4, 4) node over
 delta. A postselected qubit ends in <00|, and an open qubit in a (4, 2)
 read-out of its diagonal, 1 at ((x, x), x), whose outcome leg is open.
 With p = 0 the channel is the identity and the distribution is the
-noiseless one. Planning reads shapes only, so a copy node stands in for
-each channel node while ``_doubled_plan`` plans; the channel's tensor,
-complex like every fixed leaf, then replaces that leaf, and replacing a
-plan's leaves folds its constant steps again, so every folded tensor holds
-the channel, not its stand-in.
+noiseless one.
 """
 from __future__ import annotations
 
-from dataclasses import replace
 from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .ansatz import DOUBLED, ROTATIONS, Circuit, Node, Op, Symbol, \
-    TensorNetwork
+from .ansatz import DOUBLED, GATE_TENSORS, ROTATIONS, SUPEROPERATORS, \
+    Circuit, Op, Symbol
 from .contract import Group, NetworkPlan, Plan, contract_plan, plan
 from .params import ParameterStore, UnboundSymbol
 
 ZERO_NORM_THRESHOLD = 1e-12
 MAX_SHOTS = 2 ** 63 - 1  # the largest count numpy's multinomial draws
+
+
+# The fixed leaves of circuit networks, complex like the rotation tensors
+# and shared by every plan, which holds them read-only: by wire dimension,
+# |0> or <0| (2) and |0><0| or <00| (4); H and CX and their superoperators;
+# and the (4, 2) read-out of a qubit's diagonal, 1 at (k * 2 + b, x) iff
+# k = b = x.
+_ZERO = {d: np.asarray(np.eye(d)[0], complex) for d in (2, 4)}
+_GATES = {kind: np.asarray(kernel(None), complex)
+          for gate in GATE_TENSORS if gate not in ROTATIONS
+          for kind, kernel in ((gate, GATE_TENSORS[gate]),
+                               (DOUBLED[gate], SUPEROPERATORS[DOUBLED[gate]]))}
+_READ_OUT = np.asarray(np.eye(4)[:, ::3], complex)
 
 
 class ZeroNorm(Exception):
@@ -100,34 +110,47 @@ def _structure(c: Circuit) -> tuple:
     return c.n_qubits, tuple((op.gate, op.qubits) for op in c.ops)
 
 
-def _lay(nodes: list, edges: list, wire: dict, node_id: str, kind: str,
-         keys: tuple, dim: int = 2) -> None:
-    """Append a node with an output and an input leg of dimension ``dim``
-    per wire of ``keys`` (outputs first), joined to the wires' open ends,
-    which move to its outputs."""
-    nodes.append(Node(node_id, kind, (dim,) * 2 * len(keys)))
-    for j, key in enumerate(keys):
-        edges.append((wire[key], (node_id, len(keys) + j)))
-        wire[key] = (node_id, j)
+def _circuit(n_qubits: int, gates: tuple[tuple[str, tuple], ...],
+             postselect: tuple[int, ...], legs: tuple[int, ...],
+             channel: Optional[np.ndarray]) -> tuple:
+    """The structure (nodes, edges, open legs) of a circuit: a |0> leaf per
+    qubit, a node per gate (output legs, then input legs), a <0| leaf per
+    qubit of ``postselect`` and the qubits ``legs`` as the open legs, in
+    order. A rotation is a parameter leaf (kind, shape), of its gate's kind.
+    With a ``channel``, the superoperator network: wires of dimension 4,
+    DOUBLED[gate] for each gate, the channel on each qubit after each
+    two-qubit gate, and a read-out per qubit of ``legs``, whose outcome
+    legs are open."""
+    dim = 2 if channel is None else 4
+    nodes, edges = [_ZERO[dim]] * n_qubits, []
+    wire = {q: (q, 0) for q in range(n_qubits)}
+    for gate, qubits in gates:
+        kind = gate if channel is None else DOUBLED[gate]
+        laid = [((kind, (dim,) * 2 * len(qubits)) if gate in ROTATIONS
+                 else _GATES[kind], qubits)]
+        if channel is not None and len(qubits) == 2:
+            laid += [(channel, (q,)) for q in qubits]
+        for node, on in laid:  # its inputs join the qubits' open ends,
+            for j, q in enumerate(on):  # which move to its outputs
+                edges.append((wire[q], (len(nodes), len(on) + j)))
+                wire[q] = (len(nodes), j)
+            nodes.append(node)
+    for q in postselect:
+        edges.append((wire[q], (len(nodes), 0)))
+        nodes.append(_ZERO[dim])
+    for q in legs if channel is not None else ():
+        edges.append((wire[q], (len(nodes), 0)))
+        wire[q] = (len(nodes), 1)
+        nodes.append(_READ_OUT)
+    return tuple(nodes), tuple(edges), tuple(wire[q] for q in legs)
 
 
 @lru_cache(maxsize=1024)  # bounded: a long run may meet many structures
 def _network_plan(n_qubits: int, gates: tuple[tuple[str, tuple], ...],
                   postselect: tuple[int, ...], legs: tuple[int, ...]) -> Plan:
-    """The planned contraction of a circuit structure: a |0> leaf per
-    qubit, a node per gate (output legs, then input legs), a <0| leaf per
-    qubit of ``postselect`` and the qubits ``legs`` as the open legs, in
-    order. The rotation nodes are the parameter leaves, in gate order."""
-    nodes = [Node(f"in{q}", "zero", (2,)) for q in range(n_qubits)]
-    wire = {q: (f"in{q}", 0) for q in range(n_qubits)}
-    edges = []
-    for i, (gate, qubits) in enumerate(gates):
-        _lay(nodes, edges, wire, f"g{i}", gate, qubits)
-    for q in postselect:
-        nodes.append(Node(f"out{q}", "zero", (2,)))
-        edges.append((wire[q], (f"out{q}", 0)))
-    return plan(TensorNetwork(tuple(nodes), tuple(edges),
-                              tuple(wire[q] for q in legs)))
+    """The planned contraction of a circuit structure (``_circuit``). The
+    rotations are the parameter leaves, in gate order."""
+    return plan(_circuit(n_qubits, gates, postselect, legs, None))
 
 
 @lru_cache(maxsize=1024)
@@ -135,49 +158,21 @@ def _doubled_plan(n_qubits: int, gates: tuple[tuple[str, tuple], ...],
                   postselect: tuple[int, ...], legs: tuple[int, ...],
                   noise_p: float) -> Plan:
     """The planned contraction of the superoperator network of a circuit
-    structure under depolarising noise ``noise_p`` (see the module
-    docstring): _network_plan's network with a wire of dimension 4 per
-    qubit and a read-out per qubit of ``legs``, whose outcome legs are the
-    open legs, in order. The parameter leaves are the rotations'
+    structure (``_circuit``) under depolarising noise ``noise_p`` (see the
+    module docstring). The parameter leaves are the rotations'
     superoperators, in gate order."""
-    nodes = [Node(f"in{q}", "zero", (4,)) for q in range(n_qubits)]
-    wire = {q: (f"in{q}", 0) for q in range(n_qubits)}
-    edges, channels = [], []
-    for i, (gate, qubits) in enumerate(gates):
-        _lay(nodes, edges, wire, f"g{i}", DOUBLED[gate], qubits, 4)
-        for q in qubits if len(qubits) == 2 else ():
-            # planning reads shapes only, so a copy node stands in for the
-            # channel until its leaf is replaced below, which folds the
-            # constant steps again
-            channels.append(len(nodes))
-            _lay(nodes, edges, wire, f"n{i}.{q}", "copy", (q,), 4)
-    for q in postselect:
-        nodes.append(Node(f"out{q}", "zero", (4,)))
-        edges.append((wire[q], (f"out{q}", 0)))
-    for q in legs:
-        nodes.append(Node(f"x{q}", "measure", (4, 2)))
-        edges.append((wire[q], (f"x{q}", 0)))
-    p = plan(TensorNetwork(tuple(nodes), tuple(edges),
-                           tuple((f"x{q}", 1) for q in legs)))
     lam, pairs = 4.0 * noise_p / 3.0, np.eye(2).ravel()  # pairs: k = b
     channel = ((1.0 - lam) * np.eye(4) + lam / 2.0 * np.outer(pairs, pairs)
                ).astype(complex)  # in the plan's one dtype
-    channel.setflags(write=False)
-    leaves = list(p.leaves)
-    for k in channels:
-        leaves[k] = channel
-    return replace(p, leaves=tuple(leaves))
+    return plan(_circuit(n_qubits, gates, postselect, legs, channel))
 
 
 def _group(key: tuple, rows: np.ndarray, index: np.ndarray) -> Group:
     """Circuits of structure ``key``, _network_plan's arguments or, ending
     in a noise level, _doubled_plan's; index holds each row's angle
     offsets in gate order."""
-    gates = tuple(gate for gate, _ in key[1] if gate in ROTATIONS)
-    if len(key) == 4:
-        return Group(_network_plan(*key), rows, index, gates)
-    return Group(_doubled_plan(*key), rows, index,
-                 tuple(DOUBLED[gate] for gate in gates))
+    return Group((_network_plan if len(key) == 4 else _doubled_plan)(*key),
+                 rows, index)
 
 
 @lru_cache(maxsize=1024)

@@ -38,6 +38,11 @@ from .pipeline import CompiledModel, group_p1, predict_p1, \
 from .simulator import plan_circuits
 
 CLAMP = 1e-9
+SPLITS = ("train", "dev", "test")  # the splits of a LabeledDataset
+
+
+class UnknownSplit(ValueError):
+    """A split name outside SPLITS."""
 
 
 def bce_loss(p1, y):
@@ -259,8 +264,11 @@ def train(model: CompiledModel) -> tuple[ParameterStore, TrainHistory]:
 
 def evaluate_split(model: CompiledModel, store: ParameterStore,
                    split: str = "test") -> dict[str, float]:
-    """Loss and accuracy of a split under a trained store; shot-based
-    sentences draw in slot 3 of iteration -1."""
+    """Loss and accuracy of a split, one of SPLITS, under a trained store;
+    shot-based sentences draw in slot 3 of iteration -1."""
+    if split not in SPLITS:
+        raise UnknownSplit(f"unknown split {split!r}; allowed: "
+                           f"{', '.join(SPLITS)}")
     cfg, ds = model.config, model.dataset
     idx, labels = getattr(ds, split), ds.labels(split)
     if cfg.ansatz == "iqp" and cfg.backend == "exact":

@@ -274,6 +274,14 @@ def test_tensor_network_names_an_unknown_leg(edges, open_legs):
     assert tn.node("u") is u and tn.leg_dim(("u", 0)) == 2
 
 
+@pytest.mark.parametrize("kind", ["zero", "measure", "H", "Rx", "CRz~"])
+def test_node_is_param_delta_or_copy(kind):
+    # circuits build their own structures for the planner: no circuit
+    # kind is a tensor-network node
+    with pytest.raises(ValueError, match=f"bad node kind {kind!r}"):
+        Node("x", kind, (2,))
+
+
 FIXTURES = Path(__file__).parent / "data" / "fixtures.auto"
 
 

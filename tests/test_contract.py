@@ -387,7 +387,7 @@ class TestPlan:
                                    text, line)
         networks.append(spider_ansatz(long, {"n": 2, "s": 2}, 2))
         for tn in networks:
-            assert list(plan(tn).steps) == reference_steps(tn)
+            assert list(plan(_structure(tn)).steps) == reference_steps(tn)
 
     def test_groups_share_one_plan_per_structure(self):
         networks, ps = shared_batch(5, rows=4, pool=2)
@@ -485,6 +485,132 @@ def alone(plan, g):
     return NetworkPlan((g,), plan.count)
 
 
+def random_structure(rng, open_shape):
+    """The nodes (id, kind, shape), edges and open legs of a random
+    network whose open legs have ``open_shape``, in order. The legs of
+    parameter, delta and copy nodes pair up at random by dimension, and a
+    leg left over is capped by a one-leg copy node. Half the time a
+    parameter node traces two of its legs over a self-edge, and half the
+    time a traced matrix is a disconnected scalar piece."""
+    nodes, edges, legs = [], [], []
+
+    def add(kind, shape):
+        nodes.append((f"n{len(nodes)}", kind, tuple(int(d) for d in shape)))
+        return nodes[-1][0]
+
+    def dims(n):
+        return rng.integers(2, 4, size=n)
+
+    for _ in range(rng.integers(1, 4)):
+        shape = dims(rng.integers(1, 4))
+        node = add("param", shape)
+        legs += [((node, i), int(d)) for i, d in enumerate(shape)]
+    if rng.random() < 0.5:
+        d = dims(1)[0]
+        shape = (d, d) if rng.random() < 0.5 else (d, d, d)
+        node = add(["delta", "copy"][len(shape) - 2], shape)
+        legs += [((node, i), int(d)) for i in range(len(shape))]
+    if rng.random() < 0.5:
+        d, e = dims(2)
+        node = add("param", (d, d, e))
+        edges.append(((node, 0), (node, 1)))
+        legs.append(((node, 2), int(e)))
+    if rng.random() < 0.5:
+        d = dims(1)[0]
+        node = add("param", (d, d))
+        edges.append(((node, 0), (node, 1)))
+    rng.shuffle(legs)
+
+    def take(d):
+        at = next((k for k, (_, dim) in enumerate(legs) if dim == d), None)
+        return None if at is None else legs.pop(at)[0]
+
+    open_legs = [take(d) or (add("param", (d,)), 0) for d in open_shape]
+    while legs:
+        leg, d = legs.pop()
+        edges.append((leg, take(d) or (add("copy", (d,)), 0)))
+    return nodes, edges, open_legs
+
+
+def network_of(structure, rng, pool):
+    """The network of ``structure`` whose parameter nodes each draw one of
+    ``pool`` symbols of their shape, so symbols repeat within and across
+    networks and structures."""
+    nodes, edges, open_legs = structure
+    return TensorNetwork(tuple(
+        Node(i, kind, shape, Symbol(
+            f"s{rng.integers(pool)}_" + "x".join(map(str, shape)), shape)
+            if kind == "param" else None)
+        for i, kind, shape in nodes), tuple(edges), tuple(open_legs))
+
+
+class TestMultiStructure:
+    """One NetworkPlan of several random structures sharing one open
+    shape, stacked over several points, against per-network ``contract``,
+    the einsum oracle and finite differences."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 4),
+           st.sampled_from([(), (2,), (3,), (2, 3)]), st.integers(1, 2),
+           st.integers(1, 3))
+    def test_plan_matches_networks_and_finite_differences(
+            self, seed, structures, open_shape, pool, points):
+        rng = np.random.default_rng(seed)
+        networks = []
+        for k in range(structures):  # structure 0 is a singleton group
+            structure = random_structure(rng, open_shape)
+            networks += [network_of(structure, rng, pool)
+                         for _ in range(1 if k == 0 else rng.integers(1, 4))]
+        names = {s.name: s.shape for tn in networks for s in tn.symbols}
+        store = ParameterStore({name: rng.normal(size=shape)
+                                for name, shape in names.items()})
+        count, size = len(networks), store.size
+        netplan = plan_networks(networks, rng.permutation(count), store)
+        parts = [(p, sorted(rng.choice(count, rng.integers(1, count + 1),
+                                       replace=False).tolist()))
+                 for p in range(points)]
+        stacked = netplan.stack(parts, size)
+        vecs = [store.to_vector() + rng.normal(scale=0.3, size=size)
+                for _ in range(points)]
+        stores = [store.from_vector(vec) for vec in vecs]
+        flat = np.concatenate(vecs)
+
+        values = contract_plan(stacked, flat)
+        assert values.shape == (len(stacked.rows),) + open_shape
+        for row, value in zip(stacked.rows.tolist(), values):
+            point, item = divmod(row, count)
+            for want in (contract(networks[item], stores[point]),
+                         naive_contract(networks[item], stores[point])):
+                assert np.allclose(value, want, rtol=1e-12, atol=1e-12)
+
+        # one group, when there are several, has an all-zero cotangent
+        g = rng.normal(size=values.shape)
+        starts = np.cumsum([0] + [len(grp.rows) for grp in stacked.groups])
+        if len(stacked.groups) > 1:
+            dead = rng.integers(len(stacked.groups))
+            g[starts[dead]:starts[dead + 1]] = 0.0
+        got_values, grad = contract_grad(stacked, flat, lambda v: g)
+        assert np.array_equal(got_values, values)
+        # the groups' gradients, each taken alone, summed in group order
+        want = np.zeros(len(flat))
+        for k, grp in enumerate(stacked.groups):
+            cut = g[starts[k]:starts[k + 1]]
+            want += contract_grad(alone(stacked, grp), flat,
+                                  lambda v, cut=cut: cut)[1]
+        assert np.array_equal(grad, want)
+        rows = np.zeros(len(flat))
+        for row, cot in zip(stacked.rows.tolist(), g):
+            point, item = divmod(row, count)
+            rows[point * size:(point + 1) * size] += grad_one(
+                networks[item], stores[point], lambda v, cot=cot: cot)[1]
+        assert np.max(np.abs(grad - rows), initial=0.0) <= 1e-12 * max(
+            1.0, float(np.max(np.abs(rows), initial=0.0)))
+        u, h = rng.normal(size=flat.shape), 1e-6
+        fd = (np.sum(contract_plan(stacked, flat + h * u) * g)
+              - np.sum(contract_plan(stacked, flat - h * u) * g)) / (2 * h)
+        assert abs(fd - grad @ u) <= 1e-6 * max(1.0, abs(fd))
+
+
 def unfolded_replay(p, params):
     """Every tensor of the recorded contraction, every step run in order:
     the replay without constant folding."""
@@ -552,7 +678,7 @@ class TestPlanCache:
                  for v in variants}
         assert len(plans) == len(variants)
         for v in variants:
-            p = plan(v)  # uncached
+            p = plan(_structure(v))  # uncached
             params = [ps[v.nodes[k].symbol.name][None] for k in p.params]
             want = _value(p, unfolded_replay(p, params), 1)[0]
             assert np.array_equal(contract(v, ps), want)
@@ -579,7 +705,7 @@ class TestFolding:
         tn = TensorNetwork((m, k, u), ((("m", 1), ("k", 0)),
                                        (("k", 1), ("u", 0))),
                            (("m", 0), ("u", 1)))
-        p = plan(tn)
+        p = plan(_structure(tn))
         assert len(p.steps) == 2 and len(p.run) == 1
         assert np.array_equal(p.fixed[3], np.eye(2))
         with pytest.raises(ValueError):
@@ -593,7 +719,7 @@ class TestFolding:
         tn = TensorNetwork((m, Node("c", "copy", (3, 3, 3))),
                            ((("m", 0), ("c", 0)), (("m", 1), ("c", 1))),
                            (("c", 2),))
-        p = plan(tn)
+        p = plan(_structure(tn))
         assert p.run == () and len(p.steps) == 1
         assert_folding_exact(p, [])
         assert np.array_equal(contract(tn, ParameterStore({})), np.ones(3))
@@ -614,6 +740,6 @@ class TestFolding:
         rng = np.random.default_rng(8)
         for _ in range(30):
             tn, ps = random_network(rng)
-            p = plan(tn)
+            p = plan(_structure(tn))
             assert_folding_exact(
                 p, [ps[tn.nodes[k].symbol.name][None] for k in p.params])

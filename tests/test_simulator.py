@@ -554,8 +554,8 @@ class TestPlan:
         noisy = plan_circuits(model.artifacts, model.store, 0.01)
         assert [g.rows.tolist() for g in noisy.groups] \
             == [g.rows.tolist() for g in plan.groups]
-        assert [g.gates for g in noisy.groups] \
-            == [tuple(map(DOUBLED.get, g.gates)) for g in plan.groups]
+        assert [g.plan.kinds for g in noisy.groups] \
+            == [tuple(map(DOUBLED.get, g.plan.kinds)) for g in plan.groups]
 
     @settings(max_examples=30, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -603,14 +603,14 @@ def check_picks(plan):
     tables = dict(plan.angles)
     for g, picks in zip(plan.groups, plan.picks):
         where = {}
-        for j, gate in enumerate(g.gates):
+        for j, gate in enumerate(g.plan.kinds):
             where.setdefault(gate, []).append(j)
         assert [(gate, js.tolist()) for gate, js, _ in picks] \
             == list(where.items())
     for gate, offsets in plan.angles:
         assert offsets.tolist() == sorted({
             int(o) for g in plan.groups
-            for j, k in enumerate(g.gates) if k == gate
+            for j, k in enumerate(g.plan.kinds) if k == gate
             for o in g.index[:, j]})
     for g, picks in zip(plan.groups, plan.picks):
         for gate, js, at in picks:
@@ -632,7 +632,7 @@ class TestRotationKinds:
         check_picks(plan)
         for g, got in zip(plan.groups, plan._gather(vec)):
             gates = leaf_gates(circuits[g.rows[0]])
-            assert list(g.gates) == gates
+            assert list(g.plan.kinds) == gates
             assert len(got) == len(gates) == len(g.plan.params)
             for j, gate in enumerate(gates):
                 want = GATE_TENSORS[gate](vec[g.index[:, j]])
@@ -756,9 +756,9 @@ class TestFolding:
                               want.real.ravel())
 
     def test_doubled_network_folds_the_channel(self):
-        """The channel replaces its copy-node stand-in before folding: at
-        p = 3/4 the channel depolarises fully and a Bell pair reads every
-        outcome equally often. Each qubit is one wire of dimension 4."""
+        """The channel's tensor is folded with the fixed leaves: at p = 3/4
+        the channel depolarises fully and a Bell pair reads every outcome
+        equally often. Each qubit is one wire of dimension 4."""
         c = Circuit(2, (Op("H", (0,)), Op("CX", (0, 1))), (), (0, 1))
         plans = [_doubled_plan(*_structure(c), (), (0, 1), p)
                  for p in (0.0, 0.75)]
@@ -783,8 +783,10 @@ class TestSuperoperatorNetwork:
         for c in model.artifacts:
             key = (*_structure(c), c.postselect, c.open)
             (g,) = _lone_plan((*key, 0.01)).groups
-            assert len(g.plan.params) == len(leaf_gates(c)) == len(g.gates)
-            assert list(g.gates) == [DOUBLED[gate] for gate in leaf_gates(c)]
+            assert len(g.plan.params) == len(leaf_gates(c)) \
+                == len(g.plan.kinds)
+            assert list(g.plan.kinds) == [DOUBLED[gate]
+                                          for gate in leaf_gates(c)]
             live[key] = len(g.plan.run)
         assert sorted(live.values()) == [22, 30, 30, 38]
 

@@ -11,13 +11,13 @@ from synq import ccg, pipeline, training
 from synq import contract as contract_module
 from synq.contract import NetworkPlan, plan_networks
 from synq.pipeline import (
-    CompileError, CompiledModel, PipelineConfig, compile_model, group_p1,
-    predict_p1, prediction_gradient, sentence_to_diagram,
+    CompileError, CompiledModel, NoSampleSeed, PipelineConfig, compile_model,
+    group_p1, predict_p1, prediction_gradient, sentence_to_diagram,
 )
 from synq.simulator import plan_circuits
 from synq.training import (
-    AdamState, TrainHistory, _batch_p1, accuracy, adam_step, bce_grad,
-    bce_loss, evaluate_split, spsa_step, train,
+    AdamState, TrainHistory, UnknownSplit, _batch_p1, accuracy, adam_step,
+    bce_grad, bce_loss, evaluate_split, spsa_step, train,
 )
 from test_contract import alone
 
@@ -232,6 +232,25 @@ class TestPipelines:
         q = [predict_p1(model, model.store, i) for i in range(4)]
         assert p == q
         assert all(0.0 <= x <= 1.0 for x in p)
+
+    def test_shots_prediction_needs_a_seed(self):
+        """Without a seed a noisy model would predict its noiseless p1."""
+        cfg = PipelineConfig(ansatz="iqp", optimizer="spsa", backend="shots",
+                             noise_p=0.3)
+        model = compile_model(cfg, generate_dataset(0))
+        with pytest.raises(NoSampleSeed, match="item 0: backend 'shots'"):
+            predict_p1(model, model.store, 0)
+        exact = replace(model, config=replace(cfg, backend="exact",
+                                              noise_p=0.0))
+        assert predict_p1(model, model.store, 0, 5) \
+            != predict_p1(exact, model.store, 0)
+
+    @pytest.mark.parametrize("split", ["items", "validation", "Test"])
+    def test_unknown_split_is_named(self, split):
+        model = compile_model(PipelineConfig(iterations=1), tiny_dataset())
+        with pytest.raises(UnknownSplit, match=f"unknown split {split!r}; "
+                                               "allowed: train, dev, test"):
+            evaluate_split(model, model.store, split)
 
     def test_tensor_predict_examples(self):
         # v = (1, 0) -> 0 ; v = (1, 1) -> 0.5
@@ -848,7 +867,7 @@ class TestFusedPass:
         # groups' own tables hold between them
         for gate, offsets in netplan.angles:
             assert len(offsets) < sum(
-                len(np.unique(g.index[:, [k == gate for k in g.gates]]))
+                len(np.unique(g.index[:, [k == gate for k in g.plan.kinds]]))
                 for g in netplan.groups)
         for g, leaves in zip(netplan.groups, netplan._gather(flat)):
             (own,) = alone(netplan, g)._gather(flat)
