@@ -36,8 +36,9 @@ complex operands); a tensor model's plan stays float.
 
 ``contract`` and ``plan_networks`` take each structure's plan from a
 bounded cache, so a structure is planned once, not on every call; ``plan``
-itself is uncached. ``plan_networks`` groups networks by structure into a
-``NetworkPlan``, the one batch the replay runs; ``contract`` is a network
+itself is uncached. ``plan_rows``, the one routine that groups rows by
+structure into a ``NetworkPlan``, the one batch the replay runs, serves
+``plan_networks`` and ``simulator.plan_circuits``; ``contract`` is a network
 alone. Each row's parameters are gathered from the flat vector with index
 arrays: a stored tensor's entries, or the angle of a circuit's rotation
 gate, as the kind of each parameter leaf says. A circuit plan finds, per
@@ -72,7 +73,7 @@ import math
 import string
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -475,40 +476,43 @@ def _planned(structure: tuple) -> Plan:
     return plan(structure)
 
 
+def plan_rows(rows: Iterable[tuple], count: int, store: ParameterStore,
+              plan_of: Callable[[Hashable], Plan]) -> NetworkPlan:
+    """Group rows, of a sequence of ``count``, by structure against the
+    layout of ``store``: row (row, key, params) has the structure ``key``,
+    planned by ``plan_of(key)`` once, and its parameter leaves gather the
+    entries of ``params``, one stored (name, shape) each in ``Plan.params``
+    order. A missing or misshapen symbol's error names the row."""
+    layout = {name: (shape, offset) for name, shape, offset in store.layout}
+    groups: dict[Hashable, tuple[list, list]] = {}
+    for row, key, params in rows:
+        entries = []
+        for name, shape in params:
+            if name not in layout:
+                raise UnboundSymbol(
+                    f"row {row}: no value bound for symbol {name!r}")
+            stored, offset = layout[name]
+            if stored != shape:
+                raise ShapeMismatch(f"row {row}: {name}: stored {stored}, "
+                                    f"plan wants {shape}")
+            entries.extend(range(offset, offset + math.prod(shape)))
+        members, index = groups.setdefault(key, ([], []))
+        members.append(row)
+        index.append(entries)
+    return NetworkPlan(tuple(
+        Group(plan_of(key), np.array(members),
+              np.array(index, np.intp).reshape(len(members), -1))
+        for key, (members, index) in groups.items()), count)
+
+
 def plan_networks(networks: Sequence[TensorNetwork], rows: Sequence[int],
                   store: ParameterStore) -> NetworkPlan:
-    """Group the networks at ``rows`` by structure against the layout of
-    ``store``; each structure's plan comes from a bounded cache."""
-    layout = {name: (shape, offset) for name, shape, offset in store.layout}
-    groups: dict[tuple, tuple[Plan, list, list]] = {}
-    for row in rows:
-        tn = networks[row]
-        key = _structure(tn)
-        if key not in groups:
-            groups[key] = (_planned(key), [], [])
-        p, members, offsets = groups[key]
-        members.append(row)
-        here = []
-        for k in p.params:
-            node = tn.nodes[k]
-            if node.symbol.name not in layout:
-                raise UnboundSymbol(
-                    f"no value bound for symbol {node.symbol.name!r}")
-            shape, offset = layout[node.symbol.name]
-            if shape != node.shape:
-                raise ShapeMismatch(
-                    f"{node.symbol.name}: stored {shape}, "
-                    f"network wants {node.shape}")
-            here.append(offset)
-        offsets.append(here)
-    out = []
-    for p, members, offsets in groups.values():
-        starts = np.array(offsets, dtype=np.intp).reshape(len(members), -1)
-        index = [starts[:, [j]] + np.arange(math.prod(p.shapes[k]))
-                 for j, k in enumerate(p.params)]
-        out.append(Group(p, np.array(members), np.hstack(
-            index) if index else np.zeros((len(members), 0), np.intp)))
-    return NetworkPlan(tuple(out), len(networks))
+    """``plan_rows`` of the networks at ``rows``, each parameter node
+    reading its symbol in the node's shape."""
+    return plan_rows(((row, _structure(networks[row]),
+                       [(n.symbol.name, n.shape) for n in networks[row].nodes
+                        if n.kind == "param"])
+                      for row in rows), len(networks), store, _planned)
 
 
 def contract_plan(plan: NetworkPlan, vec: np.ndarray) -> np.ndarray:

@@ -33,6 +33,11 @@ SEED_SENTENCES = {
 
 TOTAL = 130
 SPLIT_SIZES = (70, 30, 30)
+SPLITS = ("train", "dev", "test")  # the splits of a LabeledDataset
+
+
+class UnknownSplit(ValueError):
+    """A split name outside SPLITS."""
 
 
 @dataclass(frozen=True)
@@ -43,6 +48,9 @@ class LabeledDataset:
     test: tuple[int, ...]
 
     def labels(self, split: str) -> list[int]:
+        if split not in SPLITS:
+            raise UnknownSplit(f"unknown split {split!r}; allowed: "
+                               f"{', '.join(SPLITS)}")
         return [self.items[i][1] for i in getattr(self, split)]
 
 

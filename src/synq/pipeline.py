@@ -7,7 +7,7 @@ The ansatz geometry is fixed in compile_diagram, and the optimizer
 hyperparameters are the defaults of ``training.adam_step`` and
 ``training.spsa_step``. compile_model turns a dataset plus config into one
 artifact per sentence with a shared parameter store, giving the training
-loop a uniform predict interface.
+loop a uniform predict interface; ``CompiledModel.plan`` is built lazily.
 
 The AUTO parse, conversion and compile run once per sentence structure.
 The sentences of a dataset share few structures (the 130 of the dataset
@@ -22,7 +22,7 @@ from __future__ import annotations
 import logging
 import numbers
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -30,7 +30,8 @@ import numpy as np
 
 from . import ccg
 from .ansatz import Circuit, TensorNetwork, iqp_template, network_template
-from .contract import NetworkPlan, contract, contract_grad, contract_plan
+from .contract import NetworkPlan, contract, contract_grad, contract_plan, \
+    plan_networks
 from .dataset import LabeledDataset, sentence_to_auto
 from .diagram import Diagram, Word
 from .params import ParameterStore
@@ -38,7 +39,7 @@ from .readers import cups_read, spiders_read, tokenize
 from .rewrite import RULE_NAMES, Rewriter
 from .simulator import (
     MAX_SHOTS, ZERO_NORM_THRESHOLD, AllShotsDiscarded, ZeroNorm, draw,
-    evaluate, sample,
+    evaluate, plan_circuits, sample,
 )
 from .types import ts
 
@@ -210,6 +211,17 @@ class CompiledModel:
     dataset: LabeledDataset
     artifacts: list
     store: ParameterStore
+
+    @cached_property
+    def plan(self) -> NetworkPlan:
+        """Every sentence grouped by structure, planned on first use: the
+        networks in split order, or the circuits at a shots noise level."""
+        cfg, ds = self.config, self.dataset
+        if cfg.ansatz != "iqp":
+            return plan_networks(self.artifacts, ds.train + ds.dev + ds.test,
+                                 self.store)
+        return plan_circuits(self.artifacts, self.store, cfg.noise_p
+                             if cfg.backend == "shots" else None)
 
 
 def compile_model(cfg: PipelineConfig, ds: LabeledDataset) -> CompiledModel:

@@ -8,10 +8,10 @@ like every tensor model: a |0> leaf per qubit, a (2, 2) or (2, 2, 2, 2)
 node per gate, a <0| leaf per postselected qubit and the open qubits as
 open legs. ``_circuit`` builds the structure that ``contract.plan`` reads,
 the rotations as parameter leaves of their gate's kind and every other node
-as its fixed tensor, built once here; ``_network_plan`` plans each circuit
-structure once. ``plan_circuits`` groups circuits by structure into a
-``NetworkPlan`` whose rows gather their angles from the flat vector, each
-rotation's tensor built from its row's angle. ``statevector`` and
+as its fixed tensor, built once here; ``_circuit_plan`` plans each circuit
+structure once. ``plan_circuits`` groups circuits by structure with
+``contract.plan_rows`` into a ``NetworkPlan`` whose rows gather their
+angles from the flat vector. ``statevector`` and
 ``evaluate`` run the same engine call (``contract_plan``) on a one-circuit
 ``NetworkPlan`` that gathers from the circuit's own angles, kept per
 structure by ``_lone_plan``. Every fixed leaf of a circuit plan is complex,
@@ -26,11 +26,12 @@ the depolarising channel rho -> (1 - l) rho + l I/2 (x) Tr_q rho with
 l = 4p/3, valid for every p in [0, 1]. The distribution is the value of
 the circuit's superoperator network, the doubled circuit of DisCoPy's mixed
 circuits (arXiv:2005.02975) with each ket wire fused to its bra wire,
-contracted by the same planner; ``_doubled_plan`` plans it once per
-structure and noise, ``plan_circuits`` and ``_lone_plan`` batch it given
-a noise level, and ``draw`` takes the one multinomial of ``sample`` and
-of a planned row. Each qubit is one wire of dimension 4, the pair (ket,
-bra), ket index first, starting at |0><0|, a (4,) leaf.
+contracted by the same planner; ``_circuit_plan`` plans it once per
+structure and noise level, which it alone checks (``InvalidNoise``);
+``plan_circuits`` and ``_lone_plan`` batch it given a noise level, and
+``draw`` takes the one multinomial of ``sample`` and of a planned row.
+Each qubit is one wire of dimension 4, the pair (ket, bra), ket index
+first, starting at |0><0|, a (4,) leaf.
 Each gate is one node, its superoperator U (x) conj(U)
 (``ansatz.SUPEROPERATORS``), each ket leg paired with its bra leg: fixed
 for H and CX, and for a rotation one parameter leaf built from its angle.
@@ -51,7 +52,8 @@ import numpy as np
 
 from .ansatz import DOUBLED, GATE_TENSORS, ROTATIONS, SUPEROPERATORS, \
     Circuit, Op, Symbol
-from .contract import Group, NetworkPlan, Plan, contract_plan, plan
+from .contract import Group, NetworkPlan, Plan, contract_plan, plan, \
+    plan_rows
 from .params import ParameterStore, UnboundSymbol
 
 ZERO_NORM_THRESHOLD = 1e-12
@@ -81,6 +83,14 @@ class AllShotsDiscarded(Exception):
 
 class NonFiniteAngle(ValueError):
     """A rotation's angle is nan or infinite."""
+
+
+class InvalidNoise(ValueError):
+    """A noise level outside [0, 1], or nan."""
+
+
+class UnplannableCircuit(ValueError):
+    """A circuit that plan_circuits cannot batch."""
 
 
 def _angle(op: Op, ps: ParameterStore) -> float:
@@ -146,46 +156,33 @@ def _circuit(n_qubits: int, gates: tuple[tuple[str, tuple], ...],
 
 
 @lru_cache(maxsize=1024)  # bounded: a long run may meet many structures
-def _network_plan(n_qubits: int, gates: tuple[tuple[str, tuple], ...],
-                  postselect: tuple[int, ...], legs: tuple[int, ...]) -> Plan:
-    """The planned contraction of a circuit structure (``_circuit``). The
-    rotations are the parameter leaves, in gate order."""
-    return plan(_circuit(n_qubits, gates, postselect, legs, None))
-
-
-@lru_cache(maxsize=1024)
-def _doubled_plan(n_qubits: int, gates: tuple[tuple[str, tuple], ...],
+def _circuit_plan(n_qubits: int, gates: tuple[tuple[str, tuple], ...],
                   postselect: tuple[int, ...], legs: tuple[int, ...],
-                  noise_p: float) -> Plan:
-    """The planned contraction of the superoperator network of a circuit
-    structure (``_circuit``) under depolarising noise ``noise_p`` (see the
-    module docstring). The parameter leaves are the rotations'
-    superoperators, in gate order."""
-    lam, pairs = 4.0 * noise_p / 3.0, np.eye(2).ravel()  # pairs: k = b
-    channel = ((1.0 - lam) * np.eye(4) + lam / 2.0 * np.outer(pairs, pairs)
-               ).astype(complex)  # in the plan's one dtype
+                  noise_p: Optional[float] = None) -> Plan:
+    """The planned contraction of a circuit structure (``_circuit``), the
+    rotations its parameter leaves in gate order; with ``noise_p`` in
+    [0, 1], of its superoperator network (see the module docstring)."""
+    channel = None
+    if noise_p is not None:
+        if not 0.0 <= noise_p <= 1.0:
+            raise InvalidNoise(f"noise_p must lie in [0, 1], got {noise_p!r}")
+        lam, pairs = 4.0 * noise_p / 3.0, np.eye(2).ravel()  # pairs: k = b
+        channel = ((1.0 - lam) * np.eye(4) + lam / 2.0 * np.outer(
+            pairs, pairs)).astype(complex)  # in the plan's one dtype
     return plan(_circuit(n_qubits, gates, postselect, legs, channel))
-
-
-def _group(key: tuple, rows: np.ndarray, index: np.ndarray) -> Group:
-    """Circuits of structure ``key``, _network_plan's arguments or, ending
-    in a noise level, _doubled_plan's; index holds each row's angle
-    offsets in gate order."""
-    return Group((_network_plan if len(key) == 4 else _doubled_plan)(*key),
-                 rows, index)
 
 
 @lru_cache(maxsize=1024)
 def _lone_plan(key: tuple) -> NetworkPlan:
-    """The plan of one circuit of structure ``key`` (see _group): its row
-    gathers the circuit's own angles, in gate order."""
+    """The plan of one circuit of structure ``key``, _circuit_plan's
+    arguments: its row gathers the circuit's own angles, in gate order."""
     count = sum(gate in ROTATIONS for gate, _ in key[1])
-    return NetworkPlan((_group(key, np.zeros(1, np.intp),
-                               np.arange(count)[None]),), 1)
+    return NetworkPlan((Group(_circuit_plan(*key), np.zeros(1, np.intp),
+                              np.arange(count)[None]),), 1)
 
 
 def _lone_value(c: Circuit, ps: ParameterStore, *key) -> np.ndarray:
-    """The value of c's network under _group's key (*_structure(c), *key)."""
+    """The value of c's network, _lone_plan's key (*_structure(c), *key)."""
     return contract_plan(_lone_plan((*_structure(c), *key)),
                          _angles(c, ps))[0]
 
@@ -218,28 +215,19 @@ def plan_circuits(circuits: Sequence[Circuit], store: ParameterStore,
                   noise_p: Optional[float] = None) -> NetworkPlan:
     """Group one-open-qubit circuits, or with ``noise_p`` their
     superoperator networks (_outcomes), by structure against the layout of
-    ``store``; each row gathers its angles at its symbols' offsets."""
-    offsets = {name: offset for name, shape, offset in store.layout
-               if shape == ()}
-    noise = () if noise_p is None else (noise_p,)
-    groups: dict[tuple, tuple[list, list]] = {}
+    ``store`` (``plan_rows``); each row gathers its angles at its symbols'
+    offsets."""
+    noise, rows = () if noise_p is None else (noise_p,), []
     for row, c in enumerate(circuits):
         params = [op.param for op in c.ops if op.gate in ROTATIONS]
         if len(c.open) != 1 or not all(isinstance(p, Symbol)
                                        for p in params):
-            raise ValueError(f"circuit {row}: a planned circuit needs one "
-                             "open qubit and symbols for its angles")
-        try:
-            idx = [offsets[p.name] for p in params]
-        except KeyError as exc:
-            raise UnboundSymbol(f"no scalar angle bound for {exc}") from None
-        key = (*_structure(c), c.postselect, c.open, *noise)
-        members, index = groups.setdefault(key, ([], []))
-        members.append(row)
-        index.append(idx)
-    return NetworkPlan(tuple(
-        _group(key, np.array(members), np.array(index, dtype=np.intp))
-        for key, (members, index) in groups.items()), len(circuits))
+            raise UnplannableCircuit(f"row {row}: a planned circuit needs one "
+                                     "open qubit and symbols for its angles")
+        rows.append((row, (*_structure(c), c.postselect, c.open, *noise),
+                     [(p.name, ()) for p in params]))
+    return plan_rows(rows, len(circuits), store,
+                     lambda key: _circuit_plan(*key))
 
 
 def _outcomes(c: Circuit, ps: ParameterStore, noise_p: float) -> np.ndarray:
@@ -269,8 +257,6 @@ def sample(c: Circuit, ps: ParameterStore, n_shots: int, seed: int,
         raise ValueError("n_shots must be at least 1")
     if n_shots > MAX_SHOTS:
         raise ValueError(f"n_shots must be at most 2**63 - 1, got {n_shots!r}")
-    if not 0.0 <= noise_p <= 1.0:
-        raise ValueError(f"noise_p must lie in [0, 1], got {noise_p!r}")
     drawn = draw(_outcomes(c, ps, noise_p), n_shots, seed)
     if not drawn.any():
         raise AllShotsDiscarded(f"all {n_shots} shots violated postselection")

@@ -2,8 +2,9 @@
 
 The classical pipeline trains tensor networks with Adam on exact gradients.
 Quantum pipelines use SPSA, which probes the loss at two randomly perturbed
-points per step and never needs circuit gradients. ``train`` groups the
-sentences by network structure and plans each group's contraction once:
+points per step and never needs circuit gradients. ``train`` and
+``evaluate_split`` share the model's plan (``CompiledModel.plan``), which
+groups the sentences by network structure and plans each group once:
 tensor networks, exact circuits as the tensor networks of their gates, and
 shot-based circuits as their superoperator networks.
 
@@ -13,13 +14,13 @@ call that serves every structure group (``prediction_gradient`` or
 point, which is the previous iteration's history row, so scoring takes no
 pass of its own; one final forward pass scores the last point. With Adam
 the pass computes values and gradients over the train and dev sentences,
-the dev rows with a zero cotangent. With SPSA,
-``spsa_step`` hands both probe points to the loss in one call, and the pass
-stacks the train sentences at each probe with the train and dev sentences
-at the current point (``NetworkPlan.stack``). A shot-based row draws its
-shots from its outcome probabilities with the shot seed of its iteration,
-evaluation slot and item. All runs are deterministic given the config
-seed, bit for bit.
+the plan stacked over those rows alone, the dev rows with a zero
+cotangent. With SPSA, ``spsa_step`` hands both probe points to the loss in
+one call, and the pass stacks the train sentences at each probe with the
+train and dev sentences at the current point (``NetworkPlan.stack``). A
+shot-based row draws its shots from its outcome probabilities with the
+shot seed of its iteration, evaluation slot and item. All runs are
+deterministic given the config seed, bit for bit.
 """
 from __future__ import annotations
 
@@ -30,19 +31,13 @@ from typing import Callable
 
 import numpy as np
 
-from .ansatz import TensorNetwork
-from .contract import NetworkPlan, plan_networks
+from .contract import NetworkPlan
+from .dataset import SPLITS, UnknownSplit  # noqa: F401  re-exported
 from .params import ParameterStore
 from .pipeline import CompiledModel, group_p1, predict_p1, \
     prediction_gradient, shot_seed
-from .simulator import plan_circuits
 
 CLAMP = 1e-9
-SPLITS = ("train", "dev", "test")  # the splits of a LabeledDataset
-
-
-class UnknownSplit(ValueError):
-    """A split name outside SPLITS."""
 
 
 def bce_loss(p1, y):
@@ -200,11 +195,7 @@ def train(model: CompiledModel) -> tuple[ParameterStore, TrainHistory]:
     if cfg.iterations == 0:
         return store, history
 
-    if isinstance(model.artifacts[0], TensorNetwork):
-        plan = plan_networks(model.artifacts, train_idx + dev_idx, store)
-    else:
-        plan = plan_circuits(model.artifacts, store, cfg.noise_p
-                             if cfg.backend == "shots" else None)
+    plan = model.plan
     vec = store.to_vector()
     size = len(vec)
 
@@ -218,6 +209,7 @@ def train(model: CompiledModel) -> tuple[ParameterStore, TrainHistory]:
     score = [(0, train_idx), (0, dev_idx)]
     if cfg.optimizer == "adam":  # the config pairs adam with tensors only
         adam_state = AdamState.zeros(size)
+        plan = plan.stack([(0, train_idx + dev_idx)], size)  # no test row
         labels, trains = np.zeros(plan.count), np.zeros(plan.count, bool)
         labels[list(train_idx)] = train_y
         trains[list(train_idx)] = True
@@ -266,16 +258,13 @@ def evaluate_split(model: CompiledModel, store: ParameterStore,
                    split: str = "test") -> dict[str, float]:
     """Loss and accuracy of a split, one of SPLITS, under a trained store;
     shot-based sentences draw in slot 3 of iteration -1."""
-    if split not in SPLITS:
-        raise UnknownSplit(f"unknown split {split!r}; allowed: "
-                           f"{', '.join(SPLITS)}")
     cfg, ds = model.config, model.dataset
-    idx, labels = getattr(ds, split), ds.labels(split)
+    labels, idx = ds.labels(split), getattr(ds, split)  # labels checks it
     if cfg.ansatz == "iqp" and cfg.backend == "exact":
         vec = store.to_vector(model.store.names())  # in the model's layout
-        part, plan = [(0, idx)], plan_circuits(model.artifacts, model.store)
-        (p1s,) = _batch_p1(model, plan.stack(part, len(vec)), [vec], part,
-                           [(-1, 3)])
+        part = [(0, idx)]
+        (p1s,) = _batch_p1(model, model.plan.stack(part, len(vec)), [vec],
+                           part, [(-1, 3)])
     else:  # per sentence: the benchmark times and records each predict_p1
         p1s = [predict_p1(model, store, i, shot_seed(cfg.seed, -1, 3, i)
                           if cfg.backend == "shots" else None) for i in idx]

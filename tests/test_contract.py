@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -420,6 +421,20 @@ class TestPlan:
         networks, ps = shared_batch(1, rows=1, pool=1)
         with pytest.raises(UnboundSymbol):
             plan_networks(networks, [0], ParameterStore({}))
+
+    def test_planner_errors_name_the_row(self):
+        networks, ps = shared_batch(1, rows=3, pool=2)
+        node = next(n for n in networks[2].nodes if n.kind == "param")
+        name = node.symbol.name
+        values = {n: ps[n] for n in ps.names() if n != name}
+        with pytest.raises(UnboundSymbol,
+                           match=f"row 2: no value bound for symbol {name!r}"):
+            plan_networks(networks, [2], ParameterStore(values))
+        values[name] = np.zeros(node.shape + (1,))
+        with pytest.raises(ShapeMismatch, match=re.escape(
+                f"row 2: {name}: stored {node.shape + (1,)}, "
+                f"plan wants {node.shape}")):
+            plan_networks(networks, [2], ParameterStore(values))
 
 
 class TestBatched:

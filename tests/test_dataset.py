@@ -2,7 +2,7 @@ import pytest
 
 from synq.ccg import parse_auto, tree_to_diagram
 from synq.dataset import (
-    FOOD, IT, SEED_SENTENCES, OutOfGrammar, generate_dataset,
+    FOOD, IT, SEED_SENTENCES, OutOfGrammar, UnknownSplit, generate_dataset,
     sentence_to_auto, write_auto,
 )
 from synq.types import ts
@@ -16,6 +16,13 @@ def test_sizes_and_balance():
     for split in ("train", "dev", "test"):
         labels = ds.labels(split)
         assert sum(labels) == len(labels) // 2
+
+
+@pytest.mark.parametrize("split", ["items", "labels", "foo"])
+def test_unknown_split_is_named(split):
+    with pytest.raises(UnknownSplit, match=f"unknown split {split!r}; "
+                                           "allowed: train, dev, test"):
+        generate_dataset(0).labels(split)
 
 
 def test_seed_sentences_present():

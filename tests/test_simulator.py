@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -7,15 +8,15 @@ from hypothesis import strategies as st
 
 from synq.ansatz import DOUBLED, GATE_TENSORS, ROTATIONS, SUPEROPERATORS, \
     Circuit, Op, Symbol, iqp_ansatz
-from synq.contract import _value, contract_plan
+from synq.contract import ShapeMismatch, _value, contract_plan
 from synq.dataset import generate_dataset
 from synq.diagram import Cap, Diagram, cup_at, word
 from synq.params import ParameterStore, UnboundSymbol
 from synq.pipeline import PipelineConfig, compile_model, group_p1
 from synq.simulator import (
-    MAX_SHOTS, ZERO_NORM_THRESHOLD, AllShotsDiscarded, NonFiniteAngle,
-    ZeroNorm, _doubled_plan, _lone_plan, _network_plan, _outcomes, _structure,
-    evaluate, plan_circuits, sample, statevector,
+    MAX_SHOTS, ZERO_NORM_THRESHOLD, AllShotsDiscarded, InvalidNoise,
+    NonFiniteAngle, UnplannableCircuit, ZeroNorm, _circuit_plan, _lone_plan,
+    _outcomes, _structure, evaluate, plan_circuits, sample, statevector,
 )
 from synq.training import _parts_p1
 from synq.types import ts
@@ -470,11 +471,15 @@ class TestNoisyDistribution:
             counts = sample(c, model.store, n_shots, seed, noise_p=p)
             assert abs(sum(counts.values()) - n_shots * kept) <= 5 * sigma
 
-    @pytest.mark.parametrize("p", [-0.5, 1.5, float("nan"), float("inf")])
+    @pytest.mark.parametrize("p", [-0.5, -0.2, 1.5, float("nan"),
+                                   float("inf")])
     def test_noise_p_outside_unit_interval_rejected(self, p):
+        """sample and a batched plan reach the one check of _circuit_plan."""
         c = Circuit(2, (Op("H", (0,)), Op("CX", (0, 1))), (), (0, 1))
-        with pytest.raises(ValueError, match=f"noise_p .*{p!r}"):
+        with pytest.raises(InvalidNoise, match=f"noise_p .*{p!r}"):
             sample(c, EMPTY_PS, 100, seed=0, noise_p=p)
+        with pytest.raises(InvalidNoise, match=f"noise_p .*{p!r}"):
+            plan_circuits([Circuit(2, c.ops, (0,), (1,))], EMPTY_PS, p)
 
 
 @st.composite
@@ -590,6 +595,19 @@ class TestPlan:
             with pytest.raises(ValueError, match="planned circuit needs"):
                 plan_circuits([bad], EMPTY_PS)
 
+    def test_planner_errors_name_the_row(self):
+        good = Circuit(1, (Op("Rx", (0,), Symbol("a")),), (), (0,))
+        store = ParameterStore({"a": np.array(0.3), "v": np.zeros(2)})
+        for bad, error, message in (
+                (Op("Rx", (0,), Symbol("missing")), UnboundSymbol,
+                 "row 1: no value bound for symbol 'missing'"),
+                (Op("Rx", (0,), Symbol("v")), ShapeMismatch,
+                 re.escape("row 1: v: stored (2,), plan wants ()")),
+                (Op("Rx", (0,), 0.3), UnplannableCircuit,
+                 "row 1: a planned circuit needs")):
+            with pytest.raises(error, match=message):
+                plan_circuits([good, Circuit(1, (bad,), (), (0,))], store)
+
 
 def leaf_gates(c):
     """The gate of each rotation of c, in op order."""
@@ -674,7 +692,7 @@ class TestOneDtype:
     @example(BOTH_ORDERS, 1.0)
     def test_circuit_plans_are_complex(self, c, p):
         key = (*_structure(c), c.postselect, c.open)
-        for plan in (_network_plan(*key), _doubled_plan(*key, p)):
+        for plan in (_circuit_plan(*key), _circuit_plan(*key, p)):
             fixed = [t for t in plan.fixed if t is not None]
             assert fixed
             for t in fixed:
@@ -745,7 +763,7 @@ class TestFolding:
     @example(BOTH_ORDERS, 1.0)
     @example(UNTOUCHED_POSTSELECTED, 0.0)
     def test_doubled_network(self, c, p):
-        plan = _doubled_plan(*_structure(c), c.postselect, c.open, p)
+        plan = _circuit_plan(*_structure(c), c.postselect, c.open, p)
         # one leaf per rotation: its superoperator at its angle
         params = [SUPEROPERATORS[DOUBLED[op.gate]](np.array([op.param]))
                   for op in c.ops if op.gate in ROTATIONS]
@@ -760,7 +778,7 @@ class TestFolding:
         the channel depolarises fully and a Bell pair reads every outcome
         equally often. Each qubit is one wire of dimension 4."""
         c = Circuit(2, (Op("H", (0,)), Op("CX", (0, 1))), (), (0, 1))
-        plans = [_doubled_plan(*_structure(c), (), (0, 1), p)
+        plans = [_circuit_plan(*_structure(c), (), (0, 1), p)
                  for p in (0.0, 0.75)]
         assert all(plan.run == () for plan in plans)  # no parameter
         leaves = plans[0].shapes[:len(plans[0].leaves)]

@@ -16,8 +16,8 @@ from synq.pipeline import (
 )
 from synq.simulator import plan_circuits
 from synq.training import (
-    AdamState, TrainHistory, UnknownSplit, _batch_p1, accuracy, adam_step,
-    bce_grad, bce_loss, evaluate_split, spsa_step, train,
+    SPLITS, AdamState, TrainHistory, UnknownSplit, _batch_p1, accuracy,
+    adam_step, bce_grad, bce_loss, evaluate_split, spsa_step, train,
 )
 from test_contract import alone
 
@@ -758,6 +758,48 @@ class TestOnePassPerIteration:
         # one call per pass, every group of the pass in it
         assert [(n, groups, len(rows)) for n, groups, rows in calls] == [
             (n, 4, rows) for n, rows in per_iter + [("group_p1", train_dev)]]
+
+
+class TestOnePlanPerModel:
+    def test_train_and_three_splits_plan_once(self, monkeypatch):
+        model = compile_model(PipelineConfig(ansatz="iqp", optimizer="spsa",
+                                             iterations=2),
+                              generate_dataset(0))
+        calls = []
+        real = pipeline.plan_circuits
+        monkeypatch.setattr(pipeline, "plan_circuits", lambda *args: (
+            calls.append(args) or real(*args)))
+        store, _ = train(model)
+        for split in SPLITS:
+            evaluate_split(model, store, split)
+        assert len(calls) == 1
+
+    def test_adam_pass_runs_train_and_dev_rows_only(self, monkeypatch):
+        ds = generate_dataset(0)
+        model = compile_model(PipelineConfig(iterations=2), ds)
+        seen = []
+        real = training.prediction_gradient
+        monkeypatch.setattr(training, "prediction_gradient", lambda plan, *a: (
+            seen.append(sorted(plan.rows.tolist())) or real(plan, *a)))
+        train(model)
+        assert sorted(model.plan.rows.tolist()) == sorted(
+            ds.train + ds.dev + ds.test)
+        assert seen == [sorted(ds.train + ds.dev)] * 2
+
+    def test_replaced_model_plans_afresh(self):
+        """perfbench predicts with replace(model, config=shots_cfg)."""
+        from synq.ansatz import GATE_TENSORS, SUPEROPERATORS
+        cfg = PipelineConfig(ansatz="iqp", optimizer="spsa")
+        model = compile_model(cfg, generate_dataset(0))
+        exact = model.plan
+        assert model.plan is exact
+        noisy = replace(model, config=replace(cfg, backend="shots",
+                                              noise_p=0.01)).plan
+        assert noisy is not exact
+        for plan, kernels in ((exact, GATE_TENSORS),
+                              (noisy, SUPEROPERATORS)):
+            kinds = {k for g in plan.groups for k in g.plan.kinds}
+            assert kinds and kinds <= set(kernels)
 
 
 def per_group_pass(plan, vec, dloss_dp1):
