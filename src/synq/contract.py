@@ -5,15 +5,22 @@ node, a fixed tensor or ``(kind, shape)``, then the edges and the open
 legs, each leg ``(node, axis)``. ``_structure`` reads one off a tensor
 ansatz's ``TensorNetwork``, and ``simulator`` builds a circuit's directly.
 ``plan`` runs a greedy on the node shapes alone and records its steps. At
-each step it contracts every edge between the pair of blocks (nodes or
-earlier results) whose operand sizes have the smallest product, taking the
-first such pair in edge order. That product bounds the step's cost and is
-read off the shapes. Choosing by the size of the merged tensor needs each
-pair's shared dimensions; on the mc-spider and long-ccg networks it found
-plans with the same multiply-add count, and it made the long-ccg forward
-passes slower. A table of the pending edges of each block pair, updated as
-blocks merge, keeps the greedy linear in the edges. Pieces left unconnected
-combine by outer product, and an edge joining two legs of one node is
+each step it contracts every edge between one pair of blocks (nodes or
+earlier results), chosen by three keys in turn: a fold, a pair of fixed
+blocks (which no parameter reaches) whose result is no larger than the
+larger of them, before any other; then the smallest product of the two
+operand sizes; then the first pair in edge order. So a constant
+sub-network folds before the first step a parameter reaches, and each
+rotation of a circuit meets its neighbours already folded, as far as
+folding grows no tensor: a wide fixed region, such as a CX ladder over
+|+> states, is left to the size order rather than folded into one
+constant as wide as the region. The product bounds the step's cost and is
+read off the shapes. Choosing every pair by the size of its merged tensor
+needs each pair's shared dimensions; on the mc-spider and long-ccg
+networks it found plans with the same multiply-add count, and it made the
+long-ccg forward passes slower. A table of the pending edges of each block
+pair, updated as blocks merge, keeps the greedy linear in the edges.
+Pieces left unconnected combine by outer product, and an edge joining two legs of one node is
 routed through an identity node, so every step contracts two tensors. The
 value does not depend on the order, up to rounding.
 
@@ -27,7 +34,7 @@ shapes; a structure gives every other fixed leaf as a tensor, as
 channel. A step that joins two tensors no parameter reaches is constant: a
 ``Plan`` computes it once, when it is built, and keeps the result
 read-only, and the replay runs the live steps alone. A circuit's plan has
-such steps (5 to 11 of the 23 to 41 steps of an mc-iqp circuit, 10 to 20 of
+such steps (9 to 19 of the 23 to 41 steps of an mc-iqp circuit, 16 to 34 of
 the 32 to 58 of its noisy network); a tensor model's has none. A plan has
 the dtype of its given tensors: a circuit's fixed leaves are complex, like
 its rotation tensors, so folding and every live step run all-complex
@@ -241,9 +248,21 @@ def plan(structure: tuple) -> Plan:
         live.append(live[a] or live[b])
         return len(legs) - 1
 
+    def key(a: int, b: int, ps: list[int]) -> tuple:
+        """The heap entry of blocks a and b, joined by the edges at
+        ``ps``: a fold first, then the product of their sizes, then their
+        first pending edge, the rule of a scan over the edges. A fold is a
+        pair of fixed blocks whose result is no larger than the larger of
+        them, the smaller being at most the square of the dimension they
+        share."""
+        shared = math.prod(shapes[edges[p][0][0]][edges[p][0][1]]
+                           for p in ps)
+        fold = not (live[a] or live[b]) and \
+            min(size[a], size[b]) <= shared * shared
+        return not fold, size[a] * size[b], ps[0], a, b
+
     # near[a][b]: positions of the pending edges joining blocks a and b, in
-    # edge order. The heap orders pairs by the product of their sizes, then
-    # by their first pending edge, the rule of a scan over the edges.
+    # edge order
     near: list[Optional[dict[int, list[int]]]] = [{} for _ in legs]
     for pos, (x, y) in enumerate(edges):
         a, b = x[0], y[0]
@@ -251,12 +270,11 @@ def plan(structure: tuple) -> Plan:
             near[a][b].append(pos)
         else:
             near[a][b] = near[b][a] = [pos]
-    heap = [(size[a] * size[b], first[0], a, b)
-            for a, pairs in enumerate(near) for b, first in pairs.items()
-            if a < b]
+    heap = [key(a, b, ps) for a, pairs in enumerate(near)
+            for b, ps in pairs.items() if a < b]
     heapq.heapify(heap)
     while heap:
-        _, _, a, b = heapq.heappop(heap)
+        *_, a, b = heapq.heappop(heap)
         la, lb = legs[a], legs[b]
         if la is None or lb is None:  # merged since it was pushed
             continue
@@ -278,7 +296,7 @@ def plan(structure: tuple) -> Plan:
             near[x].pop(a, None)
             near[x].pop(b, None)
             near[x][c] = ps
-            heapq.heappush(heap, (size[x] * size[c], ps[0], x, c))
+            heapq.heappush(heap, key(x, c, ps))
     first, *rest = [k for k, block in enumerate(legs) if block is not None]
     for b in rest:
         first = merge(first, b, [], [])

@@ -52,8 +52,8 @@ import numpy as np
 
 from .ansatz import DOUBLED, GATE_TENSORS, ROTATIONS, SUPEROPERATORS, \
     Circuit, Op, Symbol
-from .contract import Group, NetworkPlan, Plan, contract_plan, plan, \
-    plan_rows
+from .contract import Group, NetworkPlan, Plan, ShapeMismatch, \
+    contract_plan, plan, plan_rows
 from .params import ParameterStore, UnboundSymbol
 
 ZERO_NORM_THRESHOLD = 1e-12
@@ -97,7 +97,8 @@ def _angle(op: Op, ps: ParameterStore) -> float:
     if isinstance(op.param, Symbol):
         value = np.asarray(ps[op.param.name])
         if value.shape != ():
-            raise UnboundSymbol(f"{op.param.name} is not a scalar angle")
+            raise ShapeMismatch(f"{op.param.name}: stored {value.shape}, "
+                                "plan wants ()")
         return float(value)
     if op.param is None:
         raise UnboundSymbol(f"gate {op.gate} needs an angle")

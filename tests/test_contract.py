@@ -19,6 +19,7 @@ from synq.dataset import generate_dataset
 from synq.diagram import Cap, Cup, Diagram, Spider, Word, cup_at, word
 from synq.params import ParameterStore, UnboundSymbol
 from synq.pipeline import PipelineConfig, compile_model
+from synq.simulator import _circuit
 from synq.types import ts
 
 DM = {"n": 3, "s": 2}
@@ -116,11 +117,12 @@ class TestContract:
 
     def test_order_independence_random_networks(self):
         rng = np.random.default_rng(3)
-        for trial in range(20):
-            tn, ps = random_network(rng)
-            a = contract(tn, ps)
-            b = naive_contract(tn, ps)
-            assert np.allclose(a, b, atol=1e-12)
+        for fixed in (False, True):
+            for trial in range(20):
+                tn, ps = random_network(rng, fixed=fixed)
+                a = contract(tn, ps)
+                b = naive_contract(tn, ps)
+                assert np.allclose(a, b, atol=1e-12)
 
     def test_self_edge_trace(self):
         m = Node("m", "param", (3, 3), Symbol("m", (3, 3)))
@@ -136,8 +138,10 @@ class TestContract:
             contract(tn, ParameterStore({"u": [1.0, 2.0, 3.0]}))
 
 
-def random_network(rng, max_nodes=5):
-    """Random connected-ish network mixing params, deltas and copies."""
+def random_network(rng, max_nodes=5, fixed=False):
+    """Random connected-ish network of param nodes p0, p1, ...; with
+    ``fixed``, also 1 to 4 deltas and copies, each with legs of one
+    dimension, so fixed blocks may meet."""
     n_param = rng.integers(2, max_nodes + 1)
     nodes = []
     legs = []
@@ -147,6 +151,12 @@ def random_network(rng, max_nodes=5):
         sym = Symbol(f"p{i}", shape)
         nodes.append(Node(f"p{i}", "param", shape, sym))
         legs.extend(((f"p{i}", j), shape[j]) for j in range(order))
+    for i in range(rng.integers(1, 5) if fixed else 0):
+        kind = "delta" if rng.random() < 0.5 else "copy"
+        order = 2 if kind == "delta" else int(rng.integers(1, 4))
+        shape = (int(rng.integers(2, 4)),) * order
+        nodes.append(Node(f"f{i}", kind, shape))
+        legs.extend(((f"f{i}", j), shape[j]) for j in range(order))
     rng.shuffle(legs)
     edges = []
     free = []
@@ -183,14 +193,15 @@ class TestGrad:
 
     def test_fd_oracle_random_networks(self):
         rng = np.random.default_rng(11)
-        for trial in range(25):
-            tn, ps = random_network(rng)
-            upstream = rng.normal(
-                size=tuple(tn.leg_dim(leg) for leg in tn.open_legs))
-            got = grad_one(tn, ps, lambda v: upstream)[1]
-            want = fd_gradient(tn, ps, upstream)
-            scale = max(1.0, float(np.max(np.abs(want))))
-            assert np.max(np.abs(got - want)) / scale < 1e-5
+        for fixed in (False, True):
+            for trial in range(25):
+                tn, ps = random_network(rng, fixed=fixed)
+                upstream = rng.normal(
+                    size=tuple(tn.leg_dim(leg) for leg in tn.open_legs))
+                got = grad_one(tn, ps, lambda v: upstream)[1]
+                want = fd_gradient(tn, ps, upstream)
+                scale = max(1.0, float(np.max(np.abs(want))))
+                assert np.max(np.abs(got - want)) / scale < 1e-5
 
     def test_fd_oracle_all_ansatz_families(self):
         d = (word("john", ts("n")) @ word("saw", ts("n.r", "s", "n.l"))
@@ -289,18 +300,24 @@ class TestSnakeSemantics:
         assert np.allclose(v_nf, flower, atol=1e-10)
 
 
-def reference_steps(tn):
+def reference_steps(structure):
     """The greedy rule of ``plan`` as a scan of every pending edge at each
-    step, quadratic in the edges; steps as ``plan`` records them."""
-    index = {node.node_id: k for k, node in enumerate(tn.nodes)}
-    shapes = [node.shape for node in tn.nodes]
+    step, quadratic in the edges: folds first, pairs of fixed blocks whose
+    merged tensor is no larger than the larger of them, then the smallest
+    product of sizes, then the first edge; steps as ``plan`` records them.
+    A node of the structure is fixed if it is a tensor, a delta or a
+    copy."""
+    nodes, edges, _ = structure
+    shapes = [n.shape if isinstance(n, np.ndarray) else n[1] for n in nodes]
+    live = [not isinstance(n, np.ndarray) and n[0] not in ("delta", "copy")
+            for n in nodes]
     alive = {k: [(k, i) for i in range(len(s))] for k, s in enumerate(shapes)}
     owner = {leg: k for k, legs in alive.items() for leg in legs}
-    edges = [((index[a], i), (index[b], j)) for (a, i), (b, j) in tn.edges]
     pending = [e for e in edges if e[0][0] != e[1][0]]
     for x, y in [e for e in edges if e[0][0] == e[1][0]]:
         k = len(shapes)
         shapes.append((shapes[x[0]][x[1]],) * 2)
+        live.append(False)
         alive[k] = [(k, 0), (k, 1)]
         owner[(k, 0)] = owner[(k, 1)] = k
         pending += [(x, (k, 0)), (y, (k, 1))]
@@ -314,6 +331,7 @@ def reference_steps(tn):
         legs = ([l for i, l in enumerate(alive.pop(a)) if i not in ax_a]
                 + [l for i, l in enumerate(alive.pop(b)) if i not in ax_b])
         alive[blocks] = legs
+        live.append(live[a] or live[b])
         for leg in legs:
             owner[leg] = blocks
         blocks += 1
@@ -324,7 +342,18 @@ def reference_steps(tn):
         for edge in pending:
             a, b = owner[edge[0]], owner[edge[1]]
             by_pair.setdefault((min(a, b), max(a, b)), []).append(edge)
-        a, b = min(by_pair, key=lambda p: size(p[0]) * size(p[1]))
+
+        def fold(pair):
+            a, b = pair
+            shared = {leg for edge in by_pair[pair] for leg in edge}
+            merged = math.prod(shapes[leaf][i]
+                               for leaf, i in alive[a] + alive[b]
+                               if (leaf, i) not in shared)
+            return not (live[a] or live[b]) and \
+                merged <= max(size(a), size(b))
+
+        a, b = min(by_pair, key=lambda p: (not fold(p),
+                                           size(p[0]) * size(p[1])))
         ends = [(x, y) if owner[x] == a else (y, x) for x, y in by_pair[a, b]]
         merge(a, b, [alive[a].index(x) for x, _ in ends],
               [alive[b].index(y) for _, y in ends])
@@ -377,7 +406,8 @@ class TestPlan:
         from synq.pipeline import PipelineConfig, sentence_to_diagram
         from test_scan_once import long_derivation
         rng = np.random.default_rng(23)
-        networks = [random_network(rng, max_nodes=8)[0] for _ in range(300)]
+        networks = [random_network(rng, max_nodes=8, fixed=fixed)[0]
+                    for fixed in (False, True) for _ in range(300)]
         d = (word("john", ts("n")) @ word("saw", ts("n.r", "s", "n.l"))
              @ word("mary", ts("n")))
         d = cup_at(cup_at(d, 3), 0)
@@ -387,8 +417,18 @@ class TestPlan:
         long = sentence_to_diagram(PipelineConfig(rewrites=("determiner",)),
                                    text, line)
         networks.append(spider_ansatz(long, {"n": 2, "s": 2}, 2))
-        for tn in networks:
-            assert list(plan(_structure(tn)).steps) == reference_steps(tn)
+        structures = [_structure(tn) for tn in networks]
+        # circuits, exact and as superoperator networks: their fixed leaves
+        # meet, and a rotation sits between fixed neighbours
+        model = compile_model(PipelineConfig(ansatz="iqp", optimizer="spsa"),
+                              generate_dataset(0))
+        shapes = {(c.n_qubits, tuple((op.gate, op.qubits) for op in c.ops),
+                   c.postselect, c.open) for c in model.artifacts}
+        for key in sorted(shapes):
+            for channel in (None, np.eye(4, dtype=complex)):
+                structures.append(_circuit(*key, channel))
+        for structure in structures:
+            assert list(plan(structure).steps) == reference_steps(structure)
 
     def test_groups_share_one_plan_per_structure(self):
         networks, ps = shared_batch(5, rows=4, pool=2)
@@ -753,8 +793,9 @@ class TestFolding:
 
     def test_random_networks_replay_equal_unfolded(self):
         rng = np.random.default_rng(8)
-        for _ in range(30):
-            tn, ps = random_network(rng)
-            p = plan(_structure(tn))
-            assert_folding_exact(
-                p, [ps[tn.nodes[k].symbol.name][None] for k in p.params])
+        for fixed in (False, True):
+            for _ in range(30):
+                tn, ps = random_network(rng, fixed=fixed)
+                p = plan(_structure(tn))
+                assert_folding_exact(
+                    p, [ps[tn.nodes[k].symbol.name][None] for k in p.params])

@@ -1,4 +1,5 @@
 import itertools
+import math
 import re
 
 import numpy as np
@@ -69,17 +70,25 @@ def lift2(n, mat4, q0, q1):
     return full
 
 
+def gate_matrix(op: Op, ps: ParameterStore) -> np.ndarray:
+    """The 2 x 2 or 4 x 4 matrix of one gate; a two-qubit gate's first
+    qubit is the high bit."""
+    if op.gate == "H":
+        return H
+    if op.gate == "Rx":
+        return rx(angle(op, ps))
+    if op.gate == "Rz":
+        return rz(angle(op, ps))
+    if op.gate == "CRz":
+        return crz(angle(op, ps))
+    return CX
+
+
 def full_gate(n: int, op: Op, ps: ParameterStore) -> np.ndarray:
     """The 2^n x 2^n matrix of one gate, by explicit kron products."""
-    if op.gate == "H":
-        return lift1(n, H, op.qubits[0])
-    if op.gate == "Rx":
-        return lift1(n, rx(angle(op, ps)), op.qubits[0])
-    if op.gate == "Rz":
-        return lift1(n, rz(angle(op, ps)), op.qubits[0])
-    if op.gate == "CRz":
-        return lift2(n, crz(angle(op, ps)), *op.qubits)
-    return lift2(n, CX, *op.qubits)
+    mat = gate_matrix(op, ps)
+    return lift1(n, mat, *op.qubits) if len(op.qubits) == 1 \
+        else lift2(n, mat, *op.qubits)
 
 
 def dense_oracle(circuit: Circuit, ps: ParameterStore,
@@ -100,22 +109,35 @@ def dense_oracle(circuit: Circuit, ps: ParameterStore,
 
 def density_oracle(circuit: Circuit, ps: ParameterStore,
                    p: float) -> np.ndarray:
-    """Independent noisy distribution from a full 2^n x 2^n density matrix:
-    after each two-qubit gate, (1-p) rho + (p/3) sum_P P rho P+ on each
-    touched qubit by explicit Pauli conjugations. Entry j is the
+    """Independent noisy distribution from the full 2^n x 2^n density
+    matrix, held as a tensor of a row and a column axis per qubit, the most
+    significant first, so each gate and Pauli acts on its qubits' axes
+    alone: after each two-qubit gate, (1-p) rho + (p/3) sum_P P rho P+ on
+    each touched qubit by explicit Pauli conjugations. Entry j is the
     probability that postselection holds and the open qubits read j, with
     circuit.open[0] the most significant bit of j."""
     n = circuit.n_qubits
-    rho = np.zeros((2 ** n, 2 ** n), dtype=complex)
-    rho[0, 0] = 1.0
+    rho = np.zeros((2,) * 2 * n, dtype=complex)
+    rho[(0,) * 2 * n] = 1.0
+
+    def conjugate(rho, mat, qubits):
+        """mat rho mat+, mat acting on ``qubits``, the first the high
+        bit."""
+        k = len(qubits)
+        mat = mat.reshape((2,) * 2 * k)
+        for axes, m in (([n - 1 - q for q in qubits], mat),
+                        ([2 * n - 1 - q for q in qubits], mat.conj())):
+            rho = np.moveaxis(np.tensordot(m, rho, (range(k, 2 * k), axes)),
+                              range(k), axes)
+        return rho
+
     for op in circuit.ops:
-        u = full_gate(n, op, ps)
-        rho = u @ rho @ u.conj().T
+        rho = conjugate(rho, gate_matrix(op, ps), op.qubits)
         if len(op.qubits) == 2:
             for q in op.qubits:
-                flips = [lift1(n, pauli, q) for pauli in PAULIS]
                 rho = (1 - p) * rho + (p / 3) * sum(
-                    f @ rho @ f.conj().T for f in flips)
+                    conjugate(rho, pauli, (q,)) for pauli in PAULIS)
+    rho = rho.reshape(2 ** n, 2 ** n)
     out = np.zeros(2 ** len(circuit.open))
     for basis, weight in enumerate(np.real(np.diag(rho))):
         bits = [(basis >> q) & 1 for q in range(n)]
@@ -595,6 +617,17 @@ class TestPlan:
             with pytest.raises(ValueError, match="planned circuit needs"):
                 plan_circuits([bad], EMPTY_PS)
 
+    def test_misshapen_angle_is_one_error_on_every_path(self):
+        c = Circuit(1, (Op("Rx", (0,), Symbol("a")),), (), (0,))
+        store = ParameterStore({"a": np.zeros(2)})
+        want = re.escape("a: stored (2,), plan wants ()")
+        with pytest.raises(ShapeMismatch, match=want):
+            evaluate(c, store)
+        with pytest.raises(ShapeMismatch, match=want):
+            sample(c, store, 100, seed=0, noise_p=0.01)
+        with pytest.raises(ShapeMismatch, match=want):
+            plan_circuits([c], store)
+
     def test_planner_errors_name_the_row(self):
         good = Circuit(1, (Op("Rx", (0,), Symbol("a")),), (), (0,))
         store = ParameterStore({"a": np.array(0.3), "v": np.zeros(2)})
@@ -743,9 +776,37 @@ class TestCachedPlans:
                     array[...] = 0
 
 
+def constant_steps_first(plan):
+    """Whether every constant step that joins two connected blocks (over at
+    least one edge) comes before the plan's first live step."""
+    live = plan.live[len(plan.leaves):]
+    first = live.index(True) if True in live else len(live)
+    return all(k < first for k, (_, _, axes, _) in enumerate(plan.steps)
+               if axes and not live[k])
+
+
 class TestFolding:
-    """Constant steps of circuit plans are folded once; the folded replay
-    equals the unfolded one bit for bit."""
+    """Constant steps of circuit plans are folded once; in IQP circuits,
+    whose fixed regions fold without growing, they all come before the
+    first live step. The folded replay equals the unfolded one bit for
+    bit."""
+
+    def test_dataset_plans_fold_constants_first(self):
+        model = compile_model(PipelineConfig(ansatz="iqp", optimizer="spsa"),
+                              generate_dataset(0))
+        for noise in (None, 0.01):
+            plan = plan_circuits(model.artifacts, model.store, noise)
+            assert len(plan.groups) == 4
+            assert all(constant_steps_first(g.plan) for g in plan.groups)
+
+    @settings(max_examples=20, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(iqp_batches(), st.sampled_from([None, 0.01]))
+    def test_random_batches_fold_constants_first(self, circuits, p):
+        store = ParameterStore.initialize(
+            [sym for c in circuits for sym in c.symbols], 0)
+        plan = plan_circuits(circuits, store, p)
+        assert all(constant_steps_first(g.plan) for g in plan.groups)
 
     def test_dataset_circuits(self):
         model = compile_model(PipelineConfig(ansatz="iqp", optimizer="spsa"),
@@ -792,12 +853,16 @@ class TestFolding:
 class TestSuperoperatorNetwork:
     def test_dataset_structures_one_leaf_per_rotation(self):
         """Each noisy plan of the mc dataset's 4 structures has one
-        parameter leaf per rotation, and its live steps are pinned: 22, 30,
-        30 and 38, where a ket and a bra wire per qubit, with a leaf per
-        rotation on each, took 38, 49, 49 and 62."""
+        parameter leaf per rotation, and the live steps of its noisy and
+        exact plans are pinned: 16, 20, 20 and 24, and 14, 18, 18 and 22.
+        The greedy folds each constant sub-network before it joins a
+        rotation; when it ordered pairs by size alone they took 22, 30, 30
+        and 38, and 18, 24, 24 and 30, and with a ket and a bra wire per
+        qubit, a leaf per rotation on each, the noisy plans took 38, 49, 49
+        and 62."""
         model = compile_model(PipelineConfig(ansatz="iqp", optimizer="spsa"),
                               generate_dataset(0))
-        live = {}
+        live, exact = {}, {}
         for c in model.artifacts:
             key = (*_structure(c), c.postselect, c.open)
             (g,) = _lone_plan((*key, 0.01)).groups
@@ -806,7 +871,9 @@ class TestSuperoperatorNetwork:
             assert list(g.plan.kinds) == [DOUBLED[gate]
                                           for gate in leaf_gates(c)]
             live[key] = len(g.plan.run)
-        assert sorted(live.values()) == [22, 30, 30, 38]
+            exact[key] = len(_circuit_plan(*key).run)
+        assert sorted(live.values()) == [16, 20, 20, 24]
+        assert sorted(exact.values()) == [14, 18, 18, 22]
 
     @settings(max_examples=20, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -842,6 +909,54 @@ class TestSuperoperatorNetwork:
             if c.n_qubits <= 7:  # the dense oracle takes seconds at 9
                 assert np.abs(value.real - density_oracle(c, store, p)
                               ).max() < 1e-12
+
+
+def wide_circuit(n):
+    """H on every qubit, a CX ladder, Rz and H on each qubit, and another
+    ladder; qubit 0 open and the rest postselected. Its fixed regions are
+    wide: the first ladder is constant across all n qubits."""
+    ladder = tuple(Op("CX", (q, q + 1)) for q in range(n - 1))
+    middle = tuple(op for q in range(n)
+                   for op in (Op("Rz", (q,), Symbol(f"a{q}")), Op("H", (q,))))
+    return Circuit(n, tuple(Op("H", (q,)) for q in range(n)) + ladder
+                   + middle + ladder, tuple(range(1, n)), (0,))
+
+
+class TestWideFixedRegion:
+    C = wide_circuit(8)
+
+    def test_values_match_the_oracles(self):
+        c = self.C
+        store = ParameterStore({f"a{q}": np.array(0.3 + 0.17 * q)
+                                for q in range(c.n_qubits)})
+        want = dense_oracle(c, store)
+        assert np.abs(statevector(c, store) - want).max() < 1e-12
+        _, norm, a1 = planned(plan_circuits([c], store), store.to_vector(),
+                              [0])
+        probs = np.abs(want[[0, 1]]) ** 2
+        assert abs(norm[0] - probs.sum()) < 1e-12
+        assert abs(a1[0] - probs[1]) < 1e-12
+        outcomes = density_oracle(c, store, 0.01)
+        assert np.abs(_outcomes(c, store, 0.01) - outcomes).max() < 1e-12
+        (value,) = contract_plan(plan_circuits([c], store, 0.01),
+                                 store.to_vector())
+        assert np.abs(value.real - outcomes).max() < 1e-12
+
+    def test_folds_grow_no_tensor(self):
+        """A fixed pair folds first only if its result is no larger than
+        the larger of the two, so the ladder's growing fixed region is
+        left to the size order. Live steps and the largest tensor, exact
+        then noisy, are pinned: ordering by size alone took 24 and 64, and
+        38 and 32768; folding every fixed pair first took 9 and 512, and
+        9 and 131072, a constant as wide as the ladder."""
+        c = self.C
+        got = []
+        for key in ((), (0.01,)):
+            (g,) = _lone_plan((*_structure(c), c.postselect, c.open,
+                               *key)).groups
+            got.append((len(g.plan.run),
+                        max(math.prod(s) for s in g.plan.shapes)))
+        assert got == [(17, 64), (17, 2048)]
 
 
 class TestNonFiniteAngle:
