@@ -8,10 +8,6 @@ and parent categories.
 
 A line is read by one regex tokenisation (a closed leaf, another node
 header, or a closing parenthesis) into a tree built without recursion.
-Its tokens decide nothing in the parse but its leaves' labels, so the parse
-is kept in a bounded cache per derivation shape, keyed by the line with
-every leaf's token lifted out; a later line of that shape is the kept tree
-with its own tokens in the leaves.
 
 The translation to pregroup types sends N, NP and PP to the noun type, any
 S[feature] to the sentence type, X/Y to T(X) ++ T(Y).l and X\\Y to
@@ -22,12 +18,12 @@ a typed bridge box. A category marked [conj] maps to T(X).r ++ T(X) and the
 conjunction word itself is typed as the right adjoint of its neighbour, so
 coordination completes with ordinary backward-application cups.
 
-A token decides nothing in the translation either: it only labels its
-leaf's word. So ``tree_to_diagram`` converts one derivation per shape (its
-categories, rules and child structure, tokens left out) and keeps the
-diagram as the shape's template, with the layer of each leaf's word; a
-later derivation of that shape is the template with its own tokens in
-those words.
+A token decides nothing in the parse or the translation: it only labels
+its leaf's word. So ``line_to_diagram`` converts one line per key, the line
+with its leaves' tokens lifted out, and keeps the diagram with the layer of
+each leaf's word; a later line of the key is that diagram with its own
+tokens in those words, and builds no tree. ``parse_auto`` and
+``tree_to_diagram`` keep nothing.
 """
 from __future__ import annotations
 
@@ -58,8 +54,8 @@ RULES = ("FA", "BA", "FC", "BC", "FX", "BX", "TR", "LEX", "CONJ", "UNARY")
 # CCGBank has about 1,300 lexical category types, so the bound holds every
 # category of a corpus, and a rarer combination past it is evicted least
 # recently used first. An exception is never cached: a bad category or
-# combination raises on every call. The parse of a line and the diagram of
-# a derivation are kept per shape in bounded caches in the same way.
+# combination raises on every call. The diagram of a derivation line is kept
+# per key in a bounded cache in the same way (``line_to_diagram``).
 
 
 class ParseError(Exception):
@@ -269,6 +265,25 @@ class Node(_Tree):
 CCGTree = Union[Leaf, Node]
 
 
+def _shape(t: CCGTree) -> tuple[tuple, list[str]]:
+    """The shape of a derivation, and its tokens from left to right.
+
+    The shape lists the derivation in pre-order, a node as its rule and
+    category and a leaf as its category alone, so it determines the tree
+    up to its tokens. It is walked without recursion, so a tree of any
+    depth compares and hashes."""
+    shape, tokens, stack = [], [], [t]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, Leaf):
+            shape.append(t.category)
+            tokens.append(t.token)
+        else:
+            shape += (t.rule, t.category)
+            stack.extend(reversed(t.children))
+    return tuple(shape), tokens
+
+
 def _is_punct(c: CCGCategory) -> bool:
     return isinstance(c, Atomic) and c.name in PUNCT_ATOMS
 
@@ -348,14 +363,16 @@ def infer_unary_rule(child: CCGCategory, parent: CCGCategory) -> str:
 # derivation by its ID and hands it on with its file line, so every
 # ParseError names the line of the file that it is on.
 #
-# ``_parse_line`` parses each derivation line. A token decides nothing in a
-# parse but its leaf's label, so a line is keyed by its text with the token
-# of every leaf ``(<L cat pos pos token cat>)`` lifted out (``_LEAF``). The
-# first line of a key is parsed, and its tree kept in post-order as the
-# template of that key; a later line of the key is that template with its
-# own tokens in the leaves. A lifted token holds no space and no ``>``, so
-# the parse reads it as the fifth field of its leaf's header whatever it
-# holds, and the rest of the line parses as the template's did.
+# ``line_to_diagram`` takes each derivation line of set-up to its diagram.
+# A token decides nothing in a parse or a conversion but its leaf's word, so
+# a line is keyed by its text with the token of every leaf
+# ``(<L cat pos pos token cat>)`` lifted out (``_LEAF``), its POS tags and
+# predicate-argument category kept. The first line of a key is parsed and
+# converted, and its diagram kept with the layer of each leaf's word; a
+# later line of the key is that diagram with its own tokens in those words.
+# A lifted token holds no space and no ``>``, so the parse reads it as the
+# fifth field of its leaf's header whatever it holds, and the rest of the
+# line parses as the template's did.
 #
 # A parse reads a line as the tokens of one regex, ``_TOKEN``, each after
 # any spaces: a closed leaf ``(<L ...>)`` with its category and token;
@@ -405,28 +422,38 @@ def scan_auto(text: str) -> Iterator[tuple[str, int, str]]:
 
 def parse_auto(text: str) -> list[CCGTree]:
     """Parse AUTO-format text, one derivation per non-header line."""
-    return [_parse_line(line, lineno) for _, lineno, line in scan_auto(text)]
+    return [_assemble(*_parse_program(line, lineno))
+            for _, lineno, line in scan_auto(text)]
 
 
-def _parse_line(line: str, lineno: int) -> CCGTree:
-    """The derivation on one line of an AUTO file, ``lineno``."""
+def line_to_diagram(line: str, lineno: int = 1) -> Diagram:
+    """The diagram of the derivation on one line of an AUTO file,
+    ``lineno``: ``tree_to_diagram(parse_auto(line)[0])``, re-labelled from
+    the template of the line's key once one line of that key has
+    converted."""
     pieces = _LEAF.split(line)
     tokens = pieces[2::3]
     del pieces[2::3]
-    cell = _tree_templates(tuple(pieces))
+    cell = _line_templates(tuple(pieces))
     if cell:
-        return _assemble(cell[0], tokens)
-    program, leaves = _parse_program(line, lineno)
-    if len(leaves) == len(tokens):  # every leaf's token lifted
-        cell.append(program)
-    return _assemble(program, leaves)
+        template, leaves = cell[0]
+        layers = list(template.layers)
+        for k, token in zip(leaves, tokens):
+            box, offset = layers[k]
+            layers[k] = Word(token, box.dom, box.cod), offset
+        return Diagram._typed(template.dom, template.cod, tuple(layers))
+    program, found = _parse_program(line, lineno)
+    d, leaves = _converted(_assemble(program, found))
+    if len(found) == len(tokens):  # every leaf's token lifted
+        cell.append((d, leaves))
+    return d
 
 
 @lru_cache(maxsize=1024)  # bounded, like the categories' caches
-def _tree_templates(key: tuple) -> list:
-    """The parsed derivation of the lines of one key, in post-order, once
-    the first has parsed. Empty until then, and after a failed parse, so a
-    line that does not parse fails every time."""
+def _line_templates(key: tuple) -> list:
+    """The diagram of the lines of one key, and the layer of each leaf's
+    word, once the first has converted. Empty until then, and after a
+    failed parse or conversion, so a line that fails fails every time."""
     return []
 
 
@@ -604,64 +631,25 @@ def _cap_shaped(a: PType, b: PType) -> bool:
 
 
 def tree_to_diagram(t: CCGTree) -> Diagram:
-    """Convert a derivation to a diagram with dom [] and cod T(root).
+    """Convert a derivation to a diagram with dom [] and cod T(root)."""
+    return _converted(t)[0]
 
-    The first derivation of a shape is converted, and its diagram kept as
-    the template of that shape with the layer of each leaf's word; a later
-    one is that diagram with its own tokens in those words."""
-    shape, tokens = _shape(t)
-    cell = _diagram_templates(shape)
-    if cell:
-        template, leaves = cell[0]
-        layers = list(template.layers)
-        for k, token in zip(leaves, tokens):
-            box, offset = layers[k]
-            layers[k] = Word(token, box.dom, box.cod), offset
-        d = Diagram._typed(template.dom, template.cod, tuple(layers))
-    else:
-        b = _Conversion()
-        try:
-            _convert(t, b)
-        except RecursionError:
-            raise DerivationError(
-                "derivation is too deep to convert (nesting exceeds the "
-                "interpreter's recursion limit)") from None
-        d, leaves = b.diagram(), tuple(b.leaves)
-    want = cat_to_typeseq(t.category)
+
+def _converted(t: CCGTree) -> tuple[Diagram, tuple[int, ...]]:
+    """The diagram of a derivation, and the layer of each leaf's word from
+    left to right."""
+    b = _Conversion()
+    try:
+        _convert(t, b)
+    except RecursionError:
+        raise DerivationError(
+            "derivation is too deep to convert (nesting exceeds the "
+            "interpreter's recursion limit)") from None
+    d, want = b.diagram(), cat_to_typeseq(t.category)
     if d.cod != want:
         raise DerivationError(
             f"converted codomain {d.cod} does not match root type {want}")
-    if not cell:
-        cell.append((d, leaves))
-    return d
-
-
-def _shape(t: CCGTree) -> tuple[tuple, list[str]]:
-    """The shape of a derivation, and its tokens from left to right.
-
-    The shape lists the derivation in pre-order, a node as its rule and
-    category and a leaf as its category alone, so it determines the tree
-    up to its tokens. It is walked without recursion, so a tree too deep
-    to convert still reaches ``_convert``, which names that error."""
-    shape, tokens, stack = [], [], [t]
-    while stack:
-        t = stack.pop()
-        if isinstance(t, Leaf):
-            shape.append(t.category)
-            tokens.append(t.token)
-        else:
-            shape += (t.rule, t.category)
-            stack.extend(reversed(t.children))
-    return tuple(shape), tokens
-
-
-@lru_cache(maxsize=1024)  # bounded, like the categories' caches
-def _diagram_templates(shape: tuple) -> list:
-    """The diagram of the derivations of one ``_shape``, and the layer of
-    each leaf's word, once the first has converted. Empty until then, and
-    after a failed conversion, so a shape that does not convert fails on
-    every derivation."""
-    return []
+    return d, tuple(b.leaves)
 
 
 class _Conversion(Builder):
@@ -802,15 +790,14 @@ def section_to_diagrams(path: str | Path) -> list[ConversionResult]:
     results = []
     for file in files:
         try:
-            derivations = list(scan_auto(file.read_text(encoding="utf-8")))
-        except ParseError as exc:
+            derivations = list(scan_auto(file.read_bytes().decode("utf-8")))
+        except (ParseError, UnicodeDecodeError) as exc:
             logger.warning("skipping %s: %s", file.name, exc)
             results.append(ConversionResult(file.name, error=str(exc)))
             continue
         for deriv_id, lineno, line in derivations:
             try:
-                tree = _parse_line(line, lineno)
-                diagram = tree_to_diagram(tree)
+                diagram = line_to_diagram(line, lineno)
                 results.append(ConversionResult(deriv_id, diagram=diagram))
             except (ParseError, UnknownCategory, DerivationError) as exc:
                 logger.warning("skipping %s: %s", deriv_id, exc)

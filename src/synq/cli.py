@@ -14,9 +14,10 @@ MC-style dataset (``generate_dataset(0)``), trains it and writes into DIR:
   under the trained parameters (also printed on stdout).
 
 A bad config is a usage error (exit status 2). A config that cannot compile,
-such as one whose AUTO file is missing, malformed or lacks an item's ID,
-prints ``synq: cannot compile: <message>`` on stderr and exits with status 1;
-neither writes DIR.
+such as one whose AUTO file is missing, malformed, not UTF-8 or lacks an
+item's ID, prints ``synq: cannot compile: <message>`` on stderr and exits
+with status 1; so does ``synq: cannot create DIR: <reason>``, before
+training, for a DIR that cannot be made a directory. Neither writes DIR.
 """
 from __future__ import annotations
 
@@ -65,12 +66,15 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, CompileError, ParseError) as exc:
         message = "; ".join(str(exc).splitlines())
         parser.exit(1, f"synq: cannot compile: {message}\n")
+    out = Path(args.out)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        parser.exit(1, f"synq: cannot create {out}: {exc.strerror}\n")
     store, history = train(model)
     metrics: dict[str, float] = {}
     for split in SPLITS:
         metrics.update(evaluate_split(model, store, split))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     (out / "history.csv").write_text(history.to_csv(), encoding="utf-8")
     (out / "store.json").write_text(json.dumps(store.to_jsonable()),
                                     encoding="utf-8")

@@ -14,8 +14,8 @@ The sentences of a dataset share few structures (the 130 of the dataset
 grammar have 4), and a token reaches a compiled artifact only through its
 symbol names. So compile_diagram compiles the first diagram of each
 structure and re-labels that artifact for the others, as
-``ccg.parse_auto`` and ``ccg.tree_to_diagram`` do for derivations of one
-shape; each re-labelled node or op is checked against the template's.
+``ccg.line_to_diagram`` does for derivation lines of one key; each
+re-labelled node or op is checked against the template's.
 """
 from __future__ import annotations
 
@@ -132,12 +132,13 @@ def sentence_to_diagram(cfg: PipelineConfig, text: str,
     elif cfg.reader == "spiders":
         d = spiders_read(tokenize(text))
     else:
-        line = derivation if derivation is not None else sentence_to_auto(text)
-        trees = ccg.parse_auto(line)
-        if len(trees) != 1:
+        auto = derivation if derivation is not None else sentence_to_auto(text)
+        found = list(ccg.scan_auto(auto))
+        if len(found) != 1:
             raise ccg.ParseError(f"expected one derivation, found "
-                                 f"{len(trees)}", 1, 1)
-        d = ccg.tree_to_diagram(trees[0])
+                                 f"{len(found)}", 1, 1)
+        _, lineno, line = found[0]
+        d = ccg.line_to_diagram(line, lineno)
     if cfg.rewrites:
         d = _rewriter(cfg.rewrites)(d).normal_form()
     return d
@@ -153,7 +154,10 @@ def _load_derivations(cfg: PipelineConfig, ds: LabeledDataset
     with its line of the file; without a file, (None, 1) for each item."""
     if cfg.ccg_path is None:
         return [(None, 1)] * len(ds.items)
-    auto = Path(cfg.ccg_path).read_text(encoding="utf-8")
+    try:
+        auto = Path(cfg.ccg_path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:  # names the byte and its offset
+        raise CompileError(f"{cfg.ccg_path}: {exc}") from None
     by_id = {key: (line, lineno) for key, lineno, line in ccg.scan_auto(auto)}
     missing = [f"{i}: {text!r}" for i, (text, _) in enumerate(ds.items)
                if str(i) not in by_id]

@@ -9,8 +9,10 @@ from synq import ccg
 from synq.ccg import (
     RULES, Atomic, Backward, DerivationError, Forward, Leaf, Node,
     ParseError, UnknownCategory, _strip_conj, cat_to_typeseq, parse_auto,
-    parse_category, scan_auto, section_to_diagrams, tree_to_diagram,
+    line_to_diagram, parse_category, scan_auto, section_to_diagrams,
+    tree_to_diagram,
 )
+from synq.dataset import generate_dataset, sentence_to_auto
 from synq.diagram import Cap, Cup, Swap, Word
 from synq.rewrite import RULE_NAMES, Rewriter
 from synq.types import EMPTY, reduce, reduces_to, ts
@@ -302,6 +304,15 @@ class TestSectionConversion:
         assert [r.ok for r in results] == [True, False, True]
         assert "QQQ" in results[1].error
 
+    def test_non_utf8_file_is_skipped(self, tmp_path):
+        good = "(<L N NN NN flower N>)"
+        (tmp_path / "a.auto").write_bytes(b"(<L N NN NN fl\xe9 N>)\n")
+        (tmp_path / "b.auto").write_text(f"{good}\n")
+        results = section_to_diagrams(tmp_path)
+        assert [(r.derivation_id, r.ok) for r in results] == [
+            ("a.auto", False), ("0", True)]
+        assert "0xe9 in position 14" in results[0].error
+
     def test_empty_directory(self, tmp_path):
         assert section_to_diagrams(tmp_path) == []
 
@@ -426,45 +437,89 @@ def token_mutations(draw):
     return line[:end] + text + line[end + 1:]
 
 
-def parse_outcome(line):
-    """The trees of ``line``, or the error it raises, with a ParseError's
-    line and column."""
+def outcome(convert, line):
+    """The diagram ``convert(line)`` gives, or the error it raises, with a
+    ParseError's line and column."""
     try:
-        return parse_auto(line)
+        return convert(line)
     except ParseError as exc:
         return "ParseError", exc.reason, exc.line, exc.column
     except (UnknownCategory, DerivationError) as exc:
         return type(exc).__name__, str(exc)
 
 
-def leaves(tree):
-    """The leaves of a tree from left to right."""
-    if isinstance(tree, Leaf):
-        return [tree]
-    return [leaf for child in tree.children for leaf in leaves(child)]
+def uncached(line):
+    """The diagram of ``line`` by the parse and conversion that keep
+    nothing."""
+    (tree,) = parse_auto(line)
+    return tree_to_diagram(tree)
 
 
-class TestParseCache:
-    """A line whose tokens are lifted into a cached key parses as it does
-    with the cache empty."""
+class TestLineCache:
+    """A line whose tokens are lifted into a cached key converts as it does
+    with the cache empty, and as the uncached parse and conversion do."""
 
     @settings(max_examples=300, deadline=None)
     @given(token_mutations())
-    def test_warm_parse_equals_cold(self, line):
-        for k in DERIVATIONS:  # every fixture shape cached
-            parse_auto(FIXTURE_LINES[k])
-        warm = parse_outcome(line)
-        ccg._tree_templates.cache_clear()
-        assert warm == parse_outcome(line)
+    def test_warm_outcome_equals_cold(self, line):
+        for k in DERIVATIONS:  # every fixture key cached
+            line_to_diagram(FIXTURE_LINES[k])
+        warm = outcome(line_to_diagram, line)
+        ccg._line_templates.cache_clear()
+        assert warm == outcome(line_to_diagram, line)
+        assert warm == outcome(uncached, line)
 
-    def test_same_shape_reuses_the_parse(self):
-        ccg._tree_templates.cache_clear()
+    @settings(max_examples=200, deadline=None)
+    @given(mutated_fixtures())
+    def test_warm_mutated_lines_convert_as_uncached(self, mutated):
+        for k in DERIVATIONS:  # every fixture key cached
+            line_to_diagram(FIXTURE_LINES[k])
+        try:
+            found = list(scan_auto(mutated[0]))
+        except ParseError:  # a mutated header
+            return
+        for _, _, line in found:
+            assert outcome(line_to_diagram, line) == outcome(uncached, line)
+
+    def test_lines_of_one_key_hit_once(self):
+        ccg._line_templates.cache_clear()
         line = FIXTURE_LINES[DERIVATIONS[0]]
-        (first,) = parse_auto(line)
-        (second,) = parse_auto(line.replace(" john ", " (<x ")
-                               .replace(" gave ", " ) "))
-        assert ccg._tree_templates.cache_info().hits == 1
-        assert [leaf.token for leaf in leaves(second)] == [
-            "(<x", ")", "mary", "a", "flower"]
-        assert [leaf.category for leaf in leaves(second)] == [
-            leaf.category for leaf in leaves(first)]
+        other = line.replace(" john ", " (<x ").replace(" gave ", " ) ")
+        first, second = line_to_diagram(line), line_to_diagram(other)
+        assert ccg._line_templates.cache_info()[:2] == (1, 1)  # hits, misses
+        assert first == uncached(line) and second == uncached(other)
+        words = [box.token for box, _ in second.layers
+                 if isinstance(box, Word)]
+        assert words == ["(<x", ")", "mary", "a", "flower"]
+
+    @pytest.mark.parametrize("caches", ["cold", "warm"])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_every_line_converts_as_uncached(self, seed, caches):
+        # cold: the cache emptied before each line; warm: emptied once, so
+        # each later line of a key is re-labelled from the first
+        lines = [FIXTURE_LINES[k] for k in DERIVATIONS]
+        lines += [sentence_to_auto(text)
+                  for text, _ in generate_dataset(seed).items]
+        ccg._line_templates.cache_clear()
+        for line in lines:
+            if caches == "cold":
+                ccg._line_templates.cache_clear()
+            assert line_to_diagram(line) == uncached(line), line
+        hits = ccg._line_templates.cache_info().hits
+        assert hits == 0 if caches == "cold" else hits > len(lines) // 2
+
+    def test_warm_line_builds_no_tree(self, monkeypatch):
+        line = FIXTURE_LINES[DERIVATIONS[0]]
+        other = line.replace(" john ", " bob ")
+        line_to_diagram(line)
+        want = uncached(other)
+
+        def refuse(*args):
+            raise AssertionError("parsed or converted")
+
+        for name in ("_parse_program", "Leaf", "Node", "_Conversion"):
+            monkeypatch.setattr(ccg, name, refuse)
+        assert line_to_diagram(other) == want
+        ccg._line_templates.cache_clear()
+        with pytest.raises(AssertionError, match="parsed or converted"):
+            line_to_diagram(other)  # a cold line does both

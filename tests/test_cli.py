@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from synq import cli
 from synq.cli import load_config, main
 from synq.params import ParameterStore
 from synq.pipeline import (
@@ -75,6 +76,41 @@ def test_compile_failure_is_one_line_and_status_1(tmp_path, capsys, auto):
     if auto is not None:
         assert "; 1: " in err
     assert not (tmp_path / "o").exists()
+
+
+def test_non_utf8_auto_is_a_compile_error(tmp_path, capsys):
+    path = tmp_path / "derivations.auto"
+    path.write_bytes(b"ID=0\n(<L N NN NN fl\xe9 N>)\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"ccg_path": str(path), "iterations": 1}))
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"synq: cannot compile: {path}: ")
+    assert "byte 0xe9 in position 19" in err and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("below", [False, True])
+def test_out_that_cannot_be_a_directory_fails_before_training(
+        tmp_path, capsys, monkeypatch, below):
+    existing = tmp_path / "file"
+    existing.write_text("kept")
+    out = existing / "run" if below else existing
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"iterations": 1}))
+
+    def refuse(model):
+        raise AssertionError("trained")
+
+    monkeypatch.setattr(cli, "train", refuse)
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--config", str(cfg), "--out", str(out)])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"synq: cannot create {out}: ")
+    assert err.count("\n") == 1 and existing.read_text() == "kept"
 
 
 FIELDS = tuple(f.name for f in fields(PipelineConfig))

@@ -230,7 +230,7 @@ def scanned_layers(monkeypatch, words: int) -> int:
     """Layers Builder.add checks while one sentence is built, rewritten
     and normalised."""
     # a derivation of a shape converted before would only be re-labelled
-    ccg._diagram_templates.cache_clear()
+    ccg._line_templates.cache_clear()
     scanned = 0
     add = Builder.add
 
@@ -250,7 +250,7 @@ def scanned_layers(monkeypatch, words: int) -> int:
 def frozen_layers(monkeypatch, words: int) -> int:
     """Layers copied into Diagram objects, checked or not, while one
     sentence is built, rewritten and normalised."""
-    ccg._diagram_templates.cache_clear()
+    ccg._line_templates.cache_clear()
     frozen = 0
     typed = Diagram._typed.__func__
     check = Diagram._check

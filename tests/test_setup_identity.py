@@ -43,10 +43,9 @@ CONFIGS = [(reader, name, rules, seed)
            for rules in REWRITES
            for seed in SEEDS]
 MEMOISED = (ccg.parse_category, ccg.cat_to_typeseq, ccg.infer_rule,
-            ccg.infer_unary_rule, ansatz._signature, ccg._tree_templates,
-            ccg._diagram_templates, pipeline._artifact_templates)
-TEMPLATES = (ccg._tree_templates, ccg._diagram_templates,
-             pipeline._artifact_templates)
+            ccg.infer_unary_rule, ansatz._signature, ccg._line_templates,
+            pipeline._artifact_templates)
+TEMPLATES = (ccg._line_templates, pipeline._artifact_templates)
 
 
 def _key(config: tuple) -> str:
@@ -173,7 +172,7 @@ def test_one_cold_compile_builds_each_structure_once():
     for fn in TEMPLATES:
         fn.cache_clear()
     compile_model(PipelineConfig(), generate_dataset(7))
-    assert [fn.cache_info().misses for fn in TEMPLATES] == [4, 4, 4]
+    assert [fn.cache_info().misses for fn in TEMPLATES] == [4, 4]
 
 
 def _config(name: str) -> PipelineConfig:
@@ -202,14 +201,13 @@ def test_same_shape_other_tokens(name):
     texts = ("skillful programmer creates software", "tasty chef cooks dinner")
     fresh = []
     for text in texts:  # each parsed and converted on its own
-        ccg._tree_templates.cache_clear()
-        ccg._diagram_templates.cache_clear()
+        ccg._line_templates.cache_clear()
         fresh.append(sentence_to_diagram(cfg, text))
     for fn in TEMPLATES:
         fn.cache_clear()
     diagrams = [sentence_to_diagram(cfg, text) for text in texts]
     arts = [compile_diagram(cfg, d) for d in diagrams]
-    assert [fn.cache_info().hits for fn in TEMPLATES] == [1, 1, 1]
+    assert [fn.cache_info().hits for fn in TEMPLATES] == [1, 1]
     assert diagrams == fresh
     assert arts == [_direct(name, d) for d in diagrams]
     assert _edges(arts[0]) == _edges(arts[1])
