@@ -7,7 +7,9 @@ combinator names, so the rule tag of every node is inferred from the child
 and parent categories.
 
 A line is read by one regex tokenisation (a closed leaf, another node
-header, or a closing parenthesis) into a tree built without recursion.
+header, or a closing parenthesis) into a tree, converted by a loop over a
+stack of steps: neither recurses, so no derivation is too deep. Only a
+category recurses, and one nested past a fixed bound is refused by name.
 
 The translation to pregroup types sends N, NP and PP to the noun type, any
 S[feature] to the sentence type, X/Y to T(X) ++ T(Y).l and X\\Y to
@@ -30,7 +32,6 @@ from __future__ import annotations
 import itertools
 import logging
 import re
-import sys
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from pathlib import Path
@@ -47,6 +48,7 @@ PUNCT_ATOMS = {",", ".", ":", ";", "LRB", "RRB", "``", "''"}
 CONJ_ATOMS = {"conj"}
 
 RULES = ("FA", "BA", "FC", "BC", "FX", "BX", "TR", "LEX", "CONJ", "UNARY")
+_UNARY = ("TR", "LEX", "UNARY")
 
 # parse_category, cat_to_typeseq, infer_rule and infer_unary_rule are pure
 # maps of frozen categories, called once per leaf or node of every
@@ -198,8 +200,18 @@ class _CatParser:
         return cat
 
 
+# the most parentheses and slashes a category may hold: it bounds how deep
+# its parse, hash, equality and translation recurse: far below Python's
+# default recursion limit, and far above what a treebank category holds
+_MAX_NESTING = 100
+
+
 @lru_cache(maxsize=4096)
 def parse_category(text: str) -> CCGCategory:
+    if text.count("(") + text.count("/") + text.count("\\") > _MAX_NESTING:
+        shown = text if len(text) <= 40 else text[:40] + "..."
+        raise UnknownCategory(f"category {shown!r} nests too deep: more than "
+                              f"{_MAX_NESTING} parentheses and slashes")
     return _CatParser(text).parse()
 
 
@@ -210,8 +222,8 @@ def parse_category(text: str) -> CCGCategory:
 
 class _Tree:
     """Equality and hash of a derivation by its ``_shape`` and tokens, and
-    its repr, all walked without recursion, so a unary chain as deep as
-    ``parse_auto`` accepts still compares, hashes and prints."""
+    its repr, all walked without recursion, so a tree of any depth
+    compares, hashes and prints."""
 
     def __eq__(self, other):
         if not isinstance(other, _Tree):
@@ -257,7 +269,7 @@ class Node(_Tree):
     def __post_init__(self):
         if self.rule not in RULES:
             raise ValueError(f"unknown rule {self.rule!r}")
-        unary = self.rule in ("TR", "LEX", "UNARY")
+        unary = self.rule in _UNARY
         if len(self.children) != (1 if unary else 2):
             raise ValueError(f"rule {self.rule} has wrong arity")
 
@@ -360,27 +372,29 @@ def infer_unary_rule(child: CCGCategory, parent: CCGCategory) -> str:
 #
 # One scanner, ``scan_auto``, reads AUTO text for ``parse_auto``,
 # ``section_to_diagrams`` and ``pipeline.compile_model``. It keys each
-# derivation by its ID and hands it on with its file line, so every
-# ParseError names the line of the file that it is on.
+# derivation by its ID and hands it on with its file line, indentation
+# kept, so every ParseError names the line and column of the file.
 #
-# ``line_to_diagram`` takes each derivation line of set-up to its diagram.
-# A token decides nothing in a parse or a conversion but its leaf's word, so
-# a line is keyed by its text with the token of every leaf
-# ``(<L cat pos pos token cat>)`` lifted out (``_LEAF``), its POS tags and
-# predicate-argument category kept. The first line of a key is parsed and
-# converted, and its diagram kept with the layer of each leaf's word; a
-# later line of the key is that diagram with its own tokens in those words.
-# A lifted token holds no space and no ``>``, so the parse reads it as the
-# fifth field of its leaf's header whatever it holds, and the rest of the
-# line parses as the template's did.
-#
-# A parse reads a line as the tokens of one regex, ``_TOKEN``, each after
+# ``_parse`` reads a line as the tokens of one regex, ``_TOKEN``, each after
 # any spaces: a closed leaf ``(<L ...>)`` with its category and token;
 # another node header ``(<...>``, split into fields on single spaces; a
 # closing parenthesis; or any other character, which is out of place. It
-# keeps the open nodes on a list, not on the interpreter's stack, and infers
-# a node's rule as the node closes. Only an error reads a token's position,
-# from the same regex.
+# keeps the open nodes on a list, not on the interpreter's stack, and builds
+# each ``Leaf`` or ``Node`` as it closes, a node's rule inferred from its
+# children's categories. So a line of any depth parses. Only an error reads
+# a token's position, from the same regex.
+#
+# ``line_to_diagram`` takes each derivation line of set-up to its diagram.
+# A token decides nothing in a parse or a conversion but its leaf's word, so
+# a line is keyed by its text with the token of every closed leaf lifted
+# out (``_LEAF``), its POS tags and predicate-argument category kept. The
+# first line of a key is parsed and converted, and its diagram kept with the
+# layer of each leaf's word; a later line of the key is that diagram with
+# its own tokens in those words. On a line that parses, ``_LEAF`` lifts
+# exactly the tokens of the leaves ``_TOKEN`` reads: both read a leaf by the
+# same fields, and a ``_LEAF`` match anywhere else lies inside a node
+# header, which then has too many fields. A lifted token holds no space and
+# no ``>``, so a later line of the key parses as its template did.
 # ---------------------------------------------------------------------------
 
 # a closed leaf's category and token; another node header, or ")"; or any
@@ -399,22 +413,26 @@ def scan_auto(text: str) -> Iterator[tuple[str, int, str]]:
     derivation without a header is keyed by its 0-based position among the
     text's derivations, so ``write_auto``'s ``ID=i`` headers and a
     headerless file both key item i as ``str(i)``. Blank lines are skipped.
-    Raises ParseError on an empty or repeated ID.
+    A derivation line keeps its indentation, so a column counts from the
+    first character of the file line. Raises ParseError on an empty or
+    repeated ID.
     """
     seen: set[str] = set()
     current: Optional[str] = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
+        line = raw.rstrip()
+        body = line.lstrip()
+        if not body:
             continue
-        if line.startswith("ID="):
-            current = line.split()[0][3:]
+        column = len(line) - len(body) + 1
+        if body.startswith("ID="):
+            current = body.split()[0][3:]
             if not current:
-                raise ParseError("empty derivation ID", lineno, 1)
+                raise ParseError("empty derivation ID", lineno, column)
             continue
         key = current if current is not None else str(len(seen))
         if key in seen:
-            raise ParseError(f"repeated derivation ID {key!r}", lineno, 1)
+            raise ParseError(f"repeated derivation ID {key!r}", lineno, column)
         seen.add(key)
         current = None
         yield key, lineno, line
@@ -422,8 +440,7 @@ def scan_auto(text: str) -> Iterator[tuple[str, int, str]]:
 
 def parse_auto(text: str) -> list[CCGTree]:
     """Parse AUTO-format text, one derivation per non-header line."""
-    return [_assemble(*_parse_program(line, lineno))
-            for _, lineno, line in scan_auto(text)]
+    return [_parse(line, lineno) for _, lineno, line in scan_auto(text)]
 
 
 def line_to_diagram(line: str, lineno: int = 1) -> Diagram:
@@ -442,10 +459,8 @@ def line_to_diagram(line: str, lineno: int = 1) -> Diagram:
             box, offset = layers[k]
             layers[k] = Word(token, box.dom, box.cod), offset
         return Diagram._typed(template.dom, template.cod, tuple(layers))
-    program, found = _parse_program(line, lineno)
-    d, leaves = _converted(_assemble(program, found))
-    if len(found) == len(tokens):  # every leaf's token lifted
-        cell.append((d, leaves))
+    d, leaves = _converted(_parse(line, lineno))
+    cell.append((d, leaves))
     return d
 
 
@@ -457,21 +472,13 @@ def _line_templates(key: tuple) -> list:
     return []
 
 
-def _parse_program(line: str, lineno: int) -> tuple[tuple, list[str]]:
-    """The nodes of a derivation line in post-order, each as (category,
-    rule, number of children), a leaf's rule None; and the tokens of its
-    leaves from left to right.
-
-    A tree is converted by recursion, up to two frames a level (a unary
-    node's conversion), so a line whose nodes nest deeper than half the
-    interpreter's recursion limit is refused with a named error."""
-    program, tokens, built = [], [], []
+def _parse(line: str, lineno: int) -> CCGTree:
+    """The derivation on one line of an AUTO file, ``lineno``."""
     # the open internal nodes, each [category, children, children still to
-    # come]; built holds the categories of the subtrees not yet taken
-    open_nodes = []
+    # come]; built holds the subtrees no node has taken yet
+    built, open_nodes = [], []
     unclosed = False  # a leaf header with no ")" next
-    deep = sys.getrecursionlimit() // 2
-    found = _TOKEN.findall(line)
+    found = _TOKEN.findall(line, _indent(line))
     for k, (category, token, text, other) in enumerate(found):
         if text == ")":
             if not open_nodes or open_nodes[-1][2]:
@@ -479,25 +486,19 @@ def _parse_program(line: str, lineno: int) -> tuple[tuple, list[str]]:
             category, arity, _ = open_nodes.pop()
             if arity == 2:
                 right = built.pop()
-                rule = infer_rule(built[-1], right, category)
+                left = built[-1]
+                built[-1] = Node(category, infer_rule(
+                    left.category, right.category, category), (left, right))
             else:
-                rule = infer_unary_rule(built[-1], category)
-            built[-1] = category
-            program.append((category, rule, arity))
+                child = built[-1]
+                built[-1] = Node(category, infer_unary_rule(
+                    child.category, category), (child,))
         else:
-            if other or program and not open_nodes \
+            if other or built and not open_nodes \
                     or open_nodes and not open_nodes[-1][2]:
                 break  # out of place, after the root, or where ")" is due
-            if len(open_nodes) >= deep:
-                raise ParseError(
-                    "derivation is too deep to parse (nesting exceeds half "
-                    "the interpreter's recursion limit)", lineno,
-                    _span(line, k)[0] + 1)
             if not text:  # a closed leaf
-                category = parse_category(category)
-                program.append((category, None, 0))
-                built.append(category)
-                tokens.append(token)
+                built.append(Leaf(token, parse_category(category)))
             else:
                 fields = text[2:-1].split(" ")
                 if fields[0] == "T":
@@ -529,7 +530,7 @@ def _parse_program(line: str, lineno: int) -> tuple[tuple, list[str]]:
                 break
         if not open_nodes:  # the root is complete
             if k + 1 == len(found):
-                return tuple(program), tokens
+                return built[0]
         else:
             open_nodes[-1][2] -= 1
     else:
@@ -538,7 +539,7 @@ def _parse_program(line: str, lineno: int) -> tuple[tuple, list[str]]:
     at = _span(line, k)[0] if k < len(found) else len(line)
     if unclosed or open_nodes and not open_nodes[-1][2]:
         reason, column = "expected ')'", at + 1
-    elif program and not open_nodes:  # after the root
+    elif built and not open_nodes:  # after the root
         reason, column = "trailing characters after derivation", at + 1
     elif line[at:at + 1] != "(":
         reason, column = "expected '('", at + 1
@@ -549,10 +550,15 @@ def _parse_program(line: str, lineno: int) -> tuple[tuple, list[str]]:
     raise ParseError(reason, lineno, column)
 
 
+def _indent(line: str) -> int:
+    """Where a line's first token starts: after its leading whitespace."""
+    return len(line) - len(line.lstrip())
+
+
 def _span(line: str, k: int) -> tuple[int, int]:
     """Where the k-th ``_TOKEN`` of a line starts, after its spaces, and
     ends: read only for the column of an error."""
-    m = next(itertools.islice(_TOKEN.finditer(line), k, None))
+    m = next(itertools.islice(_TOKEN.finditer(line, _indent(line)), k, None))
     return m.end() - len(m.group().lstrip(" ")), m.end()
 
 
@@ -560,20 +566,6 @@ def _header_error(reason: str, line: str, lineno: int, k: int) -> ParseError:
     """The error of a malformed header, the k-th token of a line, named at
     the column after it."""
     return ParseError(reason, lineno, _span(line, k)[1] + 1)
-
-
-def _assemble(program: tuple, tokens: list[str]) -> CCGTree:
-    """The tree of a ``_parse_program`` with ``tokens`` in its leaves."""
-    trees, tokens = [], iter(tokens)
-    for category, rule, arity in program:
-        if not arity:
-            trees.append(Leaf(next(tokens), category))
-        elif arity == 2:
-            right = trees.pop()
-            trees[-1] = Node(category, rule, (trees[-1], right))
-        else:
-            trees[-1] = Node(category, rule, (trees[-1],))
-    return trees[0]
 
 
 # ---------------------------------------------------------------------------
@@ -637,14 +629,43 @@ def tree_to_diagram(t: CCGTree) -> Diagram:
 
 def _converted(t: CCGTree) -> tuple[Diagram, tuple[int, ...]]:
     """The diagram of a derivation, and the layer of each leaf's word from
-    left to right."""
+    left to right.
+
+    The layers come in post-order, from a loop over a stack of steps, not
+    from recursion, so a derivation of any depth converts. Invariant: a
+    subtree's wires start at the right end of the builder's wires, since
+    every subtree to its left is complete. So no tensor, composition or
+    offset shift is needed: a node's combining layers act at offsets
+    counted from where its children's wires start.
+    """
     b = _Conversion()
-    try:
-        _convert(t, b)
-    except RecursionError:
-        raise DerivationError(
-            "derivation is too deep to convert (nesting exceeds the "
-            "interpreter's recursion limit)") from None
+    wires = b.wires
+    # a step is a subtree still to convert; a node whose left child is done,
+    # (node, start); a node whose children are done, (node, start, mid); or
+    # a punctuation word of no wires, (token,). start and mid are where the
+    # node's left and right child's wires start, mid None where the node's
+    # layers do not read it.
+    steps = [t]
+    push = steps.append
+    while steps:
+        step = steps.pop()
+        if type(step) is tuple:
+            if len(step) == 3:
+                node, start, mid = step
+                _join(node, start, mid, b)
+            elif len(step) == 2:  # the right child is next
+                node, start = step
+                push((node, start, len(wires)))
+                push(node.children[1])
+            else:
+                b.leaf(step[0])
+        elif isinstance(step, Leaf):
+            b.leaf(step.token, cat_to_typeseq(step.category))
+        elif step.rule in _UNARY:
+            push((step, len(wires), None))
+            push(step.children[0])
+        else:
+            steps += _binary_steps(step, b, len(wires))
     d, want = b.diagram(), cat_to_typeseq(t.category)
     if d.cod != want:
         raise DerivationError(
@@ -671,29 +692,63 @@ _OPERANDS = {"FA": (Forward, object), "BA": (object, Backward),
              "FX": (Forward, Backward), "BX": (Forward, Backward)}
 
 
-def _convert(t: CCGTree, b: _Conversion) -> None:
-    """Append the layers of ``t``'s diagram to ``b``, in post-order.
-
-    Invariant: ``t``'s wires start at the right end of ``b``'s wires, since
-    every subtree to its left is complete. So no tensor, composition or
-    offset shift is needed: a combining layer acts at an offset counted
-    from ``start``, where the left child's wires begin.
-    """
-    if isinstance(t, Leaf):
-        return b.leaf(t.token, cat_to_typeseq(t.category))
-    if t.rule in ("TR", "LEX", "UNARY"):
-        return _convert_unary(t, b)
-    if t.rule == "CONJ":
-        return _convert_conj(t, b)
+def _binary_steps(t: Node, b: _Conversion, start: int) -> tuple:
+    """The steps that convert a binary node whose wires start at ``start``,
+    last first, once its rule is checked against its categories; a word
+    that a conjunction or punctuation node places before its children is
+    appended at once."""
     left, right = t.children
     lc, rc = left.category, right.category
-    kind_l, kind_r = _OPERANDS[t.rule]
-    if not (isinstance(lc, kind_l) and isinstance(rc, kind_r)):
-        raise _misfit(t)  # a hand-built node: parse_auto infers the rule
-    start = len(b.wires)
-    _convert(left, b)
-    mid = len(b.wires)
-    _convert(right, b)
+    if t.rule != "CONJ":
+        kind_l, kind_r = _OPERANDS[t.rule]
+        if not (isinstance(lc, kind_l) and isinstance(rc, kind_r)):
+            raise _misfit(t)  # a hand-built node: parse_auto infers the rule
+        if t.rule in ("FA", "FC"):
+            return (t, start, None), right, left
+        return (t, start), left
+    if t.category.conj and isinstance(left, Leaf) \
+            and (_is_conj_atom(lc) or _is_punct(lc)):
+        b.leaf(left.token, cat_to_typeseq(rc).r)
+        return right,
+    if rc.conj and cat_eq(lc, _strip_conj(rc)):  # joined by cups
+        return (t, start, None), right, left
+    if _is_punct(rc) and isinstance(right, Leaf):
+        return (right.token,), left
+    if _is_punct(lc) and isinstance(left, Leaf):
+        b.leaf(left.token)
+        return right,
+    raise _misfit(t)
+
+
+def _misfit(t: Node) -> DerivationError:
+    """The error of a binary node whose rule does not fit its categories."""
+    left, right = (category_to_str(c.category) for c in t.children)
+    return DerivationError(
+        f"rule {t.rule} does not combine {left} and {right} into "
+        f"{category_to_str(t.category)}")
+
+
+def _join(t: Node, start: int, mid: int, b: _Conversion) -> None:
+    """Append the layers that take a node's converted children to the node:
+    its left child's wires start at ``start``, its right child's at
+    ``mid``."""
+    if t.rule in _UNARY:  # unchanged, by a cap, or by a bridge box
+        child = t.children[0].category
+        a, c = cat_to_typeseq(child), cat_to_typeseq(t.category)
+        if a == c:
+            return
+        if len(c) == len(a) + 2 and c[2:] == a and _cap_shaped(c[0], c[1]):
+            b.add(Cap(c[1].base, c[1].z), start)
+        elif len(c) == len(a) + 2 and c[:-2] == a \
+                and _cap_shaped(c[-2], c[-1]):
+            b.add(Cap(c[-1].base, c[-1].z), len(b.wires))
+        else:  # a trainable bridge box consuming T(A), producing T(B)
+            name = f"[{category_to_str(child)}->{category_to_str(t.category)}]"
+            b.add(Word(name, dom=a, cod=c), start)
+        return
+    lc, rc = t.children[0].category, t.children[1].category
+    if t.rule == "CONJ":  # X and X[conj]
+        return _cups(b, start, len(cat_to_typeseq(lc)))
     if t.rule in ("FA", "FC"):
         # left: T(X) ++ T(Y).l; cancel T(Y).l against the right's first wires
         x = len(cat_to_typeseq(lc.result))
@@ -709,62 +764,11 @@ def _convert(t: CCGTree, b: _Conversion) -> None:
         zlen = len(cat_to_typeseq(rc.argument))
         _swap_block_left(b, mid, zlen, mid - start)
         return _cups(b, start + zlen + x, len(y))
-    if t.rule == "BX":
-        # left: T(Y) ++ T(Z).l, right: T(Y).r ++ T(X); push T(Z).l rightmost
-        y = cat_to_typeseq(rc.argument)
-        zlen = len(cat_to_typeseq(lc.argument))
-        _swap_block_right(b, start + len(y), zlen, len(b.wires) - mid)
-        return _cups(b, start, len(y))
-    raise DerivationError(f"unhandled rule {t.rule}")
-
-
-def _misfit(t: Node) -> DerivationError:
-    """The error of a binary node whose rule does not fit its categories."""
-    left, right = (category_to_str(c.category) for c in t.children)
-    return DerivationError(
-        f"rule {t.rule} does not combine {left} and {right} into "
-        f"{category_to_str(t.category)}")
-
-
-def _convert_unary(t: Node, b: _Conversion) -> None:
-    child = t.children[0]
-    start = len(b.wires)
-    _convert(child, b)
-    a = cat_to_typeseq(child.category)
-    c = cat_to_typeseq(t.category)
-    if a == c:
-        return
-    if len(c) == len(a) + 2 and c[2:] == a and _cap_shaped(c[0], c[1]):
-        b.add(Cap(c[1].base, c[1].z), start)
-    elif len(c) == len(a) + 2 and c[:-2] == a and _cap_shaped(c[-2], c[-1]):
-        b.add(Cap(c[-1].base, c[-1].z), len(b.wires))
-    else:
-        # general re-typing: a trainable bridge box consuming T(A), producing T(B)
-        src = category_to_str(child.category)
-        dst = category_to_str(t.category)
-        b.add(Word(f"[{src}->{dst}]", dom=a, cod=c), start)
-
-
-def _convert_conj(t: Node, b: _Conversion) -> None:
-    left, right = t.children
-    lc, rc, pc = left.category, right.category, t.category
-    if pc.conj and isinstance(left, Leaf) \
-            and (_is_conj_atom(lc) or _is_punct(lc)):
-        b.leaf(left.token, cat_to_typeseq(rc).r)
-        _convert(right, b)
-    elif rc.conj and cat_eq(lc, _strip_conj(rc)):
-        start = len(b.wires)
-        _convert(left, b)
-        _convert(right, b)
-        _cups(b, start, len(cat_to_typeseq(lc)))
-    elif _is_punct(rc) and isinstance(right, Leaf):
-        _convert(left, b)
-        b.leaf(right.token)
-    elif _is_punct(lc) and isinstance(left, Leaf):
-        b.leaf(left.token)
-        _convert(right, b)
-    else:
-        raise _misfit(t)
+    # BX: left: T(Y) ++ T(Z).l, right: T(Y).r ++ T(X); push T(Z).l rightmost
+    y = cat_to_typeseq(rc.argument)
+    zlen = len(cat_to_typeseq(lc.argument))
+    _swap_block_right(b, start + len(y), zlen, len(b.wires) - mid)
+    _cups(b, start, len(y))
 
 
 # ---------------------------------------------------------------------------

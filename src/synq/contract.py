@@ -69,9 +69,8 @@ values: the cotangent of each operand is the result's cotangent contracted
 with the other operand (Liao et al., arXiv:1903.09650). The cotangent of
 every row is taken in one call, each group walks back from its own rows,
 and rows and nodes that share a symbol sum their cotangents in the
-store's flat layout with one ``np.bincount``: each group into its own row
-of a (groups, size) array, the rows then added in group order, so the
-gradient is the groups' gradients summed one after another.
+store's flat layout with one ``np.bincount`` per group, added to the
+gradient in group order.
 """
 from __future__ import annotations
 
@@ -550,12 +549,10 @@ def contract_grad(plan: NetworkPlan, vec: np.ndarray,
     ``vec``, with upstream(V) held constant; every network has the same
     open shape. One pass serves every group: each replays its
     contraction, upstream sees all rows at once, and each group walks back
-    from its rows' cotangent unless that is all zero. One bincount
-    scatters the cotangents of each group walked back into its own row of
-    a (groups, len(vec)) array, whose rows are then added in group order,
-    so the gradient is the sum of the groups' gradients taken one after
-    another. Real networks only: a circuit's rotation leaves have no
-    gradient here."""
+    from its rows' cotangent unless that is all zero. Each group walked
+    back scatters its cotangents into the flat layout with one bincount,
+    added to the gradient in group order. Real networks only: a circuit's
+    rotation leaves have no gradient here."""
     runs = [_replay(g.plan, params)
             for g, params in zip(plan.groups, plan._gather(vec))]
     values = np.concatenate([_value(g.plan, tensors, len(g.rows))
@@ -564,20 +561,12 @@ def contract_grad(plan: NetworkPlan, vec: np.ndarray,
     if g.shape != values.shape:
         raise ShapeMismatch(
             f"upstream cotangent {g.shape} vs values {values.shape}")
-    size, index, cots, start = len(vec), [], [], 0
+    grad, start = np.zeros(len(vec)), 0
     for group, tensors in zip(plan.groups, runs):
         p, n = group.plan, len(group.rows)
         cut, start = g[start:start + n], start + n
         if tensors and p.live[-1] and cut.any():
-            index.append((group.index + len(index) * size).ravel())
-            cots.append(np.concatenate(
-                [c.reshape(n, -1) for c in _backprop(p, tensors, cut)],
-                axis=1).ravel())
-    grad = np.zeros(size)
-    if index:
-        flat = np.bincount(np.concatenate(index), np.concatenate(cots),
-                           len(index) * size)
-        for row in flat.reshape(len(index), size):
-            # one row after another: numpy's sum over axis 0 may pair them
-            grad += row
+            cot = np.concatenate(
+                [c.reshape(n, -1) for c in _backprop(p, tensors, cut)], axis=1)
+            grad += np.bincount(group.index.ravel(), cot.ravel(), len(vec))
     return values, grad

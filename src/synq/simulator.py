@@ -254,8 +254,8 @@ def sample(c: Circuit, ps: ParameterStore, n_shots: int, seed: int,
     """Counts over open-qubit bitstrings, deterministic given seed: the
     shots that ``draw`` keeps from the circuit's _outcomes under the
     channel-averaged Pauli noise (see the module docstring)."""
-    if n_shots < 1:
-        raise ValueError("n_shots must be at least 1")
+    if type(n_shots) is not int or n_shots < 1:  # bool is no int
+        raise ValueError(f"n_shots must be an int >= 1, got {n_shots!r}")
     if n_shots > MAX_SHOTS:
         raise ValueError(f"n_shots must be at most 2**63 - 1, got {n_shots!r}")
     drawn = draw(_outcomes(c, ps, noise_p), n_shots, seed)

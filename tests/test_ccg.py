@@ -41,6 +41,19 @@ class TestCategoryParsing:
             with pytest.raises(UnknownCategory):
                 parse_category(bad)
 
+    @pytest.mark.parametrize("text", [
+        "(" * 2000 + "N" + ")" * 2000, "N" + "/N" * 3000,
+        "(" * 60 + "N" + ")" * 60 + "\\N" * 41],
+        ids=["parentheses", "slashes", "both"])
+    def test_deep_nesting_is_refused_by_name(self, text):
+        # parentheses and slashes both count toward the bound
+        with pytest.raises(UnknownCategory, match="nests too deep"):
+            parse_category(text)
+
+    def test_nesting_up_to_the_bound_is_read(self):
+        c = parse_category("(" * 50 + "N" + ")" * 50 + "/N" * 50)
+        assert len(cat_to_typeseq(c)) == 51 and hash(c) == hash(c)
+
     def test_conj_stripped_after_hashing(self):
         # a hashed category keeps its hash on the instance, no field
         c = parse_category("(S\\NP)[conj]")
@@ -88,8 +101,8 @@ class TestAutoParsing:
             f"({pair.children[0]!r}, {leaf!r}))")
 
     def test_deep_unary_chain_compares_hashes_and_prints(self):
-        # a chain of unary LEX nodes, below parse_auto's depth limit but
-        # deeper than a recursive comparison, hash or repr reaches
+        # a chain of unary LEX nodes deeper than a recursive comparison,
+        # hash or repr reaches
         def chain(token):
             (tree,) = parse_auto("(<T NP 0 1> " * 400
                                  + f"(<L N NN NN {token} N>)" + " )" * 400)
@@ -313,6 +326,43 @@ class TestSectionConversion:
             ("a.auto", False), ("0", True)]
         assert "0xe9 in position 14" in results[0].error
 
+    def test_deeply_nested_category_is_refused_by_name(self, tmp_path):
+        good = "(<T NP 0 2> (<L NP/N DT DT a NP/N>) (<L N NN NN flower N>))"
+        deep = "(" * 2000 + "N" + ")" * 2000
+        bad = good.replace("(<L N NN NN", f"(<L {deep} NN NN")
+        with pytest.raises(UnknownCategory, match="nests too deep"):
+            line_to_diagram(bad)
+        (tmp_path / "s.auto").write_text(f"ID=a\n{bad}\nID=b\n{good}\n")
+        results = section_to_diagrams(tmp_path)
+        assert [(r.derivation_id, r.ok) for r in results] == [
+            ("a", False), ("b", True)]
+        assert "nests too deep" in results[0].error
+        assert results[1].diagram == line_to_diagram(good)
+
+    @pytest.mark.parametrize("indent", ["    ", "\t", " \t "])
+    def test_indented_line_errors_name_the_file_column(self, tmp_path,
+                                                        indent):
+        line = "(<T S[dcl] 1 2> (<L N NN NN chef N>) junk"
+        column = len(indent) + line.index("junk") + 1  # 42 under 4 spaces
+        (tmp_path / "s.auto").write_text(f"ID=a\n{indent}{line}\n")
+        with pytest.raises(ParseError) as exc:
+            parse_auto(f"{indent}{line}")
+        assert (exc.value.reason, exc.value.line, exc.value.column) == (
+            "expected '('", 1, column)
+        (result,) = section_to_diagrams(tmp_path)
+        assert result.error == f"expected '(' (line 2, column {column})"
+
+    @pytest.mark.parametrize("indent", ["    ", "\t"])
+    def test_indented_lines_convert_as_unindented(self, tmp_path, indent):
+        (tmp_path / "s.auto").write_text("\n".join(
+            line if line.startswith("ID=") or not line else indent + line
+            for line in FIXTURE_LINES))
+        got = section_to_diagrams(tmp_path)
+        want = section_to_diagrams(FIXTURES)
+        assert len(got) == len(want) == len(DERIVATIONS)
+        assert [(r.derivation_id, r.diagram) for r in got] \
+            == [(r.derivation_id, r.diagram) for r in want]
+
     def test_empty_directory(self, tmp_path):
         assert section_to_diagrams(tmp_path) == []
 
@@ -455,6 +505,17 @@ def uncached(line):
     return tree_to_diagram(tree)
 
 
+def assert_key_lifts_the_leaf_tokens(line):
+    """On a line that parses, the cache key's ``_LEAF`` lifts exactly the
+    tokens of the parsed tree's leaves, in order: so a later line of the
+    key re-labels each word with its own leaf's token."""
+    try:
+        (tree,) = parse_auto(line)
+    except (ParseError, UnknownCategory, DerivationError):
+        return
+    assert ccg._LEAF.split(line)[2::3] == ccg._shape(tree)[1], line
+
+
 class TestLineCache:
     """A line whose tokens are lifted into a cached key converts as it does
     with the cache empty, and as the uncached parse and conversion do."""
@@ -480,6 +541,21 @@ class TestLineCache:
             return
         for _, _, line in found:
             assert outcome(line_to_diagram, line) == outcome(uncached, line)
+
+    @settings(max_examples=300, deadline=None)
+    @given(token_mutations())
+    def test_key_lifts_the_leaf_tokens_of_a_mutated_token(self, line):
+        assert_key_lifts_the_leaf_tokens(line)
+
+    @settings(max_examples=300, deadline=None)
+    @given(mutated_fixtures())
+    def test_key_lifts_the_leaf_tokens_of_a_mutated_fixture(self, mutated):
+        try:
+            found = list(scan_auto(mutated[0]))
+        except ParseError:  # a mutated header
+            return
+        for _, _, line in found:
+            assert_key_lifts_the_leaf_tokens(line)
 
     def test_lines_of_one_key_hit_once(self):
         ccg._line_templates.cache_clear()
@@ -517,7 +593,7 @@ class TestLineCache:
         def refuse(*args):
             raise AssertionError("parsed or converted")
 
-        for name in ("_parse_program", "Leaf", "Node", "_Conversion"):
+        for name in ("_parse", "Leaf", "Node", "_Conversion"):
             monkeypatch.setattr(ccg, name, refuse)
         assert line_to_diagram(other) == want
         ccg._line_templates.cache_clear()

@@ -343,14 +343,24 @@ def test_snake_work_grows_linearly(monkeypatch):
     assert list(interchanges) == list(sizes)
 
 
-def test_too_deep_derivation_is_named():
-    # long_derivation nests one tree level per adjective
-    _, line = long_derivation(1000)
-    with pytest.raises(ccg.ParseError, match="too deep"):
-        parse_auto(line)
+def test_deep_derivations_convert():
+    # the parse and the conversion keep their nodes on lists, not on the
+    # interpreter's stack, so a derivation of any depth converts
+    text, line = long_derivation(1005)  # 1000 adjectives, 500 levels a side
+    d = ccg.line_to_diagram(line)
+    assert [box.token for box, _ in d.layers if isinstance(box, Word)] \
+        == text.split()
+    # a cup per adjective and determiner, two for the verb
+    assert sum(isinstance(box, Cup) for box, _ in d.layers) == 1004
+    assert d.cod == TypeSeq((PType("s"),))
+    (tree,) = parse_auto(line)
+    assert tree_to_diagram(tree) == d
     noun, adj = ccg.parse_category("N"), ccg.parse_category("N/N")
     tree = ccg.Leaf("meal", noun)
     for _ in range(5000):
         tree = ccg.Node(noun, "FA", (ccg.Leaf("red", adj), tree))
-    with pytest.raises(ccg.DerivationError, match="too deep"):
-        tree_to_diagram(tree)
+    d = tree_to_diagram(tree)
+    assert [box.token for box, _ in d.layers if isinstance(box, Word)] \
+        == ["red"] * 5000 + ["meal"]
+    assert sum(isinstance(box, Cup) for box, _ in d.layers) == 5000
+    assert d.cod == TypeSeq((PType("n"),))

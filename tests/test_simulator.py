@@ -338,6 +338,13 @@ class TestSample:
         with pytest.raises(ValueError, match=rf"n_shots .*{MAX_SHOTS + 1}"):
             sample(self.bell(), EMPTY_PS, MAX_SHOTS + 1, seed=1)
 
+    @pytest.mark.parametrize("n_shots", [2.5, True, 0])
+    def test_shot_count_must_be_an_int_of_one_or_more(self, n_shots):
+        # PipelineConfig refuses the same values with the same message
+        with pytest.raises(ValueError, match=re.escape(
+                f"n_shots must be an int >= 1, got {n_shots!r}")):
+            sample(self.bell(), EMPTY_PS, n_shots, seed=1)
+
     def test_same_seed_identical(self):
         a = sample(self.bell(), EMPTY_PS, 500, seed=7)
         b = sample(self.bell(), EMPTY_PS, 500, seed=7)

@@ -331,6 +331,23 @@ class TestPipelines:
             f"1: {ds.items[1][0]!r}: unterminated node header "
             "(line 4, column 31)"]
 
+    def test_ccg_path_deeply_nested_category_is_a_failed_sentence(
+            self, tmp_path):
+        from synq.dataset import sentence_to_auto
+        ds = tiny_dataset()
+        lines = [f"ID={i}\n{sentence_to_auto(text)}\n"
+                 for i, (text, _) in enumerate(ds.items)]
+        deep = "(" * 2000 + "N" + ")" * 2000
+        lines[2] = lines[2].replace("(<L N NN NN", f"(<L {deep} NN NN", 1)
+        path = tmp_path / "deep.auto"
+        path.write_text("".join(lines))
+        cfg = PipelineConfig(reader="ccg", ccg_path=str(path))
+        with pytest.raises(CompileError) as err:
+            compile_model(cfg, ds)
+        (failed,) = str(err.value).splitlines()[1:]
+        assert failed.startswith(f"2: {ds.items[2][0]!r}: category '((((")
+        assert "nests too deep" in failed
+
     def test_sentence_to_diagram_rewrites(self):
         cfg = PipelineConfig(reader="ccg", rewrites=("determiner",))
         d = sentence_to_diagram(
