@@ -40,6 +40,10 @@ class UnknownSplit(ValueError):
     """A split name outside SPLITS."""
 
 
+class EmptySplit(ValueError):
+    """A split that must hold sentences holds none."""
+
+
 @dataclass(frozen=True)
 class LabeledDataset:
     items: tuple[tuple[str, int], ...]

@@ -32,7 +32,9 @@ from typing import Callable
 import numpy as np
 
 from .contract import NetworkPlan
-from .dataset import SPLITS, UnknownSplit  # noqa: F401  re-exported
+from .dataset import (  # noqa: F401  re-exported
+    SPLITS, EmptySplit, UnknownSplit,
+)
 from .params import ParameterStore
 from .pipeline import CompiledModel, group_p1, predict_p1, \
     prediction_gradient, shot_seed
@@ -54,7 +56,10 @@ def bce_grad(p1, y):
 
 
 def accuracy(p1s, labels) -> float:
-    """Share of sentences whose p1 >= 0.5 matches the label."""
+    """Share of sentences whose p1 >= 0.5 matches the label; nan if there
+    are none."""
+    if not len(labels):
+        return float("nan")
     hits = np.count_nonzero((np.asarray(p1s) >= 0.5)
                             == np.asarray(labels, dtype=bool))
     return hits / len(labels)
@@ -112,6 +117,7 @@ def spsa_step(params: np.ndarray,
 
 @dataclass
 class TrainHistory:
+    COLUMNS = ("iter", "train_loss", "train_acc", "dev_loss", "dev_acc")
     rows: list[tuple[int, float, float, float, float]] = field(
         default_factory=list)
 
@@ -120,15 +126,16 @@ class TrainHistory:
                           float(dev_loss), float(dev_acc)))
 
     def column(self, name: str) -> list[float]:
-        idx = ("iter", "train_loss", "train_acc", "dev_loss", "dev_acc"
-               ).index(name)
+        if name not in self.COLUMNS:
+            raise ValueError(f"unknown column {name!r}; allowed: "
+                             f"{', '.join(self.COLUMNS)}")
+        idx = self.COLUMNS.index(name)
         return [row[idx] for row in self.rows]
 
     def to_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf)
-        writer.writerow(["iter", "train_loss", "train_acc", "dev_loss",
-                         "dev_acc"])
+        writer.writerow(self.COLUMNS)
         writer.writerows(self.rows)
         return buf.getvalue()
 
@@ -175,6 +182,9 @@ def _batch_p1(model: CompiledModel, plan: NetworkPlan, points, parts,
 
 
 def _mean_loss(p1s, labels) -> float:
+    """Mean bce_loss over the sentences; nan if there are none."""
+    if not len(labels):
+        return float("nan")
     return float(np.mean(bce_loss(np.asarray(p1s), np.asarray(labels))))
 
 
@@ -185,9 +195,13 @@ def train(model: CompiledModel) -> tuple[ParameterStore, TrainHistory]:
     point theta_k: with Adam, values and gradients over train and dev; with
     SPSA, the train rows at both probes stacked with train and dev at
     theta_k. The values at theta_k give history row k - 1, the score of
-    step k - 1's result, and a final forward pass gives the last row."""
+    step k - 1's result, and a final forward pass gives the last row.
+    Raises EmptySplit if there is no train sentence; an empty dev split
+    scores nan."""
     cfg = model.config
     ds = model.dataset
+    if not ds.train:
+        raise EmptySplit("split 'train' holds no sentence to train on")
     train_idx, train_y = ds.train, ds.labels("train")
     dev_idx, dev_y = ds.dev, ds.labels("dev")
     store = model.store

@@ -799,3 +799,39 @@ class TestFolding:
                 p = plan(_structure(tn))
                 assert_folding_exact(
                     p, [ps[tn.nodes[k].symbol.name][None] for k in p.params])
+
+
+class TestUndispatchedEinsum:
+    def test_passes_and_folding_never_call_np_einsum(self, monkeypatch):
+        """Every engine einsum, the constant folding of a plan built here
+        included, goes through contract._einsum, numpy's einsum without
+        its dispatch; the values and gradient are those of a cached plan."""
+        from synq import simulator
+        from synq.pipeline import prediction_gradient
+        assert contract_module._einsum is not np.einsum
+        ds = generate_dataset(0)
+        spider = compile_model(PipelineConfig(ansatz="spider"), ds)
+        iqp = compile_model(PipelineConfig(ansatz="iqp", optimizer="spsa"), ds)
+
+        def passes():
+            vec = spider.store.to_vector()
+            p1, grad = prediction_gradient(
+                plan_networks(spider.artifacts, range(len(ds.items)),
+                              spider.store), vec, lambda p: p - 0.5)
+            circuits = simulator.plan_circuits(iqp.artifacts, iqp.store)
+            return p1, grad, contract_plan(circuits, iqp.store.to_vector())
+
+        want = passes()
+
+        def dispatched(*args, **kwargs):
+            raise AssertionError("np.einsum called")
+
+        monkeypatch.setattr(np, "einsum", dispatched)
+        contract_module._planned.cache_clear()
+        simulator._circuit_plan.cache_clear()
+        got = passes()
+        groups = simulator.plan_circuits(iqp.artifacts, iqp.store).groups
+        assert any(t is not None for g in groups  # a folded constant step
+                   for t in g.plan.fixed[len(g.plan.leaves):])
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)

@@ -134,6 +134,14 @@ class TestHistory:
         assert text.splitlines()[0] == "iter,train_loss,train_acc,dev_loss,dev_acc"
         assert len(text.splitlines()) == 2
 
+    def test_unknown_column_is_named(self):
+        h = TrainHistory()
+        h.append(0, 0.7, 0.5, 0.71, 0.48)
+        assert h.column("dev_acc") == [0.48]
+        with pytest.raises(ValueError, match="unknown column 'loss'; allowed: "
+                           "iter, train_loss, train_acc, dev_loss, dev_acc"):
+            h.column("loss")
+
 
 def tiny_dataset(n_train=6, n_eval=2):
     from synq.dataset import LabeledDataset
@@ -381,6 +389,61 @@ class TestPipelines:
             sentence_to_diagram(cfg, text)
             sentence_to_diagram(replace(cfg, rewrites=list(cfg.rewrites)), text)
         assert len(loads) == len(rewrite.RULE_NAMES)
+
+
+EMPTY_SPLIT_CONFIGS = {
+    "adam": {"ansatz": "spider"},
+    "spsa-spider": {"ansatz": "spider", "optimizer": "spsa"},
+    "spsa-iqp": {"ansatz": "iqp", "optimizer": "spsa"},
+    "spsa-shots": {"ansatz": "iqp", "optimizer": "spsa", "backend": "shots",
+                   "n_shots": 64},
+}
+
+
+def without(ds, split):
+    return replace(ds, **{split: ()})
+
+
+class TestEmptySplits:
+    @pytest.mark.parametrize("config", EMPTY_SPLIT_CONFIGS)
+    def test_empty_train_split_is_named_before_any_pass(self, config,
+                                                        monkeypatch):
+        model = compile_model(
+            PipelineConfig(**EMPTY_SPLIT_CONFIGS[config], iterations=2),
+            without(tiny_dataset(), "train"))
+
+        def no_pass(*args, **kwargs):
+            raise AssertionError("a pass ran")
+
+        for name in ("prediction_gradient", "group_p1"):
+            monkeypatch.setattr(training, name, no_pass)
+        with pytest.raises(training.EmptySplit, match="split 'train'"):
+            train(model)
+
+    @pytest.mark.parametrize("config", EMPTY_SPLIT_CONFIGS)
+    @pytest.mark.parametrize("split", ["dev", "test"])
+    def test_empty_evaluation_split_scores_nan(self, config, split):
+        """The train columns and the other split still score; the empty
+        split's loss and accuracy are nan, with no numpy warning."""
+        ds = without(tiny_dataset(), split)
+        model = compile_model(
+            PipelineConfig(**EMPTY_SPLIT_CONFIGS[config], iterations=2), ds)
+        store, history = train(model)
+        assert len(history) == 2
+        for column in ("train_loss", "train_acc"):
+            assert np.isfinite(history.column(column)).all()
+        dev = np.array([history.column("dev_loss"),
+                        history.column("dev_acc")])
+        assert np.isnan(dev).all() if split == "dev" \
+            else np.isfinite(dev).all()
+        for name in SPLITS:
+            scores = list(evaluate_split(model, store, name).values())
+            assert np.isnan(scores).all() if name == split \
+                else np.isfinite(scores).all()
+
+    def test_no_rows_score_nan(self):
+        assert np.isnan(accuracy([], []))
+        assert np.isnan(training._mean_loss(np.zeros(0), []))
 
 
 def with_dead_row(model, item):
@@ -942,8 +1005,8 @@ class TestFusedPass:
         assert np.array_equal(group_p1(netplan, flat), want)
 
     def test_empty_plan_scores_nothing(self):
-        # an empty split, or a model with no train or dev sentence, scores
-        # nan as it did before one call served every group
+        # an empty split scores nan, without a warning from the mean of
+        # nothing
         empty = NetworkPlan((), 5)
         vec = np.arange(3.0)
         assert group_p1(empty, vec).shape == (0,)
@@ -951,8 +1014,7 @@ class TestFusedPass:
         assert p1.shape == (0,) and grad.tolist() == [0.0] * 3
         cfg = PipelineConfig(ansatz="iqp", optimizer="spsa")
         model = compile_model(cfg, replace(generate_dataset(0), test=()))
-        with pytest.warns(RuntimeWarning):  # the mean of nothing
-            got = evaluate_split(model, model.store, "test")
+        got = evaluate_split(model, model.store, "test")
         assert np.isnan(got["test_loss"]) and np.isnan(got["test_accuracy"])
 
 
