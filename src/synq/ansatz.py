@@ -23,12 +23,14 @@ name's suffix. ``Template.instance`` re-labels the artifact with another
 diagram's tokens. The template's artifact was validated when it compiled,
 and an instance differs from it only in those nodes or ops, so only they
 are checked: each keeps its node's id, kind and shape, or its op's gate and
-qubits.
+qubits. The walk that validates an artifact records its ``structure``, the
+key of its plan with symbols left out, and an instance holds its template's.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence, Union
 
@@ -165,6 +167,8 @@ class Circuit:
     ops: tuple[Op, ...]
     postselect: tuple[int, ...]  # qubits required to read 0
     open: tuple[int, ...]  # output qubits, in codomain order
+    # (n_qubits, each op's (gate, qubits)): its plan's key, set once valid
+    structure: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         every = frozenset(range(self.n_qubits))
@@ -183,17 +187,22 @@ class Circuit:
                 problem = f"qubit not in range({self.n_qubits})"
             raise InvalidOp(
                 f"op {i} ({op.gate!r} on qubits {op.qubits}): {problem}")
-        used = set(self.postselect) | set(self.open)
         if set(self.postselect) & set(self.open):
             raise ValueError("open and postselected qubits overlap")
-        if used != set(range(self.n_qubits)):
+        if set(self.postselect) | set(self.open) != set(range(self.n_qubits)):
             raise ValueError("every qubit must be open or postselected")
+        for name in ("postselect", "open"):
+            qubits = getattr(self, name)
+            if len(set(qubits)) != len(qubits):
+                raise ValueError(f"{name} lists a qubit twice: {qubits}")
+        object.__setattr__(self, "structure", (
+            self.n_qubits, tuple((op.gate, op.qubits) for op in self.ops)))
 
     def _relabel(self, ops: Iterable[tuple[int, Op]]) -> Circuit:
         """This circuit with each (k, op) of ``ops`` in place of its k-th
         op. An op must keep the gate and qubits of the one it replaces, so
-        the circuit stays as valid as when it was built: only the replaced
-        ops are checked."""
+        the circuit stays as valid as when it was built, of the same
+        ``structure``: only the replaced ops are checked."""
         out = list(self.ops)
         for k, op in ops:
             if op.gate != out[k].gate or op.qubits != out[k].qubits:
@@ -201,8 +210,7 @@ class Circuit:
                                 f"{op.qubits}): replaces {out[k].gate!r} "
                                 f"on qubits {out[k].qubits}")
             out[k] = op
-        return _built(Circuit, n_qubits=self.n_qubits, ops=tuple(out),
-                      postselect=self.postselect, open=self.open)
+        return _built(self, ops=tuple(out))
 
     @property
     def symbols(self) -> list[Symbol]:
@@ -344,38 +352,42 @@ class TensorNetwork:
     nodes: tuple[Node, ...]
     edges: tuple[tuple[Leg, Leg], ...]
     open_legs: tuple[Leg, ...]
+    # what contract.plan reads, each leg (node position, axis); set once valid
+    structure: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        legs: dict[Leg, int] = {}
-        by_id = {n.node_id: n for n in self.nodes}
-        if len(by_id) != len(self.nodes):
+        index = {n.node_id: k for k, n in enumerate(self.nodes)}
+        if len(index) != len(self.nodes):
             raise ValueError("duplicate node ids")
-        object.__setattr__(self, "_by_id", by_id)
+        at = []  # the legs of the edges, then the open legs, by position
         for leg in [*(leg for edge in self.edges for leg in edge),
                     *self.open_legs]:
-            node = by_id.get(leg[0])
-            if node is None or not 0 <= leg[1] < len(node.shape):
+            k = index.get(leg[0])
+            if k is None or not 0 <= leg[1] < len(self.nodes[k].shape):
                 raise ValueError(f"unknown leg {leg}")
-        for (a, b) in self.edges:
-            legs[a] = legs.get(a, 0) + 1
-            legs[b] = legs.get(b, 0) + 1
-            if by_id[a[0]].shape[a[1]] != by_id[b[0]].shape[b[1]]:
+            at.append((k, leg[1]))
+        ends = 2 * len(self.edges)
+        edges = tuple(zip(at[:ends:2], at[1:ends:2]))
+        for (a, b), ((k, i), (m, j)) in zip(self.edges, edges):
+            if self.nodes[k].shape[i] != self.nodes[m].shape[j]:
                 raise ValueError(f"edge {a}-{b} joins unequal dimensions")
-        for leg in self.open_legs:
-            legs[leg] = legs.get(leg, 0) + 1
-        for node in self.nodes:
+        uses = Counter(at)
+        for k, node in enumerate(self.nodes):
             for i in range(len(node.shape)):
-                if legs.get((node.node_id, i), 0) != 1:
+                if uses[k, i] != 1:
                     raise ValueError(
                         f"leg {(node.node_id, i)} must have exactly one "
                         "edge or be open")
+        object.__setattr__(self, "structure", (
+            tuple((n.kind, n.shape) for n in self.nodes), edges,
+            tuple(at[ends:])))
 
     def _relabel(self, nodes: Iterable[tuple[int, Node]]) -> TensorNetwork:
         """This network with each (k, node) of ``nodes`` in place of its
         k-th node. A node must keep the id, kind and shape of the one it
         replaces, so every leg checked when this network was built is still
-        valid: only the replaced nodes are checked."""
-        out, by_id = list(self.nodes), dict(self._by_id)
+        valid and its ``structure`` holds: only those nodes are checked."""
+        out = list(self.nodes)
         for k, node in nodes:
             was = out[k]
             if node.node_id != was.node_id or node.kind != was.kind \
@@ -383,15 +395,8 @@ class TensorNetwork:
                 raise ValueError(f"node {k} ({node.node_id!r}, {node.kind}, "
                                  f"{node.shape}) replaces ({was.node_id!r}, "
                                  f"{was.kind}, {was.shape})")
-            out[k] = by_id[node.node_id] = node
-        return _built(TensorNetwork, nodes=tuple(out), edges=self.edges,
-                      open_legs=self.open_legs, _by_id=by_id)
-
-    def node(self, node_id: str) -> Node:
-        return self._by_id[node_id]
-
-    def leg_dim(self, leg: Leg) -> int:
-        return self.node(leg[0]).shape[leg[1]]
+            out[k] = node
+        return _built(self, nodes=tuple(out))
 
     @property
     def symbols(self) -> list[Symbol]:
@@ -444,12 +449,11 @@ class Template:
             for k, word, suffix in self.slots)
 
 
-def _built(cls: type, **attributes):
-    """An instance of the frozen dataclass ``cls`` with ``attributes`` set,
-    built without its ``__post_init__``: the caller has checked them."""
-    out = object.__new__(cls)
-    for name, value in attributes.items():
-        object.__setattr__(out, name, value)
+def _built(like, **changes):
+    """A copy of the frozen dataclass instance ``like`` with ``changes``
+    set, built without its ``__post_init__``: the caller has checked them."""
+    out = object.__new__(type(like))
+    out.__dict__.update(like.__dict__, **changes)
     return out
 
 

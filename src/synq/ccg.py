@@ -414,12 +414,12 @@ def scan_auto(text: str) -> Iterator[tuple[str, int, str]]:
     text's derivations, so ``write_auto``'s ``ID=i`` headers and a
     headerless file both key item i as ``str(i)``. Blank lines are skipped.
     A derivation line keeps its indentation, so a column counts from the
-    first character of the file line. Raises ParseError on an empty or
-    repeated ID.
+    first character of the file line; a leading byte-order mark is skipped.
+    Raises ParseError on an empty or repeated ID.
     """
     seen: set[str] = set()
     current: Optional[str] = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.removeprefix("\ufeff").splitlines(), 1):
         line = raw.rstrip()
         body = line.lstrip()
         if not body:

@@ -2,8 +2,8 @@
 
 A contraction has two parts. ``plan`` reads a structure: one entry per
 node, a fixed tensor or ``(kind, shape)``, then the edges and the open
-legs, each leg ``(node, axis)``. ``_structure`` reads one off a tensor
-ansatz's ``TensorNetwork``, and ``simulator`` builds a circuit's directly.
+legs, each leg ``(node, axis)``. A ``TensorNetwork`` records its own,
+``structure``, when built, and ``simulator`` builds a circuit's directly.
 ``plan`` runs a greedy on the node shapes alone and records its steps. At
 each step it contracts every edge between one pair of blocks (nodes or
 earlier results), chosen by three keys in turn: a fold, a pair of fixed
@@ -382,7 +382,7 @@ def _backprop(p: Plan, tensors: list[np.ndarray],
 
 def contract(tn: TensorNetwork, ps: ParameterStore) -> np.ndarray:
     """Exact value of the network over its open legs (scalar if none)."""
-    p = _planned(_structure(tn))
+    p = _planned(tn.structure)
     params = [_node_tensor(tn.nodes[k], ps)[None] for k in p.params]
     return _value(p, _replay(p, params), 1)[0]
 
@@ -507,19 +507,9 @@ class NetworkPlan:
         return NetworkPlan(tuple(groups), points * self.count)
 
 
-def _structure(tn: TensorNetwork) -> tuple:
-    """The structure ``plan`` reads off a tensor network: node kinds and
-    shapes, edges and open legs; symbols left out."""
-    index = {node.node_id: k for k, node in enumerate(tn.nodes)}
-    return (tuple((n.kind, n.shape) for n in tn.nodes),
-            tuple(((index[a], i), (index[b], j))
-                  for (a, i), (b, j) in tn.edges),
-            tuple((index[a], i) for a, i in tn.open_legs))
-
-
 @lru_cache(maxsize=1024)  # bounded, like simulator's circuit plans
 def _planned(structure: tuple) -> Plan:
-    """The plan of the networks of one ``_structure``."""
+    """The plan of the networks of one ``TensorNetwork.structure``."""
     return plan(structure)
 
 
@@ -556,7 +546,7 @@ def plan_networks(networks: Sequence[TensorNetwork], rows: Sequence[int],
                   store: ParameterStore) -> NetworkPlan:
     """``plan_rows`` of the networks at ``rows``, each parameter node
     reading its symbol in the node's shape."""
-    return plan_rows(((row, _structure(networks[row]),
+    return plan_rows(((row, networks[row].structure,
                        [(n.symbol.name, n.shape) for n in networks[row].nodes
                         if n.kind == "param"])
                       for row in rows), len(networks), store, _planned)

@@ -60,6 +60,10 @@ class NoSampleSeed(ValueError):
     """A shot-based model asked to predict without a sampling seed."""
 
 
+class UnknownItem(IndexError):
+    """An item that is no int or numpy integer in [0, sentence count)."""
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     reader: str = "ccg"
@@ -280,8 +284,12 @@ def _rows_p1(v: np.ndarray, floor: float = ZERO_VECTOR) -> np.ndarray:
 
 def predict_p1(model: CompiledModel, store: ParameterStore, item: int,
                sample_seed: Optional[int] = None) -> float:
-    """Probability of label 1 for one sentence under the current store; a
-    shot-based model samples with ``sample_seed``, which it needs."""
+    """Probability of label 1 for sentence ``item`` under the current store;
+    a shot-based model samples with ``sample_seed``, which it needs."""
+    if isinstance(item, (bool, np.bool_)) \
+            or not 0 <= item < len(model.artifacts):
+        raise UnknownItem(f"item {item!r} is not in the dataset's "
+                          f"{len(model.artifacts)} sentences")
     art = model.artifacts[item]
     cfg = model.config
     if isinstance(art, TensorNetwork):

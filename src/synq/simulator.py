@@ -9,12 +9,13 @@ node per gate, a <0| leaf per postselected qubit and the open qubits as
 open legs. ``_circuit`` builds the structure that ``contract.plan`` reads,
 the rotations as parameter leaves of their gate's kind and every other node
 as its fixed tensor, built once here; ``_circuit_plan`` plans each circuit
-structure once. ``plan_circuits`` groups circuits by structure with
-``contract.plan_rows`` into a ``NetworkPlan`` whose rows gather their
-angles from the flat vector. ``statevector`` and
+structure once, keyed by ``c.structure`` (recorded when the ``Circuit`` is
+built) and the postselected and open qubits. ``plan_circuits`` groups
+circuits by that key with ``contract.plan_rows`` into a ``NetworkPlan``
+whose rows gather their angles from the flat vector. ``statevector`` and
 ``evaluate`` run the same engine call (``contract_plan``) on a one-circuit
-``NetworkPlan`` that gathers from the circuit's own angles, kept per
-structure by ``_lone_plan``. Every fixed leaf of a circuit plan is complex,
+``NetworkPlan`` that gathers from the circuit's own angles, kept per key by
+``_lone_plan``. Every fixed leaf of a circuit plan is complex,
 like the rotation tensors, so the plan runs in one dtype.
 
 The noise model: after every two-qubit gate, each touched qubit suffers X,
@@ -117,10 +118,6 @@ def _angles(c: Circuit, ps: ParameterStore) -> np.ndarray:
     return angles
 
 
-def _structure(c: Circuit) -> tuple:
-    return c.n_qubits, tuple((op.gate, op.qubits) for op in c.ops)
-
-
 def _circuit(n_qubits: int, gates: tuple[tuple[str, tuple], ...],
              postselect: tuple[int, ...], legs: tuple[int, ...],
              channel: Optional[np.ndarray]) -> tuple:
@@ -183,8 +180,8 @@ def _lone_plan(key: tuple) -> NetworkPlan:
 
 
 def _lone_value(c: Circuit, ps: ParameterStore, *key) -> np.ndarray:
-    """The value of c's network, _lone_plan's key (*_structure(c), *key)."""
-    return contract_plan(_lone_plan((*_structure(c), *key)),
+    """The value of c's network, _lone_plan's key (*c.structure, *key)."""
+    return contract_plan(_lone_plan((*c.structure, *key)),
                          _angles(c, ps))[0]
 
 
@@ -225,7 +222,7 @@ def plan_circuits(circuits: Sequence[Circuit], store: ParameterStore,
                                        for p in params):
             raise UnplannableCircuit(f"row {row}: a planned circuit needs one "
                                      "open qubit and symbols for its angles")
-        rows.append((row, (*_structure(c), c.postselect, c.open, *noise),
+        rows.append((row, (*c.structure, c.postselect, c.open, *noise),
                      [(p.name, ()) for p in params]))
     return plan_rows(rows, len(circuits), store,
                      lambda key: _circuit_plan(*key))

@@ -15,6 +15,7 @@ from synq.diagram import Diagram, Spider, Word, cup_at, word
 from synq.params import ParameterStore
 from synq.pipeline import PipelineConfig, _vector_p1, compile_diagram
 from synq.types import ts
+from test_contract import open_dims
 
 QM = {"n": 1, "s": 1}
 DM = {"n": 4, "s": 2}
@@ -133,6 +134,72 @@ class TestCircuitOps:
         self.check(Op("H", (-1,)), "not in range(3)")
 
 
+ROT = Op("Rx", (1,), Symbol("a"))
+
+
+@pytest.mark.parametrize("args, error, message", [
+    # each circuit fails every check from the one its message names on, so
+    # the first that fails is the one named
+    ((2, (Op("H", (0, 1)),), (0,), (0,)), InvalidOp,
+     "op 0 ('H' on qubits (0, 1)): H acts on 1 qubit(s)"),
+    ((2, (ROT,), (0,), (0,)), ValueError,
+     "open and postselected qubits overlap"),
+    ((2, (ROT,), (0, 0), (0,)), ValueError,
+     "open and postselected qubits overlap"),
+    ((3, (ROT,), (0,), (1,)), ValueError,
+     "every qubit must be open or postselected"),
+    ((2, (ROT,), (0, 0), ()), ValueError,
+     "every qubit must be open or postselected"),
+    ((1, (), (), (0, 1)), ValueError,
+     "every qubit must be open or postselected"),
+])
+def test_circuit_errors_in_order(args, error, message):
+    with pytest.raises(error) as exc:
+        Circuit(*args)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("args, message", [
+    ((2, (Op("H", (0,)), ROT), (0, 0), (1,)),
+     "postselect lists a qubit twice: (0, 0)"),
+    ((2, (Op("H", (0,)), ROT), (0,), (1, 1)),
+     "open lists a qubit twice: (1, 1)"),
+    ((1, (Op("Rx", (0,), Symbol("a")),), (), (0, 0)),
+     "open lists a qubit twice: (0, 0)"),
+])
+def test_circuit_refuses_a_qubit_listed_twice(args, message):
+    with pytest.raises(ValueError) as exc:
+        Circuit(*args)
+    assert str(exc.value) == message
+
+
+U = Node("u", "param", (2,), Symbol("u", (2,)))
+V = Node("v", "param", (3,), Symbol("v", (3,)))
+W = Node("w", "param", (2,), Symbol("w", (2,)))
+
+
+@pytest.mark.parametrize("nodes, edges, open_legs, message", [
+    # as for circuits, each network fails every check from its message's on
+    ((U, U), ((("u", 0), ("ghost", 0)),), (), "duplicate node ids"),
+    ((U, V), ((("u", 0), ("v", 0)),), (("ghost", 0),),
+     "unknown leg ('ghost', 0)"),
+    ((U, V), ((("u", 0), ("v", 0)),), (("u", 0),),
+     "edge ('u', 0)-('v', 0) joins unequal dimensions"),
+    ((U, V, W), ((("u", 0), ("w", 0)), (("u", 0), ("v", 0))), (),
+     "edge ('u', 0)-('v', 0) joins unequal dimensions"),
+    ((U, W), ((("u", 0), ("w", 0)),), (("u", 0),),
+     "leg ('u', 0) must have exactly one edge or be open"),
+    ((U, W), (), (("w", 0),),
+     "leg ('u', 0) must have exactly one edge or be open"),
+    ((U, W), ((("w", 0), ("w", 0)),), (("u", 0),),
+     "leg ('w', 0) must have exactly one edge or be open"),
+])
+def test_tensor_network_errors_in_order(nodes, edges, open_legs, message):
+    with pytest.raises(ValueError) as exc:
+        TensorNetwork(nodes, edges, open_legs)
+    assert str(exc.value) == message
+
+
 class TestTensor:
     def test_vector_word(self):
         tn = tensor_ansatz(word("flower", ts("n")), DM)
@@ -167,7 +234,7 @@ class TestTensor:
         mps = mps_ansatz(d, DM, bond_dim=3, max_order=3)
         spi = spider_ansatz(d, DM, max_order=2)
         for tn in (full, mps, spi):
-            assert [tn.leg_dim(leg) for leg in tn.open_legs] == dims
+            assert list(open_dims(tn)) == dims
 
 
 class TestMps:
@@ -271,7 +338,8 @@ def test_tensor_network_names_an_unknown_leg(edges, open_legs):
     with pytest.raises(ValueError, match="unknown leg"):
         TensorNetwork((u,), edges, open_legs)
     tn = TensorNetwork((u,), (), (("u", 0),))
-    assert tn.node("u") is u and tn.leg_dim(("u", 0)) == 2
+    assert tn.nodes == (u,) and tn.structure == ((("param", (2,)),), (),
+                                                 ((0, 0),))
 
 
 @pytest.mark.parametrize("kind", ["zero", "measure", "H", "Rx", "CRz~"])
@@ -321,7 +389,8 @@ class TestRelabel:
         assert art == TensorNetwork(art.nodes, art.edges, art.open_legs)
         assert [n.symbol.name for n in art.nodes if n.symbol] == [
             "mary__n__0", "runs__n.r.s__0"]
-        assert art.node("w0") is art.nodes[0]
+        assert art.nodes[0].node_id == "w0"
+        assert art.structure is template.artifact.structure
         node = art.nodes[0]
         for other in (Node(node.node_id, "param", (2,), Symbol("x", (2,))),
                       Node("w9", "param", node.shape,
@@ -337,6 +406,7 @@ class TestRelabel:
                               art.open)
         assert {s.name.split("__")[0] for s in art.symbols} == {"mary",
                                                                 "runs"}
+        assert art.structure is template.artifact.structure
         k = next(k for k, op in enumerate(art.ops) if op.gate == "Rx")
         op = art.ops[k]
         for other in (Op("Rz", op.qubits, op.param),

@@ -15,7 +15,7 @@ from synq.ccg import (
 from synq.dataset import generate_dataset, sentence_to_auto
 from synq.diagram import Cap, Cup, Swap, Word
 from synq.rewrite import RULE_NAMES, Rewriter
-from synq.types import EMPTY, reduce, reduces_to, ts
+from synq.types import EMPTY, PType, reduce, reduces_to, ts
 
 FIXTURES = Path(__file__).parent / "data" / "fixtures.auto"
 
@@ -275,6 +275,85 @@ class TestTreeToDiagram:
         with pytest.raises(DerivationError, match=re.escape(
                 f"rule {rule} does not combine N and N/N into N")):
             tree_to_diagram(tree)
+
+
+RUNS = "(<L S[dcl]\\NP VBZ VBZ runs S[dcl]\\NP>)"
+N_R, S, S_L = PType("n", 1), PType("s"), PType("s", -1)
+
+
+class TestRuleConversions:
+    """Conversions of the rules no other derivation reaches, each parsed
+    from its AUTO line, its layers and codomain pinned."""
+
+    @pytest.mark.parametrize("line, rules, layers, cod", [
+        (f"(<T S[dcl]\\NP 0 2> {RUNS} (<L S\\S RB RB quickly S\\S>))",
+         ["BC"],
+         ((Word("runs", EMPTY, ts("n.r", "s")), 0),
+          (Word("quickly", EMPTY, ts("s.r", "s")), 2), (Cup("s", 0), 1)),
+         ts("n.r", "s")),
+        (f"(<T S[dcl]\\NP 0 2> (<L S/S RB RB surely S/S>) {RUNS})",
+         ["FX"],
+         ((Word("surely", EMPTY, ts("s", "s.l")), 0),
+          (Word("runs", EMPTY, ts("n.r", "s")), 2),
+          (Swap(S_L, N_R), 1), (Swap(S, N_R), 0), (Cup("s", -1), 2)),
+         ts("n.r", "s")),
+        ("(<T S[dcl] 1 2> (<L S[dcl]/NP VBZ VBZ likes S[dcl]/NP>) "
+         "(<T S[dcl]\\(S[dcl]/NP) 0 1> (<L NP NNP NNP john NP>)))",
+         ["BA", "TR"],
+         ((Word("likes", EMPTY, ts("s", "n.l")), 0),
+          (Word("john", EMPTY, ts("n")), 2), (Cap("s", 0), 3),
+          (Cup("n", -1), 1), (Cup("s", 0), 0)),
+         ts("s")),
+        (f"(<T S[dcl] 1 2> (<L , , , , ,>) (<T S[dcl] 1 2> "
+         f"(<L NP NNP NNP john NP>) (<L S[dcl]\\NP VBZ VBZ sleeps "
+         f"S[dcl]\\NP>)))",
+         ["CONJ", "BA"],
+         ((Word(",", EMPTY, EMPTY), 0), (Word("john", EMPTY, ts("n")), 0),
+          (Word("sleeps", EMPTY, ts("n.r", "s")), 1), (Cup("n", 0), 0)),
+         ts("s")),
+    ], ids=["backward-composition", "forward-crossed-composition",
+            "backward-type-raising", "punctuation-before"])
+    def test_conversion(self, line, rules, layers, cod):
+        (tree,) = parse_auto(line)
+        found, stack = [], [tree]
+        while stack:
+            t = stack.pop()
+            if isinstance(t, Node):
+                found.append(t.rule)
+                stack.extend(reversed(t.children))
+        assert found == rules
+        d = tree_to_diagram(tree)
+        assert d.layers == layers and d.cod == cod and d.dom == EMPTY
+        assert line_to_diagram(line) == d
+
+    def test_backward_raised_argument_normalises_to_application(self):
+        # the cap on the right of the raised NP yanks away
+        likes = "(<L S[dcl]/NP VBZ VBZ likes S[dcl]/NP>)"
+        john = "(<L NP NNP NNP john NP>)"
+        (raised,) = parse_auto(f"(<T S[dcl] 1 2> {likes} "
+                               f"(<T S[dcl]\\(S[dcl]/NP) 0 1> {john}))")
+        (applied,) = parse_auto(f"(<T S[dcl] 0 2> {likes} {john})")
+        assert applied.rule == "FA"
+        assert tree_to_diagram(raised).normal_form() \
+            == tree_to_diagram(applied)
+
+    @pytest.mark.parametrize("line, reason, column", [
+        ("(<L N NN NN flower N>) (<L N NN NN x N>)",
+         "trailing characters after derivation", 24),
+        ("(<T NP 0> (<L N NN NN x N>))",
+         "internal header needs 4 fields, got 3", 10),
+        ("(<T NP 0 x> (<L N NN NN x N>))", "bad child count 'x'", 12),
+    ])
+    def test_parse_errors_name_their_column(self, line, reason, column):
+        for text, lineno in ((line, 1), (f"ID=a\n\n{line}\n", 3)):
+            with pytest.raises(ParseError) as exc:
+                parse_auto(text)
+            assert (exc.value.reason, exc.value.line, exc.value.column) \
+                == (reason, lineno, column)
+            with pytest.raises(ParseError) as exc:
+                line_to_diagram(line, lineno)
+            assert str(exc.value) == \
+                f"{reason} (line {lineno}, column {column})"
 
 
 def read_auto(path):

@@ -8,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from synq.ansatz import (
-    Node, Symbol, TensorNetwork, mps_ansatz, spider_ansatz, tensor_ansatz,
+    Circuit, Node, Symbol, TensorNetwork, mps_ansatz, spider_ansatz,
+    tensor_ansatz,
 )
 from synq import contract as contract_module
 from synq.contract import (
-    NetworkPlan, ShapeMismatch, _replay, _structure, _value, contract,
+    NetworkPlan, ShapeMismatch, _replay, _value, contract,
     contract_grad, contract_plan, plan, plan_networks,
 )
 from synq.dataset import generate_dataset
@@ -138,6 +139,12 @@ class TestContract:
             contract(tn, ParameterStore({"u": [1.0, 2.0, 3.0]}))
 
 
+def open_dims(tn):
+    """The dimensions of tn's open legs, read from its nodes by id."""
+    shapes = {node.node_id: node.shape for node in tn.nodes}
+    return tuple(shapes[a][i] for a, i in tn.open_legs)
+
+
 def random_network(rng, max_nodes=5, fixed=False):
     """Random connected-ish network of param nodes p0, p1, ...; with
     ``fixed``, also 1 to 4 deltas and copies, each with legs of one
@@ -197,7 +204,7 @@ class TestGrad:
             for trial in range(25):
                 tn, ps = random_network(rng, fixed=fixed)
                 upstream = rng.normal(
-                    size=tuple(tn.leg_dim(leg) for leg in tn.open_legs))
+                    size=open_dims(tn))
                 got = grad_one(tn, ps, lambda v: upstream)[1]
                 want = fd_gradient(tn, ps, upstream)
                 scale = max(1.0, float(np.max(np.abs(want))))
@@ -216,7 +223,7 @@ class TestGrad:
             tn = builder()
             ps = store_for(tn, seed=int(rng.integers(1000)))
             upstream = rng.normal(
-                size=tuple(tn.leg_dim(leg) for leg in tn.open_legs))
+                size=open_dims(tn))
             got = grad_one(tn, ps, lambda v: upstream)[1]
             want = fd_gradient(tn, ps, upstream)
             scale = max(1.0, float(np.max(np.abs(want))))
@@ -417,7 +424,7 @@ class TestPlan:
         long = sentence_to_diagram(PipelineConfig(rewrites=("determiner",)),
                                    text, line)
         networks.append(spider_ansatz(long, {"n": 2, "s": 2}, 2))
-        structures = [_structure(tn) for tn in networks]
+        structures = [tn.structure for tn in networks]
         # circuits, exact and as superoperator networks: their fixed leaves
         # meet, and a rotation sits between fixed neighbours
         model = compile_model(PipelineConfig(ansatz="iqp", optimizer="spsa"),
@@ -729,11 +736,11 @@ class TestPlanCache:
         variants = [tn, replace(tn, edges=tn.edges[::-1]),
                     replace(tn, edges=((y, x), *rest)),
                     replace(tn, open_legs=tn.open_legs[::-1])]
-        plans = {id(contract_module._planned(_structure(v)))
+        plans = {id(contract_module._planned(v.structure))
                  for v in variants}
         assert len(plans) == len(variants)
         for v in variants:
-            p = plan(_structure(v))  # uncached
+            p = plan(v.structure)  # uncached
             params = [ps[v.nodes[k].symbol.name][None] for k in p.params]
             want = _value(p, unfolded_replay(p, params), 1)[0]
             assert np.array_equal(contract(v, ps), want)
@@ -760,7 +767,7 @@ class TestFolding:
         tn = TensorNetwork((m, k, u), ((("m", 1), ("k", 0)),
                                        (("k", 1), ("u", 0))),
                            (("m", 0), ("u", 1)))
-        p = plan(_structure(tn))
+        p = plan(tn.structure)
         assert len(p.steps) == 2 and len(p.run) == 1
         assert np.array_equal(p.fixed[3], np.eye(2))
         with pytest.raises(ValueError):
@@ -774,7 +781,7 @@ class TestFolding:
         tn = TensorNetwork((m, Node("c", "copy", (3, 3, 3))),
                            ((("m", 0), ("c", 0)), (("m", 1), ("c", 1))),
                            (("c", 2),))
-        p = plan(_structure(tn))
+        p = plan(tn.structure)
         assert p.run == () and len(p.steps) == 1
         assert_folding_exact(p, [])
         assert np.array_equal(contract(tn, ParameterStore({})), np.ones(3))
@@ -796,7 +803,7 @@ class TestFolding:
         for fixed in (False, True):
             for _ in range(30):
                 tn, ps = random_network(rng, fixed=fixed)
-                p = plan(_structure(tn))
+                p = plan(tn.structure)
                 assert_folding_exact(
                     p, [ps[tn.nodes[k].symbol.name][None] for k in p.params])
 
@@ -835,3 +842,93 @@ class TestUndispatchedEinsum:
                    for t in g.plan.fixed[len(g.plan.leaves):])
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
+
+
+def reference_structure(art):
+    """The structure an artifact is planned by, walked off it by node id:
+    a circuit's qubit count and each op's gate and qubits, or a network's
+    node kinds and shapes, then its edges and open legs by node position.
+    The reference for ``structure``, which the constructors record."""
+    if isinstance(art, Circuit):
+        return art.n_qubits, tuple((op.gate, op.qubits) for op in art.ops)
+    index = {node.node_id: k for k, node in enumerate(art.nodes)}
+    return (tuple((n.kind, n.shape) for n in art.nodes),
+            tuple(((index[a], i), (index[b], j))
+                  for (a, i), (b, j) in art.edges),
+            tuple((index[a], i) for a, i in art.open_legs))
+
+
+ANSATZE = ("iqp", "spider", "tensor", "mps")
+
+
+def _config(ansatz, **fields):
+    return PipelineConfig(ansatz=ansatz, optimizer="spsa" if ansatz == "iqp"
+                          else "adam", **fields)
+
+
+class TestStructure:
+    """Each network and circuit records the structure it is planned by when
+    it is built, and a re-labelled instance holds its template's."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.booleans())
+    def test_random_networks_record_the_reference(self, seed, fixed):
+        tn, _ = random_network(np.random.default_rng(seed), max_nodes=8,
+                               fixed=fixed)
+        assert tn.structure == reference_structure(tn)
+        # no part of equality, hash or repr
+        twin = TensorNetwork(tn.nodes, tn.edges, tn.open_legs)
+        assert twin == tn and hash(twin) == hash(tn)
+        assert twin.structure is not tn.structure
+        assert repr(tn) == (f"TensorNetwork(nodes={tn.nodes!r}, "
+                            f"edges={tn.edges!r}, "
+                            f"open_legs={tn.open_legs!r})")
+        other = TensorNetwork(tuple(
+            replace(n, symbol=Symbol(n.symbol.name + "_b", n.shape))
+            if n.symbol else n for n in tn.nodes), tn.edges, tn.open_legs)
+        assert other != tn and other.structure == tn.structure
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("ansatz", ANSATZE)
+    def test_mc_instances_hold_their_template_structure(self, ansatz, seed):
+        from synq import pipeline
+        pipeline._artifact_templates.cache_clear()
+        model = compile_model(_config(ansatz), generate_dataset(seed))
+        by_key = {}
+        for art in model.artifacts:
+            assert art.structure == reference_structure(art)
+            by_key.setdefault(repr(reference_structure(art)), []).append(art)
+        # the 130 sentences have 4 shapes, each compiled once as a template
+        # whose instances share its structure object
+        assert pipeline._artifact_templates.cache_info().misses == 4
+        assert len({id(art.structure) for art in model.artifacts}) == 4
+        for group in by_key.values():
+            assert all(art.structure is group[0].structure for art in group)
+
+    def test_long_ccg_networks_record_the_reference(self):
+        from synq.pipeline import compile_diagram, sentence_to_diagram
+        from test_scan_once import long_derivation
+        cfg = _config("spider", rewrites=("determiner",))
+        for words in (*range(8, 16), 24, 48, 96, 192):
+            art = compile_diagram(cfg, sentence_to_diagram(
+                cfg, *long_derivation(words)))
+            assert art.structure == reference_structure(art)
+
+    def test_fixture_artifacts_record_the_reference(self):
+        from pathlib import Path
+        from synq.ansatz import UnsupportedBox
+        from synq.ccg import section_to_diagrams
+        from synq.pipeline import compile_diagram
+        fixtures = Path(__file__).parent / "data" / "fixtures.auto"
+        diagrams = [r.diagram for r in section_to_diagrams(fixtures) if r.ok]
+        compiled = {ansatz: 0 for ansatz in ANSATZE}
+        for d in diagrams:
+            for ansatz in ANSATZE:
+                try:
+                    art = compile_diagram(_config(ansatz), d)
+                except UnsupportedBox:  # a swap has no circuit
+                    continue
+                compiled[ansatz] += 1
+                assert art.structure == reference_structure(art)
+        assert compiled["iqp"] and all(
+            compiled[a] == len(diagrams) for a in ANSATZE[1:])

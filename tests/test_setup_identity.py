@@ -21,7 +21,7 @@ import pytest
 
 from synq import ansatz, ccg, pipeline
 from synq.ccg import parse_auto, scan_auto, tree_to_diagram
-from synq.dataset import generate_dataset, sentence_to_auto
+from synq.dataset import generate_dataset, sentence_to_auto, write_auto
 from synq.diagram import Builder, Word
 from synq.pipeline import (
     PipelineConfig, compile_diagram, compile_model, sentence_to_diagram,
@@ -33,6 +33,7 @@ from synq.types import ts
 DATA = Path(__file__).parent / "data"
 FIXTURES = DATA / "fixtures.auto"
 GOLDEN = DATA / "setup_golden.json"
+BOM = b"\xef\xbb\xbf"  # the UTF-8 byte-order mark
 
 SEEDS = (0, 7)
 REWRITES = {"none": (), "all": RULE_NAMES}
@@ -144,6 +145,26 @@ def test_every_golden_hash_cold_and_warm(golden, caches):
         else:
             build()
         assert build() == want
+
+
+@pytest.mark.parametrize("bom, newline", [(b"", b"\n"), (BOM, b"\n"),
+                                          (b"", b"\r\n"), (BOM, b"\r\n")],
+                         ids=["plain", "bom", "crlf", "bom-crlf"])
+def test_auto_file_encodings_compile_as_the_golden(golden, tmp_path, bom,
+                                                   newline):
+    # a byte-order mark and CRLF line ends are not part of the text
+    ds = generate_dataset(0)
+    plain = tmp_path / "plain.auto"
+    write_auto(ds, plain)
+    path = tmp_path / "mc.auto"
+    path.write_bytes(bom + plain.read_bytes().replace(b"\n", newline))
+    model = compile_model(PipelineConfig(ccg_path=str(path)), ds)
+    assert _model_hashes(model) == golden["models"]["ccg/spider/none/0"]
+    results = ccg.section_to_diagrams(path)
+    assert [r.derivation_id for r in results if r.ok] == [
+        str(i) for i in range(130)]
+    assert [r.diagram for r in results] == [
+        r.diagram for r in ccg.section_to_diagrams(plain)]
 
 
 def test_caches_are_bounded():

@@ -17,11 +17,12 @@ from synq.pipeline import PipelineConfig, compile_model, group_p1
 from synq.simulator import (
     MAX_SHOTS, ZERO_NORM_THRESHOLD, AllShotsDiscarded, InvalidNoise,
     NonFiniteAngle, UnplannableCircuit, ZeroNorm, _circuit_plan, _lone_plan,
-    _outcomes, _structure, evaluate, plan_circuits, sample, statevector,
+    _outcomes, evaluate, plan_circuits, sample, statevector,
 )
 from synq.training import _parts_p1
 from synq.types import ts
-from test_contract import alone, assert_folding_exact, unfolded_replay
+from test_contract import alone, assert_folding_exact, reference_structure, \
+    unfolded_replay
 
 EMPTY_PS = ParameterStore({})
 
@@ -725,13 +726,25 @@ class TestRotationKinds:
                 assert got[j].flags.c_contiguous
 
 
+class TestCircuitStructure:
+    @settings(max_examples=100, deadline=None)
+    @given(noisy_circuits())
+    def test_circuits_record_the_reference(self, c):
+        assert c.structure == reference_structure(c)
+        twin = Circuit(c.n_qubits, c.ops, c.postselect, c.open)
+        assert twin == c and hash(twin) == hash(c)
+        assert twin.structure is not c.structure
+        assert repr(c) == (f"Circuit(n_qubits={c.n_qubits!r}, ops={c.ops!r}, "
+                           f"postselect={c.postselect!r}, open={c.open!r})")
+
+
 class TestOneDtype:
     @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(noisy_circuits(), st.sampled_from([0.0, 0.01, 1.0]))
     @example(BOTH_ORDERS, 1.0)
     def test_circuit_plans_are_complex(self, c, p):
-        key = (*_structure(c), c.postselect, c.open)
+        key = (*c.structure, c.postselect, c.open)
         for plan in (_circuit_plan(*key), _circuit_plan(*key, p)):
             fixed = [t for t in plan.fixed if t is not None]
             assert fixed
@@ -766,7 +779,7 @@ class TestCachedPlans:
         c = Circuit(2, (Op("H", (0,)), Op("Rx", (0,), Symbol("a")),
                         Op("CRz", (0, 1), Symbol("b"))), (0,), (1,))
         ps = ParameterStore({"a": np.array(0.3), "b": np.array(0.7)})
-        key = (*_structure(c), c.postselect, c.open)
+        key = (*c.structure, c.postselect, c.open)
         _lone_plan.cache_clear()
         evaluate(c, ps)
         sample(c, ps, 100, 1, noise_p=0.01)
@@ -831,7 +844,7 @@ class TestFolding:
     @example(BOTH_ORDERS, 1.0)
     @example(UNTOUCHED_POSTSELECTED, 0.0)
     def test_doubled_network(self, c, p):
-        plan = _circuit_plan(*_structure(c), c.postselect, c.open, p)
+        plan = _circuit_plan(*c.structure, c.postselect, c.open, p)
         # one leaf per rotation: its superoperator at its angle
         params = [SUPEROPERATORS[DOUBLED[op.gate]](np.array([op.param]))
                   for op in c.ops if op.gate in ROTATIONS]
@@ -846,7 +859,7 @@ class TestFolding:
         the channel depolarises fully and a Bell pair reads every outcome
         equally often. Each qubit is one wire of dimension 4."""
         c = Circuit(2, (Op("H", (0,)), Op("CX", (0, 1))), (), (0, 1))
-        plans = [_circuit_plan(*_structure(c), (), (0, 1), p)
+        plans = [_circuit_plan(*c.structure, (), (0, 1), p)
                  for p in (0.0, 0.75)]
         assert all(plan.run == () for plan in plans)  # no parameter
         leaves = plans[0].shapes[:len(plans[0].leaves)]
@@ -871,7 +884,7 @@ class TestSuperoperatorNetwork:
                               generate_dataset(0))
         live, exact = {}, {}
         for c in model.artifacts:
-            key = (*_structure(c), c.postselect, c.open)
+            key = (*c.structure, c.postselect, c.open)
             (g,) = _lone_plan((*key, 0.01)).groups
             assert len(g.plan.params) == len(leaf_gates(c)) \
                 == len(g.plan.kinds)
@@ -959,7 +972,7 @@ class TestWideFixedRegion:
         c = self.C
         got = []
         for key in ((), (0.01,)):
-            (g,) = _lone_plan((*_structure(c), c.postselect, c.open,
+            (g,) = _lone_plan((*c.structure, c.postselect, c.open,
                                *key)).groups
             got.append((len(g.plan.run),
                         max(math.prod(s) for s in g.plan.shapes)))

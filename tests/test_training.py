@@ -11,8 +11,9 @@ from synq import ccg, pipeline, training
 from synq import contract as contract_module
 from synq.contract import NetworkPlan, plan_networks
 from synq.pipeline import (
-    CompileError, CompiledModel, NoSampleSeed, PipelineConfig, compile_model,
-    group_p1, predict_p1, prediction_gradient, sentence_to_diagram,
+    CompileError, CompiledModel, NoSampleSeed, PipelineConfig, UnknownItem,
+    compile_model, group_p1, predict_p1, prediction_gradient,
+    sentence_to_diagram,
 )
 from synq.simulator import plan_circuits
 from synq.training import (
@@ -253,6 +254,27 @@ class TestPipelines:
         assert predict_p1(model, model.store, 0, 5) \
             != predict_p1(exact, model.store, 0)
 
+    @pytest.mark.parametrize("cfg", [
+        PipelineConfig(),
+        PipelineConfig(ansatz="iqp", optimizer="spsa"),
+        PipelineConfig(ansatz="iqp", optimizer="spsa", backend="shots")],
+        ids=["spider", "iqp", "iqp-shots"])
+    @pytest.mark.parametrize("item", [-1, 130, np.int64(130), True, False,
+                                      np.True_])
+    def test_unknown_item_is_named(self, cfg, item):
+        model = compile_model(cfg, generate_dataset(0))
+        with pytest.raises(UnknownItem) as exc:
+            predict_p1(model, model.store, item, 5)
+        assert isinstance(exc.value, IndexError)
+        assert str(exc.value) == (f"item {item!r} is not in the dataset's "
+                                  "130 sentences")
+
+    def test_numpy_integer_items_predict(self):
+        model = compile_model(PipelineConfig(), generate_dataset(0))
+        for item in (0, 129):
+            assert predict_p1(model, model.store, np.int64(item)) \
+                == predict_p1(model, model.store, item)
+
     @pytest.mark.parametrize("split", ["items", "validation", "Test"])
     def test_unknown_split_is_named(self, split):
         model = compile_model(PipelineConfig(iterations=1), tiny_dataset())
@@ -355,6 +377,22 @@ class TestPipelines:
         (failed,) = str(err.value).splitlines()[1:]
         assert failed.startswith(f"2: {ds.items[2][0]!r}: category '((((")
         assert "nests too deep" in failed
+
+    def test_ccg_path_noun_phrase_root_is_a_failed_sentence(self, tmp_path):
+        from synq.dataset import sentence_to_auto
+        ds = tiny_dataset()
+        lines = [f"ID={i}\n{sentence_to_auto(text)}\n"
+                 for i, (text, _) in enumerate(ds.items)]
+        lines[1] = ("ID=1\n(<T NP 0 2> (<L NP/N DT DT the NP/N>) "
+                    "(<L N NN NN soup N>))\n")
+        path = tmp_path / "np.auto"
+        path.write_text("".join(lines))
+        cfg = PipelineConfig(reader="ccg", ccg_path=str(path))
+        with pytest.raises(CompileError) as err:
+            compile_model(cfg, ds)
+        assert str(err.value).splitlines() == [
+            "1 sentences failed to compile:",
+            f"1: {ds.items[1][0]!r}: codomain n is not the sentence type"]
 
     def test_sentence_to_diagram_rewrites(self):
         cfg = PipelineConfig(reader="ccg", rewrites=("determiner",))
