@@ -36,6 +36,28 @@ inverse and each parameter leaf's cut of the gathered entries are worked
 out once per plan, not on every pass. Every tensor a parameter reaches
 carries a leading sentence axis; the fixed leaves do not and are shared by
 every row.
+
+A chain is a run of live steps that each apply a stored (d, d) leaf, by its
+second axis, to the previous result (``Zab,Zb->Za``): the adjectives of a
+noun phrase applied to its noun, one after the other. ``Plan`` finds each
+chain once, when it is built, and one of at least CHAIN_MIN steps replays
+as one step. Its k leaves come as one (rows, k, d, d) block, since a
+group's gathered index lays their entries out together; the block reduces
+pairwise by batched ``np.matmul`` in ceil(log2 k) levels (the pairwise
+reduction of Blelloch 1990, "Prefix sums and their applications"), and the
+product applies to the chain's start. The reverse pass walks the levels
+back, two batched matmuls each. The tree re-associates the product, so a
+chain's values differ from a step-by-step replay in the last bits. On
+(2, 2) leaves, one row, the chain step broke even with the steps at k = 8
+to 10 and was faster from k = 12 on: a ``contract`` of k = 16 took 20 us
+against 34 us, of k = 92 62 us against 184 us, and a value-and-gradient
+pass (``contract_grad``) of k = 92 101 us against 554 us (min of 5 x 300
+calls, numpy 2.4.6, Python 3.11, x86-64). ``contract`` reads a chain's
+stored values into its block with one ``np.array``, checking each leaf
+alone only when that fails. CHAIN_MIN = 16 lies above every chain of the
+mc datasets' networks (at most 2 steps) and of the long-ccg benchmark's
+training and dev sentences (at most 6), whose plans are then those of a
+step-by-step replay, bit for bit.
 ``plan`` builds the copy, delta and identity tensors from their kinds and
 shapes; a structure gives every other fixed leaf as a tensor, as
 ``simulator`` gives a circuit's |0>, <0|, H and CX, and a noisy circuit's
@@ -75,11 +97,14 @@ order.
 
 The gradient walks the live steps backwards from the cotangent of the
 values: the cotangent of each operand is the result's cotangent contracted
-with the other operand (Liao et al., arXiv:1903.09650). The cotangent of
-every row is taken in one call, each group walks back from its own rows,
-and rows and nodes that share a symbol sum their cotangents in the
-store's flat layout with one ``np.bincount`` per group, added to the
-gradient in group order.
+with the other operand (Liao et al., arXiv:1903.09650). A chain's product
+so takes the outer product of its result's cotangent and its start, and
+each level of its tree passes a pair's cotangent to the two matrices it
+joined. The cotangent of every row is taken in one call, each group walks
+back from its own rows, and rows and nodes that share a symbol sum their
+cotangents in the store's flat layout with one ``np.bincount`` per group,
+over the group's cotangents laid out as its gathered index is, added to
+the gradient in group order.
 """
 from __future__ import annotations
 
@@ -100,8 +125,12 @@ _BATCH = "Z"  # the einsum label of the sentence axis
 # numpy's own einsum without its __array_function__ dispatch, which plain
 # ndarrays never need; np.einsum itself if a numpy exposes no __wrapped__
 _einsum = inspect.unwrap(np.einsum)
+_concatenate = inspect.unwrap(np.concatenate)
 _KERNELS = {**GATE_TENSORS, **SUPEROPERATORS}  # the tensor of a rotation
 _LABELS = string.ascii_letters.replace(_BATCH, "")
+# the fewest matrix steps a chain replays as one product tree; below it, a
+# step each is as fast (see the module docstring)
+CHAIN_MIN = 16
 
 
 class ShapeMismatch(Exception):
@@ -154,17 +183,29 @@ class Plan:
 
     Built from these, ``fixed`` holds every tensor that no parameter
     reaches, read-only: the fixed leaves and the result of each constant
-    step, computed here once; None for a live tensor. ``run`` lists the
-    live steps as (result, a, b, script), the only steps a replay runs,
-    and ``back`` the same steps in reverse as (result, a, b, script_a,
+    step, computed here once; None for a live tensor. ``chains`` holds the
+    leaves of each chain (``_chains``) in the order they apply, and
+    ``trees``, per chain, (a, t): its first leaf's slot a, which takes the
+    chain's (rows, k, d, d) block and then its product, and its first
+    step's result's slot t, which holds the levels of its product tree
+    (``_tree``). ``run`` lists the live steps as (result, a, b, script),
+    the only steps a replay runs; a chain is one of them, its first step's
+    operands and script applying its product, with its last step's result.
+    ``back`` lists the same steps in reverse as (result, a, b, script_a,
     script_b), the subscripts that take the result's cotangent to a's and
     b's, None for an operand that is not live. ``axes`` takes the last
     tensor's axes, sentence axis first, to the values' (the sentence axis,
     then ``perm``), and ``inverse`` takes a cotangent of the values back.
-    ``cuts`` holds, per parameter leaf, the (start, stop) of its columns
-    in a group's gathered index (``Group.index``) and the shape, sentence
-    axis first, that they take: a stored tensor's entries in its shape, or
-    a rotation's one angle, (-1,)."""
+
+    ``inputs`` lists the slots a replay fills: the parameter leaves outside
+    every chain (``singles``), then each chain's first leaf, for its block.
+    A group's gathered index (``Group.index``) lays out their entries in
+    that order, a chain's leaf after leaf in chain order. ``cuts`` holds,
+    per input, the (start, stop) of its columns there and the shape,
+    sentence axis first, that they take: a stored tensor's entries in its
+    shape, a chain's (-1, k, d, d) block, or a rotation's one angle, (-1,).
+    ``layout`` takes the columns of the leaves in ``params`` order to that
+    order; it is None in a plan without chains, where the two agree."""
     leaves: tuple[Optional[np.ndarray], ...]
     params: tuple[int, ...]  # the parameter leaves, in node order
     kinds: tuple[str, ...]  # of each parameter leaf
@@ -174,44 +215,107 @@ class Plan:
     live: tuple[bool, ...]
     perm: tuple[int, ...]
     fixed: tuple[Optional[np.ndarray], ...] = field(init=False, repr=False)
+    chains: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
+    trees: tuple[tuple[int, int], ...] = field(init=False, repr=False)
     run: tuple[tuple[int, int, int, str], ...] = field(init=False, repr=False)
     back: tuple[tuple[int, int, int, Optional[str], Optional[str]], ...] = \
         field(init=False, repr=False)
     axes: tuple[int, ...] = field(init=False, repr=False)
     inverse: tuple[int, ...] = field(init=False, repr=False)
+    singles: tuple[int, ...] = field(init=False, repr=False)
+    inputs: tuple[int, ...] = field(init=False, repr=False)
     cuts: tuple[tuple[int, int, tuple[int, ...]], ...] = \
         field(init=False, repr=False)
+    layout: Optional[np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
-        fixed, run, back = list(self.leaves), [], []
+        fixed, steps = list(self.leaves), []
         for (a, b, _, _), script in zip(self.steps, self.scripts):
             if self.live[len(fixed)]:
-                run.append((len(fixed), a, b, script))
-                operands, sc = script.split("->")
-                sa, sb = operands.split(",")
-                back.append((len(fixed), a, b,
-                             f"{sc},{sb}->{sa}" if self.live[a] else None,
-                             f"{sa},{sc}->{sb}" if self.live[b] else None))
+                steps.append((len(fixed), a, b, script))
                 fixed.append(None)
             else:
                 fixed.append(_einsum(script, fixed[a], fixed[b]))
         for tensor in fixed:
             if tensor is not None:
                 tensor.setflags(write=False)
+        chains = self._chains(steps)
+        first = {chain[-1][0]: chain[0] for chain in chains}
+        inner = {c for chain in chains for c, _, _, _ in chain[:-1]}
+        run, back = [], []
+        for c, a, b, script in steps:
+            if c in inner:  # replayed with its chain
+                continue
+            if c in first:  # a chain's last step: the chain, as its first
+                _, a, b, script = first[c]
+            run.append((c, a, b, script))
+            operands, sc = script.split("->")
+            sa, sb = operands.split(",")
+            back.append((c, a, b,
+                         f"{sc},{sb}->{sa}" if self.live[a] else None,
+                         f"{sa},{sc}->{sb}" if self.live[b] else None))
         object.__setattr__(self, "fixed", tuple(fixed))
+        object.__setattr__(self, "chains", tuple(
+            tuple(a for _, a, _, _ in chain) for chain in chains))
+        object.__setattr__(self, "trees", tuple(
+            (chain[0][1], chain[0][0]) for chain in chains))
         object.__setattr__(self, "run", tuple(run))
         object.__setattr__(self, "back", tuple(reversed(back)))
         axes = (0, *(i + 1 for i in self.perm))
         object.__setattr__(self, "axes", axes)
         object.__setattr__(self, "inverse",
                            tuple(map(axes.index, range(len(axes)))))
+        width = {j: math.prod(self.shapes[j]) if kind == "param" else 1
+                 for j, kind in zip(self.params, self.kinds)}  # 1: an angle
+        linked = {j for chain in self.chains for j in chain}
+        singles = tuple(j for j in self.params if j not in linked)
         cuts, start = [], 0
         for j, kind in zip(self.params, self.kinds):
-            shape = self.shapes[j] if kind == "param" else ()  # an angle
-            stop = start + math.prod(shape)
-            cuts.append((start, stop, (-1, *shape)))
+            if j not in linked:
+                cuts.append((start, start + width[j], (-1, *self.shapes[j])
+                             if kind == "param" else (-1,)))
+                start += width[j]
+        for chain in self.chains:
+            stop = start + len(chain) * width[chain[0]]
+            cuts.append((start, stop,
+                         (-1, len(chain), *self.shapes[chain[0]])))
             start = stop
+        layout = None
+        if self.chains:
+            entries, start = {}, 0
+            for j in self.params:
+                entries[j] = range(start, start + width[j])
+                start += width[j]
+            layout = np.array([i for j in singles for i in entries[j]]
+                              + [i for chain in self.chains for j in chain
+                                 for i in entries[j]], np.intp)
+            layout.setflags(write=False)
+        object.__setattr__(self, "singles", singles)
+        object.__setattr__(self, "inputs", singles + tuple(
+            chain[0] for chain in self.chains))
         object.__setattr__(self, "cuts", tuple(cuts))
+        object.__setattr__(self, "layout", layout)
+
+    def _chains(self, steps: list[tuple[int, int, int, str]]) -> list[list]:
+        """The chains of at least CHAIN_MIN of the live ``steps``: a step
+        that applies a stored (d, d) leaf by its second axis to a (d,)
+        tensor, live (``Zab,Zb->Za``) or fixed (``Zab,b->Za``), extends the
+        chain whose last result that tensor is, or starts one."""
+        square = {j for j, kind in zip(self.params, self.kinds)
+                  if kind == "param" and len(self.shapes[j]) == 2
+                  and self.shapes[j][0] == self.shapes[j][1]}
+        ends: dict[int, list] = {}  # the last result of a chain -> the chain
+        chains = []
+        for step in steps:
+            c, a, b, script = step
+            if a in square and script in ("Zab,Zb->Za", "Zab,b->Za"):
+                chain = ends.pop(b, None)
+                if chain is None:
+                    chain = []
+                    chains.append(chain)
+                chain.append(step)
+                ends[c] = chain
+        return [chain for chain in chains if len(chain) >= CHAIN_MIN]
 
 
 def _script(na: int, nb: int, ax_a: list[int], ax_b: list[int],
@@ -339,16 +443,52 @@ def plan(structure: tuple) -> Plan:
                 perm)
 
 
-def _replay(p: Plan, params: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """Every tensor of the recorded contraction, the parameter leaves taken
-    from ``params`` (each with the sentence axis first); only the live
-    steps run."""
+def _replay(p: Plan, inputs: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Every tensor of the recorded contraction, the inputs (``p.inputs``)
+    taken from ``inputs``, each with the sentence axis first; only the live
+    steps run. A chain's block gives way to its product, and its tree's
+    levels stand for its inner steps' results (``Plan.trees``)."""
     tensors = list(p.fixed)
-    for k, value in zip(p.params, params):
+    for k, value in zip(p.inputs, inputs):
         tensors[k] = value
+    for a, t in p.trees:
+        tensors[t] = levels = _tree(tensors[a])
+        tensors[a] = levels[-1][:, 0]
     for c, a, b, script in p.run:
         tensors[c] = _einsum(script, tensors[a], tensors[b])
     return tensors
+
+
+def _tree(block: np.ndarray) -> list[np.ndarray]:
+    """The levels of the pairwise product of a (rows, k, d, d) block of
+    matrices in the order they apply, the block first: each level holds the
+    products of the previous one's pairs, the later matrix on the left, and
+    an unpaired last matrix carried to its end, down to one matrix."""
+    levels = [block]
+    while block.shape[1] > 1:
+        m = block.shape[1]
+        pairs = np.matmul(block[:, 1::2], block[:, 0:m - 1:2])
+        block = _concatenate((pairs, block[:, m - 1:]), axis=1) if m % 2 \
+            else pairs
+        levels.append(block)
+    return levels
+
+
+def _untree(levels: list[np.ndarray], g: np.ndarray) -> np.ndarray:
+    """The cotangent of a chain's block, given its product's, (rows, d, d):
+    the tree's levels walked back, each pair's product y = x1 x0 giving
+    x1 the cotangent gy x0^T and x0 the cotangent x1^T gy, and a carried
+    matrix its own."""
+    g = g[:, None]
+    for x in reversed(levels[:-1]):
+        m, h = x.shape[1], x.shape[1] // 2
+        gx = np.empty(x.shape, np.result_type(x, g))
+        np.matmul(g[:, :h], x[:, 0:2 * h:2].swapaxes(2, 3), out=gx[:, 1::2])
+        np.matmul(x[:, 1::2].swapaxes(2, 3), g[:, :h], out=gx[:, 0:2 * h:2])
+        if m % 2:
+            gx[:, m - 1] = g[:, h]
+        g = gx
+    return g
 
 
 def _value(p: Plan, tensors: list[np.ndarray], rows: int) -> np.ndarray:
@@ -364,11 +504,14 @@ def _value(p: Plan, tensors: list[np.ndarray], rows: int) -> np.ndarray:
 
 def _backprop(p: Plan, tensors: list[np.ndarray],
               g: np.ndarray) -> list[np.ndarray]:
-    """The cotangent of each parameter leaf, given the values' cotangent.
+    """The cotangent of each input (``p.inputs``), given the values'
+    cotangent.
 
     A step's result is einsum(s_a,s_b->s_c) of its operands; the cotangent
     of a live operand is einsum(s_c,s_b->s_a) of the result's cotangent and
-    the other operand, and the same for b (``Plan.back``)."""
+    the other operand, and the same for b (``Plan.back``). A chain's
+    product then walks its cotangent back down the chain's tree
+    (``_untree``) to its block's."""
     cot: list[Optional[np.ndarray]] = [None] * len(tensors)
     cot[-1] = g.transpose(p.inverse)
     for c, a, b, script_a, script_b in p.back:
@@ -377,14 +520,32 @@ def _backprop(p: Plan, tensors: list[np.ndarray],
             cot[a] = _einsum(script_a, gc, tensors[b])
         if script_b is not None:
             cot[b] = _einsum(script_b, tensors[a], gc)
-    return [cot[k] for k in p.params]
+    for a, t in p.trees:
+        cot[a] = _untree(tensors[t], cot[a])
+    return [cot[k] for k in p.inputs]
+
+
+def _block(chain: list[Node], ps: ParameterStore) -> np.ndarray:
+    """The stored values of a chain's leaves as one (k, d, d) array; a
+    missing or misshapen one raises as ``_node_tensor`` does, for the first
+    such leaf, checked one by one only then."""
+    try:
+        block = np.array([ps[node.symbol.name] for node in chain])
+        if block.shape[1:] == chain[0].shape:
+            return block
+    except (UnboundSymbol, ValueError):  # ValueError: unequal shapes
+        pass
+    return np.array([_node_tensor(node, ps) for node in chain])
 
 
 def contract(tn: TensorNetwork, ps: ParameterStore) -> np.ndarray:
     """Exact value of the network over its open legs (scalar if none)."""
-    p = _planned(tn.structure)
-    params = [_node_tensor(tn.nodes[k], ps)[None] for k in p.params]
-    return _value(p, _replay(p, params), 1)[0]
+    p, nodes = _planned(tn.structure), tn.nodes
+    inputs = [_node_tensor(nodes[k], ps)[None] for k in p.singles]
+    if p.chains:
+        inputs += [_block([nodes[k] for k in chain], ps)[None]
+                   for chain in p.chains]
+    return _value(p, _replay(p, inputs), 1)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -396,8 +557,10 @@ def contract(tn: TensorNetwork, ps: ParameterStore) -> np.ndarray:
 class Group:
     """Networks of one structure: their positions and, per row, the flat
     vector offsets of every entry of its parameter leaves, leaf after leaf
-    in ``plan.params`` order. In a circuit group every parameter leaf is a
-    rotation gate, or its superoperator, whose one entry is the angle."""
+    in ``plan.params`` order, or in the order of ``plan.cuts`` in a plan
+    with chains (``Plan.layout``). In a circuit group every parameter leaf
+    is a rotation gate, or its superoperator, whose one entry is the
+    angle."""
     plan: Plan
     rows: np.ndarray
     index: np.ndarray  # (rows, entries)
@@ -475,7 +638,7 @@ class NetworkPlan:
                 out = [flat[:, start:stop].reshape(shape)
                        for start, stop, shape in g.plan.cuts]
             else:
-                out = [None] * len(g.plan.params)
+                out = [None] * len(g.plan.inputs)
                 for gate, js, at in picks:
                     for j, tensor in zip(js, tables[gate][at]):
                         out[j] = tensor
@@ -536,10 +699,13 @@ def plan_rows(rows: Iterable[tuple], count: int, store: ParameterStore,
         members, index = groups.setdefault(key, ([], []))
         members.append(row)
         index.append(entries)
-    return NetworkPlan(tuple(
-        Group(plan_of(key), np.array(members),
-              np.array(index, np.intp).reshape(len(members), -1))
-        for key, (members, index) in groups.items()), count)
+    built = []
+    for key, (members, index) in groups.items():
+        p = plan_of(key)
+        index = np.array(index, np.intp).reshape(len(members), -1)
+        built.append(Group(p, np.array(members), index if p.layout is None
+                           else index[:, p.layout]))
+    return NetworkPlan(tuple(built), count)
 
 
 def plan_networks(networks: Sequence[TensorNetwork], rows: Sequence[int],

@@ -30,11 +30,11 @@ import numpy as np
 
 from . import ccg
 from .ansatz import Circuit, TensorNetwork, iqp_template, network_template
-from .contract import NetworkPlan, contract, contract_grad, contract_plan, \
-    plan_networks
+from .contract import NetworkPlan, ShapeMismatch, contract, contract_grad, \
+    contract_plan, plan_networks
 from .dataset import LabeledDataset, sentence_to_auto
 from .diagram import Diagram, Word
-from .params import ParameterStore
+from .params import ParameterStore, UnboundSymbol
 from .readers import cups_read, spiders_read, tokenize
 from .rewrite import RULE_NAMES, Rewriter
 from .simulator import (
@@ -285,24 +285,27 @@ def _rows_p1(v: np.ndarray, floor: float = ZERO_VECTOR) -> np.ndarray:
 def predict_p1(model: CompiledModel, store: ParameterStore, item: int,
                sample_seed: Optional[int] = None) -> float:
     """Probability of label 1 for sentence ``item`` under the current store;
-    a shot-based model samples with ``sample_seed``, which it needs."""
+    a shot-based model samples with ``sample_seed``, which it needs. A
+    symbol the store lacks, or holds in another shape, raises
+    UnboundSymbol or ShapeMismatch naming the item."""
     if isinstance(item, (bool, np.bool_)) \
             or not 0 <= item < len(model.artifacts):
         raise UnknownItem(f"item {item!r} is not in the dataset's "
                           f"{len(model.artifacts)} sentences")
     art = model.artifacts[item]
     cfg = model.config
-    if isinstance(art, TensorNetwork):
-        p1 = _vector_p1(contract(art, store))
-        if p1 is None:
-            logger.warning("degenerate sentence vector for item %d", item)
-            return 0.5
-        return p1
-    assert isinstance(art, Circuit)
-    if cfg.backend == "shots" and sample_seed is None:
+    if cfg.backend == "shots" and sample_seed is None \
+            and isinstance(art, Circuit):
         raise NoSampleSeed(f"item {item}: backend 'shots' samples, so it "
                            "needs a sample_seed")
     try:
+        if isinstance(art, TensorNetwork):
+            p1 = _vector_p1(contract(art, store))
+            if p1 is None:
+                logger.warning("degenerate sentence vector for item %d", item)
+                return 0.5
+            return p1
+        assert isinstance(art, Circuit)
         if cfg.backend == "exact":
             probs = evaluate(art, store)
             return probs.get("1", 0.0)
@@ -312,6 +315,8 @@ def predict_p1(model: CompiledModel, store: ParameterStore, item: int,
     except (ZeroNorm, AllShotsDiscarded) as exc:
         logger.warning("item %d: %s; predicting 0.5", item, exc)
         return 0.5
+    except (UnboundSymbol, ShapeMismatch) as exc:
+        raise type(exc)(f"item {item}: {exc}") from None
 
 
 def group_p1(plan: NetworkPlan, vec: np.ndarray, n_shots: int = 0,

@@ -14,7 +14,7 @@ from synq.ansatz import (
 from synq import contract as contract_module
 from synq.contract import (
     NetworkPlan, ShapeMismatch, _replay, _value, contract,
-    contract_grad, contract_plan, plan, plan_networks,
+    contract_grad, contract_plan, plan, plan_networks, plan_rows,
 )
 from synq.dataset import generate_dataset
 from synq.diagram import Cap, Cup, Diagram, Spider, Word, cup_at, word
@@ -55,8 +55,9 @@ def fd_gradient(tn, ps, upstream, h=1e-4):
     return grad
 
 
-def naive_contract(tn, ps):
-    """Independent oracle: one giant einsum-style sum via explicit indexing."""
+def naive_contract(tn, ps, optimize=False):
+    """Independent oracle: one giant einsum-style sum via explicit indexing,
+    summed in numpy's own order with ``optimize`` (under 52 labels)."""
     from synq.contract import _node_tensor
     leg_label = {}
     next_label = 0
@@ -78,7 +79,7 @@ def naive_contract(tn, ps):
     for op, sub in zip(operands, subscripts):
         args.extend((op, sub))
     args.append(open_labels)
-    return np.einsum(*args)
+    return np.einsum(*args, optimize=optimize)
 
 
 class TestContract:
@@ -932,3 +933,223 @@ class TestStructure:
                 assert art.structure == reference_structure(art)
         assert compiled["iqp"] and all(
             compiled[a] == len(diagrams) for a in ANSATZE[1:])
+
+
+def unchained(structure):
+    """The plan of ``structure`` with chaining disabled: every live step
+    replayed in turn, the reference for a chain's product tree."""
+    saved = contract_module.CHAIN_MIN
+    contract_module.CHAIN_MIN = math.inf
+    try:
+        return plan(structure)
+    finally:
+        contract_module.CHAIN_MIN = saved
+
+
+def unchained_networks(networks, rows, store):
+    """``plan_networks`` with every structure planned by ``unchained``."""
+    return plan_rows(((row, networks[row].structure,
+                       [(n.symbol.name, n.shape) for n in networks[row].nodes
+                        if n.kind == "param"])
+                      for row in rows), len(networks), store, unchained)
+
+
+def chain_networks(rng, runs, d, rows, fixed_start=False, twin=False):
+    """``rows`` networks of one structure: a (d,) vector, then runs of
+    (d, d) matrices applied to it one after the other by their second axis
+    (``Zab,Zb->Za``), ``runs`` giving each run's length; between two runs,
+    one matrix applied by its first axis (``Zab,Za->Zb``). The matrices'
+    nodes come in a shuffled order and the vector's last, so each step's
+    matrix is its operand a. With ``fixed_start`` the vector is a fixed
+    one-leg copy node (all ones); with ``twin`` each network's first and
+    last matrices share one symbol. Row r's symbols are its own, except
+    that every row shares the first matrix's. Also returns each network's
+    matrices, in the order they apply, with the side they apply by."""
+    sides = []
+    for k, length in enumerate(runs):
+        sides += ([0] if k else []) + [1] * length
+    order = rng.permutation(len(sides))
+    ids = [f"m{i}" for i in range(len(sides))]
+    nodes, edges = [None] * len(sides), []
+    prev = ("v", 0)
+    for i, side in enumerate(sides):
+        edges.append((prev, (ids[i], side)))
+        prev = (ids[i], 1 - side)
+    networks, values, chains = [], {}, []
+    for r in range(rows):
+        names = [f"r{r}_m{i}" for i in range(len(sides))]
+        names[0] = "shared"
+        if twin:
+            names[-1] = names[0]
+        for i, name in enumerate(names):
+            nodes[order[i]] = Node(ids[i], "param", (d, d),
+                                   Symbol(name, (d, d)))
+        for name in names:  # N(0, 1/d), as ParameterStore.initialize draws
+            values.setdefault(name, rng.normal(size=(d, d)) / d)
+        start = Node("v", "copy", (d,)) if fixed_start else Node(
+            "v", "param", (d,), Symbol(f"r{r}_v", (d,)))
+        if not fixed_start:
+            values[f"r{r}_v"] = rng.normal(size=d)
+        networks.append(TensorNetwork((*nodes, start), tuple(edges),
+                                      (prev,)))
+        chains.append(list(zip(names, sides)))
+    return networks, ParameterStore(values), chains
+
+
+def chain_oracle(chain, start, ps):
+    """The vector after each matrix of ``chain`` applies to ``start`` in
+    turn, by its second axis (side 1) or its first (side 0)."""
+    v = start
+    for name, side in chain:
+        v = np.einsum("ab,b->a" if side else "ab,a->b", ps[name], v)
+    return v
+
+
+def close(got, want, rel):
+    """Norm-wise relative agreement of two arrays."""
+    return np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
+
+
+M = contract_module.CHAIN_MIN  # the fewest steps a chain step takes
+
+
+class TestChains:
+    """A run of at least CHAIN_MIN matrix steps replays as one product
+    tree, forward and backward, against the einsum oracle, the sequential
+    replay and finite differences."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1),
+           st.sampled_from([(M - 1,), (M,), (M + 1,), (2 * M + 1,),
+                            (2 * M,), (200,), (M, M + 3), (3, 2 * M + 1)]),
+           st.sampled_from([2, 3]), st.integers(1, 3), st.booleans(),
+           st.booleans())
+    def test_chain_plans_match_the_oracles(self, seed, runs, d, rows,
+                                           fixed_start, twin):
+        rng = np.random.default_rng(seed)
+        networks, ps, chains = chain_networks(rng, runs, d, rows,
+                                              fixed_start, twin)
+        p = plan(networks[0].structure)
+        # each run long enough is one chain step; a dual-side step ends one
+        assert [len(c) for c in p.chains] == [n for n in runs if n >= M]
+        assert len(p.run) == sum(runs) + len(runs) - 1 - sum(
+            n - 1 for n in runs if n >= M)
+        netplan = plan_networks(networks, range(rows), ps)
+        (group,) = netplan.groups
+        vec = ps.to_vector()
+        values = contract_plan(netplan, vec)
+        for r, tn in enumerate(networks):
+            start = np.ones(d) if fixed_start else ps[f"r{r}_v"]
+            want = chain_oracle(chains[r], start, ps)
+            assert close(values[r], want, 1e-12)
+            assert close(contract(tn, ps), want, 1e-12)
+            if len(tn.edges) < 50:  # labels for one np.einsum
+                assert close(values[r], naive_contract(tn, ps, "greedy"),
+                             1e-12)
+        sequential = unchained_networks(networks, range(rows), ps)
+        assert close(values, contract_plan(sequential, vec), 1e-12)
+        g = rng.normal(size=values.shape)
+        got_values, grad = contract_grad(netplan, vec, lambda v: g)
+        assert np.array_equal(got_values, values)
+        assert close(grad, contract_grad(sequential, vec, lambda v: g)[1],
+                     1e-12)
+        # relative to the terms of grad @ u: a long chain's value shrinks by
+        # orders of magnitude, and the terms may cancel
+        x0, h = vec, 1e-6
+        for _ in range(3):
+            u = rng.normal(size=x0.shape)
+            fd = (np.sum(contract_plan(netplan, x0 + h * u) * g)
+                  - np.sum(contract_plan(netplan, x0 - h * u) * g)) / (2 * h)
+            assert abs(fd - grad @ u) <= 1e-6 * (np.abs(grad) @ np.abs(u))
+
+    def test_shared_symbol_cotangents_sum(self):
+        rng = np.random.default_rng(3)
+        (tn,), ps, chains = chain_networks(rng, (M + 2,), 2, 1, twin=True)
+        assert len(plan(tn.structure).chains) == 1
+        assert chains[0][0][0] == chains[0][-1][0] == "shared"
+        # the same network with its last matrix under a symbol of its own
+        last = max(tn.nodes[:-1], key=lambda n: int(n.node_id[1:]))
+        split = TensorNetwork(tuple(
+            replace(n, symbol=Symbol("split", n.shape)) if n is last else n
+            for n in tn.nodes), tn.edges, tn.open_legs)
+        ps_split = ParameterStore({**{n: ps[n] for n in ps.names()},
+                                   "split": ps["shared"]})
+        upstream = rng.normal(size=2)
+        got = ps.from_vector(grad_one(tn, ps, lambda v: upstream)[1])
+        parts = ps_split.from_vector(
+            grad_one(split, ps_split, lambda v: upstream)[1])
+        assert close(got["shared"], parts["shared"] + parts["split"], 1e-12)
+        want = ps.from_vector(fd_gradient(tn, ps, upstream))
+        assert close(got["shared"], want["shared"], 1e-7)
+
+    def test_fixed_start_gathers_only_the_matrices(self):
+        rng = np.random.default_rng(4)
+        networks, ps, chains = chain_networks(rng, (M,), 3, 2,
+                                              fixed_start=True)
+        p = plan(networks[0].structure)
+        (c, a, b, script), = p.run
+        assert script == "Zab,b->Za" and not p.live[b]
+        assert p.inputs == (a,) == (p.chains[0][0],)
+        assert p.cuts == ((0, M * 9, (-1, M, 3, 3)),)
+        (group,) = plan_networks(networks, [0, 1], ps).groups
+        # the block's columns: each row's matrices in the order they apply
+        layout = [ps.layout[[name for name, _, _ in ps.layout].index(n)][2]
+                  for n, _ in chains[1]]
+        assert group.index[1].tolist() == [
+            i for offset in layout for i in range(offset, offset + 9)]
+
+    @staticmethod
+    def long_ccg(words):
+        """The spider network of a long-ccg sentence of ``words`` words:
+        'the ADJ* N V the ADJ* N', the benchmark's shape."""
+        from synq.pipeline import compile_diagram, sentence_to_diagram
+        from test_scan_once import long_derivation
+        cfg = _config("spider", rewrites=("determiner",))
+        return compile_diagram(cfg, sentence_to_diagram(
+            cfg, *long_derivation(words)))
+
+    def test_plans_without_chains_are_the_unchained(self):
+        structures = {self.long_ccg(words).structure
+                      for words in range(8, 16)}  # its training and dev
+        for seed in (0, 7):
+            for ansatz in ("spider", "tensor", "mps"):
+                model = compile_model(_config(ansatz, seed=seed),
+                                      generate_dataset(seed))
+                structures |= {art.structure for art in model.artifacts}
+        assert len(structures) == 8 + 8  # mc: tensor and mps share theirs
+        for structure in structures:
+            p, want = contract_module._planned(structure), unchained(structure)
+            assert p.chains == p.trees == () and p.layout is None
+            assert p.run == want.run and p.back == want.back
+            assert p.inputs == p.singles == p.params
+            assert p.cuts == want.cuts
+
+    @pytest.mark.parametrize("words", [48, 96, 192])
+    def test_long_ccg_test_plans_hold_two_chains(self, words):
+        tn = self.long_ccg(words)
+        p, want = plan(tn.structure), unchained(tn.structure)
+        assert len(p.chains) == 2 and p.layout is not None
+        assert sum(map(len, p.chains)) + len(p.run) - 2 == len(want.run)
+        for seed in (0, 3, 7):
+            ps = ParameterStore.initialize(tn.symbols, seed)
+            inputs = [ps[tn.nodes[k].symbol.name][None] for k in want.params]
+            assert close(contract(tn, ps),
+                         _value(want, _replay(want, inputs), 1)[0], 1e-12)
+
+    def test_chain_leaf_errors_are_the_per_leaf_ones(self):
+        (tn,), ps, chains = chain_networks(np.random.default_rng(6), (M + 1,),
+                                           2, 1)
+        assert len(plan(tn.structure).chains) == 1
+        names = [name for name, _ in chains[0]]
+        values = {n: ps[n] for n in ps.names()}
+        for store, error, message in (
+                ({n: v for n, v in values.items() if n != names[5]},
+                 UnboundSymbol, f"no value bound for symbol {names[5]!r}"),
+                ({**values, names[5]: np.zeros((3, 2))}, ShapeMismatch,
+                 f"{names[5]}: stored (3, 2), network wants (2, 2)"),
+                ({**values, **{n: np.zeros((2, 2, 1)) for n in names}},
+                 ShapeMismatch,
+                 f"{names[0]}: stored (2, 2, 1), network wants (2, 2)")):
+            with pytest.raises(error) as exc:
+                contract(tn, ParameterStore(store))
+            assert str(exc.value) == message

@@ -1,12 +1,14 @@
 import logging
+import re
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from synq.dataset import generate_dataset
-from synq.params import ParameterStore
+from synq.contract import ShapeMismatch
+from synq.dataset import LabeledDataset, generate_dataset
+from synq.params import ParameterStore, UnboundSymbol
 from synq import ccg, pipeline, training
 from synq import contract as contract_module
 from synq.contract import NetworkPlan, plan_networks
@@ -268,6 +270,51 @@ class TestPipelines:
         assert isinstance(exc.value, IndexError)
         assert str(exc.value) == (f"item {item!r} is not in the dataset's "
                                   "130 sentences")
+
+    @pytest.mark.parametrize("kind", ["spider", "iqp", "iqp-shots",
+                                      "long-ccg"])
+    def test_store_errors_name_the_item(self, kind, tmp_path):
+        if kind == "long-ccg":  # a chain leaf's symbol, in chain steps
+            from test_scan_once import long_derivation
+            lines = [long_derivation(words) for words in (48, 8, 9)]
+            path = tmp_path / "long.auto"
+            path.write_text("".join(f"ID={i}\n{line}\n"
+                                    for i, (_, line) in enumerate(lines)))
+            ds = LabeledDataset(tuple((text, i % 2) for i, (text, _)
+                                      in enumerate(lines)), (0,), (1,), (2,))
+            cfg = PipelineConfig(ccg_path=str(path), rewrites=("determiner",))
+            model = compile_model(cfg, ds)
+            art = model.artifacts[0]
+            p = contract_module._planned(art.structure)
+            name = art.nodes[p.chains[0][0]].symbol.name
+            assert all(art.nodes[k].symbol.name != name for k in p.singles)
+        else:
+            cfg = {"spider": PipelineConfig(),
+                   "iqp": PipelineConfig(ansatz="iqp", optimizer="spsa"),
+                   "iqp-shots": PipelineConfig(ansatz="iqp", optimizer="spsa",
+                                               backend="shots")}[kind]
+            model = compile_model(cfg, generate_dataset(0))
+            name = model.artifacts[0].symbols[0].name
+        values = {n: model.store[n] for n in model.store.names() if n != name}
+        shape = model.store[name].shape
+        missing, misshapen = ParameterStore(values), ParameterStore(
+            {**values, name: np.zeros((3, 2))})
+        want = "plan" if kind.startswith("iqp") else "network"
+        for store, error, message in (
+                (missing, UnboundSymbol,
+                 f"item 0: no value bound for symbol {name!r}"),
+                (misshapen, ShapeMismatch,
+                 f"item 0: {name}: stored (3, 2), {want} wants {shape}")):
+            with pytest.raises(error) as exc:
+                predict_p1(model, store, 0, 5)
+            assert str(exc.value) == message
+            if kind != "iqp":  # an exact circuit split reads one vector
+                first = next(i for i in model.dataset.train
+                             if name in {s.name for s in
+                                         model.artifacts[i].symbols})
+                with pytest.raises(error, match=re.escape(
+                        message.replace("item 0", f"item {first}"))):
+                    evaluate_split(model, store, "train")
 
     def test_numpy_integer_items_predict(self):
         model = compile_model(PipelineConfig(), generate_dataset(0))
