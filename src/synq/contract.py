@@ -74,15 +74,17 @@ complex operands); a tensor model's plan stays float.
 
 ``contract`` and ``plan_networks`` take each structure's plan from a
 bounded cache, so a structure is planned once, not on every call; ``plan``
-itself is uncached. ``plan_rows``, the one routine that groups rows by
-structure into a ``NetworkPlan``, the one batch the replay runs, serves
-``plan_networks`` and ``simulator.plan_circuits``; ``contract`` is a network
-alone. Each row's parameters are gathered from the flat vector with index
-arrays: a stored tensor's entries, or the angle of a circuit's rotation
-gate, as the kind of each parameter leaf says. A circuit plan finds, per
-gate, the distinct offsets of the angles of every group and each leaf's map
-into them. A gather then calls that gate's kernel (``ansatz.GATE_TENSORS``,
-or ``ansatz.SUPEROPERATORS`` in a noisy circuit's network) once on the
+itself is uncached. ``contract_one`` replays one network on its own
+inputs, for ``contract`` and for a lone circuit. ``plan_rows``, the one
+routine that groups rows by structure into a ``NetworkPlan``, the one
+batch the replay runs, serves ``plan_networks`` and
+``simulator.plan_circuits``. Each row's parameters are gathered from the
+flat vector with index arrays: a stored tensor's entries, or the angle of
+a circuit's rotation gate, as the kind of each parameter leaf says. A
+circuit plan finds, per rotation kind (``Plan.rotations``), the distinct
+offsets of the angles of every group and each leaf's map into them. A
+gather then calls that kind's kernel (``ansatz.GATE_TENSORS``, or
+``ansatz.SUPEROPERATORS`` in a noisy circuit's network) once on the
 distinct angles, and every leaf takes its rows from the result: the rows
 share most of their symbols (an mc-iqp SPSA pass at seed 7 builds 264
 angles in 3 calls, where a call per group and gate would build 927 in 12).
@@ -126,7 +128,7 @@ _BATCH = "Z"  # the einsum label of the sentence axis
 # ndarrays never need; np.einsum itself if a numpy exposes no __wrapped__
 _einsum = inspect.unwrap(np.einsum)
 _concatenate = inspect.unwrap(np.concatenate)
-_KERNELS = {**GATE_TENSORS, **SUPEROPERATORS}  # the tensor of a rotation
+KERNELS = {**GATE_TENSORS, **SUPEROPERATORS}  # the tensor of a rotation
 _LABELS = string.ascii_letters.replace(_BATCH, "")
 # the fewest matrix steps a chain replays as one product tree; below it, a
 # step each is as fast (see the module docstring)
@@ -175,7 +177,8 @@ class Plan:
     leaf, complex in a circuit's plan, and None for a parameter leaf, whose
     kind ``kinds`` holds: "param" for a stored tensor, or the rotation kind
     (a key of ``ansatz.GATE_TENSORS`` or ``ansatz.SUPEROPERATORS``) whose
-    kernel builds the leaf from its angle. A
+    kernel builds the leaf from its angle; ``rotations`` holds, per rotation
+    kind in order of first use, the positions in ``params`` of its leaves. A
     step ``(a, b, axes_a, axes_b)`` contracts tensors a and b into the next
     one; ``scripts`` holds its einsum subscripts. ``live`` marks the
     tensors a parameter reaches, which carry the sentence axis. ``perm``
@@ -227,6 +230,8 @@ class Plan:
     cuts: tuple[tuple[int, int, tuple[int, ...]], ...] = \
         field(init=False, repr=False)
     layout: Optional[np.ndarray] = field(init=False, repr=False)
+    rotations: tuple[tuple[str, tuple[int, ...]], ...] = field(init=False,
+                                                               repr=False)
 
     def __post_init__(self):
         fixed, steps = list(self.leaves), []
@@ -295,6 +300,9 @@ class Plan:
             chain[0] for chain in self.chains))
         object.__setattr__(self, "cuts", tuple(cuts))
         object.__setattr__(self, "layout", layout)
+        object.__setattr__(self, "rotations", tuple(
+            (kind, tuple(j for j, k in enumerate(self.kinds) if k == kind))
+            for kind in dict.fromkeys(self.kinds) if kind != "param"))
 
     def _chains(self, steps: list[tuple[int, int, int, str]]) -> list[list]:
         """The chains of at least CHAIN_MIN of the live ``steps``: a step
@@ -538,6 +546,11 @@ def _block(chain: list[Node], ps: ParameterStore) -> np.ndarray:
     return np.array([_node_tensor(node, ps) for node in chain])
 
 
+def contract_one(p: Plan, inputs: Sequence[np.ndarray]) -> np.ndarray:
+    """One network's value from its inputs (``p.inputs``), one row each."""
+    return _value(p, _replay(p, inputs), 1)[0]
+
+
 def contract(tn: TensorNetwork, ps: ParameterStore) -> np.ndarray:
     """Exact value of the network over its open legs (scalar if none)."""
     p, nodes = _planned(tn.structure), tn.nodes
@@ -545,7 +558,7 @@ def contract(tn: TensorNetwork, ps: ParameterStore) -> np.ndarray:
     if p.chains:
         inputs += [_block([nodes[k] for k in chain], ps)[None]
                    for chain in p.chains]
-    return _value(p, _replay(p, inputs), 1)[0]
+    return contract_one(p, inputs)
 
 
 # ---------------------------------------------------------------------------
@@ -593,15 +606,9 @@ class NetworkPlan:
     def __post_init__(self):
         rows = np.concatenate([g.rows for g in self.groups]
                               or [np.zeros(0, np.intp)])
-        cols, taken = [], {}
+        taken = {}
         for g in self.groups:
-            where: dict[str, list[int]] = {}
-            for j, kind in enumerate(g.plan.kinds):
-                if kind != "param":
-                    where.setdefault(kind, []).append(j)
-            cols.append({gate: np.array(js, dtype=np.intp)
-                         for gate, js in where.items()})
-            for gate, js in cols[-1].items():
+            for gate, js in g.plan.rotations:
                 taken.setdefault(gate, []).append(g.index[:, js].ravel())
         # with return_inverse, np.unique does not import numpy.ma, which
         # adds 1.3 MB to the peak RSS of a run
@@ -613,13 +620,11 @@ class NetworkPlan:
         # table is contiguous
         picks = tuple(tuple(
             (gate, js, np.searchsorted(table[gate], g.index[:, js].T))
-            for gate, js in where.items())
-            for g, where in zip(self.groups, cols))
+            for gate, js in g.plan.rotations) for g in self.groups)
         for array in [rows, *(a for g in self.groups
                               for a in (g.rows, g.index)),
-                      *table.values(), *(a for group in picks
-                                         for _, js, at in group
-                                         for a in (js, at))]:
+                      *table.values(), *(at for group in picks
+                                         for _, _, at in group)]:
             array.setflags(write=False)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "angles", angles)
@@ -630,7 +635,7 @@ class NetworkPlan:
         group at a time, so a group's leaves can go before the next's are
         built: a tensor leaf's entries, or a rotation's tensor taken from
         one call of its kind's kernel per gate on the distinct angles."""
-        tables = {gate: _KERNELS[gate](vec[offsets])
+        tables = {gate: KERNELS[gate](vec[offsets])
                   for gate, offsets in self.angles}
         for g, picks in zip(self.groups, self.picks):
             if not picks:

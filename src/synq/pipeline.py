@@ -38,8 +38,8 @@ from .params import ParameterStore, UnboundSymbol
 from .readers import cups_read, spiders_read, tokenize
 from .rewrite import RULE_NAMES, Rewriter
 from .simulator import (
-    MAX_SHOTS, ZERO_NORM_THRESHOLD, AllShotsDiscarded, ZeroNorm, draw,
-    evaluate, plan_circuits, sample,
+    MAX_SHOTS, ZERO_NORM_THRESHOLD, AllShotsDiscarded, NonFiniteAngle,
+    ZeroNorm, draw, evaluate, plan_circuits, sample,
 )
 from .types import ts
 
@@ -287,7 +287,8 @@ def predict_p1(model: CompiledModel, store: ParameterStore, item: int,
     """Probability of label 1 for sentence ``item`` under the current store;
     a shot-based model samples with ``sample_seed``, which it needs. A
     symbol the store lacks, or holds in another shape, raises
-    UnboundSymbol or ShapeMismatch naming the item."""
+    UnboundSymbol or ShapeMismatch naming the item, and a circuit's angle
+    that is not finite NonFiniteAngle."""
     if isinstance(item, (bool, np.bool_)) \
             or not 0 <= item < len(model.artifacts):
         raise UnknownItem(f"item {item!r} is not in the dataset's "
@@ -315,7 +316,7 @@ def predict_p1(model: CompiledModel, store: ParameterStore, item: int,
     except (ZeroNorm, AllShotsDiscarded) as exc:
         logger.warning("item %d: %s; predicting 0.5", item, exc)
         return 0.5
-    except (UnboundSymbol, ShapeMismatch) as exc:
+    except (UnboundSymbol, ShapeMismatch, NonFiniteAngle) as exc:
         raise type(exc)(f"item {item}: {exc}") from None
 
 
@@ -328,8 +329,8 @@ def group_p1(plan: NetworkPlan, vec: np.ndarray, n_shots: int = 0,
     ``n_shots``, the share of the kept shots that read 1 among those that
     row k's superoperator network (plan_circuits with a noise level)
     draws with ``seeds[k]`` as ``sample`` does, nan where its outcomes are
-    not finite (never drawn) or it keeps none. The caller reports a nan
-    sentence through predict_p1."""
+    not finite (never drawn) or it keeps none, which the caller reports
+    (``degenerate``)."""
     if not plan.groups:  # an empty split
         return np.zeros(0)
     values = contract_plan(plan, vec)
@@ -342,6 +343,14 @@ def group_p1(plan: NetworkPlan, vec: np.ndarray, n_shots: int = 0,
         kept = draw(outcomes[k], n_shots, seeds[k])
         p1[k] = int(kept[1]) / int(kept.sum()) if kept.any() else np.nan
     return p1
+
+
+def degenerate(cfg: PipelineConfig) -> str:
+    """Why group_p1 reads a sentence of a ``cfg`` model as nan."""
+    if cfg.backend == "shots":
+        return f"all {cfg.n_shots} shots violated postselection"
+    return "degenerate sentence vector" if cfg.ansatz != "iqp" else \
+        f"postselection probability below {ZERO_NORM_THRESHOLD:.0e}"
 
 
 def prediction_gradient(plan: NetworkPlan, vec: np.ndarray,

@@ -12,10 +12,10 @@ as its fixed tensor, built once here; ``_circuit_plan`` plans each circuit
 structure once, keyed by ``c.structure`` (recorded when the ``Circuit`` is
 built) and the postselected and open qubits. ``plan_circuits`` groups
 circuits by that key with ``contract.plan_rows`` into a ``NetworkPlan``
-whose rows gather their angles from the flat vector. ``statevector`` and
-``evaluate`` run the same engine call (``contract_plan``) on a one-circuit
-``NetworkPlan`` that gathers from the circuit's own angles, kept per key by
-``_lone_plan``. Every fixed leaf of a circuit plan is complex,
+whose rows gather their angles from the flat vector. A lone circuit
+(``statevector``, ``evaluate``, ``sample``) replays its key's plan on its
+own angles, one kernel call per rotation kind (``_lone_value``). Every
+fixed leaf of a circuit plan is complex,
 like the rotation tensors, so the plan runs in one dtype.
 
 The noise model: after every two-qubit gate, each touched qubit suffers X,
@@ -29,7 +29,7 @@ the circuit's superoperator network, the doubled circuit of DisCoPy's mixed
 circuits (arXiv:2005.02975) with each ket wire fused to its bra wire,
 contracted by the same planner; ``_circuit_plan`` plans it once per
 structure and noise level, which it alone checks (``InvalidNoise``);
-``plan_circuits`` and ``_lone_plan`` batch it given a noise level, and
+``plan_circuits`` and ``_lone_value`` run it given a noise level, and
 ``draw`` takes the one multinomial of ``sample`` and of a planned row.
 Each qubit is one wire of dimension 4, the pair (ket, bra), ket index
 first, starting at |0><0|, a (4,) leaf.
@@ -53,8 +53,8 @@ import numpy as np
 
 from .ansatz import DOUBLED, GATE_TENSORS, ROTATIONS, SUPEROPERATORS, \
     Circuit, Op, Symbol
-from .contract import Group, NetworkPlan, Plan, ShapeMismatch, \
-    contract_plan, plan, plan_rows
+from .contract import KERNELS, NetworkPlan, Plan, ShapeMismatch, \
+    contract_one, plan, plan_rows
 from .params import ParameterStore, UnboundSymbol
 
 ZERO_NORM_THRESHOLD = 1e-12
@@ -106,16 +106,16 @@ def _angle(op: Op, ps: ParameterStore) -> float:
     return float(op.param)
 
 
-def _angles(c: Circuit, ps: ParameterStore) -> np.ndarray:
+def angles(c: Circuit, ps: ParameterStore) -> np.ndarray:
     """The angle of each rotation of c, in op order, every one finite."""
-    angles = np.array([_angle(op, ps) for op in c.ops if op.gate in ROTATIONS])
-    if not np.isfinite(angles).all():
-        k = int(np.flatnonzero(~np.isfinite(angles))[0])
+    theta = np.array([_angle(op, ps) for op in c.ops if op.gate in ROTATIONS])
+    if not np.isfinite(theta).all():
+        k = int(np.flatnonzero(~np.isfinite(theta))[0])
         op = [op for op in c.ops if op.gate in ROTATIONS][k]
         what = (f"symbol {op.param.name!r}" if isinstance(op.param, Symbol)
                 else f"{op.gate} on qubits {op.qubits}")
-        raise NonFiniteAngle(f"{what} has the angle {float(angles[k])!r}")
-    return angles
+        raise NonFiniteAngle(f"{what} has the angle {float(theta[k])!r}")
+    return theta
 
 
 def _circuit(n_qubits: int, gates: tuple[tuple[str, tuple], ...],
@@ -170,19 +170,14 @@ def _circuit_plan(n_qubits: int, gates: tuple[tuple[str, tuple], ...],
     return plan(_circuit(n_qubits, gates, postselect, legs, channel))
 
 
-@lru_cache(maxsize=1024)
-def _lone_plan(key: tuple) -> NetworkPlan:
-    """The plan of one circuit of structure ``key``, _circuit_plan's
-    arguments: its row gathers the circuit's own angles, in gate order."""
-    count = sum(gate in ROTATIONS for gate, _ in key[1])
-    return NetworkPlan((Group(_circuit_plan(*key), np.zeros(1, np.intp),
-                              np.arange(count)[None]),), 1)
-
-
 def _lone_value(c: Circuit, ps: ParameterStore, *key) -> np.ndarray:
-    """The value of c's network, _lone_plan's key (*c.structure, *key)."""
-    return contract_plan(_lone_plan((*c.structure, *key)),
-                         _angles(c, ps))[0]
+    """The value of c's network, planned under (*c.structure, *key)."""
+    p = _circuit_plan(*c.structure, *key)
+    theta, inputs = angles(c, ps), [None] * len(p.inputs)
+    for kind, js in p.rotations:
+        for j, tensor in zip(js, KERNELS[kind](theta.take(js))):
+            inputs[j] = tensor[None]
+    return contract_one(p, inputs)
 
 
 def statevector(c: Circuit, ps: ParameterStore) -> np.ndarray:
@@ -232,7 +227,7 @@ def _outcomes(c: Circuit, ps: ParameterStore, noise_p: float) -> np.ndarray:
     """Probability that one shot passes postselection and reads open
     bitstring j, for each j read as a binary number with c.open[0] the most
     significant bit: the value of the superoperator network of c."""
-    return _lone_value(c, ps, c.postselect, c.open, noise_p).real.ravel()
+    return _lone_value(c, ps, c.postselect, c.open, noise_p).real.flatten()
 
 
 def draw(outcomes: np.ndarray, n_shots: int, seed: int) -> np.ndarray:

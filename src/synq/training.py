@@ -21,6 +21,10 @@ train and dev sentences at the current point (``NetworkPlan.stack``). A
 shot-based row draws its shots from its outcome probabilities with the
 shot seed of its iteration, evaluation slot and item. All runs are
 deterministic given the config seed, bit for bit.
+A pass reads a degenerate sentence as nan, which predicts 0.5 with one
+warning that names it and why (``pipeline.degenerate``); the gradient
+skips the same rows. A circuit's non-finite angle would read so too, so
+``train`` refuses one before its first pass.
 """
 from __future__ import annotations
 
@@ -31,13 +35,14 @@ from typing import Callable
 
 import numpy as np
 
-from .contract import NetworkPlan
+from .contract import NetworkPlan, ShapeMismatch
 from .dataset import (  # noqa: F401  re-exported
     SPLITS, EmptySplit, UnknownSplit,
 )
-from .params import ParameterStore
-from .pipeline import CompiledModel, group_p1, predict_p1, \
-    prediction_gradient, shot_seed
+from .params import ParameterStore, UnboundSymbol
+from .pipeline import CompiledModel, degenerate, group_p1, logger, \
+    predict_p1, prediction_gradient, shot_seed
+from .simulator import NonFiniteAngle, angles
 
 CLAMP = 1e-9
 
@@ -143,23 +148,38 @@ class TrainHistory:
         return len(self.rows)
 
 
-def _parts_p1(model: CompiledModel, p1: np.ndarray, points, parts, seeds
+def _parts_p1(model: CompiledModel, p1: np.ndarray, parts
               ) -> list[np.ndarray]:
     """Each part's p1, cut out of ``p1`` (one row per point, one column
-    per sentence); a nan entry, a degenerate sentence, is re-predicted by
-    predict_p1, which reports it, a shot-based one with its shot seed (part
-    k's (iteration, slot) = ``seeds[k]``)."""
-    out = []
-    for (point, rows), seed in zip(parts, seeds):
+    per sentence); a nan entry, a degenerate sentence, predicts 0.5 with
+    one warning that names the item and why (``degenerate``)."""
+    out, why = [], degenerate(model.config)
+    for point, rows in parts:
         values = p1[point, list(rows)]
-        bad = np.flatnonzero(np.isnan(values))
-        if len(bad):
-            store = model.store.from_vector(points[point])
-            for k in bad:
-                values[k] = predict_p1(model, store, rows[k], shot_seed(
-                    model.config.seed, *seed, rows[k]))
+        for k in np.flatnonzero(np.isnan(values)):
+            logger.warning("item %d: %s; predicting 0.5", rows[k], why)
+            values[k] = 0.5
         out.append(values)
     return out
+
+
+def _circuit_angles(model: CompiledModel, store: ParameterStore,
+                    items) -> np.ndarray:
+    """The angles of ``store`` in the layout of the circuit model's own
+    store, nan where one is missing or not a scalar. A missing, misshapen
+    or non-finite one that ``items`` read raises as predict_p1 would on
+    the first item that reads one."""
+    names = model.store.names()
+    vec = np.array([store[n] if n in store and store[n].shape == ()
+                    else np.nan for n in names], float)
+    bad = {n for n, x in zip(names, vec) if not np.isfinite(x)}
+    for i in items if bad else ():
+        if bad.intersection(s.name for s in model.artifacts[i].symbols):
+            try:
+                angles(model.artifacts[i], store)
+            except (UnboundSymbol, ShapeMismatch, NonFiniteAngle) as exc:
+                raise type(exc)(f"item {i}: {exc}") from None
+    return vec
 
 
 def _batch_p1(model: CompiledModel, plan: NetworkPlan, points, parts,
@@ -177,8 +197,7 @@ def _batch_p1(model: CompiledModel, plan: NetworkPlan, points, parts,
         n_shots, draws = cfg.n_shots, [at[row] for row in plan.rows.tolist()]
     p1 = np.zeros(plan.count)
     p1[plan.rows] = group_p1(plan, np.concatenate(points), n_shots, draws)
-    return _parts_p1(model, p1.reshape(len(points), -1), points, parts,
-                     seeds)
+    return _parts_p1(model, p1.reshape(len(points), -1), parts)
 
 
 def _mean_loss(p1s, labels) -> float:
@@ -196,8 +215,9 @@ def train(model: CompiledModel) -> tuple[ParameterStore, TrainHistory]:
     SPSA, the train rows at both probes stacked with train and dev at
     theta_k. The values at theta_k give history row k - 1, the score of
     step k - 1's result, and a final forward pass gives the last row.
-    Raises EmptySplit if there is no train sentence; an empty dev split
-    scores nan."""
+    Raises EmptySplit if there is no train sentence, and NonFiniteAngle,
+    naming the first, if a train or dev circuit reads an angle that is not
+    finite; an empty dev split scores nan."""
     cfg = model.config
     ds = model.dataset
     if not ds.train:
@@ -210,7 +230,8 @@ def train(model: CompiledModel) -> tuple[ParameterStore, TrainHistory]:
         return store, history
 
     plan = model.plan
-    vec = store.to_vector()
+    vec = _circuit_angles(model, store, train_idx + dev_idx) \
+        if cfg.ansatz == "iqp" else store.to_vector()
     size = len(vec)
 
     def record(it: int, train_p1: np.ndarray, dev_p1: np.ndarray) -> None:
@@ -233,8 +254,7 @@ def train(model: CompiledModel) -> tuple[ParameterStore, TrainHistory]:
             p1[plan.rows], grad = prediction_gradient(
                 plan, vec, lambda p: np.where(t, bce_grad(p, y), 0.0))
             # at iteration 0 only to report degenerate rows
-            scores = _parts_p1(model, p1[None], [vec], score,
-                               [(it - 1, 1), (it - 1, 2)])
+            scores = _parts_p1(model, p1[None], score)
             if it:
                 record(it - 1, *scores)
             vec, adam_state = adam_step(vec, grad / len(train_idx),
@@ -271,11 +291,12 @@ def train(model: CompiledModel) -> tuple[ParameterStore, TrainHistory]:
 def evaluate_split(model: CompiledModel, store: ParameterStore,
                    split: str = "test") -> dict[str, float]:
     """Loss and accuracy of a split, one of SPLITS, under a trained store;
-    shot-based sentences draw in slot 3 of iteration -1."""
+    shot-based sentences draw in slot 3 of iteration -1. A bad symbol
+    raises as predict_p1 does on the first sentence that reads it."""
     cfg, ds = model.config, model.dataset
     labels, idx = ds.labels(split), getattr(ds, split)  # labels checks it
     if cfg.ansatz == "iqp" and cfg.backend == "exact":
-        vec = store.to_vector(model.store.names())  # in the model's layout
+        vec = _circuit_angles(model, store, idx)  # in the model's layout
         part = [(0, idx)]
         (p1s,) = _batch_p1(model, model.plan.stack(part, len(vec)), [vec],
                            part, [(-1, 3)])

@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,10 +17,11 @@ from synq.params import ParameterStore, UnboundSymbol
 from synq.pipeline import PipelineConfig, compile_model, group_p1
 from synq.simulator import (
     MAX_SHOTS, ZERO_NORM_THRESHOLD, AllShotsDiscarded, InvalidNoise,
-    NonFiniteAngle, UnplannableCircuit, ZeroNorm, _circuit_plan, _lone_plan,
-    _outcomes, evaluate, plan_circuits, sample, statevector,
+    NonFiniteAngle, UnplannableCircuit, ZeroNorm, _circuit_plan, _outcomes,
+    evaluate, plan_circuits, sample, statevector,
 )
-from synq.training import _parts_p1
+from synq import training
+from synq.pipeline import predict_p1
 from synq.types import ts
 from test_contract import alone, assert_folding_exact, reference_structure, \
     unfolded_replay
@@ -664,7 +666,7 @@ def check_picks(plan):
         where = {}
         for j, gate in enumerate(g.plan.kinds):
             where.setdefault(gate, []).append(j)
-        assert [(gate, js.tolist()) for gate, js, _ in picks] \
+        assert [(gate, list(js)) for gate, js, _ in picks] \
             == list(where.items())
     for gate, offsets in plan.angles:
         assert offsets.tolist() == sorted({
@@ -753,10 +755,10 @@ class TestOneDtype:
 
     def test_noisy_plan_built_once_per_structure(self):
         c = Circuit(2, (Op("H", (0,)), Op("CRz", (0, 1), 0.4)), (0,), (1,))
-        _lone_plan.cache_clear()
+        _circuit_plan.cache_clear()
         for seed in (1, 2):
             sample(c, EMPTY_PS, 100, seed, noise_p=0.01)
-        info = _lone_plan.cache_info()
+        info = _circuit_plan.cache_info()
         assert (info.misses, info.hits) == (1, 1)
 
 
@@ -768,29 +770,37 @@ def plan_arrays(plan):
     for _, offsets in plan.angles or ():
         yield offsets
     for picks in plan.picks or ():
-        for _, js, at in picks:
-            yield from (js, at)
+        for _, _, at in picks:
+            yield at
 
 
 class TestCachedPlans:
     def test_every_array_refuses_writes(self):
-        """The one-circuit plans of evaluate and sample are cached and
-        shared across calls, so no caller may write to them."""
+        """The circuit plans of evaluate and sample are cached and shared
+        across calls, and a model's NetworkPlan across its passes, so no
+        caller may write to them."""
         c = Circuit(2, (Op("H", (0,)), Op("Rx", (0,), Symbol("a")),
                         Op("CRz", (0, 1), Symbol("b"))), (0,), (1,))
         ps = ParameterStore({"a": np.array(0.3), "b": np.array(0.7)})
         key = (*c.structure, c.postselect, c.open)
-        _lone_plan.cache_clear()
+        _circuit_plan.cache_clear()
         evaluate(c, ps)
         sample(c, ps, 100, 1, noise_p=0.01)
-        assert _lone_plan.cache_info().misses == 2
-        plans = _lone_plan(key), _lone_plan((*key, 0.01))
-        assert _lone_plan.cache_info().hits == 2
-        for plan in plans:
-            arrays = list(plan_arrays(plan))
+        assert _circuit_plan.cache_info().misses == 2
+        plans = _circuit_plan(*key), _circuit_plan(*key, 0.01)
+        assert _circuit_plan.cache_info().hits == 2
+        for plan, kinds in zip(plans, (("Rx", "CRz"), ("Rx~", "CRz~"))):
+            # the leaves of Rx and CRz, or of their superoperators, each
+            # kind's a tuple, and every fixed tensor read-only
+            assert plan.rotations == ((kinds[0], (0,)), (kinds[1], (1,)))
+            for array in [t for t in plan.fixed if t is not None]:
+                with pytest.raises(ValueError, match="read-only"):
+                    array[...] = 0
+        for noise_p in (None, 0.01):
+            arrays = list(plan_arrays(plan_circuits([c], ps, noise_p)))
             # rows, the group's rows and index, and the table and picks of
             # Rx and CRz, or of their superoperators in the noisy plan
-            assert len(arrays) == 3 + 2 + 2 * 2
+            assert len(arrays) == 3 + 2 + 2
             for array in arrays:
                 with pytest.raises(ValueError, match="read-only"):
                     array[...] = 0
@@ -885,12 +895,12 @@ class TestSuperoperatorNetwork:
         live, exact = {}, {}
         for c in model.artifacts:
             key = (*c.structure, c.postselect, c.open)
-            (g,) = _lone_plan((*key, 0.01)).groups
-            assert len(g.plan.params) == len(leaf_gates(c)) \
-                == len(g.plan.kinds)
-            assert list(g.plan.kinds) == [DOUBLED[gate]
-                                          for gate in leaf_gates(c)]
-            live[key] = len(g.plan.run)
+            noisy = _circuit_plan(*key, 0.01)
+            assert len(noisy.params) == len(leaf_gates(c)) \
+                == len(noisy.kinds)
+            assert list(noisy.kinds) == [DOUBLED[gate]
+                                         for gate in leaf_gates(c)]
+            live[key] = len(noisy.run)
             exact[key] = len(_circuit_plan(*key).run)
         assert sorted(live.values()) == [16, 20, 20, 24]
         assert sorted(exact.values()) == [14, 18, 18, 22]
@@ -972,10 +982,8 @@ class TestWideFixedRegion:
         c = self.C
         got = []
         for key in ((), (0.01,)):
-            (g,) = _lone_plan((*c.structure, c.postselect, c.open,
-                               *key)).groups
-            got.append((len(g.plan.run),
-                        max(math.prod(s) for s in g.plan.shapes)))
+            p = _circuit_plan(*c.structure, c.postselect, c.open, *key)
+            got.append((len(p.run), max(math.prod(s) for s in p.shapes)))
         assert got == [(17, 64), (17, 2048)]
 
 
@@ -1001,39 +1009,38 @@ class TestNonFiniteAngle:
                                              r"angle nan"):
             evaluate(c, EMPTY_PS)
 
-    def test_planned_row_reaches_evaluate(self):
-        """A planned row reads nan, and its re-prediction through
-        predict_p1 and evaluate names the symbol."""
-        model = compile_model(PipelineConfig(ansatz="iqp", optimizer="spsa"),
-                              generate_dataset(0))
-        name = model.artifacts[0].symbols[0].name
-        store = model.store.copy()
-        store[name] = float("nan")
-        vec = store.to_vector()
-        plan = plan_circuits(model.artifacts, model.store)
-        p1 = np.zeros(plan.count)
-        p1[plan.rows] = group_p1(plan, vec)
-        assert np.isnan(p1[0])
-        with pytest.raises(NonFiniteAngle, match=f"symbol {name!r}"):
-            _parts_p1(model, p1[None], [vec], [(0, range(plan.count))],
-                      [(0, 1)])
-
-    def test_planned_shot_row_reaches_sample(self):
-        """A planned shot row whose outcomes are not finite reads nan
-        without reaching the draw, and its re-prediction through predict_p1
-        and sample, with its shot seed, names the symbol."""
+    @pytest.mark.parametrize("backend", ["exact", "shots"])
+    def test_planned_row_reads_nan_and_train_refuses_it(self, backend,
+                                                        monkeypatch):
+        """A planned row whose angle is nan reads nan, a shot row without
+        reaching the draw. train refuses the angle before its first pass,
+        naming it and the first train or dev sentence that reads it, and
+        predict_p1 names the item."""
+        noise_p = 0.01 if backend == "shots" else 0.0
         model = compile_model(PipelineConfig(
-            ansatz="iqp", optimizer="spsa", backend="shots", n_shots=64,
-            noise_p=0.01), generate_dataset(0))
+            ansatz="iqp", optimizer="spsa", backend=backend, n_shots=64,
+            noise_p=noise_p, iterations=2), generate_dataset(0))
         name = model.artifacts[0].symbols[0].name
         store = model.store.copy()
         store[name] = float("nan")
         vec = store.to_vector()
-        plan = plan_circuits(model.artifacts, model.store, 0.01)
+        plan = plan_circuits(model.artifacts, model.store,
+                             noise_p if backend == "shots" else None)
         p1 = np.zeros(plan.count)
-        p1[plan.rows] = group_p1(plan, vec, 64, plan.rows + 1)
+        p1[plan.rows] = group_p1(plan, vec, *(
+            (64, plan.rows + 1) if backend == "shots" else ()))
         assert np.isnan(p1[0])
         assert not np.isnan(np.delete(p1, 0)).all()
-        with pytest.raises(NonFiniteAngle, match=f"symbol {name!r}"):
-            _parts_p1(model, p1[None], [vec], [(0, range(plan.count))],
-                      [(0, 1)])
+        ds = model.dataset
+        first = next(i for i in ds.train + ds.dev
+                     if name in {s.name for s in model.artifacts[i].symbols})
+        passes = []
+        monkeypatch.setattr(training, "group_p1",
+                            lambda *args: passes.append(1))
+        with pytest.raises(NonFiniteAngle, match=re.escape(
+                f"item {first}: symbol {name!r} has the angle nan")):
+            training.train(replace(model, store=store))
+        assert not passes
+        with pytest.raises(NonFiniteAngle, match=re.escape(
+                f"item 0: symbol {name!r} has the angle nan")):
+            predict_p1(model, store, 0, 5)

@@ -17,7 +17,7 @@ from synq.pipeline import (
     compile_model, group_p1, predict_p1, prediction_gradient,
     sentence_to_diagram,
 )
-from synq.simulator import plan_circuits
+from synq.simulator import NonFiniteAngle, plan_circuits
 from synq.training import (
     SPLITS, AdamState, TrainHistory, UnknownSplit, _batch_p1, accuracy,
     adam_step, bce_grad, bce_loss, evaluate_split, spsa_step, train,
@@ -300,21 +300,24 @@ class TestPipelines:
         missing, misshapen = ParameterStore(values), ParameterStore(
             {**values, name: np.zeros((3, 2))})
         want = "plan" if kind.startswith("iqp") else "network"
-        for store, error, message in (
-                (missing, UnboundSymbol,
-                 f"item 0: no value bound for symbol {name!r}"),
-                (misshapen, ShapeMismatch,
-                 f"item 0: {name}: stored (3, 2), {want} wants {shape}")):
+        cases = [(missing, UnboundSymbol,
+                  f"item 0: no value bound for symbol {name!r}"),
+                 (misshapen, ShapeMismatch,
+                  f"item 0: {name}: stored (3, 2), {want} wants {shape}")]
+        if kind.startswith("iqp"):  # a tensor's nan is a degenerate row
+            cases.append((ParameterStore({**values, name: np.nan}),
+                          NonFiniteAngle,
+                          f"item 0: symbol {name!r} has the angle nan"))
+        for store, error, message in cases:
             with pytest.raises(error) as exc:
                 predict_p1(model, store, 0, 5)
             assert str(exc.value) == message
-            if kind != "iqp":  # an exact circuit split reads one vector
-                first = next(i for i in model.dataset.train
-                             if name in {s.name for s in
-                                         model.artifacts[i].symbols})
-                with pytest.raises(error, match=re.escape(
-                        message.replace("item 0", f"item {first}"))):
-                    evaluate_split(model, store, "train")
+            first = next(i for i in model.dataset.train
+                         if name in {s.name for s in
+                                     model.artifacts[i].symbols})
+            with pytest.raises(error, match=re.escape(
+                    message.replace("item 0", f"item {first}"))):
+                evaluate_split(model, store, "train")
 
     def test_numpy_integer_items_predict(self):
         model = compile_model(PipelineConfig(), generate_dataset(0))
@@ -548,6 +551,10 @@ def with_dead_row(model, item):
     return replace(model, artifacts=artifacts, store=store)
 
 
+def refuse_to_predict(*args):
+    raise AssertionError("train predicted a sentence through predict_p1")
+
+
 def batch_p1(model, plan, vec, rows):
     """_batch_p1 of the sentences at ``rows`` under ``vec`` alone."""
     part = [(0, rows)]
@@ -609,26 +616,21 @@ class TestAdamGradientPass:
         clean = compile_model(cfg, ds)
         model = with_dead_row(clean, 0)
         assert ds.train[0] == 0
-        predicted, steps = [], []
-        real_predict = training.predict_p1
-
-        def spy_predict(*args):
-            p1 = real_predict(*args)
-            predicted.append((args[2], p1))
-            return p1
+        steps = []
 
         def spy_step(vec, grad, state, *args):
-            warned = [r for r in caplog.records if r.name == "synq.pipeline"]
-            steps.append((list(predicted), len(warned), grad))
+            steps.append(([r.getMessage() for r in caplog.records
+                           if r.name == "synq.pipeline"], grad))
             return vec, state
 
-        monkeypatch.setattr(training, "predict_p1", spy_predict)
+        # the pass reads the zero vector as nan: nothing is re-predicted
+        monkeypatch.setattr(training, "predict_p1", refuse_to_predict)
         monkeypatch.setattr(training, "adam_step", spy_step)
         with caplog.at_level(logging.WARNING, logger="synq.pipeline"):
             train(model)
-        ((in_gradient_pass, warnings, grad),) = steps
-        assert in_gradient_pass == [(0, 0.5)]
-        assert warnings == 1
+        ((warnings, grad),) = steps
+        assert warnings == ["item 0: degenerate sentence vector; "
+                            "predicting 0.5"]
         # the clean sentences alone, in the same groups and order
         labels = np.array(ds.labels("train"), dtype=float)
         want = np.zeros(clean.store.size)
@@ -747,9 +749,9 @@ class TestPlannedCircuits:
         assert after[:3] + after[4:] == before[:3] + before[4:]
 
     def test_all_shots_discarded_row_falls_back_once(self, caplog):
-        """A planned shot row whose every shot fails postselection is
-        re-predicted with its own shot seed: 0.5 and one warning, the other
-        rows drawn as before."""
+        """A planned shot row whose every shot fails postselection reads
+        nan: 0.5 and one warning naming the item and the shot count, the
+        other rows drawn as before."""
         from synq.ansatz import Circuit, Op, Symbol
         model = compile_model(replace(self.model().config, backend="shots",
                                       noise_p=0.01),
@@ -775,6 +777,134 @@ class TestPlannedCircuits:
         assert "all 8192 shots" in warnings[0].getMessage()
         assert after[3] == 0.5
         assert after[:3] + after[4:] == before[:3] + before[4:]
+
+
+def with_dead_circuit(model, item):
+    """The model with item's circuit replaced by one that postselects a
+    qubit H and CX leave in |1>, whatever its angle: zero norm, or every
+    shot discarded, at every point SPSA probes."""
+    from synq.ansatz import Circuit, Op, Symbol
+    flip = (Op("H", (0,)), Op("CX", (0, 1))) * 3
+    dead = Circuit(2, flip + (Op("Rx", (0,), Symbol("dead")),), (1,), (0,))
+    store = model.store.copy()
+    store["dead"] = 0.3
+    artifacts = list(model.artifacts)
+    artifacts[item] = dead
+    return replace(model, artifacts=artifacts, store=store)
+
+
+class TestDegenerateRows:
+    @pytest.mark.parametrize("backend", ["tensor", "exact", "shots"])
+    def test_train_reads_dead_rows_off_the_batch(self, backend, monkeypatch,
+                                                 caplog):
+        """A dead train row predicts 0.5 at every point of every pass,
+        with one warning each that names the item and why, and predict_p1
+        never runs. It adds no gradient: under Adam the gradient of its
+        own symbol is zero, and under SPSA it is 0.5 at both probes, so
+        its two loss terms cancel."""
+        if backend == "tensor":
+            cfg = PipelineConfig(reader="cups", ansatz="tensor", iterations=3)
+            model = with_dead_row(compile_model(cfg, tiny_dataset()), 0)
+            why = "degenerate sentence vector"
+        else:
+            cfg = PipelineConfig(ansatz="iqp", optimizer="spsa",
+                                 backend=backend, iterations=3, seed=2)
+            ds = generate_dataset(0)
+            model = with_dead_circuit(compile_model(cfg, ds), ds.train[0])
+            why = {"exact": "postselection probability below 1e-12",
+                   "shots": "all 8192 shots violated postselection"}[backend]
+        item = model.dataset.train[0]
+        message = f"item {item}: {why}; predicting 0.5"
+        passes, grads = [], []
+        real_parts, real_adam = training._parts_p1, training.adam_step
+
+        def spy_parts(model, p1, parts):
+            before = len(caplog.records)
+            out = real_parts(model, p1, parts)
+            passes.append(([values[list(rows).index(item)]
+                            for (_, rows), values in zip(parts, out)
+                            if item in rows],
+                           [r.getMessage() for r in caplog.records[before:]
+                            if r.name == "synq.pipeline"
+                            and r.getMessage().startswith(f"item {item}:")]))
+            return out
+
+        def spy_adam(vec, grad, state):
+            grads.append(grad)
+            return real_adam(vec, grad, state)
+
+        monkeypatch.setattr(training, "predict_p1", refuse_to_predict)
+        monkeypatch.setattr(training, "_parts_p1", spy_parts)
+        monkeypatch.setattr(training, "adam_step", spy_adam)
+        with caplog.at_level(logging.WARNING, logger="synq.pipeline"):
+            _, history = train(model)
+        assert len(passes) == cfg.iterations + 1
+        # under SPSA the first pass holds the two probes, the next ones the
+        # probes and the score, the last one the score
+        points = [1] * 4 if backend == "tensor" else [2, 3, 3, 1]
+        assert [len(dead) for dead, _ in passes] == points
+        for dead, warnings in passes:
+            assert dead == [0.5] * len(dead)
+            assert warnings == [message] * len(dead)
+        assert np.isfinite(history.rows).all()
+        if backend == "tensor":
+            offset = dict((name, at) for name, _, at
+                          in model.store.layout)["dead"]
+            size = model.store["dead"].size
+            assert len(grads) == cfg.iterations
+            assert all(not g[offset:offset + size].any() for g in grads)
+            assert all(g.any() for g in grads)
+
+
+class TestExactCircuitSplit:
+    """An exact circuit split gathers the given store's angles at the
+    offsets of the model's store, so it checks them first."""
+    NAME = "chef__n__0"
+
+    @pytest.fixture(scope="class")
+    def trained(self):
+        model = compile_model(PipelineConfig(ansatz="iqp", optimizer="spsa",
+                                             iterations=1),
+                              generate_dataset(0))
+        store, _ = train(model)
+        return model, store
+
+    @pytest.mark.parametrize("case", ["missing", "misshapen", "non-finite"])
+    def test_bad_angle_names_the_first_sentence_that_reads_it(self, trained,
+                                                              case):
+        """It raises as predict_p1 does on the first sentence of the split
+        that reads the angle."""
+        model, store = trained
+        name = self.NAME
+        first = next(i for i in model.dataset.test if name in {
+            s.name for s in model.artifacts[i].symbols})
+        values = {n: store[n] for n in store.names() if n != name}
+        bad, error, message = {
+            "missing": (ParameterStore(values), UnboundSymbol,
+                        f"no value bound for symbol {name!r}"),
+            "misshapen": (ParameterStore({**values, name: np.zeros(2)}),
+                          ShapeMismatch,
+                          f"{name}: stored (2,), plan wants ()"),
+            "non-finite": (ParameterStore({**values, name: np.inf}),
+                           NonFiniteAngle,
+                           f"symbol {name!r} has the angle inf")}[case]
+        for score in (lambda: predict_p1(model, bad, first),
+                      lambda: evaluate_split(model, bad, "test")):
+            with pytest.raises(error) as exc:
+                score()
+            assert str(exc.value) == f"item {first}: {message}"
+
+    def test_angle_no_sentence_reads_is_not_checked(self, trained):
+        model, store = trained
+        read = {s.name for i in model.dataset.test
+                for s in model.artifacts[i].symbols}
+        unread = next(n for n in store.names() if n not in read)
+        want = evaluate_split(model, store, "test")
+        others = {n: store[n] for n in store.names() if n != unread}
+        for bad in (ParameterStore(others),
+                    ParameterStore({**others, unread: np.zeros(2)}),
+                    ParameterStore({**others, unread: np.nan})):
+            assert evaluate_split(model, bad, "test") == want
 
 
 def per_sentence_p1(model, plan, points, parts, seeds):
@@ -1044,15 +1174,14 @@ class TestFusedPass:
                               equal_nan=True)
         assert np.array_equal(grad, want_grad)
         assert grad.any()
-        # the zero vector is nan in the pass and reaches predict_p1, which
-        # warns once
+        # the zero vector is nan in the pass, which predicts 0.5 and warns
+        # once
         (dead,) = np.flatnonzero(np.isnan(p1))
         assert netplan.rows[dead] == dead_item
         full = np.zeros(netplan.count)
         full[netplan.rows] = p1
         with caplog.at_level(logging.WARNING, logger="synq.pipeline"):
-            (got,) = training._parts_p1(model, full[None], [vec],
-                                        [(0, rows)], [(0, 1)])
+            (got,) = training._parts_p1(model, full[None], [(0, rows)])
         warnings = [r for r in caplog.records if r.name == "synq.pipeline"]
         assert len(warnings) == 1
         assert f"item {dead_item}" in warnings[0].getMessage()
