@@ -19,12 +19,13 @@ a suffix of the word's signature and factor index. So every diagram of one
 structure compiles to one artifact up to those names. ``iqp_template`` and
 ``network_template`` compile a diagram into a ``Template``: its artifact,
 and for each parameter node or rotation op the word that made it and its
-name's suffix. ``Template.instance`` re-labels the artifact with another
-diagram's tokens. The template's artifact was validated when it compiled,
-and an instance differs from it only in those nodes or ops, so only they
-are checked: each keeps its node's id, kind and shape, or its op's gate and
-qubits. The walk that validates an artifact records its ``structure``, the
-key of its plan with symbols left out, and an instance holds its template's.
+name's suffix. ``Template.instance`` copies the artifact with another
+diagram's tokens in those names. An artifact's constructor validates its
+nodes' ids, kinds and shapes, or its ops' gates and qubits, never a symbol:
+so an instance is as valid as its template, and ``Node``'s constructor
+checks each slot's node. The walk that validates an artifact records its
+``structure``, the key of its plan with symbols left out, and an instance
+holds its template's.
 """
 from __future__ import annotations
 
@@ -198,20 +199,6 @@ class Circuit:
         object.__setattr__(self, "structure", (
             self.n_qubits, tuple((op.gate, op.qubits) for op in self.ops)))
 
-    def _relabel(self, ops: Iterable[tuple[int, Op]]) -> Circuit:
-        """This circuit with each (k, op) of ``ops`` in place of its k-th
-        op. An op must keep the gate and qubits of the one it replaces, so
-        the circuit stays as valid as when it was built, of the same
-        ``structure``: only the replaced ops are checked."""
-        out = list(self.ops)
-        for k, op in ops:
-            if op.gate != out[k].gate or op.qubits != out[k].qubits:
-                raise InvalidOp(f"op {k} ({op.gate!r} on qubits "
-                                f"{op.qubits}): replaces {out[k].gate!r} "
-                                f"on qubits {out[k].qubits}")
-            out[k] = op
-        return _built(self, ops=tuple(out))
-
     @property
     def symbols(self) -> list[Symbol]:
         out, seen = [], set()
@@ -382,22 +369,6 @@ class TensorNetwork:
             tuple((n.kind, n.shape) for n in self.nodes), edges,
             tuple(at[ends:])))
 
-    def _relabel(self, nodes: Iterable[tuple[int, Node]]) -> TensorNetwork:
-        """This network with each (k, node) of ``nodes`` in place of its
-        k-th node. A node must keep the id, kind and shape of the one it
-        replaces, so every leg checked when this network was built is still
-        valid and its ``structure`` holds: only those nodes are checked."""
-        out = list(self.nodes)
-        for k, node in nodes:
-            was = out[k]
-            if node.node_id != was.node_id or node.kind != was.kind \
-                    or node.shape != was.shape:
-                raise ValueError(f"node {k} ({node.node_id!r}, {node.kind}, "
-                                 f"{node.shape}) replaces ({was.node_id!r}, "
-                                 f"{was.kind}, {was.shape})")
-            out[k] = node
-        return _built(self, nodes=tuple(out))
-
     @property
     def symbols(self) -> list[Symbol]:
         out, seen = [], set()
@@ -426,32 +397,35 @@ class Template:
     network or rotation op of a circuit, in order: its index in ``nodes``
     or ``ops``, the index of the word that made it among the diagram's
     words in layer order, and its symbol's name after that word's token.
+    An instance takes all but its symbols from the template, which its
+    constructor validated; ``Node``'s constructor checks each slot's node.
     """
     artifact: Union[Circuit, TensorNetwork]
     slots: tuple[tuple[int, int, str], ...]
 
     def instance(self, tokens: Sequence[str]) -> Union[Circuit, TensorNetwork]:
         """The artifact of a diagram of this structure whose i-th word has
-        the token ``tokens[i]``. It differs from the template's, which was
-        validated when it compiled, only in the symbols at ``slots``, so
-        only those nodes or ops are checked."""
+        the token ``tokens[i]``: a copy of the template's, each node or op
+        at ``slots`` rebuilt with its word's symbol."""
         art = self.artifact
         if isinstance(art, Circuit):
-            ops = art.ops
-            return art._relabel(
-                (k, Op(ops[k].gate, ops[k].qubits,
-                       Symbol(tokens[word] + suffix)))
-                for k, word, suffix in self.slots)
-        nodes = art.nodes
-        return art._relabel(
-            (k, Node(nodes[k].node_id, nodes[k].kind, nodes[k].shape,
-                     Symbol(tokens[word] + suffix, nodes[k].shape)))
-            for k, word, suffix in self.slots)
+            ops = list(art.ops)
+            for k, word, suffix in self.slots:
+                op = ops[k]
+                ops[k] = Op(op.gate, op.qubits, Symbol(tokens[word] + suffix))
+            return _built(art, ops=tuple(ops))
+        nodes = list(art.nodes)
+        for k, word, suffix in self.slots:
+            node = nodes[k]
+            nodes[k] = Node(node.node_id, node.kind, node.shape,
+                            Symbol(tokens[word] + suffix, node.shape))
+        return _built(art, nodes=tuple(nodes))
 
 
 def _built(like, **changes):
     """A copy of the frozen dataclass instance ``like`` with ``changes``
-    set, built without its ``__post_init__``: the caller has checked them."""
+    set, built without its ``__post_init__``, which reads nothing that
+    they change."""
     out = object.__new__(type(like))
     out.__dict__.update(like.__dict__, **changes)
     return out

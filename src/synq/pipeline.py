@@ -9,13 +9,18 @@ hyperparameters are the defaults of ``training.adam_step`` and
 artifact per sentence with a shared parameter store, giving the training
 loop a uniform predict interface; ``CompiledModel.plan`` is built lazily.
 
+Set-up reads each sentence once: its derivation line, as _load_derivations
+scanned it from ``ccg_path`` or else from ``sentence_to_auto``, goes
+straight to ``ccg.line_to_diagram`` with its line in the file, which a
+ParseError names.
+
 The AUTO parse, conversion and compile run once per sentence structure.
 The sentences of a dataset share few structures (the 130 of the dataset
 grammar have 4), and a token reaches a compiled artifact only through its
 symbol names. So compile_diagram compiles the first diagram of each
-structure and re-labels that artifact for the others, as
-``ccg.line_to_diagram`` does for derivation lines of one key; each
-re-labelled node or op is checked against the template's.
+structure and copies that artifact for the others with their symbols
+(``Template.instance``), as ``ccg.line_to_diagram`` does for derivation
+lines of one key.
 """
 from __future__ import annotations
 
@@ -50,6 +55,7 @@ ANSATZE = ("iqp", "tensor", "mps", "spider")
 BACKENDS = ("exact", "shots")
 OPTIMIZERS = ("adam", "spsa")
 ZERO_VECTOR = 1e-300  # squared norm of a degenerate sentence vector
+_SENTENCE = ts("s")  # the codomain of a sentence's diagram
 
 
 class CompileError(Exception):
@@ -131,18 +137,31 @@ class PipelineConfig:
 
 def sentence_to_diagram(cfg: PipelineConfig, text: str,
                         derivation: Optional[str] = None) -> Diagram:
+    """The diagram of ``text`` under ``cfg``'s reader and rewrites. The ccg
+    reader converts ``derivation``, AUTO text that must hold exactly one
+    derivation, or by default the dataset grammar's (``sentence_to_auto``)."""
+    line, lineno = None, 1
+    if cfg.reader == "ccg" and derivation is not None:
+        found = list(ccg.scan_auto(derivation))
+        if len(found) != 1:
+            raise ccg.ParseError(f"expected one derivation, found "
+                                 f"{len(found)}", 1, 1)
+        _, lineno, line = found[0]
+    return _read(cfg, text, line, lineno)
+
+
+def _read(cfg: PipelineConfig, text: str, line: Optional[str],
+          lineno: int) -> Diagram:
+    """sentence_to_diagram of a scanned derivation: the ccg reader converts
+    ``line``, the derivation line at ``lineno`` of its AUTO text, or when
+    it is None ``sentence_to_auto(text)``, one line that needs no scan."""
     if cfg.reader == "cups":
         d = cups_read(tokenize(text))
     elif cfg.reader == "spiders":
         d = spiders_read(tokenize(text))
     else:
-        auto = derivation if derivation is not None else sentence_to_auto(text)
-        found = list(ccg.scan_auto(auto))
-        if len(found) != 1:
-            raise ccg.ParseError(f"expected one derivation, found "
-                                 f"{len(found)}", 1, 1)
-        _, lineno, line = found[0]
-        d = ccg.line_to_diagram(line, lineno)
+        d = ccg.line_to_diagram(
+            sentence_to_auto(text) if line is None else line, lineno)
     if cfg.rewrites:
         d = _rewriter(cfg.rewrites)(d).normal_form()
     return d
@@ -236,15 +255,12 @@ def compile_model(cfg: PipelineConfig, ds: LabeledDataset) -> CompiledModel:
     derivations = _load_derivations(cfg, ds)
     artifacts, failures = [], []
     for i, (text, _) in enumerate(ds.items):
-        derivation, lineno = derivations[i]
         try:
-            d = sentence_to_diagram(cfg, text, derivation)
-            if d.cod != ts("s"):
+            d = _read(cfg, text, *derivations[i])
+            if d.cod != _SENTENCE:
                 raise CompileError(f"codomain {d.cod} is not the sentence type")
             artifacts.append(compile_diagram(cfg, d))
         except Exception as exc:
-            if isinstance(exc, ccg.ParseError):  # parsed alone, it is line 1
-                exc = ccg.ParseError(exc.reason, lineno, exc.column)
             failures.append(f"{i}: {text!r}: {exc}")
             artifacts.append(None)
     if failures:
@@ -303,7 +319,8 @@ def predict_p1(model: CompiledModel, store: ParameterStore, item: int,
         if isinstance(art, TensorNetwork):
             p1 = _vector_p1(contract(art, store))
             if p1 is None:
-                logger.warning("degenerate sentence vector for item %d", item)
+                logger.warning("item %d: %s; predicting 0.5", item,
+                               degenerate(cfg))
                 return 0.5
             return p1
         assert isinstance(art, Circuit)

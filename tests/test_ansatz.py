@@ -376,10 +376,26 @@ def test_word_without_wires_gets_no_node(ansatz, deriv_id):
     assert abs(p1[0] - p1[1]) <= 1e-12
 
 
+def _renamed(d: Diagram) -> Diagram:
+    """``d`` with a new token in each word: of its structure, not its
+    symbols."""
+    return Diagram(d.dom, d.cod, tuple(
+        (Word(box.token + "_", box.dom, box.cod), offset)
+        if isinstance(box, Word) else (box, offset)
+        for box, offset in d.layers))
+
+
+def _validated(art):
+    """``art`` built again through its constructor, which validates it."""
+    if isinstance(art, Circuit):
+        return Circuit(art.n_qubits, art.ops, art.postselect, art.open)
+    return TensorNetwork(art.nodes, art.edges, art.open_legs)
+
+
 class TestRelabel:
-    """An instance re-labels its template's parameter nodes or rotation
-    ops and checks only those: each keeps its template's id, kind and shape,
-    or gate and qubits."""
+    """An instance is a copy of its template's artifact with its own
+    symbols: it equals a validated build of its nodes or ops and holds its
+    template's ``structure``."""
 
     def test_network_instance_equals_a_validated_build(self):
         from synq.ansatz import network_template
@@ -391,12 +407,6 @@ class TestRelabel:
             "mary__n__0", "runs__n.r.s__0"]
         assert art.nodes[0].node_id == "w0"
         assert art.structure is template.artifact.structure
-        node = art.nodes[0]
-        for other in (Node(node.node_id, "param", (2,), Symbol("x", (2,))),
-                      Node("w9", "param", node.shape,
-                           Symbol("x", node.shape))):
-            with pytest.raises(ValueError, match="replaces"):
-                art._relabel([(0, other)])
 
     def test_circuit_instance_equals_a_validated_build(self):
         from synq.ansatz import iqp_template
@@ -407,9 +417,55 @@ class TestRelabel:
         assert {s.name.split("__")[0] for s in art.symbols} == {"mary",
                                                                 "runs"}
         assert art.structure is template.artifact.structure
-        k = next(k for k, op in enumerate(art.ops) if op.gate == "Rx")
-        op = art.ops[k]
-        for other in (Op("Rz", op.qubits, op.param),
-                      Op(op.gate, (op.qubits[0] + 1,), op.param)):
-            with pytest.raises(InvalidOp, match="replaces"):
-                art._relabel([(k, other)])
+
+    @staticmethod
+    def assert_instances_are_builds(cfg, diagrams, monkeypatch):
+        """Compile each diagram, then its renamed twin, from cold templates:
+        every instance made equals its validated build, holds the structure
+        that build computes, and holds its template's."""
+        from synq import pipeline
+        from synq.ansatz import Template
+        made, instance = [], Template.instance
+        monkeypatch.setattr(Template, "instance", lambda self, tokens: (
+            made.append((self, instance(self, tokens))) or made[-1][1]))
+        pipeline._artifact_templates.cache_clear()
+        for d in diagrams:
+            compile_diagram(cfg, d)
+            compile_diagram(cfg, _renamed(d))
+        assert len(made) >= len(diagrams)
+        for template, art in made:
+            build = _validated(art)
+            assert art == build and art.structure == build.structure
+            assert art.structure is template.artifact.structure
+
+    @pytest.mark.parametrize("reader, name", [
+        (reader, name) for reader in ("ccg", "cups", "spiders")
+        for name in ("iqp", "tensor", "mps", "spider")
+        if (reader, name) != ("spiders", "iqp")])  # IQP has no spiders
+    def test_dataset_instances_are_validated_builds(self, reader, name,
+                                                    monkeypatch):
+        from synq.dataset import generate_dataset
+        from synq.pipeline import sentence_to_diagram
+        cfg = PipelineConfig(reader=reader, ansatz=name,
+                             optimizer="spsa" if name == "iqp" else "adam")
+        diagrams = [sentence_to_diagram(cfg, text)
+                    for text, _ in generate_dataset(0).items]
+        self.assert_instances_are_builds(cfg, diagrams, monkeypatch)
+
+    @pytest.mark.parametrize("name", ["iqp", "tensor", "mps", "spider"])
+    def test_fixture_instances_are_validated_builds(self, name, monkeypatch):
+        from synq.ccg import section_to_diagrams
+        cfg = PipelineConfig(ansatz=name,
+                             optimizer="spsa" if name == "iqp" else "adam")
+        diagrams = []
+        for result in section_to_diagrams(FIXTURES):
+            if not result.ok:
+                continue
+            try:  # an IQP circuit has no swap
+                compile_diagram(cfg, result.diagram)
+            except UnsupportedBox:
+                assert name == "iqp"
+                continue
+            diagrams.append(result.diagram)
+        assert len(diagrams) > 20
+        self.assert_instances_are_builds(cfg, diagrams, monkeypatch)

@@ -855,6 +855,18 @@ class TestDegenerateRows:
             assert all(not g[offset:offset + size].any() for g in grads)
             assert all(g.any() for g in grads)
 
+    def test_lone_and_batched_warnings_agree(self, caplog):
+        cfg = PipelineConfig(reader="cups", ansatz="tensor", iterations=0)
+        model = with_dead_row(compile_model(cfg, tiny_dataset()), 0)
+        with caplog.at_level(logging.WARNING, logger="synq.pipeline"):
+            lone = predict_p1(model, model.store, 0)
+            batched = batch_p1(model, model.plan, model.store.to_vector(),
+                               [0])
+        assert lone == 0.5 and batched == [0.5]
+        assert [r.getMessage() for r in caplog.records
+                if r.name == "synq.pipeline"] == [
+            "item 0: degenerate sentence vector; predicting 0.5"] * 2
+
 
 class TestExactCircuitSplit:
     """An exact circuit split gathers the given store's angles at the
